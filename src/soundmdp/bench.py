@@ -190,13 +190,8 @@ def parse_suite(path: Path) -> list[RunRequest]:
     return requests
 
 
-def _run_suite_line(packed: tuple[str, str, float | None, int]) -> dict:
-    line, base_dir, timeout, reps = packed
-    parser = make_solve_arg_parser("suite-line", suite_mode=True)
-    args = parser.parse_args(shlex.split(line))
-    req = request_from_args(args, Path(base_dir), timeout=timeout)
-    row, _ = run_request(req, reps)
-    return row
+def _request_row(req: RunRequest, reps: int) -> dict:
+    return run_request(req, reps)[0]
 
 
 def run_suite(suite_path: Path, output_path: Path, reps: int = 3,
@@ -205,18 +200,12 @@ def run_suite(suite_path: Path, output_path: Path, reps: int = 3,
     requests = parse_suite(suite_path)
     for req in requests:
         req.options = dataclasses.replace(req.options, timeout=timeout)
-    rows: list[dict]
+    all_reps = [reps] * len(requests)
     if jobs > 1:
-        lines = [line.split("#", 1)[0].strip()
-                 for line in suite_path.read_text().splitlines()]
-        lines = [ln for ln in lines if ln]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_suite_line,
-                                 [(ln, str(suite_path.parent), timeout, reps) for ln in lines]))
-        for req, row in zip(requests, rows):
-            row["instance"] = req.instance  # keep de-duplicated ids stable
+            rows = list(pool.map(_request_row, requests, all_reps))
     else:
-        rows = [run_request(req, reps)[0] for req in requests]
+        rows = list(map(_request_row, requests, all_reps))
 
     with output_path.open("w", newline="") as fh:
         fh.write(f"# soundmdp bench reps={reps} timeout={timeout} jobs={jobs} "

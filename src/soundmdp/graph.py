@@ -278,7 +278,10 @@ def eliminate_end_components(model: Mdp, mecs: Sequence[EndComponent],
             rep_of[s] = rep
             component_of[s] = mec
 
-    reps = sorted({rep_of[s] for s in model.states})
+    members_of: dict[int, list[int]] = {}
+    for s in model.states:
+        members_of.setdefault(rep_of[s], []).append(s)
+    reps = sorted(members_of)
     new_id = {old: i for i, old in enumerate(reps)}
     to_quotient = tuple(new_id[rep_of[s]] for s in model.states)
 
@@ -296,11 +299,10 @@ def eliminate_end_components(model: Mdp, mecs: Sequence[EndComponent],
 
     transitions: list[tuple[Transition, ...]] = []
     for old_rep in reps:
-        members = [s for s in model.states if rep_of[s] == old_rep]
         mec = component_of.get(old_rep)
         ts: list[Transition] = []
         seen: set[tuple] = set()
-        for s in members:
+        for s in members_of[old_rep]:
             kept = set(mec.kept_transitions.get(s, ())) if mec else set()
             for ti, tr in enumerate(model.transitions[s]):
                 if ti in kept:

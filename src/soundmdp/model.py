@@ -179,13 +179,6 @@ def validate(model: Mdp) -> list[Violation]:
     return out
 
 
-def require_valid(model: Mdp) -> Mdp:
-    problems = validate(model)
-    if problems:
-        raise ModelError("; ".join(str(v) for v in problems[:5]))
-    return model
-
-
 def _check_states(model: Mdp, states: Iterable[int], what: str) -> frozenset[int]:
     out = frozenset(states)
     for s in out:

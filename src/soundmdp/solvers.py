@@ -3,9 +3,12 @@
 All solvers work on a BellmanProblem: the model, the optimization direction,
 the set of unknown states S? that sweeps update, and the seed vector holding
 the fixed values of everything else (goal states, probability-0 states,
-infinite-reward states).  Sweeps update a single vector in place, so within a
-sweep later states already see this sweep's earlier updates; iteration order
-therefore matters and is part of the call.
+infinite-reward states).  Every iterative solver advances through one
+primitive, `_sweep`: a Gauss-Seidel sweep that updates its vectors in place,
+so within a sweep later states already see this sweep's earlier updates;
+iteration order therefore matters and is part of the call.  `gsvi` sweeps a
+lower vector alone; OVI's verification phases and interval iteration sweep a
+lower and an upper vector together, in one pass over each state's branches.
 
 Lower iterates started from the seed vector stay below the least fixed point,
 so a plain VI result is only a lower bound with no error guarantee.  The sound
@@ -118,12 +121,15 @@ class SolveOutcome:
                 raise SolverError("outcome bounds do not bracket the value")
 
 
+#: OVI cancels a verification phase running past this many times its iteration phase
+VERIFICATION_FACTOR = 10
+
+
 @dataclass(frozen=True)
 class OviGuards:
     """Termination guards turning potential non-termination into an honest failure."""
 
     max_total_sweeps: int = DEFAULT_SWEEP_CAP
-    verification_factor: float = 10.0
     deadline: float | None = None
 
 
@@ -154,6 +160,50 @@ def _check_deadline(deadline: float | None) -> None:
     if deadline is not None and time.perf_counter() > deadline:
         raise SolveTimeout("numeric phase ran past its deadline")
 
+
+def _sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
+           v: list[float], u: list[float] | None = None) -> tuple[float, bool, bool, int]:
+    """One Gauss-Seidel sweep over `order`, updating `v` (and `u`) in place.
+
+    Returns (error, up, down, cross): the largest gain of `v`, relative to the
+    new value (non-positive new values count nothing) or absolute; whether no
+    `u` value moved down, and whether none moved up; and the first state where
+    `u` fell below `v`, or -1.  `u` is backed up in the same pass over each
+    state's branches, with the sums and tie-breaks of a one-vector sweep.
+    """
+    error = 0.0
+    up = down = True
+    cross = -1
+    for s in order:
+        if u is None:
+            v_new = _state_value(kernel[s], v, maximize)
+        else:
+            v_new = u_new = None
+            for branches in kernel[s]:
+                acc_v = acc_u = 0.0
+                for p, r, t in branches:
+                    acc_v += p * (r + v[t])
+                    acc_u += p * (r + u[t])
+                if v_new is None or (acc_v > v_new if maximize else acc_v < v_new):
+                    v_new = acc_v
+                if u_new is None or (acc_u > u_new if maximize else acc_u < u_new):
+                    u_new = acc_u
+            if u_new < u[s]:
+                up = False
+            elif u_new > u[s]:
+                down = False
+            if cross < 0 and u_new < v_new:
+                cross = s
+            u[s] = u_new
+        gain = v_new - v[s]
+        if relative:
+            gain = gain / v_new if v_new > 0 else 0.0
+        if gain > error:
+            error = gain
+        v[s] = v_new
+    return error, up, down, cross
+
+
 Observer = Callable[[int, float, Sequence[float]], None]
 
 
@@ -179,19 +229,7 @@ def gsvi(problem: BellmanProblem, values: list[float], criterion: ErrorCriterion
             raise IterationCapExceeded(sweeps)
         _check_deadline(deadline)
         sweeps += 1
-        error = 0.0
-        for s in order:
-            v_new = _state_value(kernel[s], values, maximize)
-            if relative:
-                if v_new > 0:
-                    gain = (v_new - values[s]) / v_new
-                    if gain > error:
-                        error = gain
-            else:
-                gain = v_new - values[s]
-                if gain > error:
-                    error = gain
-            values[s] = v_new
+        error = _sweep(kernel, order, maximize, relative, values)[0]
         if observer is not None:
             observer(sweeps, error, values)
         if error < eps:
@@ -298,7 +336,6 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
 
         # Verification phase: joint sweeps tracking the upper vector's direction.
         verif_sweeps = 0
-        error = 0.0
         while True:
             if total_sweeps >= guards.max_total_sweeps:
                 cancelled += 1
@@ -306,37 +343,14 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
             _check_deadline(guards.deadline)
             total_sweeps += 1
             verif_sweeps += 1
-            error = 0.0
-            up = True
-            down = True
-            cross = False
-            for s in order:
-                v_new = _state_value(kernel[s], v, maximize)
-                u_new = _state_value(kernel[s], u, maximize)
-                if relative_error:
-                    if v_new > 0:
-                        gain = (v_new - v[s]) / v_new
-                        if gain > error:
-                            error = gain
-                else:
-                    gain = v_new - v[s]
-                    if gain > error:
-                        error = gain
-                if u_new < u[s]:
-                    up = False
-                elif u_new > u[s]:
-                    down = False
-                if u_new < v_new:
-                    cross = True
-                v[s] = v_new
-                u[s] = u_new
+            error, up, down, cross = _sweep(kernel, order, maximize, relative_error, v, u)
             if trace:
-                trace.record("verify", verif_sweeps, error, list(v), list(u), up, down, cross)
-            if up or cross:
+                trace.record("verify", verif_sweeps, error, list(v), list(u), up, down, cross >= 0)
+            if up or cross >= 0:
                 cancelled += 1
                 if trace:
                     trace.record("cancel", "up" if up else "cross")
-                if problem.unique_fixed_point and up and not cross:
+                if problem.unique_fixed_point and up and cross < 0:
                     # With a unique fixed point, an upper vector that never
                     # moved down is itself a lower bound; adopt it.
                     v = list(u)
@@ -347,7 +361,7 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
                 return SolveOutcome(0.5 * (u[s_i] + v[s_i]), v[s_i], u[s_i], total_sweeps,
                                     phases, cancelled, time.perf_counter() - start,
                                     "ovi", True, "ok")
-            if verif_sweeps > guards.verification_factor * max(iter_sweeps, 1):
+            if verif_sweeps > VERIFICATION_FACTOR * max(iter_sweeps, 1):
                 cancelled += 1
                 if trace:
                     trace.record("cancel", "guard")
@@ -371,7 +385,9 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
     """Iterate a lower vector from the seeds and an upper vector from upper_init
     until the interval at the initial state is narrow enough; needs a unique
     fixed point to terminate.  A crossing (upper below lower) means upper_init
-    was not an overapproximation and is reported as an error."""
+    was not an overapproximation and is reported as an error; sweeps are
+    monotone, so an upper_init between the seeds and the true value goes
+    undetected."""
     start = time.perf_counter()
     model = problem.model
     s_i = model.initial
@@ -401,15 +417,11 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
             raise IterationCapExceeded(sweeps)
         _check_deadline(deadline)
         sweeps += 1
-        for s in order:
-            v_new = _state_value(kernel[s], v, maximize)
-            u_new = _state_value(kernel[s], u, maximize)
-            if u_new < v_new:
-                raise SolverError(
-                    f"interval iteration crossed at state {s}: the initial upper vector "
-                    "was not an overapproximation")
-            v[s] = v_new
-            u[s] = u_new
+        cross = _sweep(kernel, order, maximize, False, v, u)[3]
+        if cross >= 0:
+            raise SolverError(
+                f"interval iteration crossed at state {cross}: the initial upper vector "
+                "was not an overapproximation")
         if observer is not None:
             observer(sweeps, v, u)
         if u[s_i] - v[s_i] <= (2.0 * eps * v[s_i] if relative_width else 2.0 * eps):

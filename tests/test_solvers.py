@@ -13,6 +13,7 @@ from soundmdp import (ErrorCriterion, IterationCapExceeded, OviGuards, OviTrace,
                       oracle_exact, oracle_values, ovi, plain_vi, prob0_set,
                       probability_problem, reward_problem, reward_upper_init,
                       s_infinity, strip_rewards)
+from soundmdp.solvers import _sweep
 from conftest import mdp_of
 
 
@@ -54,6 +55,42 @@ def test_bellman_monotonic_random(me0):
         w = [x + rng.uniform(0, 1) for x in v]
         fv, fw = bellman_apply(problem, v), bellman_apply(problem, w)
         assert all(a <= b for a, b in zip(fv, fw))
+
+
+# ---------------------------------------------------------------------------
+# The sweep primitive.
+
+@pytest.mark.parametrize("relative", [True, False])
+@pytest.mark.parametrize("opt", ["max", "min"])
+@pytest.mark.parametrize("seed", range(8))
+def test_sweep_two_vectors_match_one_vector_sweeps(seed, opt, relative):
+    # Even seeds give probability problems (zero values exercise the
+    # relative rule), odd seeds reward problems (inf seeds at s_inf).
+    doc = generate_random(seed, 6 + seed, 3, 3, 4, 1)
+    model = make_goals_absorbing(doc.model, doc.declared_goals)
+    goals = sorted(doc.declared_goals)
+    if seed % 2 == 0:
+        model = strip_rewards(model)
+        problem = probability_problem(model, goals, opt, fixed_zero=prob0_set(model, goals, opt))
+    else:
+        problem = reward_problem(model, goals, opt, s_infinity(model, goals, opt))
+    maximize = opt == "max"
+    rng = random.Random(seed)
+    order = problem.default_order()
+    rng.shuffle(order)
+    v = problem.initial_vector()
+    # The upper start may lie below v somewhere, so crossings occur too.
+    u = [x + rng.uniform(-1.0, 3.0) if s in problem.unknowns else x for s, x in enumerate(v)]
+    for _ in range(4):
+        v_alone, u_alone, u_before = list(v), list(u), list(u)
+        error, up, down, cross = _sweep(problem.kernel, order, maximize, relative, v, u)
+        alone = _sweep(problem.kernel, order, maximize, relative, v_alone)
+        _sweep(problem.kernel, order, maximize, relative, u_alone)
+        assert v == v_alone and error == alone[0]
+        assert u == u_alone
+        assert up == all(u[s] >= u_before[s] for s in order)
+        assert down == all(u[s] <= u_before[s] for s in order)
+        assert cross == next((s for s in order if u[s] < v[s]), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +348,20 @@ def test_interval_iteration_detects_upper_below_lower(me0):
     prop = make_property("pmax", sorted(qm.map_states([1])), 0.05, "absolute")
     with pytest.raises(SolverError):
         interval_iteration(problem, prop, [-0.1] * qm.quotient.num_states)
+
+
+@pytest.mark.parametrize("order, first", [([0, 1, 2], 0), ([2, 1, 0], 2)])
+def test_interval_iteration_names_the_first_crossing_state(order, first):
+    # On a valid model a sweep keeps u >= v (the backup is monotone), so
+    # once the pre-check passes the vectors never cross.  Each state here
+    # solves x = 2 - x through a negative weight, so the backup is not
+    # monotone: the upper start 0.5 lies above the seeds but below the fixed
+    # point 1, and the first sweep drops every upper value below its lower.
+    m = mdp_of(0, *([[(2, 0, 3), (-1, 0, s)]] for s in range(3)), [[(1, 0, 3)]])
+    problem = probability_problem(m, goals=[3], opt="max")
+    with pytest.raises(SolverError, match=f"crossed at state {first}:"):
+        interval_iteration(problem, make_property("pmax", [3], 0.05, "absolute"),
+                           [0.5] * 4, order)
 
 
 def test_interval_iteration_cap(me0):
