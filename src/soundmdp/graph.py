@@ -126,14 +126,6 @@ class EndComponent:
         object.__setattr__(self, "states", frozenset(self.states))
 
 
-def _zero_reward_transitions(model: Mdp) -> list[list[int]]:
-    out: list[list[int]] = []
-    for s in model.states:
-        out.append([ti for ti, t in enumerate(model.transitions[s])
-                    if all(b.reward_exact == 0 for b in t.branches)])
-    return out
-
-
 def _sccs(nodes: Sequence[int], succ: dict[int, list[int]]) -> list[list[int]]:
     """Iterative Tarjan strongly-connected components over the given subgraph."""
     index: dict[int, int] = {}
@@ -183,51 +175,57 @@ def _sccs(nodes: Sequence[int], succ: dict[int, list[int]]) -> list[list[int]]:
 
 
 def mec_decomposition(model: Mdp) -> list[EndComponent]:
-    """Maximal end components, by iterated SCC refinement.
+    """Maximal end components, by attractor peeling and SCC refinement.
 
     Only transitions whose branches all carry reward zero can take part; a
     transition stays in a candidate component only while all its branch
-    targets do.  Single states qualify only with such a self-loop.
+    targets do.  Each round first peels, with a worklist, every state of the
+    candidate left with no such transition (removing a state can strand its
+    predecessors), then splits the rest into SCCs.  A candidate that stays one
+    SCC is a MEC; otherwise each SCC is a new candidate.  Single states
+    qualify only with such a self-loop.
     """
-    zero_ok = _zero_reward_transitions(model)
-
-    def kept_in(component: set[int]) -> dict[int, list[int]]:
-        kept: dict[int, list[int]] = {}
-        for s in component:
-            ok = [ti for ti in zero_ok[s]
-                  if all(b.target in component for b in model.transitions[s][ti].branches)]
-            if ok:
-                kept[s] = ok
-        return kept
+    # Target sets of the zero-reward transitions, and who uses each target.
+    zero_targets: list[list[tuple[int, frozenset[int]]]] = []
+    users: list[list[tuple[int, int]]] = [[] for _ in model.states]
+    for s, ts in enumerate(model.transitions):
+        mine = []
+        for ti, t in enumerate(ts):
+            if all(b.reward_exact == 0 for b in t.branches):
+                targets = frozenset(b.target for b in t.branches)
+                mine.append((ti, targets))
+                for target in targets:
+                    users[target].append((s, ti))
+        zero_targets.append(mine)
 
     result: list[EndComponent] = []
     todo: list[set[int]] = [set(model.states)]
     while todo:
         component = todo.pop()
-        kept = kept_in(component)
-        succ = {s: sorted({b.target for ti in kept.get(s, ())
-                           for b in model.transitions[s][ti].branches})
+        kept = {s: {ti for ti, targets in zero_targets[s] if targets <= component}
                 for s in component}
-        comps = _sccs(sorted(component), succ)
-        if len(comps) == 1 and set(comps[0]) == component and len(kept) == len(component):
-            if len(component) > 1:
-                result.append(EndComponent(frozenset(component),
-                                           {s: tuple(kept[s]) for s in sorted(component)}))
-                continue
-            (s,) = component
-            loops = [ti for ti in kept.get(s, ())
-                     if all(b.target == s for b in model.transitions[s][ti].branches)]
-            if loops:
-                result.append(EndComponent(frozenset(component), {s: tuple(loops)}))
+        stranded = [s for s, ks in kept.items() if not ks]
+        while stranded:
+            t = stranded.pop()
+            component.discard(t)
+            del kept[t]
+            for s, ti in users[t]:
+                ks = kept.get(s)
+                if ks and ti in ks:
+                    ks.discard(ti)
+                    if not ks:
+                        stranded.append(s)
+        if not component:
             continue
-        for comp in comps:
-            sub = set(comp)
-            if sub != component:
-                todo.append(sub)
-            else:  # single SCC but some state lost all its transitions
-                refined = {s for s in sub if s in kept}
-                if refined and refined != component:
-                    todo.append(refined)
+        succ = {s: sorted({target for ti, targets in zero_targets[s] if ti in ks
+                           for target in targets})
+                for s, ks in kept.items()}
+        comps = _sccs(sorted(component), succ)
+        if len(comps) == 1:
+            result.append(EndComponent(frozenset(component),
+                                       {s: tuple(sorted(kept[s])) for s in sorted(component)}))
+        else:
+            todo.extend(set(comp) for comp in comps)
     result.sort(key=lambda ec: min(ec.states))
     return result
 
@@ -286,29 +284,34 @@ def eliminate_end_components(model: Mdp, mecs: Sequence[EndComponent],
     to_quotient = tuple(new_id[rep_of[s]] for s in model.states)
 
     def retarget(tr: Transition) -> Transition:
+        targets = [to_quotient[b.target] for b in tr.branches]
+        if len(set(targets)) == len(targets):  # nothing to merge
+            return Transition(tuple(Branch(float(b.probability_exact), float(b.reward_exact), q,
+                                           b.probability_exact, b.reward_exact)
+                                    for b, q in zip(tr.branches, targets)), tr.label)
         merged: dict[tuple[Fraction, int], Fraction] = {}
-        order: list[tuple[Fraction, int]] = []
-        for b in tr.branches:
-            key = (b.reward_exact, to_quotient[b.target])
-            if key not in merged:
-                merged[key] = Fraction(0)
-                order.append(key)
-            merged[key] += b.probability_exact
-        return Transition(tuple(Branch(float(merged[k]), float(k[0]), k[1], merged[k], k[0])
-                                for k in order), tr.label)
+        for b, q in zip(tr.branches, targets):
+            key = (b.reward_exact, q)
+            merged[key] = merged.get(key, 0) + b.probability_exact
+        return Transition(tuple(Branch(float(p), float(k[0]), k[1], p, k[0])
+                                for k, p in merged.items()), tr.label)
 
     transitions: list[tuple[Transition, ...]] = []
     for old_rep in reps:
         mec = component_of.get(old_rep)
         ts: list[Transition] = []
-        seen: set[tuple] = set()
+        seen: set[tuple[int, ...]] = set()
         for s in members_of[old_rep]:
             kept = set(mec.kept_transitions.get(s, ())) if mec else set()
             for ti, tr in enumerate(model.transitions[s]):
                 if ti in kept:
                     continue
                 new_tr = retarget(tr)
-                key = tuple((b.probability_exact, b.reward_exact, b.target) for b in new_tr.branches)
+                # Fractions are normalised, so their integer parts compare alike
+                # and hash far faster.
+                key = tuple(n for b in new_tr.branches
+                            for n in (b.probability_exact.numerator, b.probability_exact.denominator,
+                                      b.reward_exact.numerator, b.reward_exact.denominator, b.target))
                 if key in seen:
                     continue
                 seen.add(key)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .errors import GeneratorError, ParseError
@@ -43,11 +44,17 @@ class ModelDocument:
     declared_goals: frozenset[int] | None = None
     format_version: int = FORMAT_VERSION
 
-    def label_of(self, state: int) -> str | None:
+    @cached_property
+    def _label_by_state(self) -> dict[int, str]:
+        """Inverse of named_states, derived on first use."""
+        out: dict[int, str] = {}
         for name, sid in self.named_states.items():
-            if sid == state:
-                return name
-        return None
+            out.setdefault(sid, name)
+        return out
+
+    def label_of(self, state: int) -> str | None:
+        """The first label, in insertion order, that names the state."""
+        return self._label_by_state.get(state)
 
     def resolve_state(self, token: str) -> int:
         """Map an id or label to a state id."""
@@ -70,117 +77,122 @@ def _is_int(token: str) -> bool:
         return False
 
 
-def _parse_number(token: str, line: int, column: int) -> Fraction:
+def _column(body: str, index: int) -> int:
+    """1-based column of the index-th whitespace-separated word of a line."""
+    col = 0
+    for word in body.split()[:index + 1]:
+        col = body.index(word, col) + len(word)
+    return col - len(word) + 1
+
+
+def _error(message: str, line: int, body: str, index: int) -> ParseError:
+    return ParseError(message, line, _column(body, index))
+
+
+def _parse_number(token: str, line: int, body: str, index: int) -> Fraction:
     try:
         return exact(token)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"malformed number {token!r}", line, column) from None
-
-
-@dataclass
-class _RawBranch:
-    probability: Fraction
-    reward: Fraction
-    target: str
-    line: int
-    column: int
+        raise _error(f"malformed number {token!r}", line, body, index) from None
 
 
 def parse_explicit(text: str) -> ModelDocument:
-    """Parse an MDPX document; raises ParseError with line/column on bad input."""
-    # First pass: tokenize into (line_no, [(col, token), ...]).
-    lines: list[tuple[int, list[tuple[int, str]]]] = []
+    """Parse an MDPX document; raises ParseError with line/column on bad input.
+
+    Model files repeat a few number tokens many times, so each distinct token
+    is parsed to a Fraction, rounded to a float and resolved as a target once
+    per call.  Lines keep their text and words only; a column is computed from
+    the line when an error is raised.  Nothing is cached across calls.
+    """
+    # First pass: split into (line_no, body, words), dropping comments and blank lines.
+    lines: list[tuple[int, str, list[str]]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
-        toks: list[tuple[int, str]] = []
-        col = 0
-        for part in body.split():
-            col = body.index(part, col)
-            toks.append((col + 1, part))
-            col += len(part)
-        if toks:
-            lines.append((ln, toks))
+        words = body.split()
+        if words:
+            lines.append((ln, body, words))
     if not lines:
         raise ParseError("empty input: missing 'mdpx 1' header", 1, 1)
 
-    ln, toks = lines[0]
-    words = [t for _, t in toks]
+    ln, body, words = lines[0]
     if words[0] != "mdpx":
-        raise ParseError(f"expected 'mdpx 1' header, found {words[0]!r}", ln, toks[0][0])
+        raise _error(f"expected 'mdpx 1' header, found {words[0]!r}", ln, body, 0)
     if len(words) != 2 or not _is_int(words[1]):
-        raise ParseError("malformed header, expected 'mdpx 1'", ln, toks[0][0])
+        raise _error("malformed header, expected 'mdpx 1'", ln, body, 0)
     if int(words[1]) != FORMAT_VERSION:
-        raise ParseError(f"unsupported format version {words[1]}", ln, toks[1][0])
+        raise _error(f"unsupported format version {words[1]}", ln, body, 1)
 
+    # A raw branch is (probability, reward, target, line, body), all tokens;
+    # a state reference elsewhere is (token, line, body, word index).
     num_states: int | None = None
-    initial_token: tuple[str, int, int] | None = None
-    goal_tokens: list[tuple[str, int, int]] = []
+    initial_token: tuple[str, int, str, int] | None = None
+    goal_tokens: list[tuple[str, int, str, int]] = []
     labels: dict[str, int] = {}
-    state_transitions: list[list[tuple[str | None, list[_RawBranch]]]] = []
-    in_state = False
+    exacts: dict[str, Fraction] = {}
+    state_transitions: list[list[tuple[str | None, list[tuple]]]] = []
+    branches: list[tuple] | None = None  # raw branches of the open transition
 
-    def current_transitions() -> list[tuple[str | None, list[_RawBranch]]]:
-        return state_transitions[-1]
-
-    for ln, toks in lines[1:]:
-        col0, keyword = toks[0]
-        args = toks[1:]
-        if keyword == "states":
-            if num_states is not None:
-                raise ParseError("duplicate 'states' line", ln, col0)
-            if len(args) != 1 or not _is_int(args[0][1]) or int(args[0][1]) <= 0:
-                raise ParseError("'states' expects one positive integer", ln, col0)
-            num_states = int(args[0][1])
-        elif keyword == "initial":
-            if initial_token is not None:
-                raise ParseError("duplicate 'initial' line", ln, col0)
-            if len(args) != 1:
-                raise ParseError("'initial' expects one id or label", ln, col0)
-            initial_token = (args[0][1], ln, args[0][0])
+    for ln, body, words in lines[1:]:
+        keyword = words[0]
+        if keyword == "branch":
+            if branches is None:
+                raise _error("'branch' outside a transition block", ln, body, 0)
+            if len(words) != 4:
+                raise _error("'branch' expects <probability> <reward> <target>", ln, body, 0)
+            _, pt, rt, tt = words
+            if pt not in exacts:
+                exacts[pt] = _parse_number(pt, ln, body, 1)
+            if rt not in exacts:
+                exacts[rt] = _parse_number(rt, ln, body, 2)
+            branches.append((pt, rt, tt, ln, body))
+        elif keyword == "transition":
+            if not state_transitions:
+                raise _error("'transition' outside a state block", ln, body, 0)
+            if len(words) > 2:
+                raise _error("too many tokens on 'transition' line", ln, body, 0)
+            branches = []
+            state_transitions[-1].append((words[1] if len(words) == 2 else None, branches))
         elif keyword == "state":
             if num_states is None:
-                raise ParseError("'state' before 'states' count", ln, col0)
-            if not args or not _is_int(args[0][1]):
-                raise ParseError("'state' expects an integer id", ln, col0)
-            sid = int(args[0][1])
+                raise _error("'state' before 'states' count", ln, body, 0)
+            if len(words) < 2 or not _is_int(words[1]):
+                raise _error("'state' expects an integer id", ln, body, 0)
+            sid = int(words[1])
             if sid != len(state_transitions):
-                raise ParseError(
+                raise _error(
                     f"state ids must appear in declaration order; expected {len(state_transitions)}, found {sid}",
-                    ln, args[0][0])
+                    ln, body, 1)
             if sid >= num_states:
-                raise ParseError(f"state id {sid} exceeds declared count {num_states}", ln, args[0][0])
-            if len(args) > 2:
-                raise ParseError("too many tokens on 'state' line", ln, col0)
-            if len(args) == 2:
-                label = args[1][1]
+                raise _error(f"state id {sid} exceeds declared count {num_states}", ln, body, 1)
+            if len(words) > 3:
+                raise _error("too many tokens on 'state' line", ln, body, 0)
+            if len(words) == 3:
+                label = words[2]
                 if _is_int(label):
-                    raise ParseError(f"state label {label!r} must not be an integer", ln, args[1][0])
+                    raise _error(f"state label {label!r} must not be an integer", ln, body, 2)
                 if label in labels:
-                    raise ParseError(f"duplicate state label {label!r}", ln, args[1][0])
+                    raise _error(f"duplicate state label {label!r}", ln, body, 2)
                 labels[label] = sid
             state_transitions.append([])
-            in_state = True
-        elif keyword == "transition":
-            if not in_state:
-                raise ParseError("'transition' outside a state block", ln, col0)
-            if len(args) > 1:
-                raise ParseError("too many tokens on 'transition' line", ln, col0)
-            label = args[0][1] if args else None
-            current_transitions().append((label, []))
-        elif keyword == "branch":
-            if not in_state or not current_transitions():
-                raise ParseError("'branch' outside a transition block", ln, col0)
-            if len(args) != 3:
-                raise ParseError("'branch' expects <probability> <reward> <target>", ln, col0)
-            (pc, pt), (rc, rt), (tc, tt) = args
-            current_transitions()[-1][1].append(
-                _RawBranch(_parse_number(pt, ln, pc), _parse_number(rt, ln, rc), tt, ln, tc))
+            branches = None
+        elif keyword == "states":
+            if num_states is not None:
+                raise _error("duplicate 'states' line", ln, body, 0)
+            if len(words) != 2 or not _is_int(words[1]) or int(words[1]) <= 0:
+                raise _error("'states' expects one positive integer", ln, body, 0)
+            num_states = int(words[1])
+        elif keyword == "initial":
+            if initial_token is not None:
+                raise _error("duplicate 'initial' line", ln, body, 0)
+            if len(words) != 2:
+                raise _error("'initial' expects one id or label", ln, body, 0)
+            initial_token = (words[1], ln, body, 1)
         elif keyword == "goal":
-            if not args:
-                raise ParseError("'goal' expects at least one id or label", ln, col0)
-            goal_tokens.extend((t, ln, c) for c, t in args)
+            if len(words) < 2:
+                raise _error("'goal' expects at least one id or label", ln, body, 0)
+            goal_tokens.extend((t, ln, body, i) for i, t in enumerate(words[1:], start=1))
         else:
-            raise ParseError(f"unknown keyword {keyword!r}", ln, col0)
+            raise _error(f"unknown keyword {keyword!r}", ln, body, 0)
 
     if num_states is None:
         raise ParseError("missing 'states' line")
@@ -189,33 +201,49 @@ def parse_explicit(text: str) -> ModelDocument:
     if initial_token is None:
         raise ParseError("missing 'initial' line")
 
-    def resolve(token: str, ln: int, col: int) -> int:
-        if token in labels:
-            return labels[token]
-        if _is_int(token):
-            sid = int(token)
-            if 0 <= sid < num_states:
-                return sid
-            raise ParseError(f"state id {sid} out of range", ln, col)
-        raise ParseError(f"dangling target: unknown state label {token!r}", ln, col)
+    targets: dict[str, int] = dict(labels)
+
+    def resolve(token: str, ln: int, body: str, index: int) -> int:
+        if token in targets:
+            return targets[token]
+        if not _is_int(token):
+            raise _error(f"dangling target: unknown state label {token!r}", ln, body, index)
+        sid = int(token)
+        if not 0 <= sid < num_states:
+            raise _error(f"state id {sid} out of range", ln, body, index)
+        targets[token] = sid
+        return sid
+
+    # Floats are rounded here, branch by branch, so a number too large for
+    # binary64 fails at its first branch and not before the errors found in
+    # earlier lines and branches.
+    numbers: dict[str, tuple[float, Fraction]] = {}
+
+    def number(token: str) -> tuple[float, Fraction]:
+        value = exacts[token]
+        pair = numbers[token] = (float(value), value)
+        return pair
 
     transitions: list[tuple[Transition, ...]] = []
     for raw in state_transitions:
         ts = []
         for label, raw_branches in raw:
-            ts.append(Transition(
-                tuple(Branch(float(rb.probability), float(rb.reward),
-                             resolve(rb.target, rb.line, rb.column),
-                             rb.probability, rb.reward)
-                      for rb in raw_branches),
-                label))
+            bs = []
+            for pt, rt, tt, ln, body in raw_branches:
+                pf, pe = numbers.get(pt) or number(pt)
+                rf, re = numbers.get(rt) or number(rt)
+                sid = targets.get(tt)
+                if sid is None:
+                    sid = resolve(tt, ln, body, 3)
+                bs.append(Branch(pf, rf, sid, pe, re))
+            ts.append(Transition(tuple(bs), label))
         transitions.append(tuple(ts))
 
     model = Mdp(num_states, resolve(*initial_token), tuple(transitions))
     problems = validate(model)
     if problems:
         raise ParseError("invalid model: " + "; ".join(str(v) for v in problems[:5]))
-    goals = frozenset(resolve(t, ln, c) for t, ln, c in goal_tokens) if goal_tokens else None
+    goals = frozenset(resolve(*t) for t in goal_tokens) if goal_tokens else None
     return ModelDocument(model, labels, goals)
 
 

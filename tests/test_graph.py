@@ -11,7 +11,7 @@ from soundmdp import (ModelError, eliminate_end_components,
                       prob0_set, prob1_set, s_infinity, strip_rewards)
 from soundmdp.model import Mdp
 
-from conftest import mdp_of
+from conftest import HALF, mdp_of
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +208,123 @@ def test_mec_invariants_hold(me_both):
                     assert b.target in mec.states
 
 
+def _ladder(rungs: int) -> Mdp:
+    """Rungs {L_i, R_i} (zero-reward 2-cycles) hang off a rail x_0..x_{k-1}.
+
+    L_i may climb to x_i, and x_i moves to x_{i-1}, L_i or x_{i+1} in one
+    transition, so the reward-stripped ladder is one SCC.  Only x_0's
+    transition carries a reward, which strands x_0; that strands x_1, then
+    x_2 and so on.  Refinement without peeling needs one SCC pass per rail
+    state; with peeling the rail goes in one round, and the rungs remain as
+    the MECs.  States are L_i = 3i, R_i = 3i + 1, x_i = 3i + 2.
+    """
+    third = Fraction(1, 3)
+    states = []
+    for i in range(rungs):
+        left, right, rail = 3 * i, 3 * i + 1, 3 * i + 2
+        states.append([[(1, 0, rail)], [(1, 0, right)]])  # climb, then the rung
+        states.append([[(1, 0, left)]])
+        if i == 0:
+            states.append([[(HALF, 1, left), (HALF, 1, rail + 3)]])
+        elif i == rungs - 1:
+            states.append([[(HALF, 0, rail - 3), (HALF, 0, left)]])
+        else:
+            states.append([[(third, 0, rail - 3), (third, 0, left), (third, 0, rail + 3)]])
+    return mdp_of(0, *states)
+
+
+def test_mec_ladder_peels_the_whole_rail():
+    rungs = 12
+    m = _ladder(rungs)
+    mecs = mec_decomposition(m)
+    assert [sorted(mec.states) for mec in mecs] == [[3 * i, 3 * i + 1] for i in range(rungs)]
+    for i, mec in enumerate(mecs):
+        assert mec.kept_transitions == {3 * i: (1,), 3 * i + 1: (0,)}
+    # Without the reward nothing is stranded: the ladder is one MEC keeping everything.
+    (whole,) = mec_decomposition(strip_rewards(m))
+    assert whole.states == frozenset(m.states)
+    assert whole.kept_transitions == {s: tuple(range(len(m.transitions[s]))) for s in m.states}
+
+
+def _reference_mecs(model: Mdp) -> set[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """MECs by the global fixpoint: drop every zero-reward transition that
+    leaves its source's SCC until none does; the SCCs whose states keep a
+    transition are the MECs.  SCCs by Kosaraju, independently of graph._sccs."""
+    allowed = {s: tuple(ti for ti, t in enumerate(model.transitions[s])
+                        if all(b.reward_exact == 0 for b in t.branches)) for s in model.states}
+    while True:
+        succ = {s: {b.target for ti in allowed[s] for b in model.transitions[s][ti].branches}
+                for s in model.states}
+        pred = {s: set() for s in model.states}
+        for s, ts in succ.items():
+            for t in ts:
+                pred[t].add(s)
+        finished: list[int] = []
+        seen: set[int] = set()
+
+        def visit(s):
+            seen.add(s)
+            for t in succ[s]:
+                if t not in seen:
+                    visit(t)
+            finished.append(s)
+
+        for s in model.states:
+            if s not in seen:
+                visit(s)
+        comp: dict[int, int] = {}
+
+        def assign(s, root):
+            comp[s] = root
+            for t in pred[s]:
+                if t not in comp:
+                    assign(t, root)
+
+        for s in reversed(finished):
+            if s not in comp:
+                assign(s, s)
+        narrowed = {s: tuple(ti for ti in allowed[s]
+                             if all(comp[b.target] == comp[s] for b in model.transitions[s][ti].branches))
+                    for s in model.states}
+        if narrowed == allowed:
+            break
+        allowed = narrowed
+    groups: dict[int, list[int]] = {}
+    for s in model.states:
+        if allowed[s]:
+            groups.setdefault(comp[s], []).append(s)
+    return {(tuple(states), tuple(allowed[s] for s in states)) for states in groups.values()}
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("stripped", [False, True])
+def test_mec_invariants_on_larger_models(seed, stripped):
+    doc = generate_random(seed, 50 + 150 * seed // 11, 3, 1 + seed % 4, Fraction(seed % 3), 1 + seed,
+                          allow_end_components=True)
+    model = strip_rewards(doc.model) if stripped else doc.model
+    mecs = mec_decomposition(model)
+    covered: set[int] = set()
+    for mec in mecs:
+        assert not mec.states & covered
+        covered |= mec.states
+        assert list(mec.kept_transitions) == sorted(mec.states)
+        for s, kept in mec.kept_transitions.items():
+            # Every zero-reward transition staying inside is kept, in index order.
+            assert kept == tuple(ti for ti, t in enumerate(model.transitions[s])
+                                 if all(b.reward_exact == 0 and b.target in mec.states
+                                        for b in t.branches))
+            assert kept
+        edges = {s: {b.target for ti in kept for b in model.transitions[s][ti].branches}
+                 for s, kept in mec.kept_transitions.items()}
+        assert _strongly_connected(sorted(mec.states), edges)
+    # Maximality: the same components as the independent global fixpoint.
+    got = {(tuple(sorted(m.states)), tuple(m.kept_transitions[s] for s in sorted(m.states)))
+           for m in mecs}
+    assert got == _reference_mecs(model)
+    if stripped:
+        assert any(len(m.states) > 1 for m in mecs)
+
+
 # ---------------------------------------------------------------------------
 # End-component elimination.
 
@@ -286,3 +403,34 @@ def test_eliminate_preserves_pmax_and_emin_exactly(seed):
         original = oracle_exact(model, make_property(kind, goals))
         quotient = oracle_exact(qm.quotient, make_property(kind, qgoals))
         assert original == quotient
+
+
+def test_eliminate_merges_and_copies_in_one_quotient():
+    # States 1 and 2 form a zero-reward cycle; 3 is absorbing.  From 0,
+    # transition a splits 1/10 and 2/10 over the cycle: the branches merge and
+    # the float is the rounding of the exact sum 3/10, not 0.1 + 0.2.
+    # Transition b has distinct targets and is copied; transition c becomes
+    # identical to b after retargeting and is dropped.
+    m = mdp_of(
+        0,
+        [[(Fraction(1, 10), 0, 1), (Fraction(2, 10), 0, 2), (Fraction(7, 10), 0, 3)],
+         [(Fraction(1, 3), 0, 1), (Fraction(2, 3), 2, 3)],
+         [(Fraction(1, 3), 0, 2), (Fraction(2, 3), 2, 3)]],
+        [[(1, 0, 2)], [(HALF, 0, 3), (HALF, 0, 0)]],
+        [[(1, 0, 1)], [(HALF, 0, 3), (HALF, 0, 0)]],
+        [[(1, 0, 3)]],
+    )
+    mecs = mec_decomposition(m)
+    assert [sorted(mec.states) for mec in mecs] == [[1, 2], [3]]
+    qm = eliminate_end_components(m, mecs)
+    q0, q1, q3 = qm.to_quotient[0], qm.to_quotient[1], qm.to_quotient[3]
+    merged, copied = qm.quotient.transitions[q0]
+    assert [(b.probability_exact, b.reward_exact, b.target) for b in merged.branches] == \
+        [(Fraction(3, 10), 0, q1), (Fraction(7, 10), 0, q3)]
+    assert merged.branches[0].probability.hex() == (0.3).hex() != (0.1 + 0.2).hex()
+    assert [(b.probability_exact, b.reward_exact, b.target) for b in copied.branches] == \
+        [(Fraction(1, 3), 0, q1), (Fraction(2, 3), 2, q3)]
+    assert [(b.probability, b.reward) for b in copied.branches] == [(1 / 3, 0.0), (2 / 3, 2.0)]
+    # The cycle's two exits are one distribution once its states are merged.
+    (exit_,) = qm.quotient.transitions[q1]
+    assert [(b.probability_exact, b.target) for b in exit_.branches] == [(HALF, q3), (HALF, q0)]

@@ -221,3 +221,66 @@ def test_slow_chain_frozen_regression_instance():
     doc = generate_slow_chain(10, Fraction(1, 2))
     m = make_goals_absorbing(doc.model, [10])
     assert oracle_exact(m, make_property("emax", [10])) == 1534
+
+
+_H = "mdpx 1\nstates 1\ninitial 0\n"
+_LOOP = "state 0\n transition\n  branch 1 0 0\n"
+
+
+_ERROR_CASES = [
+    ("", "empty input", 1, 1),
+    ("  hello 1\n", "expected 'mdpx 1' header", 1, 3),
+    (" mdpx one\n", "malformed header", 1, 2),
+    ("mdpx   7\n", "unsupported format version", 1, 8),
+    (_H + "states 1\n" + _LOOP, "duplicate 'states' line", 4, 1),
+    ("mdpx 1\n  states 0\n", "'states' expects one positive integer", 2, 3),
+    (_H + "initial 0\n" + _LOOP, "duplicate 'initial' line", 4, 1),
+    ("mdpx 1\nstates 1\n initial\n", "'initial' expects one id or label", 3, 2),
+    ("mdpx 1\n" + _LOOP, "'state' before 'states' count", 2, 1),
+    (_H + "state x\n", "'state' expects an integer id", 4, 1),
+    ("mdpx 1\nstates 2\ninitial 0\nstate  1\n", "declaration order", 4, 8),
+    (_H + _LOOP + "state 1\n", "exceeds declared count", 7, 7),
+    (_H + "state 0 a b\n", "too many tokens on 'state' line", 4, 1),
+    (_H + "state 0 0\n", "must not be an integer", 4, 9),
+    ("mdpx 1\nstates 2\ninitial 0\nstate 0 x\n transition\n  branch 1 0 1\nstate 1 x\n",
+     "duplicate state label", 7, 9),
+    (_H + " transition\n", "'transition' outside a state block", 4, 2),
+    (_H + "state 0\n  transition a b\n", "too many tokens on 'transition' line", 5, 3),
+    (_H + "state 0\n   branch 1 0 0\n", "'branch' outside a transition block", 5, 4),
+    (_H + "state 0\n transition\n  branch 1 0\n", "'branch' expects", 6, 3),
+    (_H + "state 0\n transition\n  branch 1/0 0 0\n", "malformed number '1/0'", 6, 10),
+    # The bad reward repeats the keyword: its column is the second occurrence.
+    (_H + "state 0\n transition\n  branch 1 branch 0\n", "malformed number 'branch'", 6, 12),
+    # A tab counts as one column.
+    (_H + "state 0\n transition\n\t\tbranch 1 x 0\n", "malformed number 'x'", 6, 12),
+    (_H + _LOOP + "goal\n", "'goal' expects at least one", 7, 1),
+    (_H + _LOOP + "  wibble 3 # comment\n", "unknown keyword 'wibble'", 7, 3),
+    ("mdpx 1\ninitial 0\n", "missing 'states' line", None, None),
+    ("mdpx 1\nstates 2\ninitial 0\n" + _LOOP, "declared 2 states but found 1", None, None),
+    ("mdpx 1\nstates 1\n" + _LOOP, "missing 'initial' line", None, None),
+    # The out-of-range target repeats the probability and the reward token.
+    (_H + "state 0\n transition\n  branch 1 1 1\n", "state id 1 out of range", 6, 14),
+    (_H + "state 0\n\ttransition\n\tbranch 1 0 zap\n", "dangling target", 6, 13),
+    ("mdpx 1\nstates 1\ninitial   9\n" + _LOOP, "state id 9 out of range", 3, 11),
+    ("mdpx 1\nstates 1\ninitial nowhere\n" + _LOOP, "dangling target", 3, 9),
+    (_H + _LOOP + "goal 0 0 elsewhere\n", "dangling target", 7, 10),
+    (_H + "state 0\n transition\n  branch 0.5 0 0\n", "invalid model", None, None),
+]
+
+
+@pytest.mark.parametrize("text,fragment,line,column", _ERROR_CASES,
+                         ids=[f"{fragment}@{line}:{column}" for _, fragment, line, column in _ERROR_CASES])
+def test_parse_error_positions(text, fragment, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_explicit(text)
+    assert fragment in str(err.value)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_label_of_first_label_wins(me_doc):
+    doc = ModelDocument(me_doc.model, {"start": 0, "s+": 1, "home": 0, "won": 1})
+    assert doc.label_of(0) == "start"
+    assert doc.label_of(1) == "s+"
+    assert doc.label_of(2) is None
+    assert [doc.label_of(s) for s in range(5)] == ["start", "s+", None, None, None]
+    assert doc == ModelDocument(me_doc.model, {"start": 0, "s+": 1, "home": 0, "won": 1})
