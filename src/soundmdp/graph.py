@@ -300,21 +300,20 @@ def eliminate_end_components(model: Mdp, mecs: Sequence[EndComponent],
     for old_rep in reps:
         mec = component_of.get(old_rep)
         ts: list[Transition] = []
-        seen: set[tuple[int, ...]] = set()
+        seen: dict[tuple, list[tuple[Branch, ...]]] = {}
         for s in members_of[old_rep]:
             kept = set(mec.kept_transitions.get(s, ())) if mec else set()
             for ti, tr in enumerate(model.transitions[s]):
                 if ti in kept:
                     continue
                 new_tr = retarget(tr)
-                # Fractions are normalised, so their integer parts compare alike
-                # and hash far faster.
-                key = tuple(n for b in new_tr.branches
-                            for n in (b.probability_exact.numerator, b.probability_exact.denominator,
-                                      b.reward_exact.numerator, b.reward_exact.denominator, b.target))
-                if key in seen:
+                # Every float here is float(exact), so duplicates share their
+                # (probability, reward, target) prefixes, which hash far faster
+                # than Fractions; equal exact fields confirm a duplicate.
+                alike = seen.setdefault(tuple(b[:3] for b in new_tr.branches), [])
+                if new_tr.branches in alike:
                     continue
-                seen.add(key)
+                alike.append(new_tr.branches)
                 ts.append(new_tr)
         if not ts:
             me = new_id[old_rep]

@@ -3,15 +3,23 @@
 States are dense integers 0..n-1.  Every numeric field is kept twice: as the
 binary64 value used by the iterative solvers, and as an exact rational used by
 the oracle.  Transforms preserve both representations.
+
+`Branch` and `Transition` are named tuples: immutable, compared and hashed by
+their fields, and without a per-instance dict, so a model of many branches is
+cheap to build and hold.  Model data holds no reference cycles; reference
+counting frees it, and `collector_paused` lets the layers that build it skip
+the cyclic garbage collector's passes over it.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import ModelError
 
@@ -34,8 +42,29 @@ def exact(value: Number) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class Branch:
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector off while acyclic model data is built.
+
+    Building a model allocates many container objects, each of which pushes
+    the collector towards another pass over everything built so far, yet the
+    data has no cycles and reference counting alone frees it.  The pause is
+    process-wide: it changes only speed, never results.  If the collector is
+    already off the block runs as is and leaves it off; otherwise it is
+    switched on again when the block ends, also when it raises.  Usable as a
+    decorator.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class Branch(NamedTuple):
     """One probabilistic outcome of a transition: (probability, reward, target)."""
 
     probability: float
@@ -51,8 +80,7 @@ def branch(probability: Number, reward: Number, target: int) -> Branch:
     return Branch(float(p), float(r), int(target), p, r)
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """A nondeterministic choice: a distribution over (reward, successor) branches."""
 
     branches: tuple[Branch, ...]
@@ -199,8 +227,8 @@ def strip_rewards(model: Mdp) -> Mdp:
     """Return the same model with every branch reward set to zero."""
     zero = Fraction(0)
     new = tuple(
-        tuple(Transition(tuple(Branch(b.probability, 0.0, b.target, b.probability_exact, zero)
-                               for b in t.branches), t.label)
+        tuple(Transition(tuple(Branch(p, 0.0, q, pe, zero) for p, _, q, pe, _ in t.branches),
+                         t.label)
               for t in ts)
         for ts in model.transitions
     )

@@ -26,11 +26,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import GeneratorError, ParseError
-from .model import (Branch, Mdp, Number, Transition, branch, exact, transition,
-                    validate)
+from .model import (Branch, Mdp, Number, Transition, branch, collector_paused, exact,
+                    transition, validate)
 
 FORMAT_VERSION = 1
 
@@ -96,25 +96,34 @@ def _parse_number(token: str, line: int, body: str, index: int) -> Fraction:
         raise _error(f"malformed number {token!r}", line, body, index) from None
 
 
-def parse_explicit(text: str) -> ModelDocument:
-    """Parse an MDPX document; raises ParseError with line/column on bad input.
-
-    Model files repeat a few number tokens many times, so each distinct token
-    is parsed to a Fraction, rounded to a float and resolved as a target once
-    per call.  Lines keep their text and words only; a column is computed from
-    the line when an error is raised.  Nothing is cached across calls.
-    """
-    # First pass: split into (line_no, body, words), dropping comments and blank lines.
-    lines: list[tuple[int, str, list[str]]] = []
+def _lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, text before any comment, words) of each non-blank line."""
     for ln, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
         words = body.split()
         if words:
-            lines.append((ln, body, words))
-    if not lines:
+            yield ln, body, words
+
+
+@collector_paused()
+def parse_explicit(text: str) -> ModelDocument:
+    """Parse an MDPX document; raises ParseError with line/column on bad input.
+
+    Lines are read one at a time from a generator, and a line's words are
+    dropped once its statement is recorded; a branch keeps its three tokens
+    and its line, from which a column is computed only when an error is
+    raised.  Model files repeat a few number tokens many times, so each
+    distinct token is parsed to a Fraction, rounded to a float and resolved
+    as a target once per call.  A number outside the binary64 range is a
+    ParseError at its first branch.  Nothing is cached across calls, and the
+    cyclic garbage collector is paused while the model is built.
+    """
+    lines = _lines(text)
+    first = next(lines, None)
+    if first is None:
         raise ParseError("empty input: missing 'mdpx 1' header", 1, 1)
 
-    ln, body, words = lines[0]
+    ln, body, words = first
     if words[0] != "mdpx":
         raise _error(f"expected 'mdpx 1' header, found {words[0]!r}", ln, body, 0)
     if len(words) != 2 or not _is_int(words[1]):
@@ -132,7 +141,7 @@ def parse_explicit(text: str) -> ModelDocument:
     state_transitions: list[list[tuple[str | None, list[tuple]]]] = []
     branches: list[tuple] | None = None  # raw branches of the open transition
 
-    for ln, body, words in lines[1:]:
+    for ln, body, words in lines:
         keyword = words[0]
         if keyword == "branch":
             if branches is None:
@@ -219,9 +228,12 @@ def parse_explicit(text: str) -> ModelDocument:
     # earlier lines and branches.
     numbers: dict[str, tuple[float, Fraction]] = {}
 
-    def number(token: str) -> tuple[float, Fraction]:
+    def number(token: str, ln: int, body: str, index: int) -> tuple[float, Fraction]:
         value = exacts[token]
-        pair = numbers[token] = (float(value), value)
+        try:
+            pair = numbers[token] = (float(value), value)
+        except OverflowError:
+            raise _error(f"number {token!r} outside the binary64 range", ln, body, index) from None
         return pair
 
     transitions: list[tuple[Transition, ...]] = []
@@ -230,8 +242,8 @@ def parse_explicit(text: str) -> ModelDocument:
         for label, raw_branches in raw:
             bs = []
             for pt, rt, tt, ln, body in raw_branches:
-                pf, pe = numbers.get(pt) or number(pt)
-                rf, re = numbers.get(rt) or number(rt)
+                pf, pe = numbers.get(pt) or number(pt, ln, body, 1)
+                rf, re = numbers.get(rt) or number(rt, ln, body, 2)
                 sid = targets.get(tt)
                 if sid is None:
                     sid = resolve(tt, ln, body, 3)
@@ -322,6 +334,7 @@ def _labelled(model: Mdp, goals: Iterable[int]) -> ModelDocument:
     return ModelDocument(model, {f"s{s}": s for s in model.states}, frozenset(goals))
 
 
+@collector_paused()
 def generate_random(seed: int, n_states: int, max_transitions: int, max_branches: int,
                     reward_max: Number, goal_count: int, *,
                     allow_end_components: bool = False,
@@ -331,7 +344,8 @@ def generate_random(seed: int, n_states: int, max_transitions: int, max_branches
     By default the output contains no end components beyond absorbing
     self-loops, even on the reward-stripped model, so random differential
     tests run in the unique-fixed-point regime.  With allow_end_components a
-    zero-reward two-state cycle is injected instead.
+    zero-reward two-state cycle is injected instead.  The cyclic garbage
+    collector is paused while the model is built.
     """
     if n_states < 2 or goal_count < 1 or goal_count > n_states - 1:
         raise GeneratorError("inconsistent bounds: need n_states >= 2 and 1 <= goal_count <= n_states-1")

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from .errors import PipelineError
 from .graph import (QuotientMap, eliminate_end_components, mec_decomposition,
                     prob0_set, prob1_set, s_infinity)
-from .model import Mdp, Property, PropertyKind, make_goals_absorbing, strip_rewards
+from .model import (Mdp, Property, PropertyKind, collector_paused, make_goals_absorbing,
+                    strip_rewards)
 from .modelio import ModelDocument
 from .oracle import oracle_values
 from .solvers import (DEFAULT_SWEEP_CAP, ErrorCriterion, OviGuards, SolveOutcome,
@@ -109,8 +110,13 @@ def _iteration_order(unknowns: frozenset[int], scheme: str) -> list[int]:
     raise PipelineError(f"unknown iteration order {scheme!r}")
 
 
+@collector_paused()
 def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> PipelineResult:
-    """Run the full pipeline on an in-memory model."""
+    """Run the full pipeline on an in-memory model.
+
+    The transforms and the kernel build acyclic model data, so the cyclic
+    garbage collector is paused for the whole call.
+    """
     options = options or SolveOptions()
     kind = prop.kind
     _check_requirements(kind, options)

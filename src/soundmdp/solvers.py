@@ -37,7 +37,7 @@ Kernel = tuple[tuple[tuple[tuple[float, float, int], ...], ...], ...]
 
 def _compile_kernel(model: Mdp) -> Kernel:
     return tuple(
-        tuple(tuple((b.probability, b.reward, b.target) for b in t.branches) for t in ts)
+        tuple(tuple(b[:3] for b in t.branches) for t in ts)
         for ts in model.transitions
     )
 

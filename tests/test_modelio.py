@@ -284,3 +284,30 @@ def test_label_of_first_label_wins(me_doc):
     assert doc.label_of(2) is None
     assert [doc.label_of(s) for s in range(5)] == ["start", "s+", None, None, None]
     assert doc == ModelDocument(me_doc.model, {"start": 0, "s+": 1, "home": 0, "won": 1})
+
+
+_OVERFLOW_CASES = [
+    (_H + "state 0\n transition\n  branch 1e400 0 0\n", "'1e400' outside the binary64 range", 6, 10),
+    (_H + "state 0\n transition\n  branch 1 1e400 0\n", "'1e400' outside the binary64 range", 6, 12),
+    (_H + "state 0\n transition\n  branch 1 -1e400 0\n", "'-1e400' outside the binary64 range", 6, 12),
+    # The first branch that uses the token is reported.
+    (_H + "state 0\n transition\n  branch 1 0 0\n transition\n  branch 1 1e999 0\n"
+     " transition\n  branch 1 1e999 0\n", "'1e999' outside the binary64 range", 8, 12),
+    # A dangling target on an earlier line wins, and loses to an earlier overflow.
+    (_H + "state 0\n transition\n  branch 1 0 zap\n transition\n  branch 1 1e400 0\n",
+     "dangling target", 6, 14),
+    (_H + "state 0\n transition\n  branch 1 1e400 0\n transition\n  branch 1 0 zap\n",
+     "'1e400' outside the binary64 range", 6, 12),
+    # Statement errors are found first, whatever their line.
+    (_H + "state 0\n transition\n  branch 1 1e400 0\nwibble\n", "unknown keyword", 7, 1),
+]
+
+
+@pytest.mark.parametrize("text,fragment,line,column", _OVERFLOW_CASES,
+                         ids=["probability", "reward", "negative-reward", "first-use",
+                              "earlier-dangling-target", "earlier-overflow", "statement-error"])
+def test_number_outside_binary64_range_is_a_parse_error(text, fragment, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_explicit(text)
+    assert fragment in str(err.value)
+    assert (err.value.line, err.value.column) == (line, column)
