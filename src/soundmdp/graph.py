@@ -261,8 +261,11 @@ def eliminate_end_components(model: Mdp, mecs: Sequence[EndComponent],
     A protected state (typically a goal) becomes its component's representative;
     a component holding two protected states cannot be collapsed coherently and
     is rejected.  Branches that land in the same component merge, summing their
-    exact probabilities.  A representative left with no transitions (a bottom
-    component) gets a zero-reward self-loop so the quotient stays well formed.
+    exact probabilities, and the merged floats are rounded from the sums; the
+    other branches are copied with their fields, floats included (the `Branch`
+    contract makes them `float()` of the exact fields).  A representative
+    left with no transitions (a bottom component) gets a zero-reward
+    self-loop so the quotient stays well formed.
     """
     protect_set = _check_states(model, protect, "protect")
     rep_of = list(model.states)
@@ -286,9 +289,9 @@ def eliminate_end_components(model: Mdp, mecs: Sequence[EndComponent],
     def retarget(tr: Transition) -> Transition:
         targets = [to_quotient[b.target] for b in tr.branches]
         if len(set(targets)) == len(targets):  # nothing to merge
-            return Transition(tuple(Branch(float(b.probability_exact), float(b.reward_exact), q,
-                                           b.probability_exact, b.reward_exact)
-                                    for b, q in zip(tr.branches, targets)), tr.label)
+            return Transition(tuple(Branch(p, r, q, pe, re)
+                                    for (p, r, _, pe, re), q in zip(tr.branches, targets)),
+                              tr.label)
         merged: dict[tuple[Fraction, int], Fraction] = {}
         for b, q in zip(tr.branches, targets):
             key = (b.reward_exact, q)
@@ -307,9 +310,10 @@ def eliminate_end_components(model: Mdp, mecs: Sequence[EndComponent],
                 if ti in kept:
                     continue
                 new_tr = retarget(tr)
-                # Every float here is float(exact), so duplicates share their
-                # (probability, reward, target) prefixes, which hash far faster
-                # than Fractions; equal exact fields confirm a duplicate.
+                # Every float here is float(exact) by the Branch contract, so
+                # duplicates share their (probability, reward, target) prefixes,
+                # which hash far faster than Fractions; equal exact fields
+                # confirm a duplicate.
                 alike = seen.setdefault(tuple(b[:3] for b in new_tr.branches), [])
                 if new_tr.branches in alike:
                     continue

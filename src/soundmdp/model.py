@@ -65,7 +65,12 @@ def collector_paused() -> Iterator[None]:
 
 
 class Branch(NamedTuple):
-    """One probabilistic outcome of a transition: (probability, reward, target)."""
+    """One probabilistic outcome of a transition: (probability, reward, target).
+
+    The float fields are `float()` of the exact ones.  `branch()`, the
+    parser, `strip_rewards` and end-component elimination all keep this, so
+    a layer that copies a branch copies its floats instead of rounding again.
+    """
 
     probability: float
     reward: float

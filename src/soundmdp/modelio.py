@@ -23,6 +23,7 @@ references are fine.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -89,8 +90,25 @@ def _error(message: str, line: int, body: str, index: int) -> ParseError:
     return ParseError(message, line, _column(body, index))
 
 
-def _parse_number(token: str, line: int, body: str, index: int) -> Fraction:
+#: a decimal exponent this far above its mantissa's length puts any non-zero
+#: value beyond 10**400, far outside the binary64 range
+_HUGE_EXPONENT = 400
+_PLAIN_EXPONENT = re.compile(r"[-+]?[0-9]+")
+
+
+def _parse_number(token: str, line: int, body: str, index: int) -> Fraction | None:
+    """The token's exact value, or None for a value far beyond the binary64 range.
+
+    A huge positive exponent is recognised without building the number, which
+    would take seconds for a token such as 1e3000000: a non-zero mantissa of
+    k characters is at least 10**-k, so its value is known to overflow.
+    """
     try:
+        cut = max(token.rfind("e"), token.rfind("E"))
+        if cut > 0 and _PLAIN_EXPONENT.fullmatch(token, cut + 1) \
+                and int(token[cut + 1:]) > cut + _HUGE_EXPONENT:
+            mantissa = exact(token[:cut] + "e0")
+            return mantissa if mantissa == 0 else None
         return exact(token)
     except (ValueError, ZeroDivisionError):
         raise _error(f"malformed number {token!r}", line, body, index) from None
@@ -137,7 +155,7 @@ def parse_explicit(text: str) -> ModelDocument:
     initial_token: tuple[str, int, str, int] | None = None
     goal_tokens: list[tuple[str, int, str, int]] = []
     labels: dict[str, int] = {}
-    exacts: dict[str, Fraction] = {}
+    exacts: dict[str, Fraction | None] = {}
     state_transitions: list[list[tuple[str | None, list[tuple]]]] = []
     branches: list[tuple] | None = None  # raw branches of the open transition
 
@@ -230,11 +248,13 @@ def parse_explicit(text: str) -> ModelDocument:
 
     def number(token: str, ln: int, body: str, index: int) -> tuple[float, Fraction]:
         value = exacts[token]
-        try:
-            pair = numbers[token] = (float(value), value)
-        except OverflowError:
-            raise _error(f"number {token!r} outside the binary64 range", ln, body, index) from None
-        return pair
+        if value is not None:
+            try:
+                pair = numbers[token] = (float(value), value)
+                return pair
+            except OverflowError:
+                pass
+        raise _error(f"number {token!r} outside the binary64 range", ln, body, index)
 
     transitions: list[tuple[Transition, ...]] = []
     for raw in state_transitions:

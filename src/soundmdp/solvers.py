@@ -4,11 +4,21 @@ All solvers work on a BellmanProblem: the model, the optimization direction,
 the set of unknown states S? that sweeps update, and the seed vector holding
 the fixed values of everything else (goal states, probability-0 states,
 infinite-reward states).  Every iterative solver advances through one
-primitive, `_sweep`: a Gauss-Seidel sweep that updates its vectors in place,
-so within a sweep later states already see this sweep's earlier updates;
-iteration order therefore matters and is part of the call.  `gsvi` sweeps a
-lower vector alone; OVI's verification phases and interval iteration sweep a
-lower and an upper vector together, in one pass over each state's branches.
+primitive, `BellmanProblem.sweep`: a Gauss-Seidel sweep that updates its
+vectors in place, so within a sweep later states already see this sweep's
+earlier updates; iteration order therefore matters and is part of the call.
+`gsvi` sweeps a lower vector alone; OVI's verification phases and interval
+iteration sweep a lower and an upper vector together, in one pass over each
+state's branches.
+
+The sweep has two tiers.  `_sweep` loops over the kernel's branch tuples; it
+runs the first COMPILE_AFTER_SWEEPS sweeps of each form and is the reference
+the tests hold the other tier to.  After that, the problem compiles the form
+into straight-line Python with the kernel's constants as literals, which
+performs the same operations in the same order without the per-branch loop
+overhead, about half the time per sweep.  One compile costs as much as a
+few hundred generic sweeps, so only long solves, which repay it, reach the
+switch.
 
 Lower iterates started from the seed vector stay below the least fixed point,
 so a plain VI result is only a lower bound with no error guarantee.  The sound
@@ -59,10 +69,39 @@ class BellmanProblem:
         if len(self.seed) != self.model.num_states:
             raise SolverError("seed vector length does not match the state count")
         object.__setattr__(self, "_kernel", _compile_kernel(self.model))
+        # Per form (two vectors, relative): [order, generic sweeps run, the
+        # compiled sweep; None until the switch, False if it cannot compile].
+        object.__setattr__(self, "_tiers", {})
 
     @property
     def kernel(self) -> Kernel:
         return self._kernel  # type: ignore[attr-defined]
+
+    def sweep(self, order: Sequence[int], relative: bool, v: list[float],
+              u: list[float] | None = None) -> tuple[float, bool, bool, int]:
+        """One Gauss-Seidel sweep of this problem, as `_sweep` does it.
+
+        Each form (one or two vectors, relative or absolute error, one order
+        object) runs `_sweep` for its first COMPILE_AFTER_SWEEPS sweeps, then
+        switches to straight-line code compiled for it, which gives the same
+        floats and flags.  The order must not change while it is in use.
+        """
+        form = (u is not None, relative)
+        tiers = self._tiers  # type: ignore[attr-defined]
+        tier = tiers.get(form)
+        if tier is None or tier[0] is not order:
+            tier = tiers[form] = [order, 0, None]
+        compiled = tier[2]
+        if compiled:
+            return compiled(v, u)
+        maximize = self.opt == "max"
+        result = _sweep(self.kernel, order, maximize, relative, v, u)
+        if compiled is None:
+            tier[1] += 1
+            if tier[1] >= COMPILE_AFTER_SWEEPS:
+                tier[2] = _compile_sweep(self.kernel, order, maximize, relative,
+                                         u is not None) or False
+        return result
 
     def initial_vector(self) -> list[float]:
         return list(self.seed)
@@ -204,6 +243,104 @@ def _sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
     return error, up, down, cross
 
 
+#: generic sweeps a form runs before `BellmanProblem.sweep` compiles it
+COMPILE_AFTER_SWEEPS = 1024
+
+#: branches per compiled block function, which bounds the memory of one compile()
+_BLOCK_BRANCHES = 32
+
+
+def _best_lines(trs: tuple, vec: str, target: str, maximize: bool) -> list[str]:
+    """Statements leaving the state's best choice value over `vec` in `target`.
+
+    Each choice's sum is `0.0 + p*(r+vec[t]) + ...` in branch order, written
+    in statements of at most one block's terms so that the compiler never
+    sees a deeply nested expression; `+ p*vec[t]` stands for a reward of
+    +0.0, since only a zero product's sign can differ and the sum, which
+    starts at +0.0, absorbs it.  A later choice replaces the best only when
+    strictly better, so ties go to the first best choice, as in `_state_value`.
+    """
+    better = ">" if maximize else "<"
+    lines = []
+    for i, branches in enumerate(trs):
+        name = target if i == 0 else "y"
+        terms = [f"+{p!r}*{vec}[{t}]" if r == 0.0 and math.copysign(1.0, r) > 0.0
+                 else f"+{p!r}*({r!r}+{vec}[{t}])" for p, r, t in branches]
+        acc = "0.0"
+        for j in range(0, max(len(terms), 1), _BLOCK_BRANCHES):
+            lines.append(f"{name} = {acc}" + "".join(terms[j:j + _BLOCK_BRANCHES]))
+            acc = name
+        if i:
+            lines.append(f"if y {better} {target}: {target} = y")
+    return lines
+
+
+def _compilable(trs: tuple) -> bool:
+    return bool(trs) and all(
+        type(p) is float and type(r) is float and type(t) is int
+        and math.isfinite(p) and math.isfinite(r)
+        for branches in trs for p, r, t in branches)
+
+
+def _compile_sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
+                   two_vectors: bool) -> Callable | None:
+    """`_sweep` for one form, unrolled into straight-line Python.
+
+    Every state of `order` becomes a few statements with its probabilities,
+    rewards and targets as literals; the operations and their order are
+    those of `_sweep`, so every float comes out bit-identical.  The code is
+    compiled in blocks of about `_BLOCK_BRANCHES` branches, each a function
+    that the returned sweep calls in turn.  Returns None, and the caller
+    stays generic, when a state has no choice or a non-float or non-finite
+    constant: the source holds only `repr` of finite floats and int indices.
+    """
+    if not all(type(s) is int and _compilable(kernel[s]) for s in order):
+        return None
+    if two_vectors:
+        head, tail = "def block(v, u, e, up, dn, c):", "return e, up, dn, c"
+    else:
+        head, tail = "def block(v, e):", "return e"
+    namespace: dict = {"__builtins__": {}}
+    blocks = []
+    lines: list[str] = []
+    size = 0
+    for i, s in enumerate(order):
+        trs = kernel[s]
+        lines += _best_lines(trs, "v", "n", maximize)
+        if two_vectors:
+            lines += _best_lines(trs, "u", "m", maximize)
+            lines += [f"x = u[{s}]",
+                      "if m < x: up = False",
+                      "elif m > x: dn = False",
+                      f"if c < 0 and m < n: c = {s}",
+                      f"u[{s}] = m"]
+        lines += [f"g = (n - v[{s}]) / n if n > 0 else 0.0" if relative else f"g = n - v[{s}]",
+                  "if g > e: e = g",
+                  f"v[{s}] = n"]
+        size += sum(len(branches) for branches in trs)
+        if size >= _BLOCK_BRANCHES or i == len(order) - 1:
+            exec(compile("\n    ".join([head, *lines, tail]), "<compiled sweep>", "exec"),
+                 namespace)
+            # Popped, so that the function is not reachable from its own globals.
+            blocks.append(namespace.pop("block"))
+            lines, size = [], 0
+    blocks = tuple(blocks)
+
+    if two_vectors:
+        def sweep(v: list[float], u: list[float]) -> tuple[float, bool, bool, int]:
+            e, up, dn, c = 0.0, True, True, -1
+            for block in blocks:
+                e, up, dn, c = block(v, u, e, up, dn, c)
+            return e, up, dn, c
+    else:
+        def sweep(v: list[float], u: None = None) -> tuple[float, bool, bool, int]:
+            e = 0.0
+            for block in blocks:
+                e = block(v, e)
+            return e, True, True, -1
+    return sweep
+
+
 Observer = Callable[[int, float, Sequence[float]], None]
 
 
@@ -217,8 +354,6 @@ def gsvi(problem: BellmanProblem, values: list[float], criterion: ErrorCriterion
     contribute nothing.  Iteration stops once a sweep's error drops below
     epsilon_vi.  Started below the least fixed point it stays below it.
     """
-    kernel = problem.kernel
-    maximize = problem.opt == "max"
     relative = criterion.mode == "relative"
     eps = criterion.epsilon_vi
     if order is None:
@@ -229,7 +364,7 @@ def gsvi(problem: BellmanProblem, values: list[float], criterion: ErrorCriterion
             raise IterationCapExceeded(sweeps)
         _check_deadline(deadline)
         sweeps += 1
-        error = _sweep(kernel, order, maximize, relative, values)[0]
+        error = problem.sweep(order, relative, values)[0]
         if observer is not None:
             observer(sweeps, error, values)
         if error < eps:
@@ -291,8 +426,6 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
     if s_i not in problem.unknowns:
         return _exact_outcome(problem.seed[s_i], 0, "ovi", start)
 
-    kernel = problem.kernel
-    maximize = problem.opt == "max"
     relative_error = criterion.mode == "relative"
     relative_width = prop.width == "relative"
     eps = prop.epsilon
@@ -343,7 +476,7 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
             _check_deadline(guards.deadline)
             total_sweeps += 1
             verif_sweeps += 1
-            error, up, down, cross = _sweep(kernel, order, maximize, relative_error, v, u)
+            error, up, down, cross = problem.sweep(order, relative_error, v, u)
             if trace:
                 trace.record("verify", verif_sweeps, error, list(v), list(u), up, down, cross >= 0)
             if up or cross >= 0:
@@ -396,8 +529,6 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
     if s_i not in problem.unknowns:
         return _exact_outcome(problem.seed[s_i], 0, "ii", start)
 
-    kernel = problem.kernel
-    maximize = problem.opt == "max"
     relative_width = prop.width == "relative"
     eps = prop.epsilon
     if order is None:
@@ -417,7 +548,7 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
             raise IterationCapExceeded(sweeps)
         _check_deadline(deadline)
         sweeps += 1
-        cross = _sweep(kernel, order, maximize, False, v, u)[3]
+        cross = problem.sweep(order, False, v, u)[3]
         if cross >= 0:
             raise SolverError(
                 f"interval iteration crossed at state {cross}: the initial upper vector "

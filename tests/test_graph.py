@@ -434,3 +434,18 @@ def test_eliminate_merges_and_copies_in_one_quotient():
     # The cycle's two exits are one distribution once its states are merged.
     (exit_,) = qm.quotient.transitions[q1]
     assert [(b.probability_exact, b.target) for b in exit_.branches] == [(HALF, q3), (HALF, q0)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_eliminate_keeps_floats_rounded_from_exact_fields(seed):
+    # The Branch contract: every float is float() of its exact field, in the
+    # models that feed elimination and in the quotients it copies them into.
+    doc = generate_random(seed, 8 + 3 * seed, 3, 4, 4, 2, allow_end_components=True)
+    goals = sorted(doc.declared_goals)
+    absorbed = make_goals_absorbing(doc.model, goals)
+    for model, protect in ((doc.model, ()), (strip_rewards(doc.model), ()), (absorbed, goals)):
+        qm = eliminate_end_components(model, mec_decomposition(model), protect=protect)
+        for m in (model, qm.quotient):
+            branches = [b for ts in m.transitions for t in ts for b in t.branches]
+            assert [(p.hex(), r.hex(), q, pe, re) for p, r, q, pe, re in branches] == \
+                [(float(pe).hex(), float(re).hex(), q, pe, re) for _, _, q, pe, re in branches]

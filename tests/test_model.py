@@ -228,6 +228,20 @@ def test_parse_and_solve_leave_no_cyclic_garbage(kind, method):
     assert gc.collect() == 0
 
 
+@pytest.mark.parametrize("method", ["vi", "ovi", "ii"])
+def test_compiled_sweeps_leave_no_cyclic_garbage(method, monkeypatch):
+    # A compiled sweep is dropped from the namespace it was exec'd into;
+    # otherwise function and globals would form a cycle.
+    monkeypatch.setattr("soundmdp.solvers.COMPILE_AFTER_SWEEPS", 1)
+    doc = generate_random(1, 30, 3, 4, 4, 1)
+    gc.collect()
+    result = solve(doc.model, make_property("pmax", doc.declared_goals),
+                   SolveOptions(method=method))
+    assert result.outcome.iterations > 1
+    del doc, result
+    assert gc.collect() == 0
+
+
 def test_overlapping_pauses_in_threads_change_no_result():
     text = write_explicit(generate_random(2, 60, 3, 4, 4, 3))
     expected = parse_explicit(text)

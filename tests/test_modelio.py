@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -311,3 +312,28 @@ def test_number_outside_binary64_range_is_a_parse_error(text, fragment, line, co
         parse_explicit(text)
     assert fragment in str(err.value)
     assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("token", ["1e3000000", "-1e1000000", "2.5E+3000000", "7e0003000000"])
+def test_huge_exponent_is_rejected_without_building_the_number(token):
+    # Building 10**3000000 exactly took seconds before the parse failed.
+    text = _H + f"state 0\n transition\n  branch 1 {token} 0\n"
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_explicit(text)
+    assert time.perf_counter() - start < 0.25
+    assert str(err.value) == f"number {token!r} outside the binary64 range (line 6, column 12)"
+    # A statement error on a later line still wins.
+    with pytest.raises(ParseError, match="unknown keyword"):
+        parse_explicit(text + "wibble\n")
+
+
+def test_huge_exponent_of_zero_and_tiny_values_parse_exactly():
+    start = time.perf_counter()
+    doc = parse_explicit(_H + "state 0\n transition\n  branch 1 0.0e3000000 0\n")
+    assert time.perf_counter() - start < 0.25
+    (b,) = doc.model.transitions[0][0].branches
+    assert (b.reward, b.reward_exact) == (0.0, 0)
+    doc = parse_explicit(_H + "state 0\n transition\n  branch 1 1e-400 0\n")
+    (b,) = doc.model.transitions[0][0].branches
+    assert (b.reward, b.reward_exact) == (0.0, Fraction(1, 10**400))

@@ -143,3 +143,34 @@ def test_pipeline_epsilon_vi_is_configurable(me_doc):
     assert finer.outcome.iterations != default.outcome.iterations
     assert finer.outcome.certified
     assert abs(finer.outcome.value - 0.5) <= 0.05
+
+
+def _outcome_hex(result):
+    o = result.outcome
+    bits = [None if x is None else float(x).hex() for x in (o.value, o.lower_bound, o.upper_bound)]
+    return (bits, o.iterations, o.verification_phases, o.cancelled_verifications,
+            o.certified, o.status)
+
+
+@pytest.mark.parametrize("method", ["vi", "ovi", "ii"])
+@pytest.mark.parametrize("kind", ["pmax", "pmin", "emax", "emin"])
+def test_compiled_sweeps_change_no_outcome(kind, method, monkeypatch):
+    # Threshold 1 compiles every form after its first sweep; an unreachable
+    # threshold keeps every sweep generic.  Outcomes must match bit for bit.
+    docs = [generate_random(3, 12, 3, 4, 4, 1),
+            generate_random(5, 16, 3, 4, 4, 2, allow_end_components=True),
+            generate_slow_chain(10, Fraction(1, 2))]
+    for doc in docs:
+        prop = make_property(kind, doc.declared_goals)
+        for order in ("forward", "reverse"):
+            for error_mode in ("relative", "absolute"):
+                options = SolveOptions(method=method, order=order, error_mode=error_mode,
+                                       max_sweeps=40_000)
+                outcomes = []
+                for threshold in (1, 10**18):
+                    monkeypatch.setattr("soundmdp.solvers.COMPILE_AFTER_SWEEPS", threshold)
+                    try:
+                        outcomes.append(_outcome_hex(solve(doc.model, prop, options)))
+                    except Exception as exc:  # the same failure on both tiers
+                        outcomes.append((type(exc).__name__, str(exc)))
+                assert outcomes[0] == outcomes[1]

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,9 @@ from soundmdp import (ErrorCriterion, IterationCapExceeded, OviGuards, OviTrace,
                       oracle_exact, oracle_values, ovi, plain_vi, prob0_set,
                       probability_problem, reward_problem, reward_upper_init,
                       s_infinity, strip_rewards)
-from soundmdp.solvers import _sweep
+from soundmdp import solvers
+from soundmdp.model import Branch, Mdp, Transition
+from soundmdp.solvers import _compile_sweep, _sweep
 from conftest import mdp_of
 
 
@@ -60,12 +64,17 @@ def test_bellman_monotonic_random(me0):
 # ---------------------------------------------------------------------------
 # The sweep primitive.
 
+def hexes(vec):
+    return [x.hex() for x in vec]
+
+
 @pytest.mark.parametrize("relative", [True, False])
 @pytest.mark.parametrize("opt", ["max", "min"])
 @pytest.mark.parametrize("seed", range(8))
 def test_sweep_two_vectors_match_one_vector_sweeps(seed, opt, relative):
     # Even seeds give probability problems (zero values exercise the
-    # relative rule), odd seeds reward problems (inf seeds at s_inf).
+    # relative rule), odd seeds reward problems (inf seeds at s_inf, rewards
+    # zero and non-zero).  The compiled forms must match `_sweep` bit for bit.
     doc = generate_random(seed, 6 + seed, 3, 3, 4, 1)
     model = make_goals_absorbing(doc.model, doc.declared_goals)
     goals = sorted(doc.declared_goals)
@@ -76,21 +85,137 @@ def test_sweep_two_vectors_match_one_vector_sweeps(seed, opt, relative):
         problem = reward_problem(model, goals, opt, s_infinity(model, goals, opt))
     maximize = opt == "max"
     rng = random.Random(seed)
+    shuffled = problem.default_order()
+    rng.shuffle(shuffled)
+    for order in (shuffled, problem.default_order(), problem.default_order()[::-1]):
+        one = _compile_sweep(problem.kernel, order, maximize, relative, False)
+        two = _compile_sweep(problem.kernel, order, maximize, relative, True)
+        assert one is not None and two is not None
+        v = problem.initial_vector()
+        # The upper start may lie below v somewhere, so crossings occur too.
+        u = [x + rng.uniform(-1.0, 3.0) if s in problem.unknowns else x for s, x in enumerate(v)]
+        for _ in range(4):
+            v_alone, u_alone, u_before = list(v), list(u), list(u)
+            v_one, v_two, u_two = list(v), list(v), list(u)
+            error, up, down, cross = _sweep(problem.kernel, order, maximize, relative, v, u)
+            alone = _sweep(problem.kernel, order, maximize, relative, v_alone)
+            _sweep(problem.kernel, order, maximize, relative, u_alone)
+            assert v == v_alone and error == alone[0]
+            assert u == u_alone
+            assert up == all(u[s] >= u_before[s] for s in order)
+            assert down == all(u[s] <= u_before[s] for s in order)
+            assert cross == next((s for s in order if u[s] < v[s]), -1)
+            compiled_alone = one(v_one)
+            assert hexes(v_one) == hexes(v_alone)
+            assert compiled_alone[0].hex() == alone[0].hex() and compiled_alone[1:] == alone[1:]
+            compiled = two(v_two, u_two)
+            assert hexes(v_two) == hexes(v) and hexes(u_two) == hexes(u)
+            assert compiled[0].hex() == error.hex() and compiled[1:] == (up, down, cross)
+
+
+def test_problem_sweep_compiles_each_form_after_the_threshold(me0, monkeypatch):
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 3)
+    generic = []
+    real_sweep = solvers._sweep
+    monkeypatch.setattr(solvers, "_sweep", lambda *args: generic.append(args) or real_sweep(*args))
+    problem, reference = golden_problem(me0), golden_problem(me0)
     order = problem.default_order()
-    rng.shuffle(order)
-    v = problem.initial_vector()
-    # The upper start may lie below v somewhere, so crossings occur too.
-    u = [x + rng.uniform(-1.0, 3.0) if s in problem.unknowns else x for s, x in enumerate(v)]
-    for _ in range(4):
-        v_alone, u_alone, u_before = list(v), list(u), list(u)
-        error, up, down, cross = _sweep(problem.kernel, order, maximize, relative, v, u)
-        alone = _sweep(problem.kernel, order, maximize, relative, v_alone)
-        _sweep(problem.kernel, order, maximize, relative, u_alone)
-        assert v == v_alone and error == alone[0]
-        assert u == u_alone
-        assert up == all(u[s] >= u_before[s] for s in order)
-        assert down == all(u[s] <= u_before[s] for s in order)
-        assert cross == next((s for s in order if u[s] < v[s]), -1)
+    v, u = problem.initial_vector(), [1.0] * 5
+    v_ref, u_ref = list(v), list(u)
+    for _ in range(6):
+        want = real_sweep(reference.kernel, order, True, True, v_ref)
+        assert problem.sweep(order, True, v) == want
+        assert v == v_ref
+    assert len(generic) == 3
+    for _ in range(6):
+        want = real_sweep(reference.kernel, order, True, False, v_ref, u_ref)
+        assert problem.sweep(order, False, v, u) == want
+        assert (v, u) == (v_ref, u_ref)
+    assert len(generic) == 6
+    # The other error mode, and a new order object, are new forms that start
+    # generic again.
+    want = real_sweep(reference.kernel, order, True, False, v_ref)
+    assert problem.sweep(order, False, v) == want
+    assert len(generic) == 7
+    problem.sweep(list(order), True, v)
+    assert len(generic) == 8
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", [0, 1])
+def test_non_finite_kernel_constants_stay_generic(bad, field, monkeypatch):
+    # BellmanProblem accepts an unvalidated model; its constants never reach
+    # generated source unless they are finite floats.
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 1)
+    good = (0.5, 1.0, 1)
+    odd = list(good)
+    odd[field] = bad
+    half, one, zero = Fraction(1, 2), Fraction(1), Fraction(0)
+    states = ((Transition((Branch(*odd, half, one), Branch(*good, half, one))),),
+              (Transition((Branch(1.0, 0.0, 1, one, zero),)),))
+    problem = reward_problem(Mdp(2, 0, states), [1], "max", [])
+    order = problem.default_order()
+    assert _compile_sweep(problem.kernel, order, True, False, False) is None
+    assert _compile_sweep(problem.kernel, order, True, False, True) is None
+    v, v_ref = problem.initial_vector(), problem.initial_vector()
+    for _ in range(3):
+        got = problem.sweep(order, False, v)
+        want = _sweep(problem.kernel, order, True, False, v_ref)
+        assert got[0].hex() == want[0].hex() and got[1:] == want[1:]
+        assert hexes(v) == hexes(v_ref)
+
+
+def test_compiled_sweep_splits_long_sums_and_many_choices():
+    # One choice of 3000 branches would be too deep for one expression; the
+    # next state has 40 choices, many with equal sums.
+    n = 3000
+    wide = [[(Fraction(1, n), k % 3, k % 7) for k in range(n)]]
+    many = [[(1, 0, 1 + k % 5)] for k in range(40)]
+    model = mdp_of(0, wide, many, [[(1, 1, 2)]], [[(1, 0, 3)]], [[(1, 2, 4)]], [[(1, 0, 5)]],
+                   [[(1, 0, 6)]])
+    for opt in ("max", "min"):
+        problem = reward_problem(model, [6], opt, [])
+        order = problem.default_order()
+        for two_vectors in (False, True):
+            compiled = _compile_sweep(problem.kernel, order, opt == "max", True, two_vectors)
+            v, v_ref = problem.initial_vector(), problem.initial_vector()
+            u, u_ref = ([10.0] * 7, [10.0] * 7) if two_vectors else (None, None)
+            for _ in range(3):
+                got = compiled(v, u)
+                want = _sweep(problem.kernel, order, opt == "max", True, v_ref, u_ref)
+                assert got[0].hex() == want[0].hex() and got[1:] == want[1:]
+                assert hexes(v) == hexes(v_ref) and u == u_ref
+
+
+def test_threads_sharing_a_problem_get_identical_outcomes(monkeypatch):
+    # Each ovi call brings its own order object, so threads sharing one
+    # problem keep replacing each other's sweep counts and compiled forms.
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 2)
+    doc = generate_slow_chain(8, Fraction(1, 2))
+    goals = sorted(doc.declared_goals)
+    model = make_goals_absorbing(doc.model, goals)
+    prop = make_property("emax", goals)
+
+    def run(problem):
+        o = ovi(problem, ErrorCriterion(), prop)
+        return o.value.hex(), o.lower_bound.hex(), o.upper_bound.hex(), o.iterations, o.status
+
+    expected = run(reward_problem(model, goals, "max", []))
+    shared = reward_problem(model, goals, "max", [])
+    results: list = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lambda: results.extend(run(shared) for _ in range(3)))
+                   for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 12
 
 
 # ---------------------------------------------------------------------------
