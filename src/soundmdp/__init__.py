@@ -10,19 +10,17 @@ reference solver (`oracle`), and the solve pipeline plus benchmark harness
 from .errors import (GeneratorError, IterationCapExceeded, ModelError, OracleError,
                      ParseError, PipelineError, SolveTimeout, SolverError, SoundMdpError)
 from .graph import (EndComponent, QuotientMap, eliminate_end_components,
-                    identity_quotient, mec_decomposition, prob0_set, prob1_set,
-                    s_infinity)
+                    mec_decomposition, prob0_set, prob1_set, s_infinity)
 from .model import (Branch, Mdp, Property, PropertyKind, Transition, Violation,
                     branch, exact, make_goals_absorbing, make_property,
                     rebase_initial, strip_rewards, transition, validate)
 from .modelio import (ModelDocument, generate_example_me, generate_random,
                       generate_slow_chain, parse_explicit, write_explicit)
 from .oracle import oracle_exact, oracle_values, solve_linear
-from .pipeline import PipelineResult, SolveOptions, solve, solve_document
-from .solvers import (BellmanProblem, ErrorCriterion, OviGuards, OviTrace,
-                      SolveOutcome, bellman_apply, gsvi, interval_iteration, ovi,
-                      plain_vi, probability_problem, reward_problem,
-                      reward_upper_init)
+from .pipeline import PipelineResult, SolveOptions, solve
+from .solvers import (BellmanProblem, ErrorCriterion, SolveOutcome, bellman_apply, gsvi,
+                      interval_iteration, ovi, plain_vi, probability_problem,
+                      reward_problem, reward_upper_init)
 
 __version__ = "0.1.0"
 
@@ -34,12 +32,12 @@ __all__ = [
     "generate_example_me", "generate_random", "generate_slow_chain",
     "prob0_set", "prob1_set", "s_infinity",
     "EndComponent", "QuotientMap", "mec_decomposition",
-    "eliminate_end_components", "identity_quotient",
-    "BellmanProblem", "ErrorCriterion", "SolveOutcome", "OviGuards", "OviTrace",
+    "eliminate_end_components",
+    "BellmanProblem", "ErrorCriterion", "SolveOutcome",
     "bellman_apply", "gsvi", "plain_vi", "ovi", "interval_iteration",
     "probability_problem", "reward_problem", "reward_upper_init",
     "oracle_values", "oracle_exact", "solve_linear",
-    "SolveOptions", "PipelineResult", "solve", "solve_document",
+    "SolveOptions", "PipelineResult", "solve",
     "SoundMdpError", "ModelError", "ParseError", "GeneratorError", "SolverError",
     "IterationCapExceeded", "SolveTimeout", "OracleError", "PipelineError",
 ]

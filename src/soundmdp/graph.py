@@ -242,16 +242,8 @@ class QuotientMap:
     to_quotient: tuple[int, ...]
     quotient: Mdp
 
-    def map_state(self, state: int) -> int:
-        return self.to_quotient[state]
-
     def map_states(self, states: Iterable[int]) -> frozenset[int]:
         return frozenset(self.to_quotient[s] for s in states)
-
-
-def identity_quotient(model: Mdp) -> QuotientMap:
-    ids = tuple(model.states)
-    return QuotientMap(ids, ids, model)
 
 
 def eliminate_end_components(model: Mdp, mecs: Sequence[EndComponent],

@@ -37,8 +37,6 @@ def exact(value: Number) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     return Fraction(value)
 
 

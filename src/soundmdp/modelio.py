@@ -93,7 +93,8 @@ def _error(message: str, line: int, body: str, index: int) -> ParseError:
 #: a decimal exponent this far above its mantissa's length puts any non-zero
 #: value beyond 10**400, far outside the binary64 range
 _HUGE_EXPONENT = 400
-_PLAIN_EXPONENT = re.compile(r"[-+]?[0-9]+")
+#: a positive plain exponent; the group holds its digits without leading zeros
+_POSITIVE_EXPONENT = re.compile(r"\+?0*([0-9]+)")
 
 
 def _parse_number(token: str, line: int, body: str, index: int) -> Fraction | None:
@@ -101,12 +102,17 @@ def _parse_number(token: str, line: int, body: str, index: int) -> Fraction | No
 
     A huge positive exponent is recognised without building the number, which
     would take seconds for a token such as 1e3000000: a non-zero mantissa of
-    k characters is at least 10**-k, so its value is known to overflow.
+    k characters is at least 10**-k, so its value is known to overflow.  The
+    exponent is compared by its digit count first, since int() refuses more
+    than 4300 digits.  A negative exponent of that many digits is still
+    reported as a malformed number.
     """
     try:
         cut = max(token.rfind("e"), token.rfind("E"))
-        if cut > 0 and _PLAIN_EXPONENT.fullmatch(token, cut + 1) \
-                and int(token[cut + 1:]) > cut + _HUGE_EXPONENT:
+        exponent = _POSITIVE_EXPONENT.fullmatch(token, cut + 1) if cut > 0 else None
+        bound = str(cut + _HUGE_EXPONENT)
+        # Digit strings without leading zeros order as (length, text).
+        if exponent and (len(exponent[1]), exponent[1]) > (len(bound), bound):
             mantissa = exact(token[:cut] + "e0")
             return mantissa if mantissa == 0 else None
         return exact(token)

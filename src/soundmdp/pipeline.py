@@ -13,25 +13,21 @@ Method requirements enforced here:
 
 from __future__ import annotations
 
-import math
-import os
 import random
 import time
 from dataclasses import dataclass, field
 
 from .errors import PipelineError
-from .graph import (QuotientMap, eliminate_end_components, mec_decomposition,
-                    prob0_set, prob1_set, s_infinity)
+from .graph import (eliminate_end_components, mec_decomposition, prob0_set, prob1_set,
+                    s_infinity)
 from .model import (Mdp, Property, PropertyKind, collector_paused, make_goals_absorbing,
                     strip_rewards)
-from .modelio import ModelDocument
 from .oracle import oracle_values
-from .solvers import (DEFAULT_SWEEP_CAP, ErrorCriterion, OviGuards, SolveOutcome,
-                      interval_iteration, ovi, plain_vi, probability_problem,
-                      reward_problem, reward_upper_init)
+from .solvers import (DEFAULT_SWEEP_CAP, ErrorCriterion, SolveOutcome, interval_iteration,
+                      ovi, plain_vi, probability_problem, reward_problem,
+                      reward_upper_init)
 
 METHODS = ("vi", "ovi", "ii", "oracle")
-SEED_ENV_VAR = "SOUNDMDP_SEED"
 
 
 @dataclass(frozen=True)
@@ -63,31 +59,27 @@ class PipelineResult:
     transform_time: float = 0.0
     applied: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-    quotient: QuotientMap | None = None
     exact_value: object = None  # Fraction or math.inf when method == "oracle"
 
 
-def _needs_ec_elimination(kind: PropertyKind, options: SolveOptions) -> bool:
-    if options.ec_elim == "force":
-        return True
-    if options.ec_elim == "off":
-        return False
-    if kind == PropertyKind.EMIN:
-        return True
-    if kind == PropertyKind.PMAX:
-        return options.method == "ii" or options.precomp == "all"
-    return False
+def _plan(kind: PropertyKind, options: SolveOptions) -> tuple[bool, bool]:
+    """(eliminate end components, the problem has a unique fixed point).
 
-
-def _check_requirements(kind: PropertyKind, options: SolveOptions) -> None:
-    if options.method != "ii":
-        return
-    if options.precomp == "none":
-        raise PipelineError("ii requires a unique fixed point: precomp=none is not allowed")
-    if kind == PropertyKind.PMAX and options.ec_elim == "off":
-        raise PipelineError("ii requires end-component elimination for pmax")
-    if kind == PropertyKind.EMIN and options.ec_elim == "off":
-        raise PipelineError("ii requires end-component elimination for emin")
+    Raises PipelineError for the requests interval iteration cannot solve.
+    """
+    eliminate = options.ec_elim == "force" or options.ec_elim == "auto" and (
+        kind == PropertyKind.EMIN
+        or kind == PropertyKind.PMAX and (options.method == "ii" or options.precomp == "all"))
+    if options.method == "ii":
+        if options.precomp == "none":
+            raise PipelineError("ii requires a unique fixed point: precomp=none is not allowed")
+        if kind in (PropertyKind.PMAX, PropertyKind.EMIN) and not eliminate:
+            raise PipelineError(f"ii requires end-component elimination for {kind.value}")
+    # pmin fixes its probability-0 states, emax its goal and infinite-reward
+    # states; pmax and emin need their end components collapsed.
+    unique = options.precomp != "none" and (
+        eliminate or kind in (PropertyKind.PMIN, PropertyKind.EMAX))
+    return eliminate, unique
 
 
 def _iteration_order(unknowns: frozenset[int], scheme: str) -> list[int]:
@@ -98,9 +90,6 @@ def _iteration_order(unknowns: frozenset[int], scheme: str) -> list[int]:
         return order[::-1]
     if scheme.startswith("random"):
         seed_text = scheme.split(":", 1)[1] if ":" in scheme else "0"
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            seed_text = env
         try:
             seed = int(seed_text)
         except ValueError:
@@ -119,7 +108,7 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
     """
     options = options or SolveOptions()
     kind = prop.kind
-    _check_requirements(kind, options)
+    eliminate, unique = _plan(kind, options)
     result = PipelineResult(SolveOutcome(0.0, None, None, 0), prop, options)
 
     # Transformations: absorb goals, strip rewards for probability queries,
@@ -131,11 +120,10 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
         work = strip_rewards(work)
         result.applied.append("strip-rewards")
     goals = frozenset(prop.goals)
-    if _needs_ec_elimination(kind, options):
+    if eliminate:
         qm = eliminate_end_components(work, mec_decomposition(work), protect=goals)
         work = qm.quotient
         goals = qm.map_states(goals)
-        result.quotient = qm
         result.applied.append(f"ec-elimination({model.num_states}->{work.num_states} states)")
         if kind in (PropertyKind.PMIN, PropertyKind.EMAX) and options.ec_elim == "force":
             result.warnings.append("end-component elimination forced for a property kind "
@@ -145,7 +133,6 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
                                "the computed fixed point may undershoot the true value")
     result.transform_time = time.perf_counter() - t0
     opt = kind.opt
-    s_i = work.initial
 
     # Graph precomputations.
     t0 = time.perf_counter()
@@ -168,32 +155,33 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
     result.precomp_time = time.perf_counter() - t0
 
     if options.method == "oracle":
-        return _run_oracle(result, work, goals)
-
-    unique = _unique_fixed_point(kind, options)
-    if kind.is_probability:
-        problem = probability_problem(work, goals, opt, fixed_zero=fixed_zero,
-                                      fixed_one=fixed_one, unique_fixed_point=unique)
+        start = time.perf_counter()
+        result.exact_value = oracle_values(
+            work, Property(kind, goals, prop.epsilon, prop.width))[work.initial]
+        value = float(result.exact_value)
+        outcome = SolveOutcome(value, value, value, 0,
+                               wall_time=time.perf_counter() - start,
+                               method="oracle", certified=True)
     else:
-        problem = reward_problem(work, goals, opt, s_inf, unique_fixed_point=unique)
-
-    order = _iteration_order(problem.unknowns, options.order)
-    criterion = ErrorCriterion(options.error_mode,
-                               options.epsilon_vi if options.epsilon_vi is not None else prop.epsilon)
-
-    # The timeout budget covers the numeric phase only.
-    deadline = time.perf_counter() + options.timeout if options.timeout else None
-    if options.method == "vi":
-        outcome = plain_vi(problem, criterion, order, max_sweeps=options.max_sweeps,
-                           deadline=deadline)
-    elif options.method == "ovi":
-        guards = OviGuards(max_total_sweeps=options.max_sweeps, deadline=deadline)
-        outcome = ovi(problem, criterion, prop, guards, order)
-    else:  # ii
-        upper = ([1.0] * work.num_states if kind.is_probability
-                 else reward_upper_init(work, goals, opt, s_inf))
-        outcome = interval_iteration(problem, prop, upper, order,
-                                     max_sweeps=options.max_sweeps, deadline=deadline)
+        if kind.is_probability:
+            problem = probability_problem(work, goals, opt, fixed_zero=fixed_zero,
+                                          fixed_one=fixed_one, unique_fixed_point=unique)
+        else:
+            problem = reward_problem(work, goals, opt, s_inf, unique_fixed_point=unique)
+        order = _iteration_order(problem.unknowns, options.order)
+        criterion = ErrorCriterion(options.error_mode, options.epsilon_vi
+                                   if options.epsilon_vi is not None else prop.epsilon)
+        # The timeout budget covers the numeric phase only.
+        deadline = time.perf_counter() + options.timeout if options.timeout else None
+        budget = {"max_sweeps": options.max_sweeps, "deadline": deadline}
+        if options.method == "vi":
+            outcome = plain_vi(problem, criterion, order, **budget)
+        elif options.method == "ovi":
+            outcome = ovi(problem, criterion, prop, order, **budget)
+        else:  # ii
+            upper = ([1.0] * work.num_states if kind.is_probability
+                     else reward_upper_init(work, goals, opt, s_inf))
+            outcome = interval_iteration(problem, prop, upper, order, **budget)
 
     if result.warnings:
         outcome.certified = False
@@ -201,36 +189,3 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
             outcome.status = "uncertified"
     result.outcome = outcome
     return result
-
-
-def _unique_fixed_point(kind: PropertyKind, options: SolveOptions) -> bool:
-    if options.precomp == "none":
-        return False
-    if kind == PropertyKind.PMAX:
-        return _needs_ec_elimination(kind, options)
-    if kind == PropertyKind.PMIN:
-        return True  # probability-0 states are fixed
-    if kind == PropertyKind.EMAX:
-        return True  # goal and infinite-reward states are fixed
-    return options.ec_elim != "off"  # emin
-
-
-def _run_oracle(result: PipelineResult, work: Mdp, goals: frozenset[int]) -> PipelineResult:
-    start = time.perf_counter()
-    prop = Property(result.prop.kind, goals, result.prop.epsilon, result.prop.width)
-    values = oracle_values(work, prop)
-    value = values[work.initial]
-    as_float = math.inf if value == math.inf else float(value)
-    result.exact_value = value
-    result.outcome = SolveOutcome(as_float, as_float, as_float, 0,
-                                  wall_time=time.perf_counter() - start,
-                                  method="oracle", certified=True)
-    if result.warnings:
-        result.outcome.certified = False
-        result.outcome.status = "uncertified"
-    return result
-
-
-def solve_document(doc: ModelDocument, prop: Property,
-                   options: SolveOptions | None = None) -> PipelineResult:
-    return solve(doc.model, prop, options)

@@ -26,13 +26,36 @@ solvers return certified two-sided bounds: interval iteration squeezes the
 value between a rising lower and a falling upper iterate, and optimistic VI
 guesses an upper vector from the lower one and accepts it only when a joint
 sweep moves no upper value up (inductivity, hence a true upper bound).
+
+`gsvi`, `ovi` and `interval_iteration` share one calling convention:
+`(problem, ..., order=None, *, max_sweeps=DEFAULT_SWEEP_CAP, deadline=None,
+observer=None)`.  `max_sweeps` bounds all sweeps of the call (for `ovi`, the
+total over its iteration and verification phases), `deadline` is a
+`time.perf_counter()` value past which a sweep raises `SolveTimeout`, and
+`observer(event, *payload)` is called with the solver's live vectors, which
+it must copy to keep:
+
+  ("iter", sweep, error, v)        after each `gsvi` sweep;
+  ("ii", sweep, v, u)              after each interval-iteration sweep;
+  ("guess", u)                     when `ovi` guesses an upper vector;
+  ("verify", sweep, error, v, u, up, down, cross)
+                                   after each `ovi` verification sweep, with
+                                   the flags of `_sweep` (cross: the first
+                                   crossing state or -1);
+  ("cancel", reason)               when `ovi` refutes a guess: "up", "cross"
+                                   or "guard" (the ten-times rule);
+  ("adopt-upper",)                 when `ovi` keeps a refuted upper vector as
+                                   its lower one;
+  ("epsilon-vi", x)                when `ovi` sets the next phase's threshold.
+
+`ovi` passes its observer on to `gsvi`, so its iteration phases send "iter".
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -162,14 +185,6 @@ class SolveOutcome:
 
 #: OVI cancels a verification phase running past this many times its iteration phase
 VERIFICATION_FACTOR = 10
-
-
-@dataclass(frozen=True)
-class OviGuards:
-    """Termination guards turning potential non-termination into an honest failure."""
-
-    max_total_sweeps: int = DEFAULT_SWEEP_CAP
-    deadline: float | None = None
 
 
 def _state_value(trs: tuple, values: Sequence[float], maximize: bool) -> float:
@@ -341,7 +356,8 @@ def _compile_sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relativ
     return sweep
 
 
-Observer = Callable[[int, float, Sequence[float]], None]
+#: observer(event, *payload), see the module docstring
+Observer = Callable[..., None]
 
 
 def gsvi(problem: BellmanProblem, values: list[float], criterion: ErrorCriterion,
@@ -366,7 +382,7 @@ def gsvi(problem: BellmanProblem, values: list[float], criterion: ErrorCriterion
         sweeps += 1
         error = problem.sweep(order, relative, values)[0]
         if observer is not None:
-            observer(sweeps, error, values)
+            observer("iter", sweeps, error, values)
         if error < eps:
             return sweeps
 
@@ -385,24 +401,14 @@ def plain_vi(problem: BellmanProblem, criterion: ErrorCriterion,
                         wall_time=time.perf_counter() - start, method="vi")
 
 
-@dataclass
-class OviTrace:
-    """Optional instrumentation: per-sweep snapshots of the OVI run."""
-
-    events: list[tuple] = field(default_factory=list)
-
-    def record(self, kind: str, *payload) -> None:
-        self.events.append((kind, *payload))
-
-
 def _exact_outcome(value: float, sweeps: int, method: str, start: float) -> SolveOutcome:
     return SolveOutcome(value, value, value, sweeps, wall_time=time.perf_counter() - start,
                         method=method, certified=True)
 
 
 def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
-        guards: OviGuards | None = None, order: Sequence[int] | None = None,
-        trace: OviTrace | None = None) -> SolveOutcome:
+        order: Sequence[int] | None = None, *, max_sweeps: int = DEFAULT_SWEEP_CAP,
+        deadline: float | None = None, observer: Observer | None = None) -> SolveOutcome:
     """Optimistic value iteration.
 
     Alternates iteration phases (plain Gauss-Seidel on the lower vector) with
@@ -416,10 +422,10 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
     with the error requirement halved.  Verification phases running past ten
     times the preceding iteration phase are cancelled likewise.
 
-    This is a semi-algorithm: when the global sweep budget runs out, the
-    outcome is flagged "no-certificate" rather than pretending soundness.
+    This is a semi-algorithm: when `max_sweeps`, the budget of all phases
+    together, runs out, the outcome is flagged "no-certificate" rather than
+    pretending soundness.
     """
-    guards = guards or OviGuards()
     start = time.perf_counter()
     model = problem.model
     s_i = model.initial
@@ -444,16 +450,14 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
 
     while True:
         # Iteration phase.
-        budget = guards.max_total_sweeps - total_sweeps
+        budget = max_sweeps - total_sweeps
         if budget <= 0:
             return uncertified()
         try:
             iter_sweeps = gsvi(problem, v, ErrorCriterion(criterion.mode, vi_error), order,
-                               max_sweeps=budget, deadline=guards.deadline,
-                               observer=(lambda k, e, vec: trace.record("iter", k, e, list(vec)))
-                               if trace else None)
+                               max_sweeps=budget, deadline=deadline, observer=observer)
         except IterationCapExceeded:
-            total_sweeps = guards.max_total_sweeps
+            total_sweeps = max_sweeps
             return uncertified()
         total_sweeps += iter_sweeps
 
@@ -464,31 +468,31 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
             if problem.probability_mode and u[s] > 1.0:
                 u[s] = 1.0
         phases += 1
-        if trace:
-            trace.record("guess", list(u))
+        if observer is not None:
+            observer("guess", u)
 
         # Verification phase: joint sweeps tracking the upper vector's direction.
         verif_sweeps = 0
         while True:
-            if total_sweeps >= guards.max_total_sweeps:
+            if total_sweeps >= max_sweeps:
                 cancelled += 1
                 return uncertified()
-            _check_deadline(guards.deadline)
+            _check_deadline(deadline)
             total_sweeps += 1
             verif_sweeps += 1
             error, up, down, cross = problem.sweep(order, relative_error, v, u)
-            if trace:
-                trace.record("verify", verif_sweeps, error, list(v), list(u), up, down, cross >= 0)
+            if observer is not None:
+                observer("verify", verif_sweeps, error, v, u, up, down, cross)
             if up or cross >= 0:
                 cancelled += 1
-                if trace:
-                    trace.record("cancel", "up" if up else "cross")
+                if observer is not None:
+                    observer("cancel", "up" if up else "cross")
                 if problem.unique_fixed_point and up and cross < 0:
                     # With a unique fixed point, an upper vector that never
                     # moved down is itself a lower bound; adopt it.
                     v = list(u)
-                    if trace:
-                        trace.record("adopt-upper",)
+                    if observer is not None:
+                        observer("adopt-upper")
                 break
             if down and u[s_i] - v[s_i] <= (2.0 * eps * v[s_i] if relative_width else 2.0 * eps):
                 return SolveOutcome(0.5 * (u[s_i] + v[s_i]), v[s_i], u[s_i], total_sweeps,
@@ -496,13 +500,13 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
                                     "ovi", True, "ok")
             if verif_sweeps > VERIFICATION_FACTOR * max(iter_sweeps, 1):
                 cancelled += 1
-                if trace:
-                    trace.record("cancel", "guard")
+                if observer is not None:
+                    observer("cancel", "guard")
                 break
 
         vi_error = error / 2.0
-        if trace:
-            trace.record("epsilon-vi", vi_error)
+        if observer is not None:
+            observer("epsilon-vi", vi_error)
         if vi_error <= 0.0:
             # The lower vector is numerically stationary and the same guess
             # would be rejected again; no certificate is reachable from here.
@@ -513,14 +517,17 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
                        order: Sequence[int] | None = None, *,
                        max_sweeps: int = DEFAULT_SWEEP_CAP,
                        deadline: float | None = None,
-                       observer: Callable[[int, Sequence[float], Sequence[float]], None] | None = None,
-                       ) -> SolveOutcome:
+                       observer: Observer | None = None) -> SolveOutcome:
     """Iterate a lower vector from the seeds and an upper vector from upper_init
     until the interval at the initial state is narrow enough; needs a unique
-    fixed point to terminate.  A crossing (upper below lower) means upper_init
-    was not an overapproximation and is reported as an error; sweeps are
-    monotone, so an upper_init between the seeds and the true value goes
-    undetected."""
+    fixed point to terminate.
+
+    `upper_init` must be a proven upper bound on the value at every unknown
+    state: the result is certified only under that contract.  A start below
+    the seeds, or a crossing (upper below lower), is reported as an error
+    naming the state; but sweeps are monotone, so an upper_init between the
+    seeds and the true value never crosses and goes undetected, and the
+    returned interval then misses the value."""
     start = time.perf_counter()
     model = problem.model
     s_i = model.initial
@@ -554,7 +561,7 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
                 f"interval iteration crossed at state {cross}: the initial upper vector "
                 "was not an overapproximation")
         if observer is not None:
-            observer(sweeps, v, u)
+            observer("ii", sweeps, v, u)
         if u[s_i] - v[s_i] <= (2.0 * eps * v[s_i] if relative_width else 2.0 * eps):
             return SolveOutcome(0.5 * (u[s_i] + v[s_i]), v[s_i], u[s_i], sweeps,
                                 wall_time=time.perf_counter() - start,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 import pytest
 
@@ -16,6 +17,11 @@ def mdp_of(initial: int, *states) -> Mdp:
         for state in states
     )
     return Mdp(len(states), initial, transitions)
+
+
+def record(events: list) -> Callable[..., None]:
+    """A solver observer appending each event, with copies of the live vectors."""
+    return lambda *event: events.append(tuple(list(x) if type(x) is list else x for x in event))
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from soundmdp import (ErrorCriterion, OviTrace, SolveOptions, bellman_apply,
+from soundmdp import (ErrorCriterion, SolveOptions, bellman_apply,
                       generate_example_me, generate_random, generate_slow_chain,
                       gsvi, make_goals_absorbing, make_property, mec_decomposition,
                       oracle_exact, oracle_values, ovi, prob0_set, prob1_set,
@@ -20,6 +20,7 @@ from soundmdp import (ErrorCriterion, OviTrace, SolveOptions, bellman_apply,
                       s_infinity, solve, strip_rewards)
 from soundmdp.bench import read_result_csv, run_suite
 
+from conftest import record
 from test_graph import _brute_force_mecs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,7 +71,7 @@ def test_criterion_1_gauss_seidel_golden_trace():
         seen: list[tuple[float, float]] = []
         started = time.perf_counter()
         sweeps = gsvi(problem, v, ErrorCriterion("absolute", 0.05),
-                      observer=lambda k, err, vec: seen.append((vec[0], err)))
+                      observer=lambda event, k, err, vec: seen.append((vec[0], err)))
         elapsed = time.perf_counter() - started
         assert sweeps == 4
         expected = [(0.1, 0.4), (0.18, 0.4), (0.4, 0.22), (0.42, 0.02)]
@@ -84,16 +85,16 @@ def test_criterion_2_optimistic_iteration_golden_trace():
     with criterion(2, "optimistic-iteration golden trace and certified midpoint"):
         _, problem = golden_problem()
         prop = make_property("pmax", [1], 0.05, "absolute")
-        trace = OviTrace()
-        out = ovi(problem, ErrorCriterion("absolute", 0.05), prop, trace=trace)
+        events: list[tuple] = []
+        out = ovi(problem, ErrorCriterion("absolute", 0.05), prop, observer=record(events))
 
-        guesses = [ev[1] for ev in trace.events if ev[0] == "guess"]
+        guesses = [ev[1] for ev in events if ev[0] == "guess"]
         assert len(guesses) == 2
         for got, want in zip((guesses[0][0], guesses[0][3], guesses[0][4]), (0.47, 0.45, 0.45)):
             assert abs(got - want) <= 1e-12
-        verifies = [ev for ev in trace.events if ev[0] == "verify"]
+        verifies = [ev for ev in events if ev[0] == "verify"]
         assert verifies[0][1] == 1 and verifies[0][5] is True  # one sweep, rejected upward
-        eps_after_retry = [ev[1] for ev in trace.events if ev[0] == "epsilon-vi"][0]
+        eps_after_retry = [ev[1] for ev in events if ev[0] == "epsilon-vi"][0]
         assert abs(eps_after_retry - 0.008) <= 1e-12
         for got, want in zip((guesses[1][0], guesses[1][3], guesses[1][4]),
                              (0.5237856, 0.45, 0.45)):

@@ -194,3 +194,17 @@ def test_bundled_suite_files_run():
     requests = parse_suite(suite)
     assert len(requests) >= 8
     assert all(req.model_path.exists() for req in requests)
+
+
+@pytest.mark.parametrize("suite", ["demo", "rewards-ii", "rewards-ovi"])
+def test_bundled_suite_outcomes_stay_the_same(suite, tmp_path):
+    # Every column but the timings is pinned, digit for digit, to the rows in
+    # tests/expected/.  Regenerate those only for an intended change of outcome.
+    root = Path(__file__).resolve().parent
+    out = tmp_path / f"{suite}.csv"
+    run_suite(root.parent / "bench_suite" / f"{suite}.suite", out, reps=1, timeout=None)
+    with (root / "expected" / f"{suite}.csv").open(newline="") as fh:
+        expected = list(csv.DictReader(fh))
+    got = read_result_csv(out)
+    assert [{c: got[row["instance"]][c] for c in row} for row in expected] == expected
+    assert len(got) == len(expected)

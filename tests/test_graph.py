@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from soundmdp import (ModelError, eliminate_end_components,
-                      generate_random, identity_quotient, make_goals_absorbing,
+                      generate_random, make_goals_absorbing,
                       make_property, mec_decomposition, oracle_exact, oracle_values,
                       prob0_set, prob1_set, s_infinity, strip_rewards)
 from soundmdp.model import Mdp
@@ -347,7 +347,6 @@ def test_eliminate_empty_list_is_identity(me_both):
     qm = eliminate_end_components(me_both, [])
     assert qm.quotient == me_both
     assert qm.to_quotient == tuple(range(5))
-    assert identity_quotient(me_both).quotient == me_both
 
 
 def test_eliminate_fixes_the_min_reward_trap(me_both):

@@ -314,7 +314,11 @@ def test_number_outside_binary64_range_is_a_parse_error(text, fragment, line, co
     assert (err.value.line, err.value.column) == (line, column)
 
 
-@pytest.mark.parametrize("token", ["1e3000000", "-1e1000000", "2.5E+3000000", "7e0003000000"])
+@pytest.mark.parametrize("token", [
+    "1e3000000", "-1e1000000", "2.5E+3000000", "7e0003000000",
+    # Exponents longer than int()'s 4300-digit limit on string conversion.
+    pytest.param("1e" + "9" * 5000, id="1e<5000 nines>"),
+    pytest.param("-2.5E+00" + "1" * 4301, id="-2.5E+00<4301 ones>")])
 def test_huge_exponent_is_rejected_without_building_the_number(token):
     # Building 10**3000000 exactly took seconds before the parse failed.
     text = _H + f"state 0\n transition\n  branch 1 {token} 0\n"
@@ -332,6 +336,9 @@ def test_huge_exponent_of_zero_and_tiny_values_parse_exactly():
     start = time.perf_counter()
     doc = parse_explicit(_H + "state 0\n transition\n  branch 1 0.0e3000000 0\n")
     assert time.perf_counter() - start < 0.25
+    (b,) = doc.model.transitions[0][0].branches
+    assert (b.reward, b.reward_exact) == (0.0, 0)
+    doc = parse_explicit(_H + "state 0\n transition\n  branch 1 0.0e" + "9" * 5000 + " 0\n")
     (b,) = doc.model.transitions[0][0].branches
     assert (b.reward, b.reward_exact) == (0.0, 0)
     doc = parse_explicit(_H + "state 0\n transition\n  branch 1 1e-400 0\n")

@@ -8,17 +8,16 @@ from fractions import Fraction
 
 import pytest
 
-from soundmdp import (ErrorCriterion, IterationCapExceeded, OviGuards, OviTrace,
-                      SolverError, bellman_apply, eliminate_end_components,
-                      generate_random, generate_slow_chain, gsvi, interval_iteration,
-                      make_goals_absorbing, make_property, mec_decomposition,
-                      oracle_exact, oracle_values, ovi, plain_vi, prob0_set,
-                      probability_problem, reward_problem, reward_upper_init,
+from soundmdp import (ErrorCriterion, IterationCapExceeded, SolverError, bellman_apply,
+                      eliminate_end_components, generate_random, generate_slow_chain,
+                      gsvi, interval_iteration, make_goals_absorbing, make_property,
+                      mec_decomposition, oracle_exact, oracle_values, ovi, plain_vi,
+                      prob0_set, probability_problem, reward_problem, reward_upper_init,
                       s_infinity, strip_rewards)
 from soundmdp import solvers
 from soundmdp.model import Branch, Mdp, Transition
 from soundmdp.solvers import _compile_sweep, _sweep
-from conftest import mdp_of
+from conftest import mdp_of, record
 
 
 def golden_problem(me0):
@@ -226,13 +225,28 @@ def test_gsvi_golden_trace(me0):
     v = problem.initial_vector()
     seen: list[tuple[float, float]] = []
     sweeps = gsvi(problem, v, ErrorCriterion("absolute", 0.05),
-                  observer=lambda k, err, vec: seen.append((vec[0], err)))
+                  observer=lambda event, k, err, vec: seen.append((vec[0], err)))
     assert sweeps == 4
     expected = [(0.1, 0.4), (0.18, 0.4), (0.4, 0.22), (0.42, 0.02)]
     for (got_v, got_e), (want_v, want_e) in zip(seen, expected):
         assert got_v == pytest.approx(want_v, abs=1e-12)
         assert got_e == pytest.approx(want_e, abs=1e-12)
     assert v[3] == pytest.approx(0.4, abs=1e-12) and v[4] == pytest.approx(0.4, abs=1e-12)
+
+
+def test_observers_get_the_live_vectors(me0):
+    # The hook costs no copies: each solver sends the vectors it sweeps.
+    problem = golden_problem(me0)
+    v = problem.initial_vector()
+    sent: list[tuple] = []
+    gsvi(problem, v, ErrorCriterion("absolute", 0.05), observer=lambda *event: sent.append(event))
+    assert sent and all(event[3] is v for event in sent)
+    prop = make_property("pmax", [1], 0.05, "absolute")
+    sent.clear()
+    ovi(problem, ErrorCriterion("absolute", 0.05), prop, observer=lambda *event: sent.append(event))
+    verifies = [event for event in sent if event[0] == "verify"]
+    guesses = [event[1] for event in sent if event[0] == "guess"]
+    assert verifies and all(any(event[4] is u for u in guesses) for event in verifies)
 
 
 def test_gsvi_termination_gap(me0):
@@ -250,7 +264,7 @@ def test_gsvi_fixed_point_stops_in_one_sweep(me0):
     v = [0.5, 1.0, 0.0, 0.4, 0.4]
     errors = []
     sweeps = gsvi(problem, v, ErrorCriterion("absolute", 1e-9),
-                  observer=lambda k, err, vec: errors.append(err))
+                  observer=lambda event, k, err, vec: errors.append(err))
     assert sweeps == 1 and errors == [0.0]
 
 
@@ -317,8 +331,8 @@ def test_plain_vi_slow_chain_misses_tolerance():
 def test_ovi_golden_run(me0):
     problem = golden_problem(me0)
     prop = make_property("pmax", [1], 0.05, "absolute")
-    trace = OviTrace()
-    out = ovi(problem, ErrorCriterion("absolute", 0.05), prop, trace=trace)
+    events: list[tuple] = []
+    out = ovi(problem, ErrorCriterion("absolute", 0.05), prop, observer=record(events))
     assert out.certified and out.status == "ok"
     assert out.value == pytest.approx(0.49902848, abs=1e-12)
     assert out.lower_bound == pytest.approx(0.47902848, abs=1e-12)
@@ -326,16 +340,16 @@ def test_ovi_golden_run(me0):
     assert out.iterations == 10
     assert out.verification_phases == 2 and out.cancelled_verifications == 1
 
-    guesses = [ev for ev in trace.events if ev[0] == "guess"]
+    guesses = [ev for ev in events if ev[0] == "guess"]
     first, second = guesses[0][1], guesses[1][1]
     assert [first[0], first[3], first[4]] == pytest.approx([0.47, 0.45, 0.45], abs=1e-12)
     assert [second[0], second[3], second[4]] == pytest.approx([0.5237856, 0.45, 0.45], abs=1e-12)
     # First candidate is rejected after a single sweep with the upper value rising.
-    verifies = [ev for ev in trace.events if ev[0] == "verify"]
+    verifies = [ev for ev in events if ev[0] == "verify"]
     assert verifies[0][4][0] == pytest.approx(0.476, abs=1e-12)
     assert verifies[0][5] is True and verifies[0][6] is False  # up, not down
     # The iteration-phase threshold is halved to 0.008 for the retry.
-    eps_events = [ev for ev in trace.events if ev[0] == "epsilon-vi"]
+    eps_events = [ev for ev in events if ev[0] == "epsilon-vi"]
     assert eps_events[0][1] == pytest.approx(0.008, abs=1e-12)
 
 
@@ -376,7 +390,7 @@ def test_ovi_global_sweep_cap():
     model = make_goals_absorbing(doc.model, [8])
     problem = reward_problem(model, [8], "max", [])
     out = ovi(problem, ErrorCriterion("relative", 1e-6), make_property("emax", [8]),
-              OviGuards(max_total_sweeps=50))
+              max_sweeps=50)
     assert not out.certified and out.status == "no-certificate"
     assert out.iterations <= 50
     # Never a wrong value: the reported lower bound really is one.
@@ -388,9 +402,9 @@ def test_ovi_lower_bound_optimisation_adopts_rising_upper():
     model = make_goals_absorbing(doc.model, [8])
     problem = reward_problem(model, [8], "max", [], unique_fixed_point=True)
     prop = make_property("emax", [8], 1.0, "absolute")
-    trace = OviTrace()
-    out = ovi(problem, ErrorCriterion("absolute", 50.0), prop, trace=trace)
-    assert any(ev[0] == "adopt-upper" for ev in trace.events)
+    events: list[tuple] = []
+    out = ovi(problem, ErrorCriterion("absolute", 50.0), prop, observer=record(events))
+    assert any(ev[0] == "adopt-upper" for ev in events)
     assert out.certified
     exact = oracle_exact(model, make_property("emax", [8]))
     assert Fraction(out.lower_bound) <= exact <= Fraction(out.upper_bound)
@@ -410,17 +424,17 @@ def test_ovi_ten_times_verification_guard():
     )
     problem = reward_problem(m, [3], "max", [])
     object.__setattr__(problem, "seed", (0.0, 10 - 1e-7, 2.0, 0.0))
-    trace = OviTrace()
+    events: list[tuple] = []
     out = ovi(problem, ErrorCriterion("absolute", 1e6), make_property("emax", [3], 1e-6),
-              OviGuards(max_total_sweeps=5000), trace=trace)
-    cancel_reasons = [ev[1] for ev in trace.events if ev[0] == "cancel"]
+              max_sweeps=5000, observer=record(events))
+    cancel_reasons = [ev[1] for ev in events if ev[0] == "cancel"]
     assert "guard" in cancel_reasons
     # Every verification phase stays within ten times its own preceding
     # iteration phase (plus the sweep on which the guard is checked).
     last_iter = 1
     phase_iter: list[int] = []
     phase_verif: list[int] = []
-    for ev in trace.events:
+    for ev in events:
         if ev[0] == "iter":
             last_iter = ev[1]
         elif ev[0] == "guess":
@@ -511,7 +525,7 @@ def test_interval_iteration_brackets_at_every_sweep(seed):
     truth = oracle_values(model, make_property("pmax", goals))
     slack = Fraction(1, 10**13)
 
-    def check(sweep, v, u):
+    def check(event, sweep, v, u):
         for s in problem.unknowns:
             assert Fraction(v[s]) <= truth[s] + slack
             assert Fraction(u[s]) >= truth[s] - slack
