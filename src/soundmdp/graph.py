@@ -17,23 +17,29 @@ from .model import Branch, Mdp, Transition, _check_states
 StateSet = frozenset[int]
 
 
-def _predecessors(model: Mdp) -> list[set[int]]:
-    pred: list[set[int]] = [set() for _ in model.states]
-    for s in model.states:
-        for t in model.transitions[s]:
+def _predecessor_index(model: Mdp) -> list[list[tuple[int, int]]]:
+    """Per target state, the (state, transition index) pairs with a branch into it.
+
+    A transition with several branches into one target is listed once per
+    branch; the attractors below visit each pair at most once per round.
+    """
+    pred: list[list[tuple[int, int]]] = [[] for _ in model.states]
+    for s, ts in enumerate(model.transitions):
+        for ti, t in enumerate(ts):
+            edge = (s, ti)
             for b in t.branches:
-                pred[b.target].add(s)
+                pred[b[2]].append(edge)  # b.target
     return pred
 
 
-def _backward_reach(model: Mdp, targets: Iterable[int], avoid: frozenset[int] = frozenset()) -> set[int]:
+def _backward_reach(pred: list[list[tuple[int, int]]], targets: Iterable[int],
+                    avoid: frozenset[int] = frozenset()) -> set[int]:
     """States with some path into `targets` that does not pass through `avoid`."""
-    pred = _predecessors(model)
     reached = set(targets)
     stack = list(reached)
     while stack:
         t = stack.pop()
-        for s in pred[t]:
+        for s, _ in pred[t]:
             if s not in reached and s not in avoid:
                 reached.add(s)
                 stack.append(s)
@@ -50,55 +56,73 @@ def prob0_set(model: Mdp, goals: Iterable[int], opt: str) -> StateSet:
     """
     goal_set = _check_states(model, goals, "goals")
     if opt == "max":
-        return frozenset(set(model.states) - _backward_reach(model, goal_set))
+        return frozenset(set(model.states) - _backward_reach(_predecessor_index(model), goal_set))
     if opt != "min":
         raise ModelError(f"unknown opt {opt!r}")
-    positive = set(goal_set)
-    changed = True
-    while changed:
-        changed = False
-        for s in model.states:
-            if s in positive:
+    return _prob0_min(model, _predecessor_index(model), goal_set)
+
+
+def _prob0_min(model: Mdp, pred: list[list[tuple[int, int]]], goals: frozenset[int]) -> StateSet:
+    # Worklist attractor: a state joins the positive set once each of its
+    # transitions has a branch into it, counted down as members arrive.
+    hit = [[False] * len(ts) for ts in model.transitions]
+    missing = [len(ts) for ts in model.transitions]
+    positive = set(goals)
+    stack = list(goals)
+    for s in model.states:
+        if not missing[s] and s not in positive:  # all() over no transitions
+            positive.add(s)
+            stack.append(s)
+    while stack:
+        t = stack.pop()
+        for s, ti in pred[t]:
+            if s in positive or hit[s][ti]:
                 continue
-            if all(any(b.target in positive for b in t.branches) for t in model.transitions[s]):
+            hit[s][ti] = True
+            missing[s] -= 1
+            if not missing[s]:
                 positive.add(s)
-                changed = True
+                stack.append(s)
     return frozenset(set(model.states) - positive)
 
 
 def prob1_set(model: Mdp, goals: Iterable[int], opt: str) -> StateSet:
     """States whose optimal probability of reaching the goals is exactly 1."""
     goal_set = _check_states(model, goals, "goals")
+    pred = _predecessor_index(model)
     if opt == "max":
-        return _prob1_max(model, goal_set)
+        return _prob1_max(model, pred, goal_set)
     if opt != "min":
         raise ModelError(f"unknown opt {opt!r}")
     # Pmin = 1 iff no scheduler can, while avoiding the goals, reach a state
     # from which some scheduler avoids the goals forever.
-    zero = prob0_set(model, goal_set, "min")
-    bad = _backward_reach(model, zero, avoid=goal_set)
+    zero = _prob0_min(model, pred, goal_set)
+    bad = _backward_reach(pred, zero, avoid=goal_set)
     return frozenset(set(model.states) - bad)
 
 
-def _prob1_max(model: Mdp, goals: frozenset[int]) -> StateSet:
+def _prob1_max(model: Mdp, pred: list[list[tuple[int, int]]], goals: frozenset[int]) -> StateSet:
     # Greatest fixpoint of: R := { s | some transition stays inside R and can
     # reach the current inner least fixpoint X built up from the goals }.
+    # Each round grows X from the goals backwards, with a worklist, along the
+    # transitions still inside R; X only shrinks from round to round, so the
+    # states it drops mark their predecessors' transitions as leaving R.
+    inside = [[True] * len(ts) for ts in model.transitions]
     r = set(model.states)
     while True:
         x = set(goals)
-        grew = True
-        while grew:
-            grew = False
-            for s in model.states:
-                if s in x:
-                    continue
-                for t in model.transitions[s]:
-                    if all(b.target in r for b in t.branches) and any(b.target in x for b in t.branches):
-                        x.add(s)
-                        grew = True
-                        break
+        stack = list(x)
+        while stack:
+            t = stack.pop()
+            for s, ti in pred[t]:
+                if s not in x and inside[s][ti]:
+                    x.add(s)
+                    stack.append(s)
         if x == r:
             return frozenset(r)
+        for t in r - x:
+            for s, ti in pred[t]:
+                inside[s][ti] = False
         r = x
 
 

@@ -1,5 +1,18 @@
-"""Solve pipeline: goal absorption, precomputations, end-component elimination,
-then one of the solvers, with per-phase timing.
+"""Solve pipeline: the qualitative graph steps first, then one of the solvers,
+with per-phase timing.
+
+A solve runs in this order:
+  1. absorb the goals, and strip the rewards for probability queries;
+  2. precompute on that model: prob0 and prob1 for probabilities, the
+     infinite-reward states s-infinity for rewards (precomp="required";
+     "all" computes the same sets, "none" none of them);
+  3. collapse end components where the plan asks for it (always for emin,
+     and for pmax under ii or under precomp="all"), mapping the precomputed
+     sets onto the quotient: elimination preserves pmax and emin, whose
+     sets are unions of components.  With ec_elim="auto" this step is
+     skipped when step 2 already decided the initial state, or it is a goal;
+     "force" always eliminates, and the oracle keeps its planned path;
+  4. solve, where a decided initial state costs no sweep.
 
 Method requirements enforced here:
   - interval iteration needs a unique fixed point, so it rejects
@@ -111,8 +124,7 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
     eliminate, unique = _plan(kind, options)
     result = PipelineResult(SolveOutcome(0.0, None, None, 0), prop, options)
 
-    # Transformations: absorb goals, strip rewards for probability queries,
-    # then optionally collapse end components.
+    # Absorb goals and strip rewards for probability queries.
     t0 = time.perf_counter()
     work = make_goals_absorbing(model, prop.goals)
     result.applied.append("absorb-goals")
@@ -120,21 +132,10 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
         work = strip_rewards(work)
         result.applied.append("strip-rewards")
     goals = frozenset(prop.goals)
-    if eliminate:
-        qm = eliminate_end_components(work, mec_decomposition(work), protect=goals)
-        work = qm.quotient
-        goals = qm.map_states(goals)
-        result.applied.append(f"ec-elimination({model.num_states}->{work.num_states} states)")
-        if kind in (PropertyKind.PMIN, PropertyKind.EMAX) and options.ec_elim == "force":
-            result.warnings.append("end-component elimination forced for a property kind "
-                                   "whose values it is not guaranteed to preserve")
-    elif kind == PropertyKind.EMIN:
-        result.warnings.append("uncertified: end components not eliminated for emin; "
-                               "the computed fixed point may undershoot the true value")
     result.transform_time = time.perf_counter() - t0
     opt = kind.opt
 
-    # Graph precomputations.
+    # Graph precomputations, on the model before any elimination.
     t0 = time.perf_counter()
     fixed_zero: frozenset[int] = frozenset()
     fixed_one: frozenset[int] = frozenset()
@@ -143,7 +144,6 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
         if options.precomp != "none":
             fixed_zero = prob0_set(work, goals, opt)
             result.applied.append(f"prob0({len(fixed_zero)} states)")
-        if options.precomp == "all":
             fixed_one = prob1_set(work, goals, opt)
             result.applied.append(f"prob1({len(fixed_one)} states)")
     else:
@@ -153,6 +153,24 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
         else:
             result.warnings.append("uncertified: infinite-reward states not precomputed")
     result.precomp_time = time.perf_counter() - t0
+
+    # Collapse end components (step 3 of the module docstring).
+    decided = (options.ec_elim == "auto" and options.method != "oracle"
+               and any(work.initial in states for states in (goals, fixed_zero, fixed_one, s_inf)))
+    t0 = time.perf_counter()
+    if eliminate and not decided:
+        qm = eliminate_end_components(work, mec_decomposition(work), protect=goals)
+        work = qm.quotient
+        goals, fixed_zero, fixed_one, s_inf = (
+            qm.map_states(states) for states in (goals, fixed_zero, fixed_one, s_inf))
+        result.applied.append(f"ec-elimination({model.num_states}->{work.num_states} states)")
+        if kind in (PropertyKind.PMIN, PropertyKind.EMAX) and options.ec_elim == "force":
+            result.warnings.append("end-component elimination forced for a property kind "
+                                   "whose values it is not guaranteed to preserve")
+    elif kind == PropertyKind.EMIN and not decided:
+        result.warnings.append("uncertified: end components not eliminated for emin; "
+                               "the computed fixed point may undershoot the true value")
+    result.transform_time += time.perf_counter() - t0
 
     if options.method == "oracle":
         start = time.perf_counter()

@@ -57,6 +57,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import IterationCapExceeded, SolveTimeout, SolverError
@@ -91,14 +92,14 @@ class BellmanProblem:
             raise SolverError(f"unknown opt {self.opt!r}")
         if len(self.seed) != self.model.num_states:
             raise SolverError("seed vector length does not match the state count")
-        object.__setattr__(self, "_kernel", _compile_kernel(self.model))
         # Per form (two vectors, relative): [order, generic sweeps run, the
         # compiled sweep; None until the switch, False if it cannot compile].
         object.__setattr__(self, "_tiers", {})
 
-    @property
+    @cached_property
     def kernel(self) -> Kernel:
-        return self._kernel  # type: ignore[attr-defined]
+        """Built on first use, so a solve that runs no sweep never pays for it."""
+        return _compile_kernel(self.model)
 
     def sweep(self, order: Sequence[int], relative: bool, v: list[float],
               u: list[float] | None = None) -> tuple[float, bool, bool, int]:
@@ -397,8 +398,16 @@ def plain_vi(problem: BellmanProblem, criterion: ErrorCriterion,
     s_i = problem.model.initial
     if s_i in problem.unknowns:
         sweeps = gsvi(problem, values, criterion, order, max_sweeps=max_sweeps, deadline=deadline)
-    return SolveOutcome(values[s_i], values[s_i], None, sweeps,
+    value = _reported_lower(problem, values[s_i])
+    return SolveOutcome(value, value, None, sweeps,
                         wall_time=time.perf_counter() - start, method="vi")
+
+
+def _reported_lower(problem: BellmanProblem, value: float) -> float:
+    """A lower value as reported: summation rounding can lift a probability
+    iterate past 1, but no probability bound exceeds it.  The iterate itself
+    is left as it is."""
+    return min(value, 1.0) if problem.probability_mode else value
 
 
 def _exact_outcome(value: float, sweeps: int, method: str, start: float) -> SolveOutcome:
@@ -445,7 +454,8 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
     vi_error = criterion.epsilon_vi
 
     def uncertified() -> SolveOutcome:
-        return SolveOutcome(v[s_i], v[s_i], None, total_sweeps, phases, cancelled,
+        lower = _reported_lower(problem, v[s_i])
+        return SolveOutcome(lower, lower, None, total_sweeps, phases, cancelled,
                             time.perf_counter() - start, "ovi", False, "no-certificate")
 
     while True:

@@ -5,8 +5,8 @@ from typing import Callable
 
 import pytest
 
-from soundmdp import (Mdp, branch, generate_example_me, make_goals_absorbing,
-                      strip_rewards, transition)
+from soundmdp import (Mdp, branch, generate_example_me, generate_random,
+                      make_goals_absorbing, strip_rewards, transition)
 
 
 def mdp_of(initial: int, *states) -> Mdp:
@@ -17,6 +17,15 @@ def mdp_of(initial: int, *states) -> Mdp:
         for state in states
     )
     return Mdp(len(states), initial, transitions)
+
+
+def trap_instance(seed: int, n_states: int) -> tuple[Mdp, list[int]]:
+    """A random model with an injected end component and its first declared
+    goal only: the second, absorbing, is a trap.  Random models that reach
+    their goals from everywhere have every value at 1, which prob1 settles
+    without a sweep; here pmax and pmin vary between states."""
+    doc = generate_random(seed, n_states, 3, 4, 4, 2, allow_end_components=True)
+    return doc.model, sorted(doc.declared_goals)[:1]
 
 
 def record(events: list) -> Callable[..., None]:

@@ -11,7 +11,7 @@ from soundmdp import (ModelError, eliminate_end_components,
                       prob0_set, prob1_set, s_infinity, strip_rewards)
 from soundmdp.model import Mdp
 
-from conftest import HALF, mdp_of
+from conftest import HALF, mdp_of, trap_instance
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +93,73 @@ def test_qualitative_sets_match_oracle(seed):
         s for s, v in enumerate(oracle_values(model, make_property("pmax", goals))) if v != 1)
     assert s_infinity(model, goals, "max") == below_one_min
     assert s_infinity(model, goals, "min") == below_one_max
+
+
+def _prob0_min_by_passes(model, goals):
+    """Reference: the full-pass fixpoint the worklist attractor replaced."""
+    positive = set(goals)
+    changed = True
+    while changed:
+        changed = False
+        for s in model.states:
+            if s not in positive and all(any(b.target in positive for b in t.branches)
+                                         for t in model.transitions[s]):
+                positive.add(s)
+                changed = True
+    return frozenset(set(model.states) - positive)
+
+
+def _prob1_max_by_passes(model, goals):
+    """Reference: the nested full-pass fixpoint the worklist attractor replaced."""
+    r = set(model.states)
+    while True:
+        x = set(goals)
+        grew = True
+        while grew:
+            grew = False
+            for s in model.states:
+                if s not in x and any(all(b.target in r for b in t.branches)
+                                      and any(b.target in x for b in t.branches)
+                                      for t in model.transitions[s]):
+                    x.add(s)
+                    grew = True
+        if x == r:
+            return frozenset(r)
+        r = x
+
+
+def _ec_instance(seed, n):
+    model, goals = trap_instance(seed, n)
+    return make_goals_absorbing(model, goals), goals
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_attractors_match_full_pass_fixpoints(seed):
+    for n in (8, 20):
+        model, goals = _ec_instance(seed, n)
+        for work in (model, strip_rewards(model)):
+            assert prob0_set(work, goals, "min") == _prob0_min_by_passes(work, goals)
+            assert prob1_set(work, goals, "max") == _prob1_max_by_passes(work, goals)
+            # All declared goals as targets: larger sets, other traps.
+            every = range(1, n, 3)
+            assert prob0_set(work, every, "min") == _prob0_min_by_passes(work, every)
+            assert prob1_set(work, every, "max") == _prob1_max_by_passes(work, every)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_precomputed_sets_map_onto_the_quotient(seed):
+    # The pipeline precomputes before elimination and maps the sets; for the
+    # kinds elimination preserves, they are the sets of the quotient itself.
+    for n in (8, 20):
+        model, goals = _ec_instance(seed, n)
+        stripped = strip_rewards(model)
+        for work, sets in ((stripped, lambda m, g: (prob0_set(m, g, "max"),
+                                                    prob1_set(m, g, "max"))),
+                           (model, lambda m, g: (s_infinity(m, g, "min"),))):
+            qm = eliminate_end_components(work, mec_decomposition(work), protect=goals)
+            quotient_goals = qm.map_states(goals)
+            assert tuple(qm.map_states(x) for x in sets(work, goals)) == \
+                sets(qm.quotient, quotient_goals)
 
 
 # ---------------------------------------------------------------------------

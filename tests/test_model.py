@@ -13,7 +13,7 @@ from soundmdp import (Branch, ModelError, ParseError, PipelineError, SolveOption
                       solve, strip_rewards, transition, validate, write_explicit)
 from soundmdp.model import Mdp, collector_paused
 
-from conftest import mdp_of
+from conftest import mdp_of, trap_instance
 
 
 def test_exact_coercions():
@@ -233,12 +233,11 @@ def test_compiled_sweeps_leave_no_cyclic_garbage(method, monkeypatch):
     # A compiled sweep is dropped from the namespace it was exec'd into;
     # otherwise function and globals would form a cycle.
     monkeypatch.setattr("soundmdp.solvers.COMPILE_AFTER_SWEEPS", 1)
-    doc = generate_random(1, 30, 3, 4, 4, 1)
+    model, goals = trap_instance(1, 30)  # pmax strictly between 0 and 1 at state 0
     gc.collect()
-    result = solve(doc.model, make_property("pmax", doc.declared_goals),
-                   SolveOptions(method=method))
+    result = solve(model, make_property("pmax", goals), SolveOptions(method=method))
     assert result.outcome.iterations > 1
-    del doc, result
+    del model, result
     assert gc.collect() == 0
 
 

@@ -6,7 +6,10 @@ from fractions import Fraction
 import pytest
 
 from soundmdp import (PipelineError, SolveOptions, SolveTimeout, generate_random,
-                      generate_slow_chain, make_property, rebase_initial, solve)
+                      generate_slow_chain, make_property, mec_decomposition, rebase_initial,
+                      solve)
+
+from conftest import trap_instance
 
 
 def test_pipeline_pmax_golden_run(me_doc):
@@ -102,6 +105,57 @@ def test_pipeline_precomp_all_fixes_sure_states():
     assert res.outcome.value == 1.0 and res.outcome.iterations == 0  # prob1 covers s0
 
 
+def test_pipeline_required_precomp_settles_value_one_states():
+    # Without prob1 the lower iterate creeps towards 1 inside the end
+    # component and OVI ends without a certificate.
+    doc = generate_random(0, 8, 3, 3, 4, 2, allow_end_components=True)
+    res = solve(doc.model, make_property("pmax", doc.declared_goals))
+    assert res.outcome.certified and res.outcome.status == "ok"
+    assert res.outcome.value == res.outcome.lower_bound == res.outcome.upper_bound == 1.0
+    assert res.outcome.iterations == 0
+    assert "prob1(8 states)" in res.applied
+
+
+@pytest.mark.parametrize("options", [SolveOptions(method="vi", precomp="none", epsilon_vi=1e-15,
+                                                  error_mode="absolute"),
+                                     SolveOptions(method="ovi", precomp="none")],
+                         ids=["vi", "ovi"])
+def test_pipeline_probability_bounds_never_exceed_one(options):
+    # Summation rounding lifts the lower iterate to 1.0000000000000002 here.
+    doc = generate_random(30, 40, 3, 4, 4, 4, allow_end_components=True)
+    out = solve(doc.model, make_property("pmax", doc.declared_goals), options).outcome
+    assert out.value <= 1.0 and out.lower_bound <= 1.0
+
+
+def test_pipeline_decided_initial_state_skips_end_components(me_doc, monkeypatch):
+    calls = []
+
+    def counting(model):
+        calls.append(model.num_states)
+        return mec_decomposition(model)
+
+    monkeypatch.setattr("soundmdp.pipeline.mec_decomposition", counting)
+    doc = generate_random(0, 8, 3, 3, 4, 2, allow_end_components=True)
+    prob1_everywhere = make_property("pmax", doc.declared_goals)
+    for model, prop in ((doc.model, prob1_everywhere),
+                        (rebase_initial(me_doc.model, 2), make_property("pmax", [1])),
+                        (rebase_initial(me_doc.model, 1), make_property("emin", [1, 2]))):
+        for method in ("vi", "ovi", "ii"):
+            res = solve(model, prop, SolveOptions(method=method, precomp="all"))
+            assert res.outcome.certified or method == "vi"
+            assert not res.warnings
+            assert not any(step.startswith("ec-elimination") for step in res.applied)
+    assert calls == []
+    # Forced elimination still runs and still warns; the oracle keeps its path.
+    res = solve(doc.model, make_property("pmin", doc.declared_goals),
+                SolveOptions(method="ovi", ec_elim="force"))
+    assert any(step.startswith("ec-elimination") for step in res.applied)
+    assert any("not guaranteed to preserve" in w for w in res.warnings)
+    assert len(calls) == 1
+    solve(doc.model, prob1_everywhere, SolveOptions(method="oracle", precomp="all"))
+    assert len(calls) == 2
+
+
 def test_pipeline_orders_agree(me_doc, monkeypatch):
     prop = make_property("pmax", [1], 1e-6)
     base = solve(me_doc.model, prop, SolveOptions(method="ovi"))
@@ -111,13 +165,13 @@ def test_pipeline_orders_agree(me_doc, monkeypatch):
         assert abs(res.outcome.value - base.outcome.value) <= 2e-6
     # The seed is part of the option: a random order reproduces exactly,
     # whatever the environment holds.
-    doc = generate_random(5, 16, 3, 4, 4, 2, allow_end_components=True)
-    prop = make_property("pmax", doc.declared_goals, 1e-6)
-    runs = [_outcome_hex(solve(doc.model, prop, SolveOptions(method="ovi", order=f"random:{seed}")))
+    model, goals = trap_instance(1, 30)  # pmax strictly between 0 and 1 at state 0
+    prop = make_property("pmax", goals, 1e-6)
+    runs = [_outcome_hex(solve(model, prop, SolveOptions(method="ovi", order=f"random:{seed}")))
             for seed in (1, 1, 99)]
     assert runs[0] == runs[1] != runs[2]
     monkeypatch.setenv("SOUNDMDP_SEED", "99")
-    assert _outcome_hex(solve(doc.model, prop,
+    assert _outcome_hex(solve(model, prop,
                               SolveOptions(method="ovi", order="random:1"))) == runs[0]
 
 
