@@ -17,11 +17,13 @@ from .model import Branch, Mdp, Transition, _check_states
 StateSet = frozenset[int]
 
 
-def _predecessor_index(model: Mdp) -> list[list[tuple[int, int]]]:
+def predecessor_index(model: Mdp) -> list[list[tuple[int, int]]]:
     """Per target state, the (state, transition index) pairs with a branch into it.
 
     A transition with several branches into one target is listed once per
     branch; the attractors below visit each pair at most once per round.
+    prob0_set and prob1_set take it as `pred`, so that a caller computing
+    both builds it once.
     """
     pred: list[list[tuple[int, int]]] = [[] for _ in model.states]
     for s, ts in enumerate(model.transitions):
@@ -46,20 +48,24 @@ def _backward_reach(pred: list[list[tuple[int, int]]], targets: Iterable[int],
     return reached
 
 
-def prob0_set(model: Mdp, goals: Iterable[int], opt: str) -> StateSet:
+def prob0_set(model: Mdp, goals: Iterable[int], opt: str, *,
+              pred: list[list[tuple[int, int]]] | None = None) -> StateSet:
     """States whose optimal probability of reaching the goals is exactly 0.
 
     opt="max": no path reaches the goals at all (complement of backward
     reachability).  opt="min": some scheduler can avoid the goals forever,
     computed as the complement of the least set closed under "every
-    transition has a branch into the set".
+    transition has a branch into the set".  `pred` is the model's
+    predecessor_index, built here when not given.
     """
     goal_set = _check_states(model, goals, "goals")
-    if opt == "max":
-        return frozenset(set(model.states) - _backward_reach(_predecessor_index(model), goal_set))
-    if opt != "min":
+    if opt not in ("max", "min"):
         raise ModelError(f"unknown opt {opt!r}")
-    return _prob0_min(model, _predecessor_index(model), goal_set)
+    if pred is None:
+        pred = predecessor_index(model)
+    if opt == "max":
+        return frozenset(set(model.states) - _backward_reach(pred, goal_set))
+    return _prob0_min(model, pred, goal_set)
 
 
 def _prob0_min(model: Mdp, pred: list[list[tuple[int, int]]], goals: frozenset[int]) -> StateSet:
@@ -86,14 +92,19 @@ def _prob0_min(model: Mdp, pred: list[list[tuple[int, int]]], goals: frozenset[i
     return frozenset(set(model.states) - positive)
 
 
-def prob1_set(model: Mdp, goals: Iterable[int], opt: str) -> StateSet:
-    """States whose optimal probability of reaching the goals is exactly 1."""
+def prob1_set(model: Mdp, goals: Iterable[int], opt: str, *,
+              pred: list[list[tuple[int, int]]] | None = None) -> StateSet:
+    """States whose optimal probability of reaching the goals is exactly 1.
+
+    `pred` is the model's predecessor_index, built here when not given.
+    """
     goal_set = _check_states(model, goals, "goals")
-    pred = _predecessor_index(model)
+    if opt not in ("max", "min"):
+        raise ModelError(f"unknown opt {opt!r}")
+    if pred is None:
+        pred = predecessor_index(model)
     if opt == "max":
         return _prob1_max(model, pred, goal_set)
-    if opt != "min":
-        raise ModelError(f"unknown opt {opt!r}")
     # Pmin = 1 iff no scheduler can, while avoiding the goals, reach a state
     # from which some scheduler avoids the goals forever.
     zero = _prob0_min(model, pred, goal_set)
@@ -270,6 +281,27 @@ class QuotientMap:
         return frozenset(self.to_quotient[s] for s in states)
 
 
+def _nothing_to_collapse(model: Mdp, mecs: Sequence[EndComponent]) -> bool:
+    """True when collapsing the components would change no state and merge no branch."""
+    transitions = model.transitions
+    for mec in mecs:
+        if len(mec.states) > 1:
+            return False
+        (s,) = mec.states
+        if transitions[s] != (_self_loop(s),):
+            return False
+    for ts in transitions:
+        for bs, _ in ts:
+            if len(bs) > 1 and len({b[2] for b in bs}) < len(bs):
+                return False
+    return True
+
+
+def _self_loop(s: int) -> Transition:
+    """The zero-reward self-loop of a bottom component's representative."""
+    return Transition((Branch(1.0, 0.0, s, Fraction(1), Fraction(0)),))
+
+
 def eliminate_end_components(model: Mdp, mecs: Sequence[EndComponent],
                              protect: Iterable[int] = ()) -> QuotientMap:
     """Collapse each end component to one state, keeping transitions that lead out.
@@ -282,8 +314,18 @@ def eliminate_end_components(model: Mdp, mecs: Sequence[EndComponent],
     contract makes them `float()` of the exact fields).  A representative
     left with no transitions (a bottom component) gets a zero-reward
     self-loop so the quotient stays well formed.
+
+    When there is nothing to collapse, the input model itself is returned
+    with identity maps: every component is one state whose only transition
+    is that self-loop, and no transition has two branches into one state.
+    Such a model differs from the full quotient at most in duplicate
+    transitions of a state, which the full quotient drops; a duplicate
+    choice never changes a state's optimal value, to the last bit.
     """
     protect_set = _check_states(model, protect, "protect")
+    if _nothing_to_collapse(model, mecs):
+        identity = tuple(model.states)
+        return QuotientMap(identity, identity, model)
     rep_of = list(model.states)
     component_of: dict[int, EndComponent] = {}
     for mec in mecs:
@@ -336,8 +378,7 @@ def eliminate_end_components(model: Mdp, mecs: Sequence[EndComponent],
                 alike.append(new_tr.branches)
                 ts.append(new_tr)
         if not ts:
-            me = new_id[old_rep]
-            ts.append(Transition((Branch(1.0, 0.0, me, Fraction(1), Fraction(0)),)))
+            ts.append(_self_loop(new_id[old_rep]))
         transitions.append(tuple(ts))
 
     quotient = Mdp(len(reps), to_quotient[model.initial], tuple(transitions))

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import GeneratorError, ParseError
 from .model import (Branch, Mdp, Number, Transition, branch, collector_paused, exact,
@@ -71,6 +71,10 @@ class ModelDocument:
 
 
 def _is_int(token: str) -> bool:
+    # int() needs a sign or a decimal digit first (a word has no leading
+    # space); testing that first spares a label the cost of a ValueError.
+    if not token[:1].isdecimal() and token[:1] not in ("+", "-"):
+        return False
     try:
         int(token)
         return True
@@ -86,8 +90,9 @@ def _column(body: str, index: int) -> int:
     return col - len(word) + 1
 
 
-def _error(message: str, line: int, body: str, index: int) -> ParseError:
-    return ParseError(message, line, _column(body, index))
+def _error(message: str, line: int, raw: str, index: int) -> ParseError:
+    """A ParseError at the index-th word of a line, given the line's full text."""
+    return ParseError(message, line, _column(raw.split("#", 1)[0], index))
 
 
 #: a decimal exponent this far above its mantissa's length puts any non-zero
@@ -97,8 +102,9 @@ _HUGE_EXPONENT = 400
 _POSITIVE_EXPONENT = re.compile(r"\+?0*([0-9]+)")
 
 
-def _parse_number(token: str, line: int, body: str, index: int) -> Fraction | None:
-    """The token's exact value, or None for a value far beyond the binary64 range.
+def _parse_number(token: str, line: int, raw: str, index: int) -> tuple:
+    """The token's (float, exact value), or (token,) for a value outside the
+    binary64 range.
 
     A huge positive exponent is recognised without building the number, which
     would take seconds for a token such as 1e3000000: a non-zero mantissa of
@@ -113,119 +119,128 @@ def _parse_number(token: str, line: int, body: str, index: int) -> Fraction | No
         bound = str(cut + _HUGE_EXPONENT)
         # Digit strings without leading zeros order as (length, text).
         if exponent and (len(exponent[1]), exponent[1]) > (len(bound), bound):
-            mantissa = exact(token[:cut] + "e0")
-            return mantissa if mantissa == 0 else None
-        return exact(token)
+            value = exact(token[:cut] + "e0")
+            if value != 0:
+                return (token,)
+        else:
+            value = exact(token)
     except (ValueError, ZeroDivisionError):
-        raise _error(f"malformed number {token!r}", line, body, index) from None
-
-
-def _lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
-    """(line number, text before any comment, words) of each non-blank line."""
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        words = body.split()
-        if words:
-            yield ln, body, words
+        raise _error(f"malformed number {token!r}", line, raw, index) from None
+    try:
+        return (float(value), value)
+    except OverflowError:
+        return (token,)
 
 
 @collector_paused()
 def parse_explicit(text: str) -> ModelDocument:
     """Parse an MDPX document; raises ParseError with line/column on bad input.
 
-    Lines are read one at a time from a generator, and a line's words are
-    dropped once its statement is recorded; a branch keeps its three tokens
-    and its line, from which a column is computed only when an error is
-    raised.  Model files repeat a few number tokens many times, so each
-    distinct token is parsed to a Fraction, rounded to a float and resolved
-    as a target once per call.  A number outside the binary64 range is a
-    ParseError at its first branch.  Nothing is cached across calls, and the
-    cyclic garbage collector is paused while the model is built.
+    Two passes.  The first reads the lines one at a time, checks every
+    statement and keeps each branch as a (line number, probability,
+    reward, target token) tuple; it resolves each distinct number token,
+    once per call, to its (float, Fraction) pair, which all branches
+    sharing the token hold.  The second builds the records, with the
+    canonical integer targets ("0", "1", ...) and the labels resolved from
+    one table and any other target resolved on its first miss.  A line's
+    text is looked up again only when an error has to be located.  A
+    number outside the binary64 range is a ParseError at its first branch
+    in the second pass, so errors are reported in document order.  Nothing
+    is cached across calls, and the cyclic garbage collector is paused
+    while the model is built.
     """
-    lines = _lines(text)
-    first = next(lines, None)
-    if first is None:
+    lines = enumerate(text.splitlines(), start=1)
+    for ln, raw in lines:
+        words = raw.split("#", 1)[0].split()
+        if words:
+            break
+    else:
         raise ParseError("empty input: missing 'mdpx 1' header", 1, 1)
 
-    ln, body, words = first
     if words[0] != "mdpx":
-        raise _error(f"expected 'mdpx 1' header, found {words[0]!r}", ln, body, 0)
+        raise _error(f"expected 'mdpx 1' header, found {words[0]!r}", ln, raw, 0)
     if len(words) != 2 or not _is_int(words[1]):
-        raise _error("malformed header, expected 'mdpx 1'", ln, body, 0)
+        raise _error("malformed header, expected 'mdpx 1'", ln, raw, 0)
     if int(words[1]) != FORMAT_VERSION:
-        raise _error(f"unsupported format version {words[1]}", ln, body, 1)
+        raise _error(f"unsupported format version {words[1]}", ln, raw, 1)
 
-    # A raw branch is (probability, reward, target, line, body), all tokens;
-    # a state reference elsewhere is (token, line, body, word index).
+    # A raw branch is (line, probability, reward, target token), each number
+    # a (float, Fraction) pair or (token,) when out of range; a state
+    # reference elsewhere is (token, line, line text, word index).
     num_states: int | None = None
     initial_token: tuple[str, int, str, int] | None = None
     goal_tokens: list[tuple[str, int, str, int]] = []
     labels: dict[str, int] = {}
-    exacts: dict[str, Fraction | None] = {}
-    state_transitions: list[list[tuple[str | None, list[tuple]]]] = []
+    numbers: dict[str, tuple] = {}
+    state_transitions: list[list[tuple[str | None, list[tuple]]] | None] = []
     branches: list[tuple] | None = None  # raw branches of the open transition
 
-    for ln, body, words in lines:
+    for ln, raw in lines:
+        words = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not words:
+            continue
         keyword = words[0]
         if keyword == "branch":
             if branches is None:
-                raise _error("'branch' outside a transition block", ln, body, 0)
+                raise _error("'branch' outside a transition block", ln, raw, 0)
             if len(words) != 4:
-                raise _error("'branch' expects <probability> <reward> <target>", ln, body, 0)
+                raise _error("'branch' expects <probability> <reward> <target>", ln, raw, 0)
             _, pt, rt, tt = words
-            if pt not in exacts:
-                exacts[pt] = _parse_number(pt, ln, body, 1)
-            if rt not in exacts:
-                exacts[rt] = _parse_number(rt, ln, body, 2)
-            branches.append((pt, rt, tt, ln, body))
+            p = numbers.get(pt)
+            if p is None:
+                p = numbers[pt] = _parse_number(pt, ln, raw, 1)
+            r = numbers.get(rt)
+            if r is None:
+                r = numbers[rt] = _parse_number(rt, ln, raw, 2)
+            branches.append((ln, p, r, tt))
         elif keyword == "transition":
             if not state_transitions:
-                raise _error("'transition' outside a state block", ln, body, 0)
+                raise _error("'transition' outside a state block", ln, raw, 0)
             if len(words) > 2:
-                raise _error("too many tokens on 'transition' line", ln, body, 0)
+                raise _error("too many tokens on 'transition' line", ln, raw, 0)
             branches = []
             state_transitions[-1].append((words[1] if len(words) == 2 else None, branches))
         elif keyword == "state":
             if num_states is None:
-                raise _error("'state' before 'states' count", ln, body, 0)
+                raise _error("'state' before 'states' count", ln, raw, 0)
             if len(words) < 2 or not _is_int(words[1]):
-                raise _error("'state' expects an integer id", ln, body, 0)
+                raise _error("'state' expects an integer id", ln, raw, 0)
             sid = int(words[1])
             if sid != len(state_transitions):
                 raise _error(
                     f"state ids must appear in declaration order; expected {len(state_transitions)}, found {sid}",
-                    ln, body, 1)
+                    ln, raw, 1)
             if sid >= num_states:
-                raise _error(f"state id {sid} exceeds declared count {num_states}", ln, body, 1)
+                raise _error(f"state id {sid} exceeds declared count {num_states}", ln, raw, 1)
             if len(words) > 3:
-                raise _error("too many tokens on 'state' line", ln, body, 0)
+                raise _error("too many tokens on 'state' line", ln, raw, 0)
             if len(words) == 3:
                 label = words[2]
                 if _is_int(label):
-                    raise _error(f"state label {label!r} must not be an integer", ln, body, 2)
+                    raise _error(f"state label {label!r} must not be an integer", ln, raw, 2)
                 if label in labels:
-                    raise _error(f"duplicate state label {label!r}", ln, body, 2)
+                    raise _error(f"duplicate state label {label!r}", ln, raw, 2)
                 labels[label] = sid
             state_transitions.append([])
             branches = None
         elif keyword == "states":
             if num_states is not None:
-                raise _error("duplicate 'states' line", ln, body, 0)
+                raise _error("duplicate 'states' line", ln, raw, 0)
             if len(words) != 2 or not _is_int(words[1]) or int(words[1]) <= 0:
-                raise _error("'states' expects one positive integer", ln, body, 0)
+                raise _error("'states' expects one positive integer", ln, raw, 0)
             num_states = int(words[1])
         elif keyword == "initial":
             if initial_token is not None:
-                raise _error("duplicate 'initial' line", ln, body, 0)
+                raise _error("duplicate 'initial' line", ln, raw, 0)
             if len(words) != 2:
-                raise _error("'initial' expects one id or label", ln, body, 0)
-            initial_token = (words[1], ln, body, 1)
+                raise _error("'initial' expects one id or label", ln, raw, 0)
+            initial_token = (words[1], ln, raw, 1)
         elif keyword == "goal":
             if len(words) < 2:
-                raise _error("'goal' expects at least one id or label", ln, body, 0)
-            goal_tokens.extend((t, ln, body, i) for i, t in enumerate(words[1:], start=1))
+                raise _error("'goal' expects at least one id or label", ln, raw, 0)
+            goal_tokens.extend((t, ln, raw, i) for i, t in enumerate(words[1:], start=1))
         else:
-            raise _error(f"unknown keyword {keyword!r}", ln, body, 0)
+            raise _error(f"unknown keyword {keyword!r}", ln, raw, 0)
 
     if num_states is None:
         raise ParseError("missing 'states' line")
@@ -234,48 +249,53 @@ def parse_explicit(text: str) -> ModelDocument:
     if initial_token is None:
         raise ParseError("missing 'initial' line")
 
-    targets: dict[str, int] = dict(labels)
+    # Labels are never integers, so they cannot shadow a canonical id.
+    targets = {str(s): s for s in range(num_states)}
+    targets.update(labels)
 
-    def resolve(token: str, ln: int, body: str, index: int) -> int:
+    def resolve(token: str, ln: int, raw: str | None, index: int) -> int:
         if token in targets:
             return targets[token]
+        if raw is None:
+            raw = text.splitlines()[ln - 1]
         if not _is_int(token):
-            raise _error(f"dangling target: unknown state label {token!r}", ln, body, index)
+            raise _error(f"dangling target: unknown state label {token!r}", ln, raw, index)
         sid = int(token)
         if not 0 <= sid < num_states:
-            raise _error(f"state id {sid} out of range", ln, body, index)
+            raise _error(f"state id {sid} out of range", ln, raw, index)
         targets[token] = sid
         return sid
 
-    # Floats are rounded here, branch by branch, so a number too large for
-    # binary64 fails at its first branch and not before the errors found in
-    # earlier lines and branches.
-    numbers: dict[str, tuple[float, Fraction]] = {}
+    def checked(raw_branches: list[tuple]) -> list[tuple]:
+        """The branches with every number checked and every target resolved,
+        raising the first error in branch order."""
+        out = []
+        for ln, p, r, tt in raw_branches:
+            for value, index in ((p, 1), (r, 2)):
+                if len(value) == 1:
+                    raise _error(f"number {value[0]!r} outside the binary64 range",
+                                 ln, text.splitlines()[ln - 1], index)
+            out.append((ln, p, r, resolve(tt, ln, None, 3)))
+        return out
 
-    def number(token: str, ln: int, body: str, index: int) -> tuple[float, Fraction]:
-        value = exacts[token]
-        if value is not None:
-            try:
-                pair = numbers[token] = (float(value), value)
-                return pair
-            except OverflowError:
-                pass
-        raise _error(f"number {token!r} outside the binary64 range", ln, body, index)
-
+    # Records are built with tuple.__new__, which skips the named tuples'
+    # Python-level constructors.  The fast path reads each target from the
+    # table; a miss or an out-of-range number sends the transition through
+    # `checked`.  Each state's raw branches are dropped once it is built.
+    new = tuple.__new__
     transitions: list[tuple[Transition, ...]] = []
-    for raw in state_transitions:
+    for s, raw_transitions in enumerate(state_transitions):
         ts = []
-        for label, raw_branches in raw:
-            bs = []
-            for pt, rt, tt, ln, body in raw_branches:
-                pf, pe = numbers.get(pt) or number(pt, ln, body, 1)
-                rf, re = numbers.get(rt) or number(rt, ln, body, 2)
-                sid = targets.get(tt)
-                if sid is None:
-                    sid = resolve(tt, ln, body, 3)
-                bs.append(Branch(pf, rf, sid, pe, re))
-            ts.append(Transition(tuple(bs), label))
+        for label, raw_branches in raw_transitions:
+            try:
+                bs = [new(Branch, (p[0], r[0], targets[tt], p[1], r[1]))
+                      for _, p, r, tt in raw_branches]
+            except (KeyError, IndexError):
+                bs = [new(Branch, (p[0], r[0], sid, p[1], r[1]))
+                      for _, p, r, sid in checked(raw_branches)]
+            ts.append(new(Transition, (tuple(bs), label)))
         transitions.append(tuple(ts))
+        state_transitions[s] = None
 
     model = Mdp(num_states, resolve(*initial_token), tuple(transitions))
     problems = validate(model)

@@ -1,18 +1,24 @@
 """Solve pipeline: the qualitative graph steps first, then one of the solvers,
 with per-phase timing.
 
-A solve runs in this order:
-  1. absorb the goals, and strip the rewards for probability queries;
-  2. precompute on that model: prob0 and prob1 for probabilities, the
-     infinite-reward states s-infinity for rewards (precomp="required";
-     "all" computes the same sets, "none" none of them);
-  3. collapse end components where the plan asks for it (always for emin,
+A solve runs in this order, and copies the model only where a later step
+reads the copy:
+  1. absorb the goals;
+  2. precompute on that model, which still has its rewards (prob0 and prob1
+     read only the structure): prob0 and prob1 for probabilities, from one
+     predecessor index, the infinite-reward states s-infinity for rewards
+     (precomp="required"; "all" computes the same sets, "none" none of
+     them);
+  3. unless step 2 decided the initial state, or it is a goal, strip the
+     rewards for probability queries, since end-component elimination and
+     the solvers read them;
+  4. collapse end components where the plan asks for it (always for emin,
      and for pmax under ii or under precomp="all"), mapping the precomputed
      sets onto the quotient: elimination preserves pmax and emin, whose
      sets are unions of components.  With ec_elim="auto" this step is
-     skipped when step 2 already decided the initial state, or it is a goal;
-     "force" always eliminates, and the oracle keeps its planned path;
-  4. solve, where a decided initial state costs no sweep.
+     skipped when the initial state is decided as in step 3; "force"
+     always eliminates, and the oracle keeps its planned path;
+  5. solve, where a decided initial state costs no sweep.
 
 Method requirements enforced here:
   - interval iteration needs a unique fixed point, so it rejects
@@ -31,8 +37,8 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import PipelineError
-from .graph import (eliminate_end_components, mec_decomposition, prob0_set, prob1_set,
-                    s_infinity)
+from .graph import (eliminate_end_components, mec_decomposition, predecessor_index,
+                    prob0_set, prob1_set, s_infinity)
 from .model import (Mdp, Property, PropertyKind, collector_paused, make_goals_absorbing,
                     strip_rewards)
 from .oracle import oracle_values
@@ -124,13 +130,10 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
     eliminate, unique = _plan(kind, options)
     result = PipelineResult(SolveOutcome(0.0, None, None, 0), prop, options)
 
-    # Absorb goals and strip rewards for probability queries.
+    # Absorb the goals.
     t0 = time.perf_counter()
     work = make_goals_absorbing(model, prop.goals)
     result.applied.append("absorb-goals")
-    if kind.is_probability:
-        work = strip_rewards(work)
-        result.applied.append("strip-rewards")
     goals = frozenset(prop.goals)
     result.transform_time = time.perf_counter() - t0
     opt = kind.opt
@@ -142,10 +145,12 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
     s_inf: frozenset[int] = frozenset()
     if kind.is_probability:
         if options.precomp != "none":
-            fixed_zero = prob0_set(work, goals, opt)
+            pred = predecessor_index(work)
+            fixed_zero = prob0_set(work, goals, opt, pred=pred)
             result.applied.append(f"prob0({len(fixed_zero)} states)")
-            fixed_one = prob1_set(work, goals, opt)
+            fixed_one = prob1_set(work, goals, opt, pred=pred)
             result.applied.append(f"prob1({len(fixed_one)} states)")
+            del pred  # not held through the solve
     else:
         if options.precomp != "none":
             s_inf = s_infinity(work, goals, opt)
@@ -154,10 +159,14 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
             result.warnings.append("uncertified: infinite-reward states not precomputed")
     result.precomp_time = time.perf_counter() - t0
 
-    # Collapse end components (step 3 of the module docstring).
+    # Strip the rewards and collapse end components (steps 3 and 4 of the
+    # module docstring).
     decided = (options.ec_elim == "auto" and options.method != "oracle"
                and any(work.initial in states for states in (goals, fixed_zero, fixed_one, s_inf)))
     t0 = time.perf_counter()
+    if kind.is_probability and not decided:  # a decided solve runs no sweep
+        work = strip_rewards(work)
+        result.applied.append("strip-rewards")
     if eliminate and not decided:
         qm = eliminate_end_components(work, mec_decomposition(work), protect=goals)
         work = qm.quotient

@@ -594,10 +594,14 @@ def reward_upper_init(model: Mdp, goals: Iterable[int], opt: str,
     inf_set = frozenset(s_inf)
     relevant = [s for s in model.states if s not in goal_set and s not in inf_set]
     n = len(relevant)
-    r_max = max((b.reward_exact for ts in model.transitions for t in ts for b in t.branches),
-                default=Fraction(0))
-    q_min = min((b.probability_exact for ts in model.transitions for t in ts for b in t.branches),
-                default=Fraction(1))
+    # float() is monotone and every float field is float() of its exact
+    # field, so the exact extremes lie among the branches whose floats tie
+    # at the float extremes: scan the floats, compare Fractions only there.
+    branches = [b for ts in model.transitions for t in ts for b in t.branches]
+    r_top = max([b[1] for b in branches], default=0.0)
+    q_bottom = min([b[0] for b in branches], default=1.0)
+    r_max = max((b[4] for b in branches if b[1] == r_top), default=Fraction(0))
+    q_min = min((b[3] for b in branches if b[0] == q_bottom), default=Fraction(1))
     if n == 0 or r_max == 0:
         bound = 0.0
     else:

@@ -9,7 +9,8 @@ from soundmdp import (ModelError, eliminate_end_components,
                       generate_random, make_goals_absorbing,
                       make_property, mec_decomposition, oracle_exact, oracle_values,
                       prob0_set, prob1_set, s_infinity, strip_rewards)
-from soundmdp.model import Mdp
+from soundmdp.graph import predecessor_index
+from soundmdp.model import Mdp, Transition
 
 from conftest import HALF, mdp_of, trap_instance
 
@@ -414,6 +415,45 @@ def test_eliminate_empty_list_is_identity(me_both):
     qm = eliminate_end_components(me_both, [])
     assert qm.quotient == me_both
     assert qm.to_quotient == tuple(range(5))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_eliminate_returns_the_model_when_nothing_collapses(seed):
+    # Generated models have no end components but their goals' self-loops.
+    doc = generate_random(seed, 20, 3, 4, 4, 2)
+    goals = sorted(doc.declared_goals)
+    for model in (make_goals_absorbing(doc.model, goals),
+                  strip_rewards(make_goals_absorbing(doc.model, goals))):
+        mecs = mec_decomposition(model)
+        assert mecs and all(len(mec.states) == 1 for mec in mecs)
+        for protect in (goals, ()):
+            qm = eliminate_end_components(model, mecs, protect=protect)
+            assert qm.quotient is model
+            assert qm.representative == qm.to_quotient == tuple(range(20))
+            assert qm.map_states(goals) == frozenset(goals)
+
+
+def test_eliminate_replaces_a_labelled_self_loop():
+    loop = mdp_of(0, [[(1, 0, 0)]])
+    m = Mdp(1, 0, ((Transition(loop.transitions[0][0].branches, "wait"),),))
+    qm = eliminate_end_components(m, mec_decomposition(m))
+    assert qm.quotient is not m
+    assert qm.quotient == loop
+
+
+def test_eliminate_merges_branches_into_one_state_without_components():
+    # Two branches into state 1 merge into one, though nothing collapses.
+    m = mdp_of(0, [[(HALF, 1, 1), (HALF, 1, 1)]], [[(1, 0, 1)]])
+    qm = eliminate_end_components(m, mec_decomposition(m))
+    assert qm.to_quotient == (0, 1)
+    assert qm.quotient == mdp_of(0, [[(1, 1, 1)]], [[(1, 0, 1)]])
+
+
+def test_predecessor_index_is_shared_by_prob0_and_prob1(me0):
+    pred = predecessor_index(me0)
+    for opt in ("max", "min"):
+        assert prob0_set(me0, [1], opt, pred=pred) == prob0_set(me0, [1], opt)
+        assert prob1_set(me0, [1], opt, pred=pred) == prob1_set(me0, [1], opt)
 
 
 def test_eliminate_fixes_the_min_reward_trap(me_both):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import time
 from fractions import Fraction
 
@@ -344,3 +345,141 @@ def test_huge_exponent_of_zero_and_tiny_values_parse_exactly():
     doc = parse_explicit(_H + "state 0\n transition\n  branch 1 1e-400 0\n")
     (b,) = doc.model.transitions[0][0].branches
     assert (b.reward, b.reward_exact) == (0.0, Fraction(1, 10**400))
+
+
+# Every token of this document is corrupted in turn below.  It has comments,
+# tabs, blank lines, forward label references and non-canonical integer
+# targets ("+2", "03", "+1").
+_TOKENS_DOC = (
+    "# a model with comments, tabs, blank lines and forward labels\n"
+    "mdpx 1\n"
+    "states 4  # four states\n"
+    "\n"
+    "initial start\n"
+    "state 0 start\n"
+    "\ttransition go\t# forward references to done and far\n"
+    "\t\tbranch 1/2 1 done\n"
+    "\t\tbranch 0.25 2.5 +2\n"
+    "\t\tbranch 1e-1 0 far\n"
+    "\t\tbranch 3/20 0 03\n"
+    "\n"
+    "state 1 done\n"
+    "  transition\n"
+    "    branch 1 0 done\n"
+    "state 2\n"
+    "  transition\n"
+    "    branch 1 0 0\n"
+    "state 3 far\n"
+    "  transition b\n"
+    "    branch 1 0 +1\n"
+    "goal done\n")
+
+#: (line, word index, replacement, the error it raises)
+_CORRUPTED_TOKENS = [
+    (2, 0, '?', "expected 'mdpx 1' header, found '?' (line 2, column 1)"),
+    (2, 1, '?', "malformed header, expected 'mdpx 1' (line 2, column 1)"),
+    (3, 0, '?', "unknown keyword '?' (line 3, column 1)"),
+    (3, 1, '?', "'states' expects one positive integer (line 3, column 1)"),
+    (5, 0, '?', "unknown keyword '?' (line 5, column 1)"),
+    (5, 1, '?', "dangling target: unknown state label '?' (line 5, column 9)"),
+    (6, 0, '?', "unknown keyword '?' (line 6, column 1)"),
+    (6, 1, '?', "'state' expects an integer id (line 6, column 1)"),
+    (6, 2, '9', "state label '9' must not be an integer (line 6, column 9)"),
+    (7, 0, '?', "unknown keyword '?' (line 7, column 2)"),
+    (7, 1, 'a b', "too many tokens on 'transition' line (line 7, column 2)"),
+    (8, 0, '?', "unknown keyword '?' (line 8, column 3)"),
+    (8, 1, '?', "malformed number '?' (line 8, column 10)"),
+    (8, 2, '1e400', "number '1e400' outside the binary64 range (line 8, column 14)"),
+    (8, 3, '?', "dangling target: unknown state label '?' (line 8, column 16)"),
+    (9, 0, '?', "unknown keyword '?' (line 9, column 3)"),
+    (9, 1, '?', "malformed number '?' (line 9, column 10)"),
+    (9, 2, '1e400', "number '1e400' outside the binary64 range (line 9, column 15)"),
+    (9, 3, '9', 'state id 9 out of range (line 9, column 19)'),
+    (10, 0, '?', "unknown keyword '?' (line 10, column 3)"),
+    (10, 1, '?', "malformed number '?' (line 10, column 10)"),
+    (10, 2, '1e400', "number '1e400' outside the binary64 range (line 10, column 15)"),
+    (10, 3, '?', "dangling target: unknown state label '?' (line 10, column 17)"),
+    (11, 0, '?', "unknown keyword '?' (line 11, column 3)"),
+    (11, 1, '?', "malformed number '?' (line 11, column 10)"),
+    (11, 2, '1e400', "number '1e400' outside the binary64 range (line 11, column 15)"),
+    (11, 3, '9', 'state id 9 out of range (line 11, column 17)'),
+    (13, 0, '?', "unknown keyword '?' (line 13, column 1)"),
+    (13, 1, '?', "'state' expects an integer id (line 13, column 1)"),
+    (13, 2, '9', "state label '9' must not be an integer (line 13, column 9)"),
+    (14, 0, '?', "unknown keyword '?' (line 14, column 3)"),
+    (15, 0, '?', "unknown keyword '?' (line 15, column 5)"),
+    (15, 1, '?', "malformed number '?' (line 15, column 12)"),
+    (15, 2, '1e400', "number '1e400' outside the binary64 range (line 15, column 14)"),
+    (15, 3, '?', "dangling target: unknown state label '?' (line 15, column 16)"),
+    (16, 0, '?', "unknown keyword '?' (line 16, column 1)"),
+    (16, 1, '?', "'state' expects an integer id (line 16, column 1)"),
+    (17, 0, '?', "unknown keyword '?' (line 17, column 3)"),
+    (18, 0, '?', "unknown keyword '?' (line 18, column 5)"),
+    (18, 1, '?', "malformed number '?' (line 18, column 12)"),
+    (18, 2, '1e400', "number '1e400' outside the binary64 range (line 18, column 14)"),
+    (18, 3, '9', 'state id 9 out of range (line 18, column 16)'),
+    (19, 0, '?', "unknown keyword '?' (line 19, column 1)"),
+    (19, 1, '?', "'state' expects an integer id (line 19, column 1)"),
+    (19, 2, '9', "state label '9' must not be an integer (line 19, column 9)"),
+    (20, 0, '?', "unknown keyword '?' (line 20, column 3)"),
+    (20, 1, 'a b', "too many tokens on 'transition' line (line 20, column 3)"),
+    (21, 0, '?', "unknown keyword '?' (line 21, column 5)"),
+    (21, 1, '?', "malformed number '?' (line 21, column 12)"),
+    (21, 2, '1e400', "number '1e400' outside the binary64 range (line 21, column 14)"),
+    (21, 3, '9', 'state id 9 out of range (line 21, column 16)'),
+    (22, 0, '?', "unknown keyword '?' (line 22, column 1)"),
+    (22, 1, '?', "dangling target: unknown state label '?' (line 22, column 6)"),
+    # A renamed label leaves its references dangling; the first one is
+    # reported, found in the second pass from the line number alone.
+    (6, 2, 'begin', "dangling target: unknown state label 'start' (line 5, column 9)"),
+    (13, 2, 'fin', "dangling target: unknown state label 'done' (line 8, column 16)"),
+    (19, 2, 'near', "dangling target: unknown state label 'far' (line 10, column 17)"),
+]
+
+
+def _corrupt(text: str, line: int, index: int, replacement: str) -> str:
+    """The text with the index-th word of a line replaced, the rest kept as is."""
+    lines = text.split("\n")
+    raw = lines[line - 1]
+    spans = [m.span() for m in re.finditer(r"\S+", raw.split("#", 1)[0])]
+    start, end = spans[index]
+    lines[line - 1] = raw[:start] + replacement + raw[end:]
+    return "\n".join(lines)
+
+
+def test_tokens_doc_parses_with_non_canonical_targets():
+    doc = parse_explicit(_TOKENS_DOC)
+    targets = [[[b.target for b in t.branches] for t in ts] for ts in doc.model.transitions]
+    assert targets == [[[1, 2, 3, 3]], [[1]], [[0]], [[1]]]
+    assert [t.label for ts in doc.model.transitions for t in ts] == ["go", None, None, "b"]
+    assert doc.declared_goals == frozenset([1])
+
+
+def test_every_token_is_covered():
+    covered = {(line, index) for line, index, _, _ in _CORRUPTED_TOKENS}
+    for line, raw in enumerate(_TOKENS_DOC.split("\n"), start=1):
+        for index in range(len(raw.split("#", 1)[0].split())):
+            assert (line, index) in covered
+
+
+@pytest.mark.parametrize("line,index,replacement,message", _CORRUPTED_TOKENS,
+                         ids=[f"{line}:{index}={rep}" for line, index, rep, _ in _CORRUPTED_TOKENS])
+def test_each_corrupted_token_is_located(line, index, replacement, message):
+    with pytest.raises(ParseError) as err:
+        parse_explicit(_corrupt(_TOKENS_DOC, line, index, replacement))
+    assert str(err.value) == message
+    where = message[message.rindex("(line "):]
+    assert where == f"(line {err.value.line}, column {err.value.column})"
+
+
+def test_non_canonical_integer_targets_resolve():
+    loops = "".join(f"state {s}\n transition\n  branch 1 0 {s}\n" for s in range(1, 8))
+    text = ("mdpx 1\nstates 8\ninitial 007\nstate 0\n transition\n"
+            "  branch 1/4 0 007\n  branch 1/4 0 +2\n  branch 1/4 0 04\n  branch 1/4 0 0\n"
+            + loops + "goal +07 6\n")
+    doc = parse_explicit(text)
+    assert doc.model.initial == 7
+    assert [b.target for b in doc.model.transitions[0][0].branches] == [7, 2, 4, 0]
+    assert doc.declared_goals == frozenset([6, 7])
+    with pytest.raises(ParseError, match=r"state id 8 out of range \(line 6, column 16\)"):
+        parse_explicit(text.replace("branch 1/4 0 007", "branch 1/4 0 008"))

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from soundmdp import (PipelineError, SolveOptions, SolveTimeout, generate_random,
-                      generate_slow_chain, make_property, mec_decomposition, rebase_initial,
-                      solve)
+from soundmdp import (Mdp, PipelineError, SolveOptions, SolveTimeout,
+                      eliminate_end_components, generate_random, generate_slow_chain,
+                      make_property, mec_decomposition, rebase_initial, solve, strip_rewards)
 
 from conftest import trap_instance
 
@@ -237,3 +237,55 @@ def test_compiled_sweeps_change_no_outcome(kind, method, monkeypatch):
                     except Exception as exc:  # the same failure on both tiers
                         outcomes.append((type(exc).__name__, str(exc)))
                 assert outcomes[0] == outcomes[1]
+
+
+def _spy(monkeypatch, name, fn):
+    """Replace soundmdp.pipeline's `name` by a wrapper recording each call's result."""
+    results = []
+
+    def wrapper(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(f"soundmdp.pipeline.{name}", wrapper)
+    return results
+
+
+@pytest.mark.parametrize("method", ["vi", "ovi", "ii"])
+@pytest.mark.parametrize("kind", ["pmax", "pmin"])
+def test_decided_probability_request_copies_nothing(kind, method, monkeypatch):
+    # prob1 decides state 0 here; prob0 and prob1 read only the structure,
+    # so neither the reward-stripped copy nor the MEC decomposition is made.
+    doc = generate_random(11, 6, 2, 2, Fraction(2), 1, min_reward=Fraction(1, 4))
+    stripped = _spy(monkeypatch, "strip_rewards", strip_rewards)
+    mecs = _spy(monkeypatch, "mec_decomposition", mec_decomposition)
+    res = solve(doc.model, make_property(kind, doc.declared_goals), SolveOptions(method=method))
+    assert res.outcome.value == 1.0 and res.outcome.iterations == 0
+    assert stripped == [] and mecs == []
+    assert "strip-rewards" not in res.applied
+    # An undecided request strips after the precomputations, before it
+    # eliminates end components.
+    model, goals = trap_instance(1, 30)
+    res = solve(model, make_property("pmax", goals), SolveOptions(method=method, precomp="all"))
+    assert len(stripped) == len(mecs) == 1
+    steps = [step.split("(")[0] for step in res.applied]
+    assert steps == ["absorb-goals", "prob0", "prob1", "strip-rewards", "ec-elimination"]
+
+
+@pytest.mark.parametrize("method", ["vi", "ovi", "ii", "oracle"])
+def test_duplicate_transition_solves_like_its_deduplicated_copy(method, monkeypatch):
+    # The identity quotient keeps a duplicate choice that full elimination
+    # would drop; a duplicate never changes a state's optimal value, so the
+    # outcome is the same to the last bit.
+    doc = generate_random(6, 9, 3, 4, 4, 2)  # small enough for the oracle
+    model = doc.model
+    dup = Mdp(model.num_states, model.initial,
+              tuple(ts + ts if s % 3 == 0 and s not in doc.declared_goals else ts
+                    for s, ts in enumerate(model.transitions)))
+    assert dup != model
+    quotients = _spy(monkeypatch, "eliminate_end_components", eliminate_end_components)
+    prop = make_property("emin", doc.declared_goals)
+    outcomes = [_outcome_hex(solve(m, prop, SolveOptions(method=method))) for m in (model, dup)]
+    assert outcomes[0] == outcomes[1]
+    assert [len(qm.quotient.transitions[0]) for qm in quotients] == \
+        [len(model.transitions[0]), 2 * len(model.transitions[0])]

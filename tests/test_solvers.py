@@ -17,7 +17,7 @@ from soundmdp import (ErrorCriterion, IterationCapExceeded, SolverError, bellman
 from soundmdp import solvers
 from soundmdp.model import Branch, Mdp, Transition
 from soundmdp.solvers import _compile_sweep, _sweep
-from conftest import mdp_of, record
+from conftest import HALF, mdp_of, record
 
 
 def golden_problem(me0):
@@ -556,6 +556,25 @@ def test_reward_upper_init_infinite_states():
     assert s_inf == {0, 2}
     bounds = reward_upper_init(m, [1], "max", s_inf)
     assert bounds[0] == math.inf and bounds[2] == math.inf and bounds[1] == 0.0
+
+
+@pytest.mark.parametrize("reversed_order", [False, True])
+@pytest.mark.parametrize("tie", ["reward", "probability"])
+def test_reward_upper_init_takes_exact_extremes_among_float_ties(tie, reversed_order):
+    # 1 + 2**-60 rounds to 1.0, and 1/2 + 2**-70 and 1/2 - 2**-70 both round
+    # to 0.5.  The bound 1 * r_max / q_min must come from the exact extremes
+    # (1 + 2**-60, resp. 1/2 - 2**-70), where it lies just above 2 and rounds
+    # up; the other tie would give exactly 2.0.
+    if tie == "reward":
+        branches = [(HALF, 1, 1), (HALF, 1 + Fraction(1, 2**60), 0)]
+    else:
+        branches = [(HALF + Fraction(1, 2**70), 1, 1), (HALF - Fraction(1, 2**70), 1, 0)]
+    if reversed_order:
+        branches.reverse()
+    m = mdp_of(0, [branches], [[(1, 0, 1)]])
+    ((a, b),) = [t.branches for t in m.transitions[0]]
+    assert a[:2] == b[:2]  # the floats tie on both fields
+    assert reward_upper_init(m, [1], "max", []) == [math.nextafter(2.0, math.inf), 0.0]
 
 
 def test_reward_upper_init_degenerate_probabilities():
