@@ -146,6 +146,7 @@ def run_request(req: RunRequest, reps: int = 1) -> tuple[dict, PipelineResult | 
     row["transform_ms"] = f"{1000 * times['transform'] / reps:.3f}"
     row["solve_ms"] = f"{1000 * times['solve'] / reps:.3f}"
     row["status"] = "ok" if outcome.status == "ok" else "uncertified"
+    row["_certified"] = outcome.certified
     if req.exclude_trivial and outcome.value in (0.0, 1.0):
         row["status"] = "trivial"
     elif req.ref is not None:
@@ -213,8 +214,10 @@ def run_suite(suite_path: Path, output_path: Path, reps: int = 3,
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
+    # `correct` is scored only where a row claims a bound, that is on a
+    # certified result; plain value iteration, for one, claims none.
     ok = all(row["status"] in ("ok", "trivial", "uncertified") for row in rows) \
-        and all(row.get("correct", "") != "false" for row in rows)
+        and not any(row["correct"] == "false" and row.get("_certified") for row in rows)
     return rows, ok
 
 

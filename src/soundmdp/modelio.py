@@ -27,11 +27,14 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, islice, repeat
+from math import fsum
+from operator import itemgetter, lt, sub
 from typing import Iterable
 
 from .errors import GeneratorError, ParseError
-from .model import (Branch, Mdp, Number, Transition, branch, collector_paused, exact,
-                    transition, validate)
+from .model import (PROBABILITY_SUM_TOLERANCE, Branch, Mdp, Number, Transition, branch,
+                    collector_paused, exact, transition, validate)
 
 FORMAT_VERSION = 1
 
@@ -98,30 +101,41 @@ def _error(message: str, line: int, raw: str, index: int) -> ParseError:
 #: a decimal exponent this far above its mantissa's length puts any non-zero
 #: value beyond 10**400, far outside the binary64 range
 _HUGE_EXPONENT = 400
-#: a positive plain exponent; the group holds its digits without leading zeros
-_POSITIVE_EXPONENT = re.compile(r"\+?0*([0-9]+)")
+#: a negative exponent of more digits than this (CPython's default limit on
+#: int string conversion) gives a non-zero value whose exact form could never
+#: be built
+_EXACT_EXPONENT_DIGITS = 4300
+#: a plain exponent; the groups hold its sign and its digits without leading zeros
+_EXPONENT = re.compile(r"([+-]?)0*([0-9]+)")
 
 
 def _parse_number(token: str, line: int, raw: str, index: int) -> tuple:
     """The token's (float, exact value), or (token,) for a value outside the
     binary64 range.
 
-    A huge positive exponent is recognised without building the number, which
-    would take seconds for a token such as 1e3000000: a non-zero mantissa of
-    k characters is at least 10**-k, so its value is known to overflow.  The
-    exponent is compared by its digit count first, since int() refuses more
-    than 4300 digits.  A negative exponent of that many digits is still
-    reported as a malformed number.
+    A huge exponent is recognised without building the number, which would
+    take seconds for a token such as 1e3000000: a non-zero mantissa of k
+    characters is at least 10**-k, so a positive exponent above k + 400 is
+    known to overflow.  A negative exponent of more than 4300 digits makes a
+    non-zero value too small ever to be held exactly, and is reported as
+    out of range too.  With a zero mantissa either parses to 0.  Exponents
+    are compared by their digit counts first and passed on without their
+    leading zeros, since int() refuses more than 4300 digits.
     """
     try:
         cut = max(token.rfind("e"), token.rfind("E"))
-        exponent = _POSITIVE_EXPONENT.fullmatch(token, cut + 1) if cut > 0 else None
-        bound = str(cut + _HUGE_EXPONENT)
-        # Digit strings without leading zeros order as (length, text).
-        if exponent and (len(exponent[1]), exponent[1]) > (len(bound), bound):
-            value = exact(token[:cut] + "e0")
-            if value != 0:
-                return (token,)
+        exponent = _EXPONENT.fullmatch(token, cut + 1) if cut > 0 else None
+        if exponent:
+            sign, digits = exponent.groups()
+            bound = str(cut + _HUGE_EXPONENT)
+            # Digit strings without leading zeros order as (length, text).
+            if (len(digits) > _EXACT_EXPONENT_DIGITS if sign == "-"
+                    else (len(digits), digits) > (len(bound), bound)):
+                value = exact(token[:cut] + "e0")
+                if value != 0:
+                    return (token,)
+            else:
+                value = exact(token[:cut] + "e" + sign + digits)
         else:
             value = exact(token)
     except (ValueError, ZeroDivisionError):
@@ -136,18 +150,34 @@ def _parse_number(token: str, line: int, raw: str, index: int) -> tuple:
 def parse_explicit(text: str) -> ModelDocument:
     """Parse an MDPX document; raises ParseError with line/column on bad input.
 
-    Two passes.  The first reads the lines one at a time, checks every
-    statement and keeps each branch as a (line number, probability,
-    reward, target token) tuple; it resolves each distinct number token,
-    once per call, to its (float, Fraction) pair, which all branches
-    sharing the token hold.  The second builds the records, with the
-    canonical integer targets ("0", "1", ...) and the labels resolved from
-    one table and any other target resolved on its first miss.  A line's
-    text is looked up again only when an error has to be located.  A
-    number outside the binary64 range is a ParseError at its first branch
-    in the second pass, so errors are reported in document order.  Nothing
-    is cached across calls, and the cyclic garbage collector is paused
-    while the model is built.
+    One pass over the lines, then bulk steps over whole columns.  The line
+    pass checks every statement and resolves each distinct number token,
+    once per call and role and at its first line, to its (float, Fraction)
+    pair, or to (token,) when it is outside the binary64 range; so a
+    malformed number is reported in document order.  It keeps the branches
+    as four flat columns in document order, holding each branch's
+    probability pair, reward pair, target token and line number, and
+    records the index of each transition's first branch and of each
+    state's first transition.
+
+    The build reads the canonical integer targets ("0", "1", ...) and the
+    labels from one table and makes every Branch in one `map` over the
+    zipped columns; each Transition takes its branches, and each state its
+    Transitions, from that stream by `islice`, in the sizes the recorded
+    starts give.  A target missing from the table (such as "007") or a
+    number out of range sends the build through a walk over the branches
+    in document order that resolves each target and raises the first
+    error.
+
+    The model rules of `model.validate` are then checked in bulk: the
+    probability and the reward range once per distinct token in that
+    role, each transition's sum by one `math.fsum` over its probabilities,
+    and empty transitions and states by the starts.  Targets are in range
+    by construction.  Only when one of these fails is `validate` run, so
+    that its violations, their order and the cut to the first five make
+    the message.  A line's text is looked up again only when an error has
+    to be located.  Nothing is cached across calls, and the cyclic garbage
+    collector is paused while the model is built.
     """
     lines = enumerate(text.splitlines(), start=1)
     for ln, raw in lines:
@@ -164,16 +194,24 @@ def parse_explicit(text: str) -> ModelDocument:
     if int(words[1]) != FORMAT_VERSION:
         raise _error(f"unsupported format version {words[1]}", ln, raw, 1)
 
-    # A raw branch is (line, probability, reward, target token), each number
-    # a (float, Fraction) pair or (token,) when out of range; a state
-    # reference elsewhere is (token, line, line text, word index).
+    # A state reference outside a branch is (token, line, line text, word index).
     num_states: int | None = None
     initial_token: tuple[str, int, str, int] | None = None
     goal_tokens: list[tuple[str, int, str, int]] = []
     labels: dict[str, int] = {}
-    numbers: dict[str, tuple] = {}
-    state_transitions: list[list[tuple[str | None, list[tuple]]] | None] = []
-    branches: list[tuple] | None = None  # raw branches of the open transition
+    # Each distinct number token by its role, as a probability and as a reward.
+    probability_numbers: dict[str, tuple] = {}
+    reward_numbers: dict[str, tuple] = {}
+    # One entry per branch, in document order.
+    probabilities: list[tuple] = []
+    rewards: list[tuple] = []
+    target_tokens: list[str] = []
+    branch_lines: list[int] = []
+    # The index of each transition's first branch and each state's first transition.
+    transition_starts: list[int] = []
+    transition_labels: list[str | None] = []
+    state_starts: list[int] = []
+    in_transition = False
 
     for ln, raw in lines:
         words = (raw.split("#", 1)[0] if "#" in raw else raw).split()
@@ -181,34 +219,38 @@ def parse_explicit(text: str) -> ModelDocument:
             continue
         keyword = words[0]
         if keyword == "branch":
-            if branches is None:
+            if not in_transition:
                 raise _error("'branch' outside a transition block", ln, raw, 0)
             if len(words) != 4:
                 raise _error("'branch' expects <probability> <reward> <target>", ln, raw, 0)
             _, pt, rt, tt = words
-            p = numbers.get(pt)
+            p = probability_numbers.get(pt)
             if p is None:
-                p = numbers[pt] = _parse_number(pt, ln, raw, 1)
-            r = numbers.get(rt)
+                p = probability_numbers[pt] = _parse_number(pt, ln, raw, 1)
+            r = reward_numbers.get(rt)
             if r is None:
-                r = numbers[rt] = _parse_number(rt, ln, raw, 2)
-            branches.append((ln, p, r, tt))
+                r = reward_numbers[rt] = _parse_number(rt, ln, raw, 2)
+            probabilities.append(p)
+            rewards.append(r)
+            target_tokens.append(tt)
+            branch_lines.append(ln)
         elif keyword == "transition":
-            if not state_transitions:
+            if not state_starts:
                 raise _error("'transition' outside a state block", ln, raw, 0)
             if len(words) > 2:
                 raise _error("too many tokens on 'transition' line", ln, raw, 0)
-            branches = []
-            state_transitions[-1].append((words[1] if len(words) == 2 else None, branches))
+            transition_starts.append(len(target_tokens))
+            transition_labels.append(words[1] if len(words) == 2 else None)
+            in_transition = True
         elif keyword == "state":
             if num_states is None:
                 raise _error("'state' before 'states' count", ln, raw, 0)
             if len(words) < 2 or not _is_int(words[1]):
                 raise _error("'state' expects an integer id", ln, raw, 0)
             sid = int(words[1])
-            if sid != len(state_transitions):
+            if sid != len(state_starts):
                 raise _error(
-                    f"state ids must appear in declaration order; expected {len(state_transitions)}, found {sid}",
+                    f"state ids must appear in declaration order; expected {len(state_starts)}, found {sid}",
                     ln, raw, 1)
             if sid >= num_states:
                 raise _error(f"state id {sid} exceeds declared count {num_states}", ln, raw, 1)
@@ -221,8 +263,8 @@ def parse_explicit(text: str) -> ModelDocument:
                 if label in labels:
                     raise _error(f"duplicate state label {label!r}", ln, raw, 2)
                 labels[label] = sid
-            state_transitions.append([])
-            branches = None
+            state_starts.append(len(transition_starts))
+            in_transition = False
         elif keyword == "states":
             if num_states is not None:
                 raise _error("duplicate 'states' line", ln, raw, 0)
@@ -244,8 +286,8 @@ def parse_explicit(text: str) -> ModelDocument:
 
     if num_states is None:
         raise ParseError("missing 'states' line")
-    if len(state_transitions) != num_states:
-        raise ParseError(f"declared {num_states} states but found {len(state_transitions)} state blocks")
+    if len(state_starts) != num_states:
+        raise ParseError(f"declared {num_states} states but found {len(state_starts)} state blocks")
     if initial_token is None:
         raise ParseError("missing 'initial' line")
 
@@ -266,41 +308,62 @@ def parse_explicit(text: str) -> ModelDocument:
         targets[token] = sid
         return sid
 
-    def checked(raw_branches: list[tuple]) -> list[tuple]:
-        """The branches with every number checked and every target resolved,
-        raising the first error in branch order."""
+    def checked() -> list[int]:
+        """Every branch's target id, with every number checked and every
+        target resolved, raising the first error in branch order."""
         out = []
-        for ln, p, r, tt in raw_branches:
+        for ln, p, r, tt in zip(branch_lines, probabilities, rewards, target_tokens):
             for value, index in ((p, 1), (r, 2)):
                 if len(value) == 1:
                     raise _error(f"number {value[0]!r} outside the binary64 range",
                                  ln, text.splitlines()[ln - 1], index)
-            out.append((ln, p, r, resolve(tt, ln, None, 3)))
+            out.append(resolve(tt, ln, None, 3))
         return out
 
     # Records are built with tuple.__new__, which skips the named tuples'
-    # Python-level constructors.  The fast path reads each target from the
-    # table; a miss or an out-of-range number sends the transition through
-    # `checked`.  Each state's raw branches are dropped once it is built.
+    # Python-level constructors; an out-of-range number, (token,), has no
+    # second item.  One stream makes the Branches in document order, each
+    # transition takes its next `size` of them and each state its next
+    # transitions.  No container of all branches or all transitions is built:
+    # such blocks, freed after every parse, fragment the C heap of a
+    # long-running process, whose resident size then grows with every parse.
     new = tuple.__new__
-    transitions: list[tuple[Transition, ...]] = []
-    for s, raw_transitions in enumerate(state_transitions):
-        ts = []
-        for label, raw_branches in raw_transitions:
-            try:
-                bs = [new(Branch, (p[0], r[0], targets[tt], p[1], r[1]))
-                      for _, p, r, tt in raw_branches]
-            except (KeyError, IndexError):
-                bs = [new(Branch, (p[0], r[0], sid, p[1], r[1]))
-                      for _, p, r, sid in checked(raw_branches)]
-            ts.append(new(Transition, (tuple(bs), label)))
-        transitions.append(tuple(ts))
-        state_transitions[s] = None
+    first, second = itemgetter(0), itemgetter(1)
+    transition_ends = transition_starts[1:]
+    transition_ends.append(len(target_tokens))
+    state_ends = state_starts[1:]
+    state_ends.append(len(transition_starts))
 
-    model = Mdp(num_states, resolve(*initial_token), tuple(transitions))
-    problems = validate(model)
-    if problems:
-        raise ParseError("invalid model: " + "; ".join(str(v) for v in problems[:5]))
+    def build(target_ids: Iterable[int]) -> tuple[tuple[Transition, ...], ...]:
+        branches = map(new, repeat(Branch), zip(
+            map(first, probabilities), map(first, rewards), target_ids,
+            map(second, probabilities), map(second, rewards)))
+        sizes = map(sub, transition_ends, transition_starts)
+        transitions = map(new, repeat(Transition), zip(
+            map(tuple, map(islice, repeat(branches), sizes)), transition_labels))
+        counts = map(sub, state_ends, state_starts)
+        return tuple(map(tuple, map(islice, repeat(transitions), counts)))
+
+    try:
+        transitions = build(map(targets.__getitem__, target_tokens))
+    except (KeyError, IndexError):
+        transitions = build(checked())
+    model = Mdp(num_states, resolve(*initial_token), transitions)
+
+    # Every number is in range here, or the build would have raised.  Once
+    # the first two tests hold, no state or transition is empty.
+    probabilities_by_transition = map(map, repeat(first),
+                                      map(first, chain.from_iterable(transitions)))
+    well_formed = (all(map(lt, state_starts, state_ends))
+                   and all(map(lt, transition_starts, transition_ends))
+                   and all(0.0 < p <= 1.0 for p, _ in probability_numbers.values())
+                   and all(r >= 0.0 for r, _ in reward_numbers.values())
+                   and max(map(abs, map(sub, map(fsum, probabilities_by_transition), repeat(1.0))))
+                   <= PROBABILITY_SUM_TOLERANCE)
+    if not well_formed:
+        problems = validate(model)
+        if problems:
+            raise ParseError("invalid model: " + "; ".join(str(v) for v in problems[:5]))
     goals = frozenset(resolve(*t) for t in goal_tokens) if goal_tokens else None
     return ModelDocument(model, labels, goals)
 

@@ -74,10 +74,21 @@ def test_bench_suite_and_exit_codes(me_file, tmp_path, capsys):
     header = [ln for ln in out_csv.read_text().splitlines() if not ln.startswith("#")][0]
     assert header == ",".join(CSV_COLUMNS)
 
+    # Plain value iteration claims no bound, so its miss does not fail the suite.
     trap = tmp_path / "trap.suite"
     trap.write_text(f"{me_file.name} --prop pmax --goal s+ --method vi --epsilon 1e-6 --ref 0.5\n")
-    assert main(["bench", str(trap), "-o", str(tmp_path / 'trap.csv'), "--reps", "1"]) == 1
+    assert main(["bench", str(trap), "-o", str(tmp_path / 'trap.csv'), "--reps", "1"]) == 0
     assert read_result_csv(tmp_path / "trap.csv")["me:pmax"]["correct"] == "false"
+
+    # A certified row that misses its reference does.
+    wrong = tmp_path / "wrong.suite"
+    wrong.write_text(
+        f"{me_file.name} --prop pmax --goal s+ --method vi --epsilon 1e-6 --id vi --ref 0.5\n"
+        f"{me_file.name} --prop pmax --goal s+ --method ovi --epsilon 1e-6 --id ovi --ref 0.4\n")
+    assert main(["bench", str(wrong), "-o", str(tmp_path / 'wrong.csv'), "--reps", "1"]) == 1
+    rows = read_result_csv(tmp_path / "wrong.csv")
+    assert (rows["vi"]["correct"], rows["ovi"]["correct"]) == ("false", "false")
+    assert rows["ovi"]["status"] == "ok"
 
 
 def test_bench_duplicate_ids_are_distinguished(me_file, tmp_path):

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from soundmdp import (GeneratorError, ModelDocument, ParseError, generate_example_me,
-                      generate_random, generate_slow_chain, make_goals_absorbing,
-                      make_property, mec_decomposition, oracle_exact, parse_explicit,
-                      strip_rewards, validate, write_explicit)
+from soundmdp import (GeneratorError, Mdp, ModelDocument, ParseError, branch,
+                      generate_example_me, generate_random, generate_slow_chain,
+                      make_goals_absorbing, make_property, mec_decomposition, oracle_exact,
+                      parse_explicit, strip_rewards, transition, validate, write_explicit)
 
 ME_TEXT = """
 mdpx 1
@@ -279,6 +279,73 @@ def test_parse_error_positions(text, fragment, line, column):
     assert (err.value.line, err.value.column) == (line, column)
 
 
+def _one_state(*branches: str) -> str:
+    return _H + "state 0\n transition\n" + "".join(f"  branch {b}\n" for b in branches)
+
+
+# Each document with the hand-built model it describes and the parser's exact
+# message: the first five of validate()'s violations, in its order.
+_MODEL_RULE_CASES = [
+    pytest.param(_one_state("0 0 0", "1 0 0"),
+                 Mdp(1, 0, ((transition([branch(0, 0, 0), branch(1, 0, 0)]),),)),
+                 "invalid model: state 0, transition 0: branch probability 0.0 outside (0,1]",
+                 id="probability-0"),
+    pytest.param(_one_state("1.5 0 0"),
+                 Mdp(1, 0, ((transition([branch("1.5", 0, 0)]),),)),
+                 "invalid model: state 0, transition 0: branch probability 1.5 outside (0,1]; "
+                 "state 0, transition 0: probabilities sum to 1.5",
+                 id="probability-1.5"),
+    pytest.param(_one_state("1 -1 0"),
+                 Mdp(1, 0, ((transition([branch(1, -1, 0)]),),)),
+                 "invalid model: state 0, transition 0: branch reward -1.0 not a finite "
+                 "non-negative real",
+                 id="reward--1"),
+    pytest.param(_one_state("0.5 0 0"),
+                 Mdp(1, 0, ((transition([branch("0.5", 0, 0)]),),)),
+                 "invalid model: state 0, transition 0: probabilities sum to 0.5",
+                 id="sum-0.5"),
+    pytest.param("mdpx 1\nstates 2\ninitial 0\nstate 0\n transition\n  branch 1 0 1\nstate 1\n",
+                 Mdp(2, 0, ((transition([branch(1, 0, 1)]),), ())),
+                 "invalid model: state 1: state has no transitions",
+                 id="state-without-transition"),
+    pytest.param(_H + "state 0\n transition a\n transition b\n  branch 1 0 0\n",
+                 Mdp(1, 0, ((transition([], "a"), transition([branch(1, 0, 0)], "b")),)),
+                 "invalid model: state 0, transition 0: transition has no branches",
+                 id="transition-without-branch"),
+    # Seven violations across four states; the message keeps the first five.
+    pytest.param("mdpx 1\nstates 4\ninitial 0\n"
+                 "state 0\n transition\n  branch 0 0 0\n  branch 1 0 1\n"
+                 "state 1\n"
+                 "state 2\n transition\n transition\n  branch 0.5 -1 2\n"
+                 "state 3\n transition\n  branch 1.5 0 3\n  branch 0.25 0 0\n",
+                 Mdp(4, 0, ((transition([branch(0, 0, 0), branch(1, 0, 1)]),),
+                            (),
+                            (transition([]), transition([branch("0.5", -1, 2)])),
+                            (transition([branch("1.5", 0, 3), branch("0.25", 0, 0)]),))),
+                 "invalid model: state 0, transition 0: branch probability 0.0 outside (0,1]; "
+                 "state 1: state has no transitions; "
+                 "state 2, transition 0: transition has no branches; "
+                 "state 2, transition 1: branch reward -1.0 not a finite non-negative real; "
+                 "state 2, transition 1: probabilities sum to 0.5",
+                 id="seven-violations"),
+]
+
+
+@pytest.mark.parametrize("text,model,message", _MODEL_RULE_CASES)
+def test_model_rule_messages(text, model, message):
+    problems = validate(model)
+    assert message == "invalid model: " + "; ".join(str(v) for v in problems[:5])
+    with pytest.raises(ParseError) as err:
+        parse_explicit(text)
+    assert str(err.value) == message
+    assert (err.value.line, err.value.column) == (None, None)
+
+
+def test_model_rules_are_checked_before_the_goals():
+    with pytest.raises(ParseError, match="^invalid model: state 0, transition 0: probabilities"):
+        parse_explicit(_one_state("0.5 0 0") + "goal nowhere\n")
+
+
 def test_label_of_first_label_wins(me_doc):
     doc = ModelDocument(me_doc.model, {"start": 0, "s+": 1, "home": 0, "won": 1})
     assert doc.label_of(0) == "start"
@@ -319,7 +386,10 @@ def test_number_outside_binary64_range_is_a_parse_error(text, fragment, line, co
     "1e3000000", "-1e1000000", "2.5E+3000000", "7e0003000000",
     # Exponents longer than int()'s 4300-digit limit on string conversion.
     pytest.param("1e" + "9" * 5000, id="1e<5000 nines>"),
-    pytest.param("-2.5E+00" + "1" * 4301, id="-2.5E+00<4301 ones>")])
+    pytest.param("-2.5E+00" + "1" * 4301, id="-2.5E+00<4301 ones>"),
+    # A negative exponent that long leaves a non-zero value no exact form.
+    pytest.param("1e-" + "9" * 5000, id="1e-<5000 nines>"),
+    pytest.param("-7.5E-00" + "1" * 4301, id="-7.5E-00<4301 ones>")])
 def test_huge_exponent_is_rejected_without_building_the_number(token):
     # Building 10**3000000 exactly took seconds before the parse failed.
     text = _H + f"state 0\n transition\n  branch 1 {token} 0\n"
@@ -342,9 +412,30 @@ def test_huge_exponent_of_zero_and_tiny_values_parse_exactly():
     doc = parse_explicit(_H + "state 0\n transition\n  branch 1 0.0e" + "9" * 5000 + " 0\n")
     (b,) = doc.model.transitions[0][0].branches
     assert (b.reward, b.reward_exact) == (0.0, 0)
+    doc = parse_explicit(_H + "state 0\n transition\n  branch 1 0.0e-" + "9" * 5000 + " 0\n")
+    (b,) = doc.model.transitions[0][0].branches
+    assert (b.reward, b.reward_exact) == (0.0, 0)
     doc = parse_explicit(_H + "state 0\n transition\n  branch 1 1e-400 0\n")
     (b,) = doc.model.transitions[0][0].branches
     assert (b.reward, b.reward_exact) == (0.0, Fraction(1, 10**400))
+    # Leading zeros do not count towards an exponent's length.
+    doc = parse_explicit(_H + "state 0\n transition\n  branch 1 25e-" + "0" * 5000 + "1 0\n")
+    (b,) = doc.model.transitions[0][0].branches
+    assert (b.reward, b.reward_exact) == (2.5, Fraction(5, 2))
+
+
+def test_huge_negative_exponent_is_reported_at_its_first_branch():
+    token = "1e-" + "9" * 5000
+    text = (_H + "state 0\n transition\n  branch 1 0 0\n transition\n  branch 1 0 zap\n"
+            f" transition\n  branch 1 {token} 0\n")
+    with pytest.raises(ParseError, match="dangling target") as err:
+        parse_explicit(text)
+    assert (err.value.line, err.value.column) == (8, 14)
+    text = (_H + f"state 0\n transition\n  branch 1 0 0\n transition\n  branch 1 {token} 0\n"
+            f" transition\n  branch {token} 0 zap\n")
+    with pytest.raises(ParseError) as err:
+        parse_explicit(text)
+    assert str(err.value) == f"number {token!r} outside the binary64 range (line 8, column 12)"
 
 
 # Every token of this document is corrupted in turn below.  It has comments,
