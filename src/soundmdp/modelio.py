@@ -101,10 +101,10 @@ def _error(message: str, line: int, raw: str, index: int) -> ParseError:
 #: a decimal exponent this far above its mantissa's length puts any non-zero
 #: value beyond 10**400, far outside the binary64 range
 _HUGE_EXPONENT = 400
-#: a negative exponent of more digits than this (CPython's default limit on
-#: int string conversion) gives a non-zero value whose exact form could never
-#: be built
-_EXACT_EXPONENT_DIGITS = 4300
+#: a negative exponent this far above its mantissa's length puts any non-zero
+#: value below 10**-100000, whose exact build would grow without bound with
+#: the exponent (about 8 ms at this bound, 15 s for 1e-10000000)
+_TINY_EXPONENT = 100_000
 #: a plain exponent; the groups hold its sign and its digits without leading zeros
 _EXPONENT = re.compile(r"([+-]?)0*([0-9]+)")
 
@@ -114,23 +114,22 @@ def _parse_number(token: str, line: int, raw: str, index: int) -> tuple:
     binary64 range.
 
     A huge exponent is recognised without building the number, which would
-    take seconds for a token such as 1e3000000: a non-zero mantissa of k
-    characters is at least 10**-k, so a positive exponent above k + 400 is
-    known to overflow.  A negative exponent of more than 4300 digits makes a
-    non-zero value too small ever to be held exactly, and is reported as
-    out of range too.  With a zero mantissa either parses to 0.  Exponents
-    are compared by their digit counts first and passed on without their
-    leading zeros, since int() refuses more than 4300 digits.
+    take seconds for a token such as 1e3000000 or 1e-10000000: a non-zero
+    mantissa of k characters is at least 10**-k and below 10**k, so a
+    positive exponent above k + 400 is known to overflow, and a negative
+    exponent above k + 100000 gives a value below 10**-100000, which is
+    reported as out of range too.  With a zero mantissa either parses to 0.
+    Exponents are compared by their digit counts first and passed on without
+    their leading zeros, since int() refuses more than 4300 digits.
     """
     try:
         cut = max(token.rfind("e"), token.rfind("E"))
         exponent = _EXPONENT.fullmatch(token, cut + 1) if cut > 0 else None
         if exponent:
             sign, digits = exponent.groups()
-            bound = str(cut + _HUGE_EXPONENT)
+            bound = str(cut + (_TINY_EXPONENT if sign == "-" else _HUGE_EXPONENT))
             # Digit strings without leading zeros order as (length, text).
-            if (len(digits) > _EXACT_EXPONENT_DIGITS if sign == "-"
-                    else (len(digits), digits) > (len(bound), bound)):
+            if (len(digits), digits) > (len(bound), bound):
                 value = exact(token[:cut] + "e0")
                 if value != 0:
                     return (token,)

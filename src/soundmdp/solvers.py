@@ -7,18 +7,22 @@ infinite-reward states).  Every iterative solver advances through one
 primitive, `BellmanProblem.sweep`: a Gauss-Seidel sweep that updates its
 vectors in place, so within a sweep later states already see this sweep's
 earlier updates; iteration order therefore matters and is part of the call.
-`gsvi` sweeps a lower vector alone; OVI's verification phases and interval
-iteration sweep a lower and an upper vector together, in one pass over each
-state's branches.
+The sweep has three forms: `gsvi` sweeps a lower vector alone and reads the
+error; OVI's verification phases sweep a lower and an upper vector together,
+in one pass over each state's branches, and read the error, the up/down
+flags and the first crossing state; interval iteration sweeps both vectors
+the same way but reads only the crossing state.
 
-The sweep has two tiers.  `_sweep` loops over the kernel's branch tuples; it
+Each form has two tiers.  `_sweep` loops over the kernel's branch tuples; it
 runs the first COMPILE_AFTER_SWEEPS sweeps of each form and is the reference
 the tests hold the other tier to.  After that, the problem compiles the form
 into straight-line Python with the kernel's constants as literals, which
 performs the same operations in the same order without the per-branch loop
-overhead, about half the time per sweep.  One compile costs as much as a
-few hundred generic sweeps, so only long solves, which repay it, reach the
-switch.
+overhead; the crossing-only form also leaves out the error and flag
+statements.  A compile costs as much as the time that 200 to 350 compiled
+sweeps save for a one-vector or crossing-only form (370 to 1 040 for two
+vectors), so the switch comes at 256 sweeps, near the break-even of the
+forms that run long, and short solves never reach it.
 
 Lower iterates started from the seed vector stay below the least fixed point,
 so a plain VI result is only a lower bound with no error guarantee.  The sound
@@ -92,8 +96,9 @@ class BellmanProblem:
             raise SolverError(f"unknown opt {self.opt!r}")
         if len(self.seed) != self.model.num_states:
             raise SolverError("seed vector length does not match the state count")
-        # Per form (two vectors, relative): [order, generic sweeps run, the
-        # compiled sweep; None until the switch, False if it cannot compile].
+        # Per form (two vectors, relative or None for crossing only): [order,
+        # generic sweeps run, the compiled sweep; None until the switch, False
+        # if it cannot compile].
         object.__setattr__(self, "_tiers", {})
 
     @cached_property
@@ -102,15 +107,30 @@ class BellmanProblem:
         return _compile_kernel(self.model)
 
     def sweep(self, order: Sequence[int], relative: bool, v: list[float],
-              u: list[float] | None = None) -> tuple[float, bool, bool, int]:
+              u: list[float] | None = None, *,
+              crossing_only: bool = False) -> tuple[float, bool, bool, int] | int:
         """One Gauss-Seidel sweep of this problem, as `_sweep` does it.
 
-        Each form (one or two vectors, relative or absolute error, one order
-        object) runs `_sweep` for its first COMPILE_AFTER_SWEEPS sweeps, then
-        switches to straight-line code compiled for it, which gives the same
-        floats and flags.  The order must not change while it is in use.
+        There are three forms, told apart by the arguments:
+
+        - one vector (`u` None): updates `v` and returns `_sweep`'s tuple,
+          (error, True, True, -1);
+        - two vectors: updates `v` and `u` and returns (error, up, down,
+          cross);
+        - crossing only (`u` given, `crossing_only` true), for interval
+          iteration: updates both vectors as the two-vector form does and
+          returns only `cross`, the first state where `u` fell below `v`, or
+          -1.  `relative` is not read.
+
+        Each form (with one error mode and one order object) runs `_sweep` for
+        its first COMPILE_AFTER_SWEEPS sweeps, then switches to straight-line
+        code compiled for it, which gives the same floats, flags and crossing.
+        The switch at 256 is near the measured break-even of the forms that
+        run long: the one-vector and crossing-only forms repay their compile
+        after 200 to 350 compiled sweeps, the two-vector form after 370 to
+        1 040.  The order must not change while it is in use.
         """
-        form = (u is not None, relative)
+        form = (u is not None, None if crossing_only else relative)
         tiers = self._tiers  # type: ignore[attr-defined]
         tier = tiers.get(form)
         if tier is None or tier[0] is not order:
@@ -124,8 +144,8 @@ class BellmanProblem:
             tier[1] += 1
             if tier[1] >= COMPILE_AFTER_SWEEPS:
                 tier[2] = _compile_sweep(self.kernel, order, maximize, relative,
-                                         u is not None) or False
-        return result
+                                         u is not None, crossing_only) or False
+        return result[3] if crossing_only else result
 
     def initial_vector(self) -> list[float]:
         return list(self.seed)
@@ -260,7 +280,7 @@ def _sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
 
 
 #: generic sweeps a form runs before `BellmanProblem.sweep` compiles it
-COMPILE_AFTER_SWEEPS = 1024
+COMPILE_AFTER_SWEEPS = 256
 
 #: branches per compiled block function, which bounds the memory of one compile()
 _BLOCK_BRANCHES = 32
@@ -299,12 +319,14 @@ def _compilable(trs: tuple) -> bool:
 
 
 def _compile_sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
-                   two_vectors: bool) -> Callable | None:
+                   two_vectors: bool, crossing_only: bool = False) -> Callable | None:
     """`_sweep` for one form, unrolled into straight-line Python.
 
     Every state of `order` becomes a few statements with its probabilities,
     rewards and targets as literals; the operations and their order are
-    those of `_sweep`, so every float comes out bit-identical.  The code is
+    those of `_sweep`, so every float comes out bit-identical.  The
+    crossing-only form (two vectors) drops the per-state error, up and down
+    lines, and its sweep returns only the first crossing state.  The code is
     compiled in blocks of about `_BLOCK_BRANCHES` branches, each a function
     that the returned sweep calls in turn.  Returns None, and the caller
     stays generic, when a state has no choice or a non-float or non-finite
@@ -312,7 +334,9 @@ def _compile_sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relativ
     """
     if not all(type(s) is int and _compilable(kernel[s]) for s in order):
         return None
-    if two_vectors:
+    if crossing_only:
+        head, tail = "def block(v, u, c):", "return c"
+    elif two_vectors:
         head, tail = "def block(v, u, e, up, dn, c):", "return e, up, dn, c"
     else:
         head, tail = "def block(v, e):", "return e"
@@ -325,14 +349,17 @@ def _compile_sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relativ
         lines += _best_lines(trs, "v", "n", maximize)
         if two_vectors:
             lines += _best_lines(trs, "u", "m", maximize)
-            lines += [f"x = u[{s}]",
-                      "if m < x: up = False",
-                      "elif m > x: dn = False",
-                      f"if c < 0 and m < n: c = {s}",
+            if not crossing_only:
+                lines += [f"x = u[{s}]",
+                          "if m < x: up = False",
+                          "elif m > x: dn = False"]
+            lines += [f"if m < n and c < 0: c = {s}",
                       f"u[{s}] = m"]
-        lines += [f"g = (n - v[{s}]) / n if n > 0 else 0.0" if relative else f"g = n - v[{s}]",
-                  "if g > e: e = g",
-                  f"v[{s}] = n"]
+        if not crossing_only:
+            lines += [f"g = (n - v[{s}]) / n if n > 0 else 0.0" if relative
+                      else f"g = n - v[{s}]",
+                      "if g > e: e = g"]
+        lines.append(f"v[{s}] = n")
         size += sum(len(branches) for branches in trs)
         if size >= _BLOCK_BRANCHES or i == len(order) - 1:
             exec(compile("\n    ".join([head, *lines, tail]), "<compiled sweep>", "exec"),
@@ -342,7 +369,13 @@ def _compile_sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relativ
             lines, size = [], 0
     blocks = tuple(blocks)
 
-    if two_vectors:
+    if crossing_only:
+        def sweep(v: list[float], u: list[float]) -> int:
+            c = -1
+            for block in blocks:
+                c = block(v, u, c)
+            return c
+    elif two_vectors:
         def sweep(v: list[float], u: list[float]) -> tuple[float, bool, bool, int]:
             e, up, dn, c = 0.0, True, True, -1
             for block in blocks:
@@ -565,7 +598,7 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
             raise IterationCapExceeded(sweeps)
         _check_deadline(deadline)
         sweeps += 1
-        cross = problem.sweep(order, False, v, u)[3]
+        cross = problem.sweep(order, False, v, u, crossing_only=True)
         if cross >= 0:
             raise SolverError(
                 f"interval iteration crossed at state {cross}: the initial upper vector "

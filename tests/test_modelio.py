@@ -389,7 +389,9 @@ def test_number_outside_binary64_range_is_a_parse_error(text, fragment, line, co
     pytest.param("-2.5E+00" + "1" * 4301, id="-2.5E+00<4301 ones>"),
     # A negative exponent that long leaves a non-zero value no exact form.
     pytest.param("1e-" + "9" * 5000, id="1e-<5000 nines>"),
-    pytest.param("-7.5E-00" + "1" * 4301, id="-7.5E-00<4301 ones>")])
+    pytest.param("-7.5E-00" + "1" * 4301, id="-7.5E-00<4301 ones>"),
+    # Short negative exponents whose exact value took 0.3 s and 15 s to build.
+    "1e-1000000", "1e-10000000"])
 def test_huge_exponent_is_rejected_without_building_the_number(token):
     # Building 10**3000000 exactly took seconds before the parse failed.
     text = _H + f"state 0\n transition\n  branch 1 {token} 0\n"
@@ -415,9 +417,10 @@ def test_huge_exponent_of_zero_and_tiny_values_parse_exactly():
     doc = parse_explicit(_H + "state 0\n transition\n  branch 1 0.0e-" + "9" * 5000 + " 0\n")
     (b,) = doc.model.transitions[0][0].branches
     assert (b.reward, b.reward_exact) == (0.0, 0)
-    doc = parse_explicit(_H + "state 0\n transition\n  branch 1 1e-400 0\n")
-    (b,) = doc.model.transitions[0][0].branches
-    assert (b.reward, b.reward_exact) == (0.0, Fraction(1, 10**400))
+    for digits in (400, 99999):
+        doc = parse_explicit(_H + f"state 0\n transition\n  branch 1 1e-{digits} 0\n")
+        (b,) = doc.model.transitions[0][0].branches
+        assert (b.reward, b.reward_exact) == (0.0, Fraction(1, 10**digits))
     # Leading zeros do not count towards an exponent's length.
     doc = parse_explicit(_H + "state 0\n transition\n  branch 1 25e-" + "0" * 5000 + "1 0\n")
     (b,) = doc.model.transitions[0][0].branches

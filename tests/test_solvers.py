@@ -89,13 +89,16 @@ def test_sweep_two_vectors_match_one_vector_sweeps(seed, opt, relative):
     for order in (shuffled, problem.default_order(), problem.default_order()[::-1]):
         one = _compile_sweep(problem.kernel, order, maximize, relative, False)
         two = _compile_sweep(problem.kernel, order, maximize, relative, True)
-        assert one is not None and two is not None
+        crossing = _compile_sweep(problem.kernel, order, maximize, relative, True,
+                                  crossing_only=True)
+        assert one is not None and two is not None and crossing is not None
         v = problem.initial_vector()
         # The upper start may lie below v somewhere, so crossings occur too.
         u = [x + rng.uniform(-1.0, 3.0) if s in problem.unknowns else x for s, x in enumerate(v)]
         for _ in range(4):
             v_alone, u_alone, u_before = list(v), list(u), list(u)
             v_one, v_two, u_two = list(v), list(v), list(u)
+            v_cross, u_cross = list(v), list(u)
             error, up, down, cross = _sweep(problem.kernel, order, maximize, relative, v, u)
             alone = _sweep(problem.kernel, order, maximize, relative, v_alone)
             _sweep(problem.kernel, order, maximize, relative, u_alone)
@@ -110,6 +113,8 @@ def test_sweep_two_vectors_match_one_vector_sweeps(seed, opt, relative):
             compiled = two(v_two, u_two)
             assert hexes(v_two) == hexes(v) and hexes(u_two) == hexes(u)
             assert compiled[0].hex() == error.hex() and compiled[1:] == (up, down, cross)
+            assert crossing(v_cross, u_cross) == cross
+            assert hexes(v_cross) == hexes(v) and hexes(u_cross) == hexes(u)
 
 
 def test_problem_sweep_compiles_each_form_after_the_threshold(me0, monkeypatch):
@@ -138,6 +143,17 @@ def test_problem_sweep_compiles_each_form_after_the_threshold(me0, monkeypatch):
     assert len(generic) == 7
     problem.sweep(list(order), True, v)
     assert len(generic) == 8
+    # Interval iteration's crossing-only form is a form of its own: it starts
+    # generic although the two-vector form has compiled, switches at the
+    # threshold, and returns only the crossing state.
+    v, u = problem.initial_vector(), [1.0] * 5
+    v_ref, u_ref = list(v), list(u)
+    for k in range(6):
+        want = real_sweep(reference.kernel, order, True, False, v_ref, u_ref)[3]
+        got = problem.sweep(order, False, v, u, crossing_only=True)
+        assert type(got) is int and got == want
+        assert (v, u) == (v_ref, u_ref)
+        assert len(generic) == 8 + min(k + 1, 3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -489,18 +505,26 @@ def test_interval_iteration_detects_upper_below_lower(me0):
         interval_iteration(problem, prop, [-0.1] * qm.quotient.num_states)
 
 
-@pytest.mark.parametrize("order, first", [([0, 1, 2], 0), ([2, 1, 0], 2)])
-def test_interval_iteration_names_the_first_crossing_state(order, first):
+@pytest.mark.parametrize("order, first", [([0, 1, 2], 0), ([2, 1, 0], 2), ([1, 2, 0], 1)])
+def test_interval_iteration_names_the_first_crossing_state(order, first, monkeypatch):
     # On a valid model a sweep keeps u >= v (the backup is monotone), so
     # once the pre-check passes the vectors never cross.  Each state here
     # solves x = 2 - x through a negative weight, so the backup is not
     # monotone: the upper start 0.5 lies above the seeds but below the fixed
     # point 1, and the first sweep drops every upper value below its lower.
     m = mdp_of(0, *([[(2, 0, 3), (-1, 0, s)]] for s in range(3)), [[(1, 0, 3)]])
-    problem = probability_problem(m, goals=[3], opt="max")
-    with pytest.raises(SolverError, match=f"crossed at state {first}:"):
-        interval_iteration(problem, make_property("pmax", [3], 0.05, "absolute"),
-                           [0.5] * 4, order)
+    for threshold in (1, 10**18):
+        monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", threshold)
+        problem = probability_problem(m, goals=[3], opt="max")
+        # One sweep of the crossing-only form on throwaway vectors, with the
+        # same order object: at threshold 1 the compiled form then runs every
+        # sweep of interval iteration, at the unreachable one the generic
+        # form does.
+        problem.sweep(order, False, problem.initial_vector(), [0.5] * 4, crossing_only=True)
+        assert bool(problem._tiers[(True, None)][2]) == (threshold == 1)
+        with pytest.raises(SolverError, match=f"crossed at state {first}:"):
+            interval_iteration(problem, make_property("pmax", [3], 0.05, "absolute"),
+                               [0.5] * 4, order)
 
 
 def test_interval_iteration_cap(me0):
