@@ -48,8 +48,9 @@ def make_solve_arg_parser(prog: str = "solve", suite_mode: bool = False) -> argp
                    help="initial iteration-phase threshold (default: epsilon)")
     p.add_argument("--precomp", default="required", choices=["required", "all", "none"])
     p.add_argument("--ec-elim", default="auto", choices=["auto", "force", "off"])
-    p.add_argument("--order", default="forward",
-                   help="state iteration order: forward, reverse, or random:<seed>")
+    p.add_argument("--order", default="goal-distance",
+                   help="state iteration order: goal-distance (by backward distance from "
+                        "the goals, ties by id), forward, reverse, or random:<seed>")
     p.add_argument("--max-sweeps", type=int, default=DEFAULT_SWEEP_CAP)
     if suite_mode:
         p.add_argument("--id", default=None, help="instance id for the CSV")
@@ -182,7 +183,10 @@ def parse_suite(path: Path) -> list[RunRequest]:
             args = parser.parse_args(shlex.split(body))
         except SystemExit:
             raise PipelineError(f"{path}:{line_no}: malformed suite line") from None
-        req = request_from_args(args, path.parent)
+        try:
+            req = request_from_args(args, path.parent)
+        except PipelineError as exc:
+            raise PipelineError(f"{path}:{line_no}: {exc}") from None
         base = req.instance
         seen[base] = seen.get(base, 0) + 1
         if seen[base] > 1:

@@ -137,6 +137,44 @@ def _prob1_max(model: Mdp, pred: list[list[tuple[int, int]]], goals: frozenset[i
         r = x
 
 
+def goal_distance_order(model: Mdp, sources: Iterable[int], unknowns: Iterable[int]) -> list[int]:
+    """The unknowns sorted by (d(s), s), where d(s) is the length of the
+    shortest branch path from s into `sources`; unknowns with no such path
+    come last, by id.
+
+    A backward breadth-first search over a state-level predecessor list,
+    then a bucket pass by id: linear in the branches and states.  The
+    predecessor lists live only inside this call.
+    """
+    pred: list[list[int]] = [[] for _ in model.states]
+    for s, ts in enumerate(model.transitions):
+        for t in ts:
+            for b in t.branches:
+                pred[b[2]].append(s)  # b.target
+    distance = [-1] * model.num_states
+    layer = list(_check_states(model, sources, "sources"))
+    for s in layer:
+        distance[s] = 0
+    depth = 0
+    while layer:
+        depth += 1
+        reached = []
+        for t in layer:
+            for s in pred[t]:
+                if distance[s] < 0:
+                    distance[s] = depth
+                    reached.append(s)
+        layer = reached
+    del pred
+    # Buckets 0 .. depth-1 hold the distances; bucket `depth` the unreached.
+    buckets: list[list[int]] = [[] for _ in range(depth + 1)]
+    unknown_set = _check_states(model, unknowns, "unknowns")
+    for s in model.states:
+        if s in unknown_set:
+            buckets[distance[s] if distance[s] >= 0 else depth].append(s)
+    return [s for bucket in buckets for s in bucket]
+
+
 def s_infinity(model: Mdp, goals: Iterable[int], opt: str) -> StateSet:
     """States whose expected reward is infinite: the pessimal reachability
     probability (min for opt="max", max for opt="min") is below 1."""

@@ -18,7 +18,19 @@ reads the copy:
      sets are unions of components.  With ec_elim="auto" this step is
      skipped when the initial state is decided as in step 3; "force"
      always eliminates, and the oracle keeps its planned path;
-  5. solve, where a decided initial state costs no sweep.
+  5. solve, where a decided initial state costs no sweep and no iteration
+     order.  Otherwise the sweeps visit the unknowns in the order the
+     options name; the default, "goal-distance", sorts them by (d(s), s),
+     where d(s) is the backward breadth-first distance, over the branches
+     of the model being solved, from the states whose seed fixes the value
+     (the goals and prob1 for probabilities, the goals for rewards), and
+     unknowns that reach none of them come last.  Values then flow out
+     from the goals within one sweep instead of one state per sweep.
+     Interval iteration computes the order only once its upper start
+     exists.  "forward" is id order, the solvers' own default.
+
+SolveOptions checks every field when it is built, so a bad option fails
+before any work, whether or not the request would reach a sweep.
 
 Method requirements enforced here:
   - interval iteration needs a unique fixed point, so it rejects
@@ -32,32 +44,37 @@ Method requirements enforced here:
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
 
 from .errors import PipelineError
-from .graph import (eliminate_end_components, mec_decomposition, predecessor_index,
-                    prob0_set, prob1_set, s_infinity)
+from .graph import (eliminate_end_components, goal_distance_order, mec_decomposition,
+                    predecessor_index, prob0_set, prob1_set, s_infinity)
 from .model import (Mdp, Property, PropertyKind, collector_paused, make_goals_absorbing,
                     strip_rewards)
 from .oracle import oracle_values
-from .solvers import (DEFAULT_SWEEP_CAP, ErrorCriterion, SolveOutcome, interval_iteration,
-                      ovi, plain_vi, probability_problem, reward_problem,
+from .solvers import (DEFAULT_SWEEP_CAP, BellmanProblem, ErrorCriterion, SolveOutcome,
+                      interval_iteration, ovi, plain_vi, probability_problem, reward_problem,
                       reward_upper_init)
 
 METHODS = ("vi", "ovi", "ii", "oracle")
+#: the fixed iteration orders; "random:<seed>" shuffles the ids with that seed
+ORDERS = ("goal-distance", "forward", "reverse")
 
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """How to solve a request; every field is checked when the options are built."""
+
     method: str = "ovi"
     precomp: str = "required"  # "required" | "all" | "none"
     ec_elim: str = "auto"      # "auto" | "force" | "off"
     error_mode: str = "relative"
     epsilon_vi: float | None = None  # defaults to the property epsilon
     max_sweeps: int = DEFAULT_SWEEP_CAP
-    order: str = "forward"     # "forward" | "reverse" | "random:<seed>"
+    order: str = "goal-distance"  # | "forward" | "reverse" | "random[:<seed>]"
     timeout: float | None = None
 
     def __post_init__(self) -> None:
@@ -67,6 +84,16 @@ class SolveOptions:
             raise PipelineError(f"unknown precomp mode {self.precomp!r}")
         if self.ec_elim not in ("auto", "force", "off"):
             raise PipelineError(f"unknown ec-elim mode {self.ec_elim!r}")
+        if self.error_mode not in ("relative", "absolute"):
+            raise PipelineError(f"unknown error mode {self.error_mode!r}")
+        eps = self.epsilon_vi
+        if eps is not None and not (eps > 0 and math.isfinite(eps)):
+            raise PipelineError(f"epsilon-vi must be a positive finite real, not {eps!r}")
+        if type(self.max_sweeps) is not int or self.max_sweeps < 1:
+            raise PipelineError(f"max-sweeps must be a positive integer, not {self.max_sweeps!r}")
+        if self.timeout is not None and not self.timeout > 0:  # NaN too
+            raise PipelineError(f"timeout must be a positive number, not {self.timeout!r}")
+        _random_seed(self.order)  # rejects an unknown order
 
 
 @dataclass
@@ -101,21 +128,33 @@ def _plan(kind: PropertyKind, options: SolveOptions) -> tuple[bool, bool]:
     return eliminate, unique
 
 
-def _iteration_order(unknowns: frozenset[int], scheme: str) -> list[int]:
-    order = sorted(unknowns)
-    if scheme == "forward":
-        return order
-    if scheme == "reverse":
-        return order[::-1]
-    if scheme.startswith("random"):
-        seed_text = scheme.split(":", 1)[1] if ":" in scheme else "0"
+def _random_seed(scheme: str) -> int | None:
+    """The seed of a `random[:<seed>]` order, None for the fixed orders."""
+    if scheme in ORDERS:
+        return None
+    if scheme == "random":
+        return 0
+    if scheme.startswith("random:"):
+        seed_text = scheme[len("random:"):]
         try:
-            seed = int(seed_text)
+            return int(seed_text)
         except ValueError:
             raise PipelineError(f"malformed random order seed {seed_text!r}") from None
-        random.Random(seed).shuffle(order)
-        return order
     raise PipelineError(f"unknown iteration order {scheme!r}")
+
+
+def _iteration_order(problem: BellmanProblem, sources: frozenset[int], scheme: str) -> list[int]:
+    """The unknowns in the order a sweep visits them; `sources` are the
+    fixed states the goal-distance order measures from."""
+    if scheme == "goal-distance":
+        return goal_distance_order(problem.model, sources, problem.unknowns)
+    order = sorted(problem.unknowns)
+    if scheme == "reverse":
+        return order[::-1]
+    seed = _random_seed(scheme)
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    return order
 
 
 @collector_paused()
@@ -193,21 +232,27 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
         if kind.is_probability:
             problem = probability_problem(work, goals, opt, fixed_zero=fixed_zero,
                                           fixed_one=fixed_one, unique_fixed_point=unique)
+            sources = goals | fixed_one
         else:
             problem = reward_problem(work, goals, opt, s_inf, unique_fixed_point=unique)
-        order = _iteration_order(problem.unknowns, options.order)
+            sources = goals
         criterion = ErrorCriterion(options.error_mode, options.epsilon_vi
                                    if options.epsilon_vi is not None else prop.epsilon)
         # The timeout budget covers the numeric phase only.
-        deadline = time.perf_counter() + options.timeout if options.timeout else None
+        deadline = None if options.timeout is None else time.perf_counter() + options.timeout
         budget = {"max_sweeps": options.max_sweeps, "deadline": deadline}
+        upper = None
+        if options.method == "ii":
+            upper = ([1.0] * work.num_states if kind.is_probability
+                     else reward_upper_init(work, goals, opt, s_inf))
+        # Only a sweep reads the order, and a decided initial state runs none.
+        order = (_iteration_order(problem, sources, options.order)
+                 if work.initial in problem.unknowns else None)
         if options.method == "vi":
             outcome = plain_vi(problem, criterion, order, **budget)
         elif options.method == "ovi":
             outcome = ovi(problem, criterion, prop, order, **budget)
         else:  # ii
-            upper = ([1.0] * work.num_states if kind.is_probability
-                     else reward_upper_init(work, goals, opt, s_inf))
             outcome = interval_iteration(problem, prop, upper, order, **budget)
 
     if result.warnings:

@@ -22,12 +22,26 @@ def me_file(tmp_path):
 def test_solve_human_report(me_file, capsys):
     code = main(["solve", str(me_file), "--prop", "pmax", "--goal", "s+",
                  "--method", "ovi", "--epsilon", "0.05",
-                 "--width", "absolute", "--error", "absolute"])
+                 "--width", "absolute", "--error", "absolute", "--order", "forward"])
     out = capsys.readouterr().out
     assert code == 0
     assert "result      0.49902848" in out
     assert "certified   yes" in out
     assert "sweeps      10" in out
+
+
+def test_solve_human_report_default_order(me_file, capsys):
+    # The default goal-distance order sweeps s0 and s2 (one step from s+)
+    # before s1, saving one sweep; the certified interval is the same.
+    code = main(["solve", str(me_file), "--prop", "pmax", "--goal", "s+",
+                 "--method", "ovi", "--epsilon", "0.05",
+                 "--width", "absolute", "--error", "absolute"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "result      0.49902848000000011\n" in out
+    assert "interval    [0.47902848000000009, 0.51902848000000013]\n" in out
+    assert "certified   yes (ok)\n" in out
+    assert "sweeps      9 (verification phases 2, cancelled 1)\n" in out
 
 
 def test_solve_csv_row(me_file, capsys):
@@ -56,6 +70,43 @@ def test_solve_reports_errors(tmp_path, capsys):
     code = main(["solve", str(bad), "--prop", "pmax", "--goal", "0"])
     assert code != 0
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--epsilon-vi", "nan"], "epsilon-vi must be a positive finite real, not nan"),
+    (["--epsilon-vi", "0"], "epsilon-vi must be a positive finite real, not 0.0"),
+    (["--epsilon-vi=-1e-3"], "epsilon-vi must be a positive finite real, not -0.001"),
+    (["--max-sweeps", "-5"], "max-sweeps must be a positive integer, not -5"),
+    (["--max-sweeps", "0"], "max-sweeps must be a positive integer, not 0"),
+    (["--order", "bogus"], "unknown iteration order 'bogus'"),
+], ids=["epsilon-vi-nan", "epsilon-vi-zero", "epsilon-vi-negative", "max-sweeps-negative",
+        "max-sweeps-zero", "order-bogus"])
+@pytest.mark.parametrize("prop", ["pmax", "emax"])
+def test_solve_rejects_bad_options_up_front(me_file, capsys, flags, message, prop):
+    # pmax to s+ runs sweeps; emax to {s+, s-} is decided (infinite) before
+    # any sweep, so a bad option must not wait for one to be noticed.  The
+    # sweep cap keeps a regression from stalling the suite.
+    cap = [] if flags[0].startswith("--max-sweeps") else ["--max-sweeps", "1000"]
+    goal = ["--goal", "s+"] if prop == "pmax" else []
+    code = main(["solve", str(me_file), "--prop", prop, *goal, *cap, *flags])
+    captured = capsys.readouterr()
+    assert code != 0
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_bench_rejects_bad_options_up_front(me_file, tmp_path, capsys):
+    suite = tmp_path / "bad.suite"
+    suite.write_text(f"{me_file.name} --prop pmax --goal s+\n"
+                     f"{me_file.name} --prop pmax --goal s+ --epsilon-vi nan\n")
+    assert main(["bench", str(suite), "-o", str(tmp_path / "bad.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {suite}:2: epsilon-vi must be a positive finite real, not nan\n")
+    # A zero timeout used to mean no limit at all.
+    suite.write_text(f"{me_file.name} --prop pmax --goal s+\n")
+    assert main(["bench", str(suite), "-o", str(tmp_path / "bad.csv"), "--timeout", "0"]) == 2
+    assert capsys.readouterr().err == "error: timeout must be a positive number, not 0.0\n"
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_bench_suite_and_exit_codes(me_file, tmp_path, capsys):

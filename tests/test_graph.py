@@ -9,7 +9,7 @@ from soundmdp import (ModelError, eliminate_end_components,
                       generate_random, make_goals_absorbing,
                       make_property, mec_decomposition, oracle_exact, oracle_values,
                       prob0_set, prob1_set, s_infinity, strip_rewards)
-from soundmdp.graph import predecessor_index
+from soundmdp.graph import goal_distance_order, predecessor_index
 from soundmdp.model import Mdp, Transition
 
 from conftest import HALF, mdp_of, trap_instance
@@ -454,6 +454,54 @@ def test_predecessor_index_is_shared_by_prob0_and_prob1(me0):
     for opt in ("max", "min"):
         assert prob0_set(me0, [1], opt, pred=pred) == prob0_set(me0, [1], opt)
         assert prob1_set(me0, [1], opt, pred=pred) == prob1_set(me0, [1], opt)
+
+
+def test_goal_distance_order_by_hand():
+    # Sources 5 and 8.  Distances: 2, 4 and 9 one step, 1 two steps (through
+    # 2, which is not an unknown), 3 three steps (its nearer choice), 0 four
+    # steps; 6 and 7 reach no source.
+    m = mdp_of(0,
+               [[(1, 0, 3)]],                    # 0
+               [[(1, 0, 2)]],                    # 1
+               [[(1, 0, 5)]],                    # 2
+               [[(1, 0, 0)], [(1, 0, 1)]],       # 3
+               [[(HALF, 0, 5), (HALF, 0, 3)]],   # 4
+               [[(1, 0, 5)]],                    # 5
+               [[(1, 0, 6)]],                    # 6
+               [[(1, 0, 6)]],                    # 7
+               [[(1, 0, 8)]],                    # 8
+               [[(HALF, 0, 8), (HALF, 0, 0)]])   # 9
+    unknowns = frozenset({0, 1, 3, 4, 6, 7, 9})
+    order = goal_distance_order(m, {5, 8}, unknowns)
+    assert order == [4, 9, 1, 3, 0, 6, 7]
+    # Ties keep id order, whatever the order the sources come in.
+    assert goal_distance_order(m, [8, 5], reversed(sorted(unknowns))) == order
+    # With no source every unknown is unreached: plain id order.
+    assert goal_distance_order(m, (), unknowns) == sorted(unknowns)
+    assert goal_distance_order(m, {5}, ()) == []
+    with pytest.raises(ModelError, match="unknown state id 10"):
+        goal_distance_order(m, {10}, unknowns)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_goal_distance_order_is_a_sorted_permutation(seed):
+    doc = generate_random(seed, 30, 3, 3, 4, 3, allow_end_components=seed % 2 == 0)
+    model = doc.model
+    sources = frozenset(doc.declared_goals)
+    unknowns = frozenset(s for s in model.states if s not in sources and s % 5 != 1)
+    order = goal_distance_order(model, sources, unknowns)
+    assert sorted(order) == sorted(unknowns) and len(order) == len(unknowns)
+    # Reference distances: shortest branch paths, by repeated relaxation.
+    inf = len(model.states) + 1
+    dist = [0 if s in sources else inf for s in model.states]
+    changed = True
+    while changed:
+        changed = False
+        for s, ts in enumerate(model.transitions):
+            best = min(dist[b.target] + 1 for t in ts for b in t.branches)
+            if best < dist[s]:
+                dist[s], changed = best, True
+    assert order == sorted(unknowns, key=lambda s: (dist[s], s))
 
 
 def test_eliminate_fixes_the_min_reward_trap(me_both):

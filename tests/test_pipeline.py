@@ -5,22 +5,38 @@ from fractions import Fraction
 
 import pytest
 
-from soundmdp import (Mdp, PipelineError, SolveOptions, SolveTimeout,
+from soundmdp import (Mdp, PipelineError, SolveOptions, SolveTimeout, SolverError,
                       eliminate_end_components, generate_random, generate_slow_chain,
-                      make_property, mec_decomposition, rebase_initial, solve, strip_rewards)
+                      make_goals_absorbing, make_property, mec_decomposition, oracle_exact,
+                      rebase_initial, solve, strip_rewards)
+from soundmdp.graph import goal_distance_order
 
-from conftest import trap_instance
+from conftest import HALF, trap_instance
 
 
 def test_pipeline_pmax_golden_run(me_doc):
     prop = make_property("pmax", [1], 0.05, "absolute")
-    res = solve(me_doc.model, prop, SolveOptions(method="ovi", error_mode="absolute"))
+    res = solve(me_doc.model, prop, SolveOptions(method="ovi", error_mode="absolute",
+                                                 order="forward"))
     out = res.outcome
     assert out.value == pytest.approx(0.49902848, abs=1e-12)
     assert out.iterations == 10
     assert out.verification_phases == 2
     assert out.certified
     assert "prob0(1 states)" in res.applied
+
+
+def test_pipeline_pmax_golden_run_default_order(me_doc):
+    # Goal-distance order visits s0 and s2 (one step from s+) before s1 (two
+    # steps): one sweep less, the same phases and the same interval.
+    prop = make_property("pmax", [1], 0.05, "absolute")
+    res = solve(me_doc.model, prop, SolveOptions(method="ovi", error_mode="absolute"))
+    out = res.outcome
+    assert res.options.order == "goal-distance"
+    assert _outcome_hex(res)[0] == [x.hex() for x in (0.4990284800000001, 0.4790284800000001,
+                                                      0.5190284800000001)]
+    assert (out.iterations, out.verification_phases, out.cancelled_verifications) == (9, 2, 1)
+    assert out.certified and out.status == "ok"
 
 
 def test_pipeline_min_reward_trap_documented(me_doc):
@@ -173,6 +189,90 @@ def test_pipeline_orders_agree(me_doc, monkeypatch):
     monkeypatch.setenv("SOUNDMDP_SEED", "99")
     assert _outcome_hex(solve(model, prop,
                               SolveOptions(method="ovi", order="random:1"))) == runs[0]
+
+
+@pytest.mark.parametrize("method", ["ovi", "ii"])
+def test_goal_distance_order_cuts_slow_chain_sweeps(method):
+    # Values flow back from the goal; id order carries them one state per
+    # sweep, goal-distance order through the whole chain in one.
+    doc = generate_slow_chain(10, HALF)
+    prop = make_property("emax", [10], 1e-6)
+    exact = oracle_exact(make_goals_absorbing(doc.model, [10]), prop)
+    outcomes = {order: solve(doc.model, prop, SolveOptions(method=method, order=order)).outcome
+                for order in ("forward", "goal-distance")}
+    for out in outcomes.values():
+        assert out.certified and out.status == "ok"
+        assert Fraction(out.lower_bound) <= exact <= Fraction(out.upper_bound)
+    # The forward counts are the bundled suites' slow-chain rows before the
+    # default changed.
+    assert outcomes["forward"].iterations == {"ovi": 12772, "ii": 15246}[method]
+    assert outcomes["goal-distance"].iterations < outcomes["forward"].iterations / 1.9
+
+
+def test_decided_request_computes_no_order(me_doc, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an order was computed for a solve that runs no sweep")
+
+    def no_bound(*args):
+        raise SolverError("no bound")
+
+    monkeypatch.setattr("soundmdp.pipeline.goal_distance_order", refuse)
+    chain = generate_slow_chain(10, HALF)
+    decided = [(chain.model, make_property("pmax", [10]), {}),  # prob1 holds s0
+               (me_doc.model, make_property("emax", [1, 2]), {}),  # s0 has infinite reward
+               (rebase_initial(me_doc.model, 2), make_property("pmin", [1]),
+                {"ec_elim": "force"})]  # prob0 holds s-, elimination runs anyway
+    for model, prop, extra in decided:
+        for method in ("vi", "ovi", "ii"):
+            out = solve(model, prop, SolveOptions(method=method, **extra)).outcome
+            assert out.iterations == 0
+    # Interval iteration asks for the order only once its upper start exists.
+    monkeypatch.setattr("soundmdp.pipeline.reward_upper_init", no_bound)
+    with pytest.raises(SolverError, match="no bound"):
+        solve(chain.model, make_property("emax", [10]), SolveOptions(method="ii"))
+    # An undecided request computes it once.
+    calls = _spy(monkeypatch, "goal_distance_order", goal_distance_order)
+    solve(chain.model, make_property("emax", [10]), SolveOptions(method="ovi"))
+    assert calls == [[9, 8, 7, 6, 5, 4, 3, 2, 1, 0]]
+
+
+def test_goal_distance_order_reproduces(me_doc):
+    model, goals = trap_instance(1, 30)
+    requests = [(model, make_property("pmax", goals), "ovi"),
+                (model, make_property("pmax", goals), "ii"),
+                (me_doc.model, make_property("emin", [1, 2]), "ovi")]
+    for m, prop, method in requests:
+        runs = [_outcome_hex(solve(m, prop, SolveOptions(method=method))) for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert runs[0][1] > 0 and runs[0][4]  # swept, and certified
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("epsilon_vi", math.nan, "epsilon-vi must be a positive finite real"),
+    ("epsilon_vi", 0.0, "epsilon-vi must be a positive finite real"),
+    ("epsilon_vi", -1e-3, "epsilon-vi must be a positive finite real"),
+    ("epsilon_vi", math.inf, "epsilon-vi must be a positive finite real"),
+    ("max_sweeps", -5, "max-sweeps must be a positive integer"),
+    ("max_sweeps", 0, "max-sweeps must be a positive integer"),
+    ("max_sweeps", 1e6, "max-sweeps must be a positive integer"),
+    ("timeout", math.nan, "timeout must be a positive number"),
+    ("timeout", -1.0, "timeout must be a positive number"),
+    ("timeout", 0.0, "timeout must be a positive number"),  # once meant no limit
+    ("error_mode", "squared", "unknown error mode"),
+    ("order", "bogus", "unknown iteration order"),
+    ("order", "randomly", "unknown iteration order"),
+    ("order", "random:x", "malformed random order seed"),
+])
+def test_solve_options_reject_bad_fields(field, value, message):
+    with pytest.raises(PipelineError, match=message):
+        SolveOptions(**{field: value})
+
+
+def test_solve_options_accept_every_order():
+    for order in ("goal-distance", "forward", "reverse", "random", "random:7", "random:-3"):
+        assert SolveOptions(order=order).order == order
+    assert SolveOptions().order == "goal-distance"
+    assert SolveOptions(max_sweeps=1, epsilon_vi=1e-300, timeout=1e-9).max_sweeps == 1
 
 
 def test_pipeline_oracle_method(me_doc):
