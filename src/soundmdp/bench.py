@@ -202,6 +202,9 @@ def _request_row(req: RunRequest, reps: int) -> dict:
 def run_suite(suite_path: Path, output_path: Path, reps: int = 3,
               timeout: float | None = 120.0, jobs: int = 1) -> tuple[list[dict], bool]:
     """Run every request in the suite and write the CSV; returns (rows, all_ok)."""
+    for name, count in (("reps", reps), ("jobs", jobs)):
+        if type(count) is not int or count < 1:
+            raise PipelineError(f"{name} must be a positive integer, not {count!r}")
     requests = parse_suite(suite_path)
     for req in requests:
         req.options = dataclasses.replace(req.options, timeout=timeout)

@@ -18,9 +18,11 @@ reads the copy:
      sets are unions of components.  With ec_elim="auto" this step is
      skipped when the initial state is decided as in step 3; "force"
      always eliminates, and the oracle keeps its planned path;
-  5. solve, where a decided initial state costs no sweep and no iteration
-     order.  Otherwise the sweeps visit the unknowns in the order the
-     options name; the default, "goal-distance", sorts them by (d(s), s),
+  5. solve, where a decided initial state costs no sweep, no iteration
+     order and no upper start for interval iteration (whose reward bound
+     can be infinite on a model where the request needs none).  Otherwise
+     the sweeps visit the unknowns in the order the options name; the
+     default, "goal-distance", sorts them by (d(s), s),
      where d(s) is the backward breadth-first distance, over the branches
      of the model being solved, from the states whose seed fixes the value
      (the goals and prob1 for probabilities, the goals for rewards), and
@@ -241,13 +243,14 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
         # The timeout budget covers the numeric phase only.
         deadline = None if options.timeout is None else time.perf_counter() + options.timeout
         budget = {"max_sweeps": options.max_sweeps, "deadline": deadline}
-        upper = None
-        if options.method == "ii":
+        # Only a sweep reads the upper start and the order, and a decided
+        # initial state runs none: interval iteration then gets the seeds.
+        undecided = work.initial in problem.unknowns
+        upper = problem.seed
+        if options.method == "ii" and undecided:
             upper = ([1.0] * work.num_states if kind.is_probability
                      else reward_upper_init(work, goals, opt, s_inf))
-        # Only a sweep reads the order, and a decided initial state runs none.
-        order = (_iteration_order(problem, sources, options.order)
-                 if work.initial in problem.unknowns else None)
+        order = _iteration_order(problem, sources, options.order) if undecided else None
         if options.method == "vi":
             outcome = plain_vi(problem, criterion, order, **budget)
         elif options.method == "ovi":

@@ -13,7 +13,9 @@ from the goals (`graph.goal_distance_order`).  On the slow chains, whose
 values flow back from the goal against id order, that order needs a half
 to a tenth of the sweeps.
 The sweep has three forms: `gsvi` sweeps a lower vector alone and reads the
-error; OVI's verification phases sweep a lower and an upper vector together,
+error, which it measures only up to epsilon_vi (beyond that the sweep cannot
+end the iteration, so the rest of it updates states without measuring their
+gains); OVI's verification phases sweep a lower and an upper vector together,
 in one pass over each state's branches, and read the error, the up/down
 flags and the first crossing state; interval iteration sweeps both vectors
 the same way but reads only the crossing state.
@@ -23,10 +25,11 @@ runs the first COMPILE_AFTER_SWEEPS sweeps of each form and is the reference
 the tests hold the other tier to.  After that, the problem compiles the form
 into straight-line Python with the kernel's constants as literals, which
 performs the same operations in the same order without the per-branch loop
-overhead; the crossing-only form also leaves out the error and flag
-statements.  A compile costs as much as the time that 200 to 350 compiled
-sweeps save for a one-vector or crossing-only form (370 to 1 040 for two
-vectors), so the switch comes at 256 sweeps, near the break-even of the
+overhead, the one-vector form's early end of error measurement included; the
+crossing-only form also leaves out the error and flag statements.  A compile
+costs as much as the time that 350 to 440 compiled sweeps save for the
+one-vector form, 200 to 350 for the crossing-only form and 370 to 1 040 for
+two vectors, so the switch comes at 256 sweeps, near the break-even of the
 forms that run long, and short solves never reach it.
 
 Lower iterates started from the seed vector stay below the least fixed point,
@@ -44,7 +47,8 @@ total over its iteration and verification phases), `deadline` is a
 `observer(event, *payload)` is called with the solver's live vectors, which
 it must copy to keep:
 
-  ("iter", sweep, error, v)        after each `gsvi` sweep;
+  ("iter", sweep, error, v)        after each `gsvi` sweep, with the exact
+                                   error;
   ("ii", sweep, v, u)              after each interval-iteration sweep;
   ("guess", u)                     when `ovi` guesses an upper vector;
   ("verify", sweep, error, v, u, up, down, cross)
@@ -112,14 +116,17 @@ class BellmanProblem:
         return _compile_kernel(self.model)
 
     def sweep(self, order: Sequence[int], relative: bool, v: list[float],
-              u: list[float] | None = None, *,
-              crossing_only: bool = False) -> tuple[float, bool, bool, int] | int:
+              u: list[float] | None = None, *, crossing_only: bool = False,
+              stop: float = math.inf) -> tuple[float, bool, bool, int] | int:
         """One Gauss-Seidel sweep of this problem, as `_sweep` does it.
 
         There are three forms, told apart by the arguments:
 
         - one vector (`u` None): updates `v` and returns `_sweep`'s tuple,
-          (error, True, True, -1);
+          (error, True, True, -1).  Once the running error reaches `stop`,
+          the rest of the sweep updates its states without measuring their
+          gains, so the error is exact when it is below `stop` and is
+          otherwise some value >= `stop`;
         - two vectors: updates `v` and `u` and returns (error, up, down,
           cross);
         - crossing only (`u` given, `crossing_only` true), for interval
@@ -127,13 +134,16 @@ class BellmanProblem:
           returns only `cross`, the first state where `u` fell below `v`, or
           -1.  `relative` is not read.
 
+        The two-vector forms always measure exactly and do not read `stop`.
+
         Each form (with one error mode and one order object) runs `_sweep` for
         its first COMPILE_AFTER_SWEEPS sweeps, then switches to straight-line
         code compiled for it, which gives the same floats, flags and crossing.
         The switch at 256 is near the measured break-even of the forms that
-        run long: the one-vector and crossing-only forms repay their compile
-        after 200 to 350 compiled sweeps, the two-vector form after 370 to
-        1 040.  The order must not change while it is in use.
+        run long: the one-vector form repays its compile after 350 to 440
+        compiled sweeps, the crossing-only form after 200 to 350, the
+        two-vector form after 370 to 1 040.  The order must not change while
+        it is in use.
         """
         form = (u is not None, None if crossing_only else relative)
         tiers = self._tiers  # type: ignore[attr-defined]
@@ -141,10 +151,12 @@ class BellmanProblem:
         if tier is None or tier[0] is not order:
             tier = tiers[form] = [order, 0, None]
         compiled = tier[2]
+        if u is not None:
+            stop = math.inf  # the two-vector forms measure exactly
         if compiled:
-            return compiled(v, u)
+            return compiled(v, u) if u is not None else compiled(v, None, stop)
         maximize = self.opt == "max"
-        result = _sweep(self.kernel, order, maximize, relative, v, u)
+        result = _sweep(self.kernel, order, maximize, relative, v, u, stop)
         if compiled is None:
             tier[1] += 1
             if tier[1] >= COMPILE_AFTER_SWEEPS:
@@ -242,7 +254,8 @@ def _check_deadline(deadline: float | None) -> None:
 
 
 def _sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
-           v: list[float], u: list[float] | None = None) -> tuple[float, bool, bool, int]:
+           v: list[float], u: list[float] | None = None,
+           stop: float = math.inf) -> tuple[float, bool, bool, int]:
     """One Gauss-Seidel sweep over `order`, updating `v` (and `u`) in place.
 
     Returns (error, up, down, cross): the largest gain of `v`, relative to the
@@ -250,6 +263,11 @@ def _sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
     `u` value moved down, and whether none moved up; and the first state where
     `u` fell below `v`, or -1.  `u` is backed up in the same pass over each
     state's branches, with the sums and tie-breaks of a one-vector sweep.
+
+    Gains are measured only while the error is below `stop`: every gain below
+    it is seen, the first that reaches it lifts the error to at least `stop`,
+    and the error never falls, so the result is the exact error when that is
+    below `stop` and some value >= `stop` otherwise.
     """
     error = 0.0
     up = down = True
@@ -275,11 +293,12 @@ def _sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
             if cross < 0 and u_new < v_new:
                 cross = s
             u[s] = u_new
-        gain = v_new - v[s]
-        if relative:
-            gain = gain / v_new if v_new > 0 else 0.0
-        if gain > error:
-            error = gain
+        if error < stop:
+            gain = v_new - v[s]
+            if relative:
+                gain = gain / v_new if v_new > 0 else 0.0
+            if gain > error:
+                error = gain
         v[s] = v_new
     return error, up, down, cross
 
@@ -330,12 +349,16 @@ def _compile_sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relativ
     Every state of `order` becomes a few statements with its probabilities,
     rewards and targets as literals; the operations and their order are
     those of `_sweep`, so every float comes out bit-identical.  The
-    crossing-only form (two vectors) drops the per-state error, up and down
-    lines, and its sweep returns only the first crossing state.  The code is
-    compiled in blocks of about `_BLOCK_BRANCHES` branches, each a function
-    that the returned sweep calls in turn.  Returns None, and the caller
-    stays generic, when a state has no choice or a non-float or non-finite
-    constant: the source holds only `repr` of finite floats and int indices.
+    one-vector form guards each state's error lines with `if e < eps:`, the
+    `stop` test of `_sweep`, and its sweep takes the threshold as an optional
+    third argument that every block receives, so one compile serves any
+    threshold.  The crossing-only form (two vectors) drops the per-state
+    error, up and down lines, and its sweep returns only the first crossing
+    state.  The code is compiled in blocks of about `_BLOCK_BRANCHES`
+    branches, each a function that the returned sweep calls in turn.
+    Returns None, and the caller stays generic, when a state has no choice
+    or a non-float or non-finite constant: the source holds only `repr` of
+    finite floats and int indices.
     """
     if not all(type(s) is int and _compilable(kernel[s]) for s in order):
         return None
@@ -344,7 +367,7 @@ def _compile_sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relativ
     elif two_vectors:
         head, tail = "def block(v, u, e, up, dn, c):", "return e, up, dn, c"
     else:
-        head, tail = "def block(v, e):", "return e"
+        head, tail = "def block(v, e, eps):", "return e"
     namespace: dict = {"__builtins__": {}}
     blocks = []
     lines: list[str] = []
@@ -361,9 +384,10 @@ def _compile_sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relativ
             lines += [f"if m < n and c < 0: c = {s}",
                       f"u[{s}] = m"]
         if not crossing_only:
-            lines += [f"g = (n - v[{s}]) / n if n > 0 else 0.0" if relative
-                      else f"g = n - v[{s}]",
-                      "if g > e: e = g"]
+            gain = [f"g = (n - v[{s}]) / n if n > 0 else 0.0" if relative
+                    else f"g = n - v[{s}]",
+                    "if g > e: e = g"]
+            lines += gain if two_vectors else ["if e < eps:", *("    " + x for x in gain)]
         lines.append(f"v[{s}] = n")
         size += sum(len(branches) for branches in trs)
         if size >= _BLOCK_BRANCHES or i == len(order) - 1:
@@ -387,10 +411,11 @@ def _compile_sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relativ
                 e, up, dn, c = block(v, u, e, up, dn, c)
             return e, up, dn, c
     else:
-        def sweep(v: list[float], u: None = None) -> tuple[float, bool, bool, int]:
+        def sweep(v: list[float], u: None = None,
+                  stop: float = math.inf) -> tuple[float, bool, bool, int]:
             e = 0.0
             for block in blocks:
-                e = block(v, e)
+                e = block(v, e, stop)
             return e, True, True, -1
     return sweep
 
@@ -408,18 +433,24 @@ def gsvi(problem: BellmanProblem, values: list[float], criterion: ErrorCriterion
     absolute per the criterion; in relative mode states whose new value is 0
     contribute nothing.  Iteration stops once a sweep's error drops below
     epsilon_vi.  Started below the least fixed point it stays below it.
+
+    Without an observer, a sweep stops measuring gains once its error reaches
+    epsilon_vi (the `stop` of `BellmanProblem.sweep`): the sweep cannot end
+    the iteration then, and every vector and sweep count stays the same.  An
+    observer receives every sweep's exact error.
     """
     relative = criterion.mode == "relative"
     eps = criterion.epsilon_vi
     if order is None:
         order = problem.default_order()
+    stop = eps if observer is None else math.inf
     sweeps = 0
     while True:
         if sweeps >= max_sweeps:
             raise IterationCapExceeded(sweeps)
         _check_deadline(deadline)
         sweeps += 1
-        error = problem.sweep(order, relative, values)[0]
+        error = problem.sweep(order, relative, values, stop=stop)[0]
         if observer is not None:
             observer("iter", sweeps, error, values)
         if error < eps:

@@ -5,7 +5,7 @@ from typing import Callable
 
 import pytest
 
-from soundmdp import (Mdp, branch, generate_example_me, generate_random,
+from soundmdp import (Mdp, branch, generate_example_me, generate_random, generate_slow_chain,
                       make_goals_absorbing, strip_rewards, transition)
 
 
@@ -57,3 +57,13 @@ def me_both(me_doc):
 
 
 HALF = Fraction(1, 2)
+
+
+def trap_beside_chain(n: int = 1200) -> tuple[Mdp, list[int]]:
+    """The slow chain s0..sn (branch probability 1/2, goal sn) and, beside
+    it, an initial state whose only choice leads into a non-goal trap.  The
+    initial state's maximal expected reward is infinite, and the chain's
+    states make the global reward bound of interval iteration overflow."""
+    chain = generate_slow_chain(n, HALF).model
+    into_trap = (transition([branch(1, 1, n + 2)]),)
+    return Mdp(n + 3, n + 1, chain.transitions + (into_trap, into_trap)), [n]

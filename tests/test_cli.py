@@ -10,6 +10,8 @@ from soundmdp import ModelDocument, generate_example_me, generate_random, genera
 from soundmdp.bench import CSV_COLUMNS, read_result_csv, run_suite
 from soundmdp.cli import main
 
+from conftest import trap_beside_chain
+
 
 @pytest.fixture()
 def me_file(tmp_path):
@@ -107,6 +109,32 @@ def test_bench_rejects_bad_options_up_front(me_file, tmp_path, capsys):
     assert main(["bench", str(suite), "-o", str(tmp_path / "bad.csv"), "--timeout", "0"]) == 2
     assert capsys.readouterr().err == "error: timeout must be a positive number, not 0.0\n"
     assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--reps", "0"), ("--reps", "-3"),
+                                         ("--jobs", "0"), ("--jobs", "-2")])
+def test_bench_rejects_counts_below_one(me_file, tmp_path, capsys, flag, value):
+    # These used to run and write reps=0 or jobs=0 into the CSV header.
+    suite = tmp_path / "ok.suite"
+    suite.write_text(f"{me_file.name} --prop pmax --goal s+\n")
+    out_csv = tmp_path / "out.csv"
+    assert main(["bench", str(suite), "-o", str(out_csv), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag[2:]} must be a positive integer, not {value}\n"
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("method", ["ovi", "ii"])
+def test_solve_decided_reward_request_without_a_finite_bound(tmp_path, capsys, method):
+    model, goals = trap_beside_chain()
+    path = tmp_path / "trap.mdpx"
+    path.write_text(write_explicit(ModelDocument(model, {}, frozenset(goals))))
+    assert main(["solve", str(path), "--prop", "emax", "--method", method]) == 0
+    out = capsys.readouterr().out
+    assert "result      inf\n" in out
+    assert "certified   yes (ok)\n" in out
+    assert "sweeps      0 " in out
 
 
 def test_bench_suite_and_exit_codes(me_file, tmp_path, capsys):

@@ -11,7 +11,7 @@ from soundmdp import (Mdp, PipelineError, SolveOptions, SolveTimeout, SolverErro
                       rebase_initial, solve, strip_rewards)
 from soundmdp.graph import goal_distance_order
 
-from conftest import HALF, trap_instance
+from conftest import HALF, trap_beside_chain, trap_instance
 
 
 def test_pipeline_pmax_golden_run(me_doc):
@@ -234,6 +234,22 @@ def test_decided_request_computes_no_order(me_doc, monkeypatch):
     calls = _spy(monkeypatch, "goal_distance_order", goal_distance_order)
     solve(chain.model, make_property("emax", [10]), SolveOptions(method="ovi"))
     assert calls == [[9, 8, 7, 6, 5, 4, 3, 2, 1, 0]]
+
+
+@pytest.mark.parametrize("method", ["ovi", "ii"])
+def test_decided_reward_request_needs_no_upper_start(method):
+    # s-infinity decides the initial state, so no sweep runs and interval
+    # iteration needs no reward bound, which the chain beside it makes
+    # infinite.
+    model, goals = trap_beside_chain()
+    prop = make_property("emax", goals)
+    out = solve(model, prop, SolveOptions(method=method)).outcome
+    assert (out.value, out.lower_bound, out.upper_bound) == (math.inf,) * 3
+    assert out.certified and out.status == "ok" and out.iterations == 0
+    if method == "ii":
+        # From the chain's own start the request is undecided and still fails.
+        with pytest.raises(SolverError, match="no finite reward upper bound"):
+            solve(rebase_initial(model, 0), prop, SolveOptions(method=method))
 
 
 def test_goal_distance_order_reproduces(me_doc):

@@ -67,21 +67,25 @@ def hexes(vec):
     return [x.hex() for x in vec]
 
 
-@pytest.mark.parametrize("relative", [True, False])
-@pytest.mark.parametrize("opt", ["max", "min"])
-@pytest.mark.parametrize("seed", range(8))
-def test_sweep_two_vectors_match_one_vector_sweeps(seed, opt, relative):
-    # Even seeds give probability problems (zero values exercise the
-    # relative rule), odd seeds reward problems (inf seeds at s_inf, rewards
-    # zero and non-zero).  The compiled forms must match `_sweep` bit for bit.
+def random_problem(seed, opt):
+    """Even seeds give probability problems (zero values exercise the
+    relative rule), odd seeds reward problems (inf seeds at s_inf, rewards
+    zero and non-zero)."""
     doc = generate_random(seed, 6 + seed, 3, 3, 4, 1)
     model = make_goals_absorbing(doc.model, doc.declared_goals)
     goals = sorted(doc.declared_goals)
     if seed % 2 == 0:
         model = strip_rewards(model)
-        problem = probability_problem(model, goals, opt, fixed_zero=prob0_set(model, goals, opt))
-    else:
-        problem = reward_problem(model, goals, opt, s_infinity(model, goals, opt))
+        return probability_problem(model, goals, opt, fixed_zero=prob0_set(model, goals, opt))
+    return reward_problem(model, goals, opt, s_infinity(model, goals, opt))
+
+
+@pytest.mark.parametrize("relative", [True, False])
+@pytest.mark.parametrize("opt", ["max", "min"])
+@pytest.mark.parametrize("seed", range(8))
+def test_sweep_two_vectors_match_one_vector_sweeps(seed, opt, relative):
+    # The compiled forms must match `_sweep` bit for bit.
+    problem = random_problem(seed, opt)
     maximize = opt == "max"
     rng = random.Random(seed)
     shuffled = problem.default_order()
@@ -115,6 +119,53 @@ def test_sweep_two_vectors_match_one_vector_sweeps(seed, opt, relative):
             assert compiled[0].hex() == error.hex() and compiled[1:] == (up, down, cross)
             assert crossing(v_cross, u_cross) == cross
             assert hexes(v_cross) == hexes(v) and hexes(u_cross) == hexes(u)
+
+
+@pytest.mark.parametrize("relative", [True, False])
+@pytest.mark.parametrize("opt", ["max", "min"])
+@pytest.mark.parametrize("seed", range(12))
+def test_one_vector_sweep_measures_the_error_up_to_stop(seed, opt, relative):
+    # Both tiers skip the same gains for every stop, so they return the same
+    # float; it is the exact error below stop and at least stop otherwise,
+    # and the vector never depends on stop.
+    problem = random_problem(seed, opt)
+    maximize = opt == "max"
+    order = problem.default_order()
+    random.Random(seed).shuffle(order)
+    compiled = _compile_sweep(problem.kernel, order, maximize, relative, False)
+    v = problem.initial_vector()
+    for _ in range(6):
+        v_exact = list(v)
+        exact = _sweep(problem.kernel, order, maximize, relative, v_exact)[0]
+        stops = (math.inf, exact, math.nextafter(exact, -math.inf),
+                 math.nextafter(exact, math.inf), 0.5 * exact, 2.0 * exact)
+        for stop in stops:
+            v_generic, v_compiled = list(v), list(v)
+            generic = _sweep(problem.kernel, order, maximize, relative, v_generic, stop=stop)
+            fast = compiled(v_compiled, None, stop)
+            assert fast[0].hex() == generic[0].hex()
+            assert fast[1:] == generic[1:] == (True, True, -1)
+            assert hexes(v_generic) == hexes(v_compiled) == hexes(v_exact)
+            if exact < stop:
+                assert generic[0].hex() == exact.hex()
+            else:
+                assert generic[0] >= stop
+        v = v_exact
+
+
+def test_sweep_past_stop_measures_no_more_gains():
+    # s0 gains 1 and s1 gains 2 in the first sweep: once the error has
+    # reached stop at s0, the sweep stops measuring, and still updates s1.
+    model = mdp_of(0, [[(1, 1, 2)]], [[(1, 2, 2)]], [[(1, 0, 2)]])
+    problem = reward_problem(model, [2], "max", [])
+    order = problem.default_order()
+    compiled = _compile_sweep(problem.kernel, order, True, False, False)
+    for sweep in (lambda v, stop: _sweep(problem.kernel, order, True, False, v, stop=stop),
+                  lambda v, stop: compiled(v, None, stop)):
+        for stop, error in ((0.5, 1.0), (1.0, 1.0), (math.nextafter(1.0, 2.0), 2.0),
+                            (math.inf, 2.0)):
+            v = problem.initial_vector()
+            assert sweep(v, stop) == (error, True, True, -1) and v == [1.0, 2.0, 0.0]
 
 
 def test_problem_sweep_compiles_each_form_after_the_threshold(me0, monkeypatch):
@@ -263,6 +314,43 @@ def test_observers_get_the_live_vectors(me0):
     verifies = [event for event in sent if event[0] == "verify"]
     guesses = [event[1] for event in sent if event[0] == "guess"]
     assert verifies and all(any(event[4] is u for u in guesses) for event in verifies)
+
+
+@pytest.mark.parametrize("compile_after", [solvers.COMPILE_AFTER_SWEEPS, 2])
+@pytest.mark.parametrize("mode", ["relative", "absolute"])
+def test_gsvi_observer_changes_nothing_and_sees_exact_errors(mode, compile_after,
+                                                              monkeypatch):
+    # chain-16 runs far past the switch to the compiled tier.  Without an
+    # observer every sweep stops measuring at epsilon_vi; with one it
+    # measures exactly.  Sweep count and vector agree to the last bit, and
+    # the observed errors are those of sweeps that measure everything.
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", compile_after)
+    stops = []
+    real_sweep = solvers.BellmanProblem.sweep
+
+    def spy(self, *args, stop=math.inf, **kwargs):
+        stops.append(stop)
+        return real_sweep(self, *args, stop=stop, **kwargs)
+
+    monkeypatch.setattr(solvers.BellmanProblem, "sweep", spy)
+    doc = generate_slow_chain(16, Fraction(2, 3))
+    goals = sorted(doc.declared_goals)
+    model = make_goals_absorbing(doc.model, goals)
+    criterion = ErrorCriterion(mode, 1e-9)
+    quiet, watched = (reward_problem(model, goals, "max", []) for _ in range(2))
+    v_quiet, v_watched = quiet.initial_vector(), watched.initial_vector()
+    sweeps = gsvi(quiet, v_quiet, criterion)
+    assert sweeps > 256 and set(stops) == {1e-9}
+    stops.clear()
+    events: list = []
+    assert gsvi(watched, v_watched, criterion, observer=record(events)) == sweeps
+    assert set(stops) == {math.inf}
+    assert hexes(v_quiet) == hexes(v_watched)
+    v = watched.initial_vector()
+    for _, _, error, _ in events:
+        assert _sweep(watched.kernel, watched.default_order(), True, mode == "relative",
+                      v)[0].hex() == error.hex()
+    assert hexes(v) == hexes(v_watched)
 
 
 def test_gsvi_termination_gap(me0):
