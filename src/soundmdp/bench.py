@@ -78,6 +78,8 @@ class RunRequest:
 
 def request_from_args(args: argparse.Namespace, base_dir: Path,
                       default_id: str | None = None, timeout: float | None = None) -> RunRequest:
+    if not (args.epsilon > 0 and math.isfinite(args.epsilon)):
+        raise PipelineError(f"epsilon must be a positive finite real, not {args.epsilon!r}")
     options = SolveOptions(method=args.method, precomp=args.precomp, ec_elim=args.ec_elim,
                            error_mode=args.error, epsilon_vi=args.epsilon_vi,
                            max_sweeps=args.max_sweeps, order=args.order, timeout=timeout)

@@ -20,17 +20,19 @@ in one pass over each state's branches, and read the error, the up/down
 flags and the first crossing state; interval iteration sweeps both vectors
 the same way but reads only the crossing state.
 
-Each form has two tiers.  `_sweep` loops over the kernel's branch tuples; it
-runs the first COMPILE_AFTER_SWEEPS sweeps of each form and is the reference
-the tests hold the other tier to.  After that, the problem compiles the form
-into straight-line Python with the kernel's constants as literals, which
-performs the same operations in the same order without the per-branch loop
-overhead, the one-vector form's early end of error measurement included; the
+`_sweep` loops over the kernel's branch tuples and runs every form; it is
+the reference the tests hold compiled sweeps to.  The two forms that run
+long, the one-vector and the crossing-only form, have a second tier: after
+their first COMPILE_AFTER_SWEEPS sweeps, the problem compiles the form into
+straight-line Python with the kernel's constants as literals, which performs
+the same operations in the same order without the per-branch loop overhead,
+the one-vector form's early end of error measurement included; the
 crossing-only form also leaves out the error and flag statements.  A compile
 costs as much as the time that 350 to 440 compiled sweeps save for the
-one-vector form, 200 to 350 for the crossing-only form and 370 to 1 040 for
-two vectors, so the switch comes at 256 sweeps, near the break-even of the
-forms that run long, and short solves never reach it.
+one-vector form and 200 to 350 for the crossing-only form, so the switch
+comes at 256 sweeps and short solves never reach it.  OVI's verification
+phases prove or refute a guess within a few sweeps, far fewer than a compile
+of theirs would need to pay for itself, so they always run `_sweep`.
 
 Lower iterates started from the seed vector stay below the least fixed point,
 so a plain VI result is only a lower bound with no error guarantee.  The sound
@@ -105,9 +107,9 @@ class BellmanProblem:
             raise SolverError(f"unknown opt {self.opt!r}")
         if len(self.seed) != self.model.num_states:
             raise SolverError("seed vector length does not match the state count")
-        # Per form (two vectors, relative or None for crossing only): [order,
-        # generic sweeps run, the compiled sweep; None until the switch, False
-        # if it cannot compile].
+        # Per compiled form (relative for one vector, None for crossing only):
+        # [order, generic sweeps run, the compiled sweep; None until the
+        # switch, False if it cannot compile].
         object.__setattr__(self, "_tiers", {})
 
     @cached_property
@@ -134,34 +136,35 @@ class BellmanProblem:
           returns only `cross`, the first state where `u` fell below `v`, or
           -1.  `relative` is not read.
 
-        The two-vector forms always measure exactly and do not read `stop`.
+        The two-vector forms measure exactly; `stop` changes nothing there.
 
-        Each form (with one error mode and one order object) runs `_sweep` for
-        its first COMPILE_AFTER_SWEEPS sweeps, then switches to straight-line
-        code compiled for it, which gives the same floats, flags and crossing.
-        The switch at 256 is near the measured break-even of the forms that
-        run long: the one-vector form repays its compile after 350 to 440
-        compiled sweeps, the crossing-only form after 200 to 350, the
-        two-vector form after 370 to 1 040.  The order must not change while
-        it is in use.
+        The two-vector form, which OVI's verification phases run for a few
+        sweeps per guess, always runs `_sweep`.  The other two forms (with
+        one error mode and one order object) run `_sweep` for their first
+        COMPILE_AFTER_SWEEPS sweeps, then switch to straight-line code
+        compiled for them, which gives the same floats and crossing.  The
+        switch at 256 is near the measured break-even: the one-vector form
+        repays its compile after 350 to 440 compiled sweeps, the
+        crossing-only form after 200 to 350.  The order must not change
+        while it is in use.
         """
-        form = (u is not None, None if crossing_only else relative)
+        maximize = self.opt == "max"
+        if u is not None and not crossing_only:
+            return _sweep(self.kernel, order, maximize, relative, v, u)
+        form = None if crossing_only else relative
         tiers = self._tiers  # type: ignore[attr-defined]
         tier = tiers.get(form)
         if tier is None or tier[0] is not order:
             tier = tiers[form] = [order, 0, None]
         compiled = tier[2]
-        if u is not None:
-            stop = math.inf  # the two-vector forms measure exactly
         if compiled:
-            return compiled(v, u) if u is not None else compiled(v, None, stop)
-        maximize = self.opt == "max"
+            return compiled(v, u) if crossing_only else compiled(v, stop)
         result = _sweep(self.kernel, order, maximize, relative, v, u, stop)
         if compiled is None:
             tier[1] += 1
             if tier[1] >= COMPILE_AFTER_SWEEPS:
                 tier[2] = _compile_sweep(self.kernel, order, maximize, relative,
-                                         u is not None, crossing_only) or False
+                                         crossing_only) or False
         return result[3] if crossing_only else result
 
     def initial_vector(self) -> list[float]:
@@ -200,6 +203,10 @@ class ErrorCriterion:
     def __post_init__(self) -> None:
         if self.mode not in ("relative", "absolute"):
             raise SolverError(f"unknown error mode {self.mode!r}")
+        # SolveOptions' rule for epsilon-vi: one of 0 or below, or NaN, is never
+        # met, and gsvi would run to its cap.
+        if not (self.epsilon_vi > 0 and math.isfinite(self.epsilon_vi)):
+            raise SolverError(f"epsilon_vi must be a positive finite real, not {self.epsilon_vi!r}")
 
 
 @dataclass
@@ -343,17 +350,17 @@ def _compilable(trs: tuple) -> bool:
 
 
 def _compile_sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
-                   two_vectors: bool, crossing_only: bool = False) -> Callable | None:
-    """`_sweep` for one form, unrolled into straight-line Python.
+                   crossing_only: bool) -> Callable | None:
+    """`_sweep`'s one-vector or crossing-only form, unrolled into straight-line Python.
 
     Every state of `order` becomes a few statements with its probabilities,
     rewards and targets as literals; the operations and their order are
     those of `_sweep`, so every float comes out bit-identical.  The
     one-vector form guards each state's error lines with `if e < eps:`, the
-    `stop` test of `_sweep`, and its sweep takes the threshold as an optional
-    third argument that every block receives, so one compile serves any
-    threshold.  The crossing-only form (two vectors) drops the per-state
-    error, up and down lines, and its sweep returns only the first crossing
+    `stop` test of `_sweep`; its sweep, `sweep(v, stop)`, passes the
+    threshold to every block, so one compile serves any threshold.  The
+    crossing-only form backs up both vectors without any error, up or down
+    line, and its sweep, `sweep(v, u)`, returns only the first crossing
     state.  The code is compiled in blocks of about `_BLOCK_BRANCHES`
     branches, each a function that the returned sweep calls in turn.
     Returns None, and the caller stays generic, when a state has no choice
@@ -364,8 +371,6 @@ def _compile_sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relativ
         return None
     if crossing_only:
         head, tail = "def block(v, u, c):", "return c"
-    elif two_vectors:
-        head, tail = "def block(v, u, e, up, dn, c):", "return e, up, dn, c"
     else:
         head, tail = "def block(v, e, eps):", "return e"
     namespace: dict = {"__builtins__": {}}
@@ -375,19 +380,15 @@ def _compile_sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relativ
     for i, s in enumerate(order):
         trs = kernel[s]
         lines += _best_lines(trs, "v", "n", maximize)
-        if two_vectors:
-            lines += _best_lines(trs, "u", "m", maximize)
-            if not crossing_only:
-                lines += [f"x = u[{s}]",
-                          "if m < x: up = False",
-                          "elif m > x: dn = False"]
-            lines += [f"if m < n and c < 0: c = {s}",
+        if crossing_only:
+            lines += [*_best_lines(trs, "u", "m", maximize),
+                      f"if m < n and c < 0: c = {s}",
                       f"u[{s}] = m"]
-        if not crossing_only:
-            gain = [f"g = (n - v[{s}]) / n if n > 0 else 0.0" if relative
-                    else f"g = n - v[{s}]",
-                    "if g > e: e = g"]
-            lines += gain if two_vectors else ["if e < eps:", *("    " + x for x in gain)]
+        else:
+            lines += ["if e < eps:",
+                      f"    g = (n - v[{s}]) / n if n > 0 else 0.0" if relative
+                      else f"    g = n - v[{s}]",
+                      "    if g > e: e = g"]
         lines.append(f"v[{s}] = n")
         size += sum(len(branches) for branches in trs)
         if size >= _BLOCK_BRANCHES or i == len(order) - 1:
@@ -404,15 +405,8 @@ def _compile_sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relativ
             for block in blocks:
                 c = block(v, u, c)
             return c
-    elif two_vectors:
-        def sweep(v: list[float], u: list[float]) -> tuple[float, bool, bool, int]:
-            e, up, dn, c = 0.0, True, True, -1
-            for block in blocks:
-                e, up, dn, c = block(v, u, e, up, dn, c)
-            return e, up, dn, c
     else:
-        def sweep(v: list[float], u: None = None,
-                  stop: float = math.inf) -> tuple[float, bool, bool, int]:
+        def sweep(v: list[float], stop: float) -> tuple[float, bool, bool, int]:
             e = 0.0
             for block in blocks:
                 e = block(v, e, stop)

@@ -75,13 +75,18 @@ def test_solve_reports_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags, message", [
+    (["--epsilon", "nan"], "epsilon must be a positive finite real, not nan"),
+    (["--epsilon", "0"], "epsilon must be a positive finite real, not 0.0"),
+    (["--epsilon=-1"], "epsilon must be a positive finite real, not -1.0"),
+    (["--epsilon", "inf"], "epsilon must be a positive finite real, not inf"),
     (["--epsilon-vi", "nan"], "epsilon-vi must be a positive finite real, not nan"),
     (["--epsilon-vi", "0"], "epsilon-vi must be a positive finite real, not 0.0"),
     (["--epsilon-vi=-1e-3"], "epsilon-vi must be a positive finite real, not -0.001"),
     (["--max-sweeps", "-5"], "max-sweeps must be a positive integer, not -5"),
     (["--max-sweeps", "0"], "max-sweeps must be a positive integer, not 0"),
     (["--order", "bogus"], "unknown iteration order 'bogus'"),
-], ids=["epsilon-vi-nan", "epsilon-vi-zero", "epsilon-vi-negative", "max-sweeps-negative",
+], ids=["epsilon-nan", "epsilon-zero", "epsilon-negative", "epsilon-inf",
+        "epsilon-vi-nan", "epsilon-vi-zero", "epsilon-vi-negative", "max-sweeps-negative",
         "max-sweeps-zero", "order-bogus"])
 @pytest.mark.parametrize("prop", ["pmax", "emax"])
 def test_solve_rejects_bad_options_up_front(me_file, capsys, flags, message, prop):
@@ -97,13 +102,27 @@ def test_solve_rejects_bad_options_up_front(me_file, capsys, flags, message, pro
     assert captured.err == f"error: {message}\n"
 
 
+def test_solve_checks_epsilon_before_reading_the_model(tmp_path, capsys):
+    # A bad --epsilon is a usage error (exit 2), reported ahead of the
+    # missing file that it used to wait for.
+    code = main(["solve", str(tmp_path / "missing.mdpx"), "--prop", "pmax", "--epsilon", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: epsilon must be a positive finite real, not 0.0\n"
+
+
 def test_bench_rejects_bad_options_up_front(me_file, tmp_path, capsys):
+    # A bad option fails the whole suite at its line, not as an error row.
     suite = tmp_path / "bad.suite"
-    suite.write_text(f"{me_file.name} --prop pmax --goal s+\n"
-                     f"{me_file.name} --prop pmax --goal s+ --epsilon-vi nan\n")
-    assert main(["bench", str(suite), "-o", str(tmp_path / "bad.csv")]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {suite}:2: epsilon-vi must be a positive finite real, not nan\n")
+    for flag, message in [
+            ("--epsilon-vi nan", "epsilon-vi must be a positive finite real, not nan"),
+            ("--epsilon 0", "epsilon must be a positive finite real, not 0.0"),
+            ("--epsilon nan", "epsilon must be a positive finite real, not nan"),
+            ("--epsilon=-1", "epsilon must be a positive finite real, not -1.0"),
+            ("--epsilon inf", "epsilon must be a positive finite real, not inf")]:
+        suite.write_text(f"{me_file.name} --prop pmax --goal s+\n"
+                         f"{me_file.name} --prop pmax --goal s+ {flag}\n")
+        assert main(["bench", str(suite), "-o", str(tmp_path / "bad.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {suite}:2: {message}\n"
     # A zero timeout used to mean no limit at all.
     suite.write_text(f"{me_file.name} --prop pmax --goal s+\n")
     assert main(["bench", str(suite), "-o", str(tmp_path / "bad.csv"), "--timeout", "0"]) == 2

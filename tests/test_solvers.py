@@ -84,7 +84,8 @@ def random_problem(seed, opt):
 @pytest.mark.parametrize("opt", ["max", "min"])
 @pytest.mark.parametrize("seed", range(8))
 def test_sweep_two_vectors_match_one_vector_sweeps(seed, opt, relative):
-    # The compiled forms must match `_sweep` bit for bit.
+    # `_sweep`'s two-vector form must match two one-vector sweeps, and the
+    # two compiled forms must match `_sweep` bit for bit.
     problem = random_problem(seed, opt)
     maximize = opt == "max"
     rng = random.Random(seed)
@@ -92,31 +93,25 @@ def test_sweep_two_vectors_match_one_vector_sweeps(seed, opt, relative):
     rng.shuffle(shuffled)
     for order in (shuffled, problem.default_order(), problem.default_order()[::-1]):
         one = _compile_sweep(problem.kernel, order, maximize, relative, False)
-        two = _compile_sweep(problem.kernel, order, maximize, relative, True)
-        crossing = _compile_sweep(problem.kernel, order, maximize, relative, True,
-                                  crossing_only=True)
-        assert one is not None and two is not None and crossing is not None
+        crossing = _compile_sweep(problem.kernel, order, maximize, relative, True)
+        assert one is not None and crossing is not None
         v = problem.initial_vector()
         # The upper start may lie below v somewhere, so crossings occur too.
         u = [x + rng.uniform(-1.0, 3.0) if s in problem.unknowns else x for s, x in enumerate(v)]
         for _ in range(4):
             v_alone, u_alone, u_before = list(v), list(u), list(u)
-            v_one, v_two, u_two = list(v), list(v), list(u)
-            v_cross, u_cross = list(v), list(u)
+            v_one, v_cross, u_cross = list(v), list(v), list(u)
             error, up, down, cross = _sweep(problem.kernel, order, maximize, relative, v, u)
             alone = _sweep(problem.kernel, order, maximize, relative, v_alone)
             _sweep(problem.kernel, order, maximize, relative, u_alone)
-            assert v == v_alone and error == alone[0]
-            assert u == u_alone
+            assert hexes(v) == hexes(v_alone) and error.hex() == alone[0].hex()
+            assert hexes(u) == hexes(u_alone)
             assert up == all(u[s] >= u_before[s] for s in order)
             assert down == all(u[s] <= u_before[s] for s in order)
             assert cross == next((s for s in order if u[s] < v[s]), -1)
-            compiled_alone = one(v_one)
+            compiled_alone = one(v_one, math.inf)
             assert hexes(v_one) == hexes(v_alone)
             assert compiled_alone[0].hex() == alone[0].hex() and compiled_alone[1:] == alone[1:]
-            compiled = two(v_two, u_two)
-            assert hexes(v_two) == hexes(v) and hexes(u_two) == hexes(u)
-            assert compiled[0].hex() == error.hex() and compiled[1:] == (up, down, cross)
             assert crossing(v_cross, u_cross) == cross
             assert hexes(v_cross) == hexes(v) and hexes(u_cross) == hexes(u)
 
@@ -142,7 +137,7 @@ def test_one_vector_sweep_measures_the_error_up_to_stop(seed, opt, relative):
         for stop in stops:
             v_generic, v_compiled = list(v), list(v)
             generic = _sweep(problem.kernel, order, maximize, relative, v_generic, stop=stop)
-            fast = compiled(v_compiled, None, stop)
+            fast = compiled(v_compiled, stop)
             assert fast[0].hex() == generic[0].hex()
             assert fast[1:] == generic[1:] == (True, True, -1)
             assert hexes(v_generic) == hexes(v_compiled) == hexes(v_exact)
@@ -161,7 +156,7 @@ def test_sweep_past_stop_measures_no_more_gains():
     order = problem.default_order()
     compiled = _compile_sweep(problem.kernel, order, True, False, False)
     for sweep in (lambda v, stop: _sweep(problem.kernel, order, True, False, v, stop=stop),
-                  lambda v, stop: compiled(v, None, stop)):
+                  compiled):
         for stop, error in ((0.5, 1.0), (1.0, 1.0), (math.nextafter(1.0, 2.0), 2.0),
                             (math.inf, 2.0)):
             v = problem.initial_vector()
@@ -182,20 +177,21 @@ def test_problem_sweep_compiles_each_form_after_the_threshold(me0, monkeypatch):
         assert problem.sweep(order, True, v) == want
         assert v == v_ref
     assert len(generic) == 3
+    # OVI's two-vector form never compiles: every sweep of it is generic.
     for _ in range(6):
         want = real_sweep(reference.kernel, order, True, False, v_ref, u_ref)
         assert problem.sweep(order, False, v, u) == want
         assert (v, u) == (v_ref, u_ref)
-    assert len(generic) == 6
+    assert len(generic) == 9
     # The other error mode, and a new order object, are new forms that start
     # generic again.
     want = real_sweep(reference.kernel, order, True, False, v_ref)
     assert problem.sweep(order, False, v) == want
-    assert len(generic) == 7
+    assert len(generic) == 10
     problem.sweep(list(order), True, v)
-    assert len(generic) == 8
+    assert len(generic) == 11
     # Interval iteration's crossing-only form is a form of its own: it starts
-    # generic although the two-vector form has compiled, switches at the
+    # generic although a one-vector form has compiled, switches at the
     # threshold, and returns only the crossing state.
     v, u = problem.initial_vector(), [1.0] * 5
     v_ref, u_ref = list(v), list(u)
@@ -204,7 +200,38 @@ def test_problem_sweep_compiles_each_form_after_the_threshold(me0, monkeypatch):
         got = problem.sweep(order, False, v, u, crossing_only=True)
         assert type(got) is int and got == want
         assert (v, u) == (v_ref, u_ref)
-        assert len(generic) == 8 + min(k + 1, 3)
+        assert len(generic) == 11 + min(k + 1, 3)
+
+
+@pytest.mark.parametrize("mode", ["relative", "absolute"])
+def test_verification_sweeps_never_compile(mode, monkeypatch):
+    # OVI's two-vector sweeps always run `_sweep`: even at threshold 1 only
+    # the one-vector form reaches `_compile_sweep`, no generated source holds
+    # the up/down flags, and the outcome is that of the default threshold.
+    # A reward problem whose ovi certifies after 19 (relative) or 3
+    # (absolute) verification sweeps.
+    prop = make_property("emax", generate_random(7, 13, 3, 3, 4, 1).declared_goals)
+
+    def run():
+        o = ovi(random_problem(7, "max"), ErrorCriterion(mode), prop)
+        return (o.value.hex(), o.lower_bound.hex(), o.upper_bound.hex(), o.iterations,
+                o.verification_phases, o.cancelled_verifications, o.status)
+
+    expected = run()
+    forms, sources, generic_two = [], [], []
+    real_compile_sweep, real_sweep = solvers._compile_sweep, solvers._sweep
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 1)
+    monkeypatch.setattr(solvers, "_compile_sweep",
+                        lambda *args: forms.append(args[4]) or real_compile_sweep(*args))
+    monkeypatch.setattr(solvers, "compile", lambda source, *args: sources.append(source)
+                        or compile(source, *args), raising=False)
+    monkeypatch.setattr(solvers, "_sweep", lambda *args: generic_two.append(args[5] is not None)
+                        or real_sweep(*args))
+    assert run() == expected and expected[-1] == "ok"
+    # Every two-vector sweep ran generic, and there were several of them.
+    assert sum(generic_two) > 1
+    assert forms == [False] and sources
+    assert not any("up" in source or "dn" in source for source in sources)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -221,8 +248,8 @@ def test_non_finite_kernel_constants_stay_generic(bad, field, monkeypatch):
               (Transition((Branch(1.0, 0.0, 1, one, zero),)),))
     problem = reward_problem(Mdp(2, 0, states), [1], "max", [])
     order = problem.default_order()
-    assert _compile_sweep(problem.kernel, order, True, False, False) is None
-    assert _compile_sweep(problem.kernel, order, True, False, True) is None
+    assert _compile_sweep(problem.kernel, order, True, False, crossing_only=False) is None
+    assert _compile_sweep(problem.kernel, order, True, False, crossing_only=True) is None
     v, v_ref = problem.initial_vector(), problem.initial_vector()
     for _ in range(3):
         got = problem.sweep(order, False, v)
@@ -242,15 +269,19 @@ def test_compiled_sweep_splits_long_sums_and_many_choices():
     for opt in ("max", "min"):
         problem = reward_problem(model, [6], opt, [])
         order = problem.default_order()
-        for two_vectors in (False, True):
-            compiled = _compile_sweep(problem.kernel, order, opt == "max", True, two_vectors)
+        for crossing_only in (False, True):
+            compiled = _compile_sweep(problem.kernel, order, opt == "max", True, crossing_only)
             v, v_ref = problem.initial_vector(), problem.initial_vector()
-            u, u_ref = ([10.0] * 7, [10.0] * 7) if two_vectors else (None, None)
+            u, u_ref = [10.0] * 7, [10.0] * 7
             for _ in range(3):
-                got = compiled(v, u)
-                want = _sweep(problem.kernel, order, opt == "max", True, v_ref, u_ref)
-                assert got[0].hex() == want[0].hex() and got[1:] == want[1:]
-                assert hexes(v) == hexes(v_ref) and u == u_ref
+                if crossing_only:
+                    got = compiled(v, u)
+                    assert got == _sweep(problem.kernel, order, opt == "max", True, v_ref, u_ref)[3]
+                else:
+                    got = compiled(v, math.inf)
+                    want = _sweep(problem.kernel, order, opt == "max", True, v_ref)
+                    assert got[0].hex() == want[0].hex() and got[1:] == want[1:]
+                assert hexes(v) == hexes(v_ref) and hexes(u) == hexes(u_ref)
 
 
 def test_threads_sharing_a_problem_get_identical_outcomes(monkeypatch):
@@ -361,6 +392,21 @@ def test_gsvi_termination_gap(me0):
     exact = oracle_exact(me0, make_property("pmax", [1]))
     assert exact == Fraction(1, 2)
     assert float(exact) - v[0] == pytest.approx(0.08, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-3, math.inf])
+def test_solvers_reject_an_error_threshold_that_is_never_met(me0, bad):
+    # A NaN, zero or negative epsilon_vi used to let gsvi run to its sweep
+    # cap, and ovi to report no-certificate after it.
+    problem = golden_problem(me0)
+    prop = make_property("pmax", [1], 0.05, "absolute")
+    runs = (lambda c: gsvi(problem, problem.initial_vector(), c, max_sweeps=5000),
+            lambda c: plain_vi(problem, c, max_sweeps=5000),
+            lambda c: ovi(problem, c, prop, max_sweeps=5000))
+    for run in runs:
+        for mode in ("relative", "absolute"):
+            with pytest.raises(SolverError, match="epsilon_vi must be a positive finite real"):
+                run(ErrorCriterion(mode, bad))
 
 
 def test_gsvi_fixed_point_stops_in_one_sweep(me0):
@@ -609,7 +655,7 @@ def test_interval_iteration_names_the_first_crossing_state(order, first, monkeyp
         # sweep of interval iteration, at the unreachable one the generic
         # form does.
         problem.sweep(order, False, problem.initial_vector(), [0.5] * 4, crossing_only=True)
-        assert bool(problem._tiers[(True, None)][2]) == (threshold == 1)
+        assert bool(problem._tiers[None][2]) == (threshold == 1)
         with pytest.raises(SolverError, match=f"crossed at state {first}:"):
             interval_iteration(problem, make_property("pmax", [3], 0.05, "absolute"),
                                [0.5] * 4, order)
