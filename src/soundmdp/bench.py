@@ -17,7 +17,6 @@ import io
 import math
 import shlex
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -212,6 +211,9 @@ def run_suite(suite_path: Path, output_path: Path, reps: int = 3,
         req.options = dataclasses.replace(req.options, timeout=timeout)
     all_reps = [reps] * len(requests)
     if jobs > 1:
+        # Imported here: the process pool loads concurrent.futures.process and
+        # multiprocessing, which no `soundmdp solve` needs.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_request_row, requests, all_reps))
     else:

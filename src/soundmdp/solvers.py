@@ -3,36 +3,40 @@
 All solvers work on a BellmanProblem: the model, the optimization direction,
 the set of unknown states S? that sweeps update, and the seed vector holding
 the fixed values of everything else (goal states, probability-0 states,
-infinite-reward states).  Every iterative solver advances through one
-primitive, `BellmanProblem.sweep`: a Gauss-Seidel sweep that updates its
-vectors in place, so within a sweep later states already see this sweep's
-earlier updates; iteration order therefore matters and is part of the call.
-A solver given no order sweeps the unknowns by id (`default_order`); the
-pipeline passes its own, by default the unknowns sorted by their distance
-from the goals (`graph.goal_distance_order`).  On the slow chains, whose
-values flow back from the goal against id order, that order needs a half
-to a tenth of the sweeps.
-The sweep has three forms: `gsvi` sweeps a lower vector alone and reads the
-error, which it measures only up to epsilon_vi (beyond that the sweep cannot
-end the iteration, so the rest of it updates states without measuring their
-gains); OVI's verification phases sweep a lower and an upper vector together,
-in one pass over each state's branches, and read the error, the up/down
-flags and the first crossing state; interval iteration sweeps both vectors
-the same way but reads only the crossing state.
+infinite-reward states).  Every iterative solver advances by Gauss-Seidel
+sweeps, which update their vectors in place, so within a sweep later states
+already see this sweep's earlier updates; iteration order therefore matters
+and is part of every call.  A solver given no order sweeps the unknowns by
+id (`default_order`); the pipeline passes its own, by default the unknowns
+sorted by their distance from the goals (`graph.goal_distance_order`).  On
+the slow chains, whose values flow back from the goal against id order,
+that order needs a half to a tenth of the sweeps.
+A sweep comes in two forms.  `gsvi` sweeps a lower vector alone and reads
+the error.  OVI's verification phases and interval iteration sweep a lower
+and an upper vector together, in one pass over each state's branches; OVI
+reads the error, the up/down flags and the first crossing state, interval
+iteration only the crossing state.
 
-`_sweep` loops over the kernel's branch tuples and runs every form; it is
-the reference the tests hold compiled sweeps to.  The two forms that run
-long, the one-vector and the crossing-only form, have a second tier: after
-their first COMPILE_AFTER_SWEEPS sweeps, the problem compiles the form into
-straight-line Python with the kernel's constants as literals, which performs
-the same operations in the same order without the per-branch loop overhead,
-the one-vector form's early end of error measurement included; the
-crossing-only form also leaves out the error and flag statements.  A compile
-costs as much as the time that 350 to 440 compiled sweeps save for the
-one-vector form and 200 to 350 for the crossing-only form, so the switch
-comes at 256 sweeps and short solves never reach it.  OVI's verification
-phases prove or refute a guess within a few sweeps, far fewer than a compile
-of theirs would need to pay for itself, so they always run `_sweep`.
+`_sweep` loops over the kernel's branch tuples and runs every sweep; it is
+the reference the tests hold compiled code to.  `BellmanProblem.sweep` runs
+one `_sweep` with the exact error, for OVI's verification phases and every
+observed sweep.  An unobserved iteration phase of `gsvi` or interval
+iteration is one call of `BellmanProblem.phase`, which sweeps until the
+phase's stop test holds: a sweep whose error is below epsilon_vi, for
+`gsvi`, which measures the error only up to epsilon_vi (beyond it the sweep
+cannot end the phase, so the rest of it updates states without measuring
+their gains); a crossing or a narrow enough interval at the initial state,
+for interval iteration, which measures no error.  The first
+COMPILE_AFTER_SWEEPS sweeps of each form run `_sweep`; then the problem
+compiles the form into a phase runner (`_compile_phase`): straight-line
+Python with the kernel's constants as literals, which performs the same
+operations in the same order without the per-branch loop overhead, inside
+a loop over sweeps that holds the values in local variables from the
+phase's start to its end.  A compile costs as much as 180 to 280 generic
+sweeps, so the switch comes at 256 sweeps and short solves never reach it.
+OVI's verification phases prove or refute a guess within a few sweeps, far
+fewer than a compile of theirs would need to pay for itself, so they always
+run `_sweep`.
 
 Lower iterates started from the seed vector stay below the least fixed point,
 so a plain VI result is only a lower bound with no error guarantee.  The sound
@@ -47,7 +51,7 @@ observer=None)`.  `max_sweeps` bounds all sweeps of the call (for `ovi`, the
 total over its iteration and verification phases), `deadline` is a
 `time.perf_counter()` value past which a sweep raises `SolveTimeout`, and
 `observer(event, *payload)` is called with the solver's live vectors, which
-it must copy to keep:
+it must copy to keep.  An observed phase runs `_sweep` for every sweep:
 
   ("iter", sweep, error, v)        after each `gsvi` sweep, with the exact
                                    error;
@@ -107,9 +111,9 @@ class BellmanProblem:
             raise SolverError(f"unknown opt {self.opt!r}")
         if len(self.seed) != self.model.num_states:
             raise SolverError("seed vector length does not match the state count")
-        # Per compiled form (relative for one vector, None for crossing only):
-        # [order, generic sweeps run, the compiled sweep; None until the
-        # switch, False if it cannot compile].
+        # Per phase form (relative for one vector, None for two): [order,
+        # generic sweeps run, the compiled runner; None until the switch,
+        # False if it cannot compile].
         object.__setattr__(self, "_tiers", {})
 
     @cached_property
@@ -118,54 +122,71 @@ class BellmanProblem:
         return _compile_kernel(self.model)
 
     def sweep(self, order: Sequence[int], relative: bool, v: list[float],
-              u: list[float] | None = None, *, crossing_only: bool = False,
-              stop: float = math.inf) -> tuple[float, bool, bool, int] | int:
-        """One Gauss-Seidel sweep of this problem, as `_sweep` does it.
+              u: list[float] | None = None) -> tuple[float, bool, bool, int]:
+        """One Gauss-Seidel sweep of this problem by `_sweep`, error measured exactly.
 
-        There are three forms, told apart by the arguments:
-
-        - one vector (`u` None): updates `v` and returns `_sweep`'s tuple,
-          (error, True, True, -1).  Once the running error reaches `stop`,
-          the rest of the sweep updates its states without measuring their
-          gains, so the error is exact when it is below `stop` and is
-          otherwise some value >= `stop`;
-        - two vectors: updates `v` and `u` and returns (error, up, down,
-          cross);
-        - crossing only (`u` given, `crossing_only` true), for interval
-          iteration: updates both vectors as the two-vector form does and
-          returns only `cross`, the first state where `u` fell below `v`, or
-          -1.  `relative` is not read.
-
-        The two-vector forms measure exactly; `stop` changes nothing there.
-
-        The two-vector form, which OVI's verification phases run for a few
-        sweeps per guess, always runs `_sweep`.  The other two forms (with
-        one error mode and one order object) run `_sweep` for their first
-        COMPILE_AFTER_SWEEPS sweeps, then switch to straight-line code
-        compiled for them, which gives the same floats and crossing.  The
-        switch at 256 is near the measured break-even: the one-vector form
-        repays its compile after 350 to 440 compiled sweeps, the
-        crossing-only form after 200 to 350.  The order must not change
-        while it is in use.
+        With one vector it updates `v` and returns (error, True, True, -1);
+        with two it updates `v` and `u` and returns (error, up, down, cross).
+        OVI's verification phases and every observed sweep run this.
         """
-        maximize = self.opt == "max"
-        if u is not None and not crossing_only:
-            return _sweep(self.kernel, order, maximize, relative, v, u)
-        form = None if crossing_only else relative
+        return _sweep(self.kernel, order, self.opt == "max", relative, v, u)
+
+    def phase(self, order: Sequence[int], relative: bool, v: list[float],
+              u: list[float] | None = None, *, eps: float, max_sweeps: int,
+              deadline: float | None = None,
+              relative_width: bool = False) -> tuple[int, int]:
+        """Gauss-Seidel sweeps in place until the phase's stop test holds.
+
+        Returns (sweeps, cross).  One vector (`u` None), for `gsvi`: the
+        phase ends after the first sweep whose error, measured only up to
+        `eps` (the `stop` of `_sweep`), is below `eps`; cross is -1.  Two
+        vectors, for interval iteration: the phase ends after the first
+        sweep in which `u` fell below `v`, with cross that state, or after
+        the first whose width `u - v` at the initial state is at most `eps`
+        (`eps` times the lower value if `relative_width`), with cross -1;
+        no error is measured and `relative` is not read.  A phase that
+        reaches `max_sweeps` sweeps first raises IterationCapExceeded, one
+        that finds `deadline` passed before a sweep raises SolveTimeout;
+        either way the vectors hold every sweep run so far.
+
+        The first COMPILE_AFTER_SWEEPS sweeps of a form (one error mode, or
+        two vectors, with one order object) run `_sweep`; then the problem
+        compiles a runner for the form (`_compile_phase`), which runs this
+        phase's remaining sweeps and every later phase's, with the same
+        floats, sweep counts and crossing.  The order must not change while
+        it is in use.
+        """
+        form = relative if u is None else None
         tiers = self._tiers  # type: ignore[attr-defined]
         tier = tiers.get(form)
         if tier is None or tier[0] is not order:
             tier = tiers[form] = [order, 0, None]
-        compiled = tier[2]
-        if compiled:
-            return compiled(v, u) if crossing_only else compiled(v, stop)
-        result = _sweep(self.kernel, order, maximize, relative, v, u, stop)
-        if compiled is None:
-            tier[1] += 1
-            if tier[1] >= COMPILE_AFTER_SWEEPS:
-                tier[2] = _compile_sweep(self.kernel, order, maximize, relative,
-                                         crossing_only) or False
-        return result[3] if crossing_only else result
+        maximize = self.opt == "max"
+        s_i = self.model.initial
+        sweeps = 0
+        while not tier[2]:
+            if sweeps >= max_sweeps:
+                raise IterationCapExceeded(sweeps)
+            _check_deadline(deadline)
+            sweeps += 1
+            error, _, _, cross = _sweep(self.kernel, order, maximize, relative, v, u,
+                                        eps if u is None else 0.0)
+            if tier[2] is None:
+                tier[1] += 1
+                if tier[1] >= COMPILE_AFTER_SWEEPS:
+                    tier[2] = _compile_phase(self.kernel, order, maximize, relative,
+                                             None if u is None else s_i) or False
+            if u is None:
+                if error < eps:
+                    return sweeps, -1
+            elif cross >= 0 or u[s_i] - v[s_i] <= (eps * v[s_i] if relative_width else eps):
+                return sweeps, cross
+        sweeps, end = tier[2](v, u, sweeps, max_sweeps, deadline, eps, relative_width)
+        if end == _CAPPED:
+            raise IterationCapExceeded(sweeps)
+        if end == _LATE:
+            raise SolveTimeout(_LATE_MESSAGE)
+        return sweeps, end
 
     def initial_vector(self) -> list[float]:
         return list(self.seed)
@@ -257,7 +278,7 @@ def bellman_apply(problem: BellmanProblem, values: Sequence[float]) -> list[floa
 
 def _check_deadline(deadline: float | None) -> None:
     if deadline is not None and time.perf_counter() > deadline:
-        raise SolveTimeout("numeric phase ran past its deadline")
+        raise SolveTimeout(_LATE_MESSAGE)
 
 
 def _sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
@@ -310,29 +331,52 @@ def _sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
     return error, up, down, cross
 
 
-#: generic sweeps a form runs before `BellmanProblem.sweep` compiles it
+#: generic sweeps a form runs before `BellmanProblem.phase` compiles its
+#: runner.  On the benchmark's 50-state models and slow chains a compile
+#: costs as much as 180 to 280 generic sweeps of its form (0.9 ms on a
+#: 19-branch chain to 8.5 ms on a 235-branch model), and a runner sweep is
+#: 2.6 to 4.3 times faster than a generic one, so a compile is repaid 265 to
+#: 444 sweeps after the switch (medians of 5 in-process runs, shared 2-core
+#: x86-64 host, Python 3.11).  At 256 the generic sweeps have cost about one
+#: compile when the switch comes, so a phase that ends right after it pays
+#: at most about twice its generic cost, and every long phase gains.
 COMPILE_AFTER_SWEEPS = 256
 
-#: branches per compiled block function, which bounds the memory of one compile()
+#: branches per statement and per block function over the lists
 _BLOCK_BRANCHES = 32
+
+#: the most branches a runner holds in local variables.  CPython's parser and
+#: compiler hold the whole source of such a runner at once: its compile peaks
+#: at about 8 KB per branch in the one-vector form and 11 KB in the two-vector
+#: form (tracemalloc, Python 3.11), so this bounds one compile near 2 to 3 MB.
+#: Larger forms call block functions of _BLOCK_BRANCHES branches over the
+#: lists, whose compiles hold one block each.
+_LOCAL_BRANCHES = 256
+
+#: how a runner ended other than by its stop test: at the sweep cap, or past the deadline
+_CAPPED, _LATE = -2, -3
+
+_LATE_MESSAGE = "numeric phase ran past its deadline"
 
 
 def _best_lines(trs: tuple, vec: str, target: str, maximize: bool) -> list[str]:
     """Statements leaving the state's best choice value over `vec` in `target`.
 
-    Each choice's sum is `0.0 + p*(r+vec[t]) + ...` in branch order, written
-    in statements of at most one block's terms so that the compiler never
-    sees a deeply nested expression; `+ p*vec[t]` stands for a reward of
-    +0.0, since only a zero product's sign can differ and the sum, which
-    starts at +0.0, absorbs it.  A later choice replaces the best only when
-    strictly better, so ties go to the first best choice, as in `_state_value`.
+    `vec` formats a state id into the expression that reads its value, a
+    list item or a local variable.  Each choice's sum is
+    `0.0 + p*(r+vec[t]) + ...` in branch order, written in statements of
+    at most one block's terms so that the compiler never sees a deeply
+    nested expression; `+ p*vec[t]` stands for a reward of +0.0, since only
+    a zero product's sign can differ and the sum, which starts at +0.0,
+    absorbs it.  A later choice replaces the best only when strictly
+    better, so ties go to the first best choice, as in `_state_value`.
     """
     better = ">" if maximize else "<"
     lines = []
     for i, branches in enumerate(trs):
         name = target if i == 0 else "y"
-        terms = [f"+{p!r}*{vec}[{t}]" if r == 0.0 and math.copysign(1.0, r) > 0.0
-                 else f"+{p!r}*({r!r}+{vec}[{t}])" for p, r, t in branches]
+        terms = [f"+{p!r}*{vec.format(t)}" if r == 0.0 and math.copysign(1.0, r) > 0.0
+                 else f"+{p!r}*({r!r}+{vec.format(t)})" for p, r, t in branches]
         acc = "0.0"
         for j in range(0, max(len(terms), 1), _BLOCK_BRANCHES):
             lines.append(f"{name} = {acc}" + "".join(terms[j:j + _BLOCK_BRANCHES]))
@@ -342,76 +386,119 @@ def _best_lines(trs: tuple, vec: str, target: str, maximize: bool) -> list[str]:
     return lines
 
 
-def _compilable(trs: tuple) -> bool:
+def _state_lines(s: int, trs: tuple, maximize: bool, relative: bool, two: bool,
+                 v: str, u: str) -> list[str]:
+    """One state's statements of a sweep, `_sweep`'s operations in its order.
+
+    The one-vector form guards the gain lines with `if e < eps:`, the `stop`
+    test of `_sweep`; the two-vector form backs up both vectors without any
+    error, up or down line and keeps the first crossing state in `c`.
+    """
+    lines = _best_lines(trs, v, "n", maximize)
+    if two:
+        lines += [*_best_lines(trs, u, "m", maximize),
+                  f"if m < n and c < 0: c = {s}",
+                  f"{u.format(s)} = m"]
+    else:
+        lines += ["if e < eps:",
+                  f"    g = (n - {v.format(s)}) / n if n > 0 else 0.0" if relative
+                  else f"    g = n - {v.format(s)}",
+                  "    if g > e: e = g"]
+    lines.append(f"{v.format(s)} = n")
+    return lines
+
+
+def _compilable(trs: tuple, n: int) -> bool:
     return bool(trs) and all(
-        type(p) is float and type(r) is float and type(t) is int
+        type(p) is float and type(r) is float and type(t) is int and 0 <= t < n
         and math.isfinite(p) and math.isfinite(r)
         for branches in trs for p, r, t in branches)
 
 
-def _compile_sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
-                   crossing_only: bool) -> Callable | None:
-    """`_sweep`'s one-vector or crossing-only form, unrolled into straight-line Python.
+def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
+                   s_init: int | None) -> Callable | None:
+    """The phase runner of `BellmanProblem.phase`: `_sweep`, unrolled, in a loop.
+
+    Without `s_init` it runs the one-vector form, with it the two-vector
+    form of interval iteration, whose width test reads state `s_init`.  The
+    runner `run(v, u, sweeps, cap, deadline, eps, relative_width)` runs
+    Gauss-Seidel sweeps until the phase's stop test holds, counting on from
+    `sweeps`; before each sweep it ends at the cap or past the deadline,
+    as `BellmanProblem.phase` does.  It returns (sweeps, end): end is the
+    crossing state or -1 after the stop test, _CAPPED or _LATE otherwise.
 
     Every state of `order` becomes a few statements with its probabilities,
     rewards and targets as literals; the operations and their order are
-    those of `_sweep`, so every float comes out bit-identical.  The
-    one-vector form guards each state's error lines with `if e < eps:`, the
-    `stop` test of `_sweep`; its sweep, `sweep(v, stop)`, passes the
-    threshold to every block, so one compile serves any threshold.  The
-    crossing-only form backs up both vectors without any error, up or down
-    line, and its sweep, `sweep(v, u)`, returns only the first crossing
-    state.  The code is compiled in blocks of about `_BLOCK_BRANCHES`
-    branches, each a function that the returned sweep calls in turn.
-    Returns None, and the caller stays generic, when a state has no choice
-    or a non-float or non-finite constant: the source holds only `repr` of
-    finite floats and int indices.
+    those of `_sweep`, so every float comes out bit-identical.  A form of
+    at most _LOCAL_BRANCHES branches keeps every value it reads in a local
+    variable, loaded before the loop and stored back after it; a larger
+    one runs function blocks of about _BLOCK_BRANCHES branches over the
+    lists, so that no compile holds more than a block's source.  Returns
+    None, and the caller stays generic, when a state has no choice, a
+    target out of range, or a non-float or non-finite constant: the source
+    holds only `repr` of finite floats and int indices.
     """
-    if not all(type(s) is int and _compilable(kernel[s]) for s in order):
+    n = len(kernel)
+    if not all(type(s) is int and 0 <= s < n and _compilable(kernel[s], n) for s in order):
         return None
-    if crossing_only:
-        head, tail = "def block(v, u, c):", "return c"
+    two = s_init is not None
+    if two and not (type(s_init) is int and 0 <= s_init < n):
+        return None
+    branches = sum(len(b) for s in order for b in kernel[s])
+    if two:
+        start, stop_test = "c = -1", ["if c >= 0 or {u} - {v} <= (eps * {v} if rel else eps):",
+                                      "    end = c"]
     else:
-        head, tail = "def block(v, e, eps):", "return e"
-    namespace: dict = {"__builtins__": {}}
-    blocks = []
-    lines: list[str] = []
-    size = 0
-    for i, s in enumerate(order):
-        trs = kernel[s]
-        lines += _best_lines(trs, "v", "n", maximize)
-        if crossing_only:
-            lines += [*_best_lines(trs, "u", "m", maximize),
-                      f"if m < n and c < 0: c = {s}",
-                      f"u[{s}] = m"]
-        else:
-            lines += ["if e < eps:",
-                      f"    g = (n - v[{s}]) / n if n > 0 else 0.0" if relative
-                      else f"    g = n - v[{s}]",
-                      "    if g > e: e = g"]
-        lines.append(f"v[{s}] = n")
-        size += sum(len(branches) for branches in trs)
-        if size >= _BLOCK_BRANCHES or i == len(order) - 1:
-            exec(compile("\n    ".join([head, *lines, tail]), "<compiled sweep>", "exec"),
-                 namespace)
-            # Popped, so that the function is not reachable from its own globals.
-            blocks.append(namespace.pop("block"))
-            lines, size = [], 0
-    blocks = tuple(blocks)
-
-    if crossing_only:
-        def sweep(v: list[float], u: list[float]) -> int:
-            c = -1
-            for block in blocks:
-                c = block(v, u, c)
-            return c
+        start, stop_test = "e = 0.0", ["if e < eps:", "    end = -1"]
+    namespace: dict = {"__builtins__": {}, "time": time}
+    if branches <= _LOCAL_BRANCHES:
+        v, u = "v{}", "u{}"
+        body = [line for s in order
+                for line in _state_lines(s, kernel[s], maximize, relative, two, v, u)]
+        read = sorted({t for s in order for b in kernel[s] for _, _, t in b}
+                      | set(order) | ({s_init} if two else set()))
+        written = sorted(set(order))
+        load = [f"v{t} = v[{t}]" for t in read] + [f"u{t} = u[{t}]" for t in read if two]
+        store = [f"v[{s}] = v{s}" for s in written] + [f"u[{s}] = u{s}" for s in written if two]
     else:
-        def sweep(v: list[float], stop: float) -> tuple[float, bool, bool, int]:
-            e = 0.0
-            for block in blocks:
-                e = block(v, e, stop)
-            return e, True, True, -1
-    return sweep
+        v, u = "v[{}]", "u[{}]"
+        head, tail = ("def block(v, u, c):", "return c") if two else ("def block(v, e, eps):",
+                                                                      "return e")
+        blocks, lines, size = [], [], 0
+        blocks_namespace: dict = {"__builtins__": {}}
+        for i, s in enumerate(order):
+            lines += _state_lines(s, kernel[s], maximize, relative, two, v, u)
+            size += sum(len(b) for b in kernel[s])
+            if size >= _BLOCK_BRANCHES or i == len(order) - 1:
+                exec(compile("\n    ".join([head, *lines, tail]), "<compiled sweep>", "exec"),
+                     blocks_namespace)
+                # Popped, so that the function is not reachable from its own globals.
+                blocks.append(blocks_namespace.pop("block"))
+                lines, size = [], 0
+        namespace["blocks"] = tuple(blocks)
+        body = ["for block in blocks:",
+                "    c = block(v, u, c)" if two else "    e = block(v, e, eps)"]
+        load = store = []
+    source = "\n".join([
+        "def run(v, u, k, cap, deadline, eps, rel):",
+        *("    " + line for line in load),
+        "    while True:",
+        "        if k >= cap:",
+        f"            end = {_CAPPED}",
+        "            break",
+        "        if deadline is not None and time.perf_counter() > deadline:",
+        f"            end = {_LATE}",
+        "            break",
+        "        k += 1",
+        "        " + start,
+        *("        " + line for line in body),
+        *("        " + line.format(v=v.format(s_init), u=u.format(s_init))
+          for line in stop_test),
+        "            break",
+        *("    " + line for line in store),
+        "    return k, end"])
+    exec(compile(source, "<compiled phase>", "exec"), namespace)
+    return namespace.pop("run")
 
 
 #: observer(event, *payload), see the module docstring
@@ -428,25 +515,26 @@ def gsvi(problem: BellmanProblem, values: list[float], criterion: ErrorCriterion
     contribute nothing.  Iteration stops once a sweep's error drops below
     epsilon_vi.  Started below the least fixed point it stays below it.
 
-    Without an observer, a sweep stops measuring gains once its error reaches
-    epsilon_vi (the `stop` of `BellmanProblem.sweep`): the sweep cannot end
-    the iteration then, and every vector and sweep count stays the same.  An
-    observer receives every sweep's exact error.
+    Without an observer, the iteration is one `BellmanProblem.phase`, whose
+    sweeps stop measuring gains once the error reaches epsilon_vi (the sweep
+    cannot end the iteration then).  An observer receives every sweep's
+    exact error; every vector and sweep count is the same either way.
     """
     relative = criterion.mode == "relative"
     eps = criterion.epsilon_vi
     if order is None:
         order = problem.default_order()
-    stop = eps if observer is None else math.inf
+    if observer is None:
+        return problem.phase(order, relative, values, eps=eps, max_sweeps=max_sweeps,
+                             deadline=deadline)[0]
     sweeps = 0
     while True:
         if sweeps >= max_sweeps:
             raise IterationCapExceeded(sweeps)
         _check_deadline(deadline)
         sweeps += 1
-        error = problem.sweep(order, relative, values, stop=stop)[0]
-        if observer is not None:
-            observer("iter", sweeps, error, values)
+        error = problem.sweep(order, relative, values)[0]
+        observer("iter", sweeps, error, values)
         if error < eps:
             return sweeps
 
@@ -622,23 +710,29 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
     for s in problem.unknowns:
         if u[s] < v[s]:
             raise SolverError(f"initial upper value at state {s} lies below the lower vector")
-    sweeps = 0
-    while True:
-        if sweeps >= max_sweeps:
-            raise IterationCapExceeded(sweeps)
-        _check_deadline(deadline)
-        sweeps += 1
-        cross = problem.sweep(order, False, v, u, crossing_only=True)
-        if cross >= 0:
-            raise SolverError(
-                f"interval iteration crossed at state {cross}: the initial upper vector "
-                "was not an overapproximation")
-        if observer is not None:
+    tolerance = 2.0 * eps
+    if observer is None:
+        sweeps, cross = problem.phase(order, False, v, u, eps=tolerance, max_sweeps=max_sweeps,
+                                      deadline=deadline, relative_width=relative_width)
+    else:
+        sweeps = 0
+        while True:
+            if sweeps >= max_sweeps:
+                raise IterationCapExceeded(sweeps)
+            _check_deadline(deadline)
+            sweeps += 1
+            cross = problem.sweep(order, False, v, u)[3]
+            if cross >= 0:
+                break
             observer("ii", sweeps, v, u)
-        if u[s_i] - v[s_i] <= (2.0 * eps * v[s_i] if relative_width else 2.0 * eps):
-            return SolveOutcome(0.5 * (u[s_i] + v[s_i]), v[s_i], u[s_i], sweeps,
-                                wall_time=time.perf_counter() - start,
-                                method="ii", certified=True)
+            if u[s_i] - v[s_i] <= (tolerance * v[s_i] if relative_width else tolerance):
+                break
+    if cross >= 0:
+        raise SolverError(
+            f"interval iteration crossed at state {cross}: the initial upper vector "
+            "was not an overapproximation")
+    return SolveOutcome(0.5 * (u[s_i] + v[s_i]), v[s_i], u[s_i], sweeps,
+                        wall_time=time.perf_counter() - start, method="ii", certified=True)
 
 
 def reward_upper_init(model: Mdp, goals: Iterable[int], opt: str,

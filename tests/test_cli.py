@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import csv
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import soundmdp
 from soundmdp import ModelDocument, generate_example_me, generate_random, generate_slow_chain, write_explicit
 from soundmdp.bench import CSV_COLUMNS, read_result_csv, run_suite
 from soundmdp.cli import main
@@ -317,3 +320,15 @@ def test_bundled_suite_outcomes_stay_the_same(suite, tmp_path):
     got = read_result_csv(out)
     assert [{c: got[row["instance"]][c] for c in row} for row in expected] == expected
     assert len(got) == len(expected)
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # Only `bench --jobs` above 1 starts a process pool; every other command
+    # skips the 36 modules of concurrent.futures.process and multiprocessing.
+    code = ("import sys, soundmdp.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    src = str(Path(soundmdp.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": src}).stdout
+    assert out == "[]\n"

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from soundmdp import (ErrorCriterion, IterationCapExceeded, SolverError, bellman_apply,
+from soundmdp import (ErrorCriterion, IterationCapExceeded, SolverError, SolveTimeout, bellman_apply,
                       eliminate_end_components, generate_random, generate_slow_chain,
                       gsvi, interval_iteration, make_goals_absorbing, make_property,
                       mec_decomposition, oracle_exact, oracle_values, ovi, plain_vi,
@@ -16,7 +18,7 @@ from soundmdp import (ErrorCriterion, IterationCapExceeded, SolverError, bellman
                       s_infinity, strip_rewards)
 from soundmdp import solvers
 from soundmdp.model import Branch, Mdp, Transition
-from soundmdp.solvers import _compile_sweep, _sweep
+from soundmdp.solvers import _compile_phase, _sweep
 from conftest import HALF, mdp_of, record
 
 
@@ -80,27 +82,78 @@ def random_problem(seed, opt):
     return reward_problem(model, goals, opt, s_infinity(model, goals, opt))
 
 
+def generic_phase(problem, order, relative, v, u=None, *, eps, max_sweeps,
+                  relative_width=False):
+    """`BellmanProblem.phase` as a loop of `_sweep`s that measure every error."""
+    maximize = problem.opt == "max"
+    s_i = problem.model.initial
+    sweeps = 0
+    while True:
+        if sweeps >= max_sweeps:
+            raise IterationCapExceeded(sweeps)
+        sweeps += 1
+        error, _, _, cross = _sweep(problem.kernel, order, maximize, relative, v, u)
+        if u is None:
+            if error < eps:
+                return sweeps, -1
+        elif cross >= 0 or u[s_i] - v[s_i] <= (eps * v[s_i] if relative_width else eps):
+            return sweeps, cross
+
+
+def ending(run):
+    """What a phase returned, or the type and sweep count of what it raised."""
+    try:
+        return run()
+    except SolverError as exc:
+        return type(exc).__name__, getattr(exc, "sweeps", None)
+
+
+def compile_form(problem, order, relative, two, monkeypatch):
+    """Compiles the phase form of `problem` for `order` (one error mode, or
+    two vectors) by one generic sweep on throwaway vectors at threshold 1,
+    so that every later phase of the form runs the compiled runner."""
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 1)
+    v = problem.initial_vector()
+    u = [x + 1.0 for x in v] if two else None
+    ending(lambda: problem.phase(order, relative, v, u, eps=0.0, max_sweeps=1))
+    assert problem._tiers[None if two else relative][2]
+
+
+def shuffled_order(problem, seed):
+    order = problem.default_order()
+    random.Random(seed).shuffle(order)
+    return order
+
+
+#: both runner bodies: values in local variables, and block functions over the lists
+BODIES = pytest.mark.parametrize("local_branches", [solvers._LOCAL_BRANCHES, 0],
+                                 ids=["locals", "blocks"])
+
+
 @pytest.mark.parametrize("relative", [True, False])
 @pytest.mark.parametrize("opt", ["max", "min"])
 @pytest.mark.parametrize("seed", range(8))
-def test_sweep_two_vectors_match_one_vector_sweeps(seed, opt, relative):
-    # `_sweep`'s two-vector form must match two one-vector sweeps, and the
-    # two compiled forms must match `_sweep` bit for bit.
+def test_sweep_two_vectors_match_one_vector_sweeps(seed, opt, relative, monkeypatch):
+    # `_sweep`'s two-vector form must match two one-vector sweeps, and one
+    # sweep of either compiled runner, with either body, must match `_sweep`
+    # bit for bit.
     problem = random_problem(seed, opt)
     maximize = opt == "max"
     rng = random.Random(seed)
-    shuffled = problem.default_order()
-    rng.shuffle(shuffled)
-    for order in (shuffled, problem.default_order(), problem.default_order()[::-1]):
-        one = _compile_sweep(problem.kernel, order, maximize, relative, False)
-        crossing = _compile_sweep(problem.kernel, order, maximize, relative, True)
-        assert one is not None and crossing is not None
+    for order in (shuffled_order(problem, seed), problem.default_order(),
+                  problem.default_order()[::-1]):
+        compiled = []
+        for local_branches in (solvers._LOCAL_BRANCHES, 0):
+            monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
+            compiled.append(random_problem(seed, opt))
+            compile_form(compiled[-1], order, relative, False, monkeypatch)
+            compile_form(compiled[-1], order, relative, True, monkeypatch)
         v = problem.initial_vector()
         # The upper start may lie below v somewhere, so crossings occur too.
         u = [x + rng.uniform(-1.0, 3.0) if s in problem.unknowns else x for s, x in enumerate(v)]
         for _ in range(4):
             v_alone, u_alone, u_before = list(v), list(u), list(u)
-            v_one, v_cross, u_cross = list(v), list(v), list(u)
+            runs = [(list(v), list(v), list(u)) for _ in compiled]
             error, up, down, cross = _sweep(problem.kernel, order, maximize, relative, v, u)
             alone = _sweep(problem.kernel, order, maximize, relative, v_alone)
             _sweep(problem.kernel, order, maximize, relative, u_alone)
@@ -109,104 +162,140 @@ def test_sweep_two_vectors_match_one_vector_sweeps(seed, opt, relative):
             assert up == all(u[s] >= u_before[s] for s in order)
             assert down == all(u[s] <= u_before[s] for s in order)
             assert cross == next((s for s in order if u[s] < v[s]), -1)
-            compiled_alone = one(v_one, math.inf)
-            assert hexes(v_one) == hexes(v_alone)
-            assert compiled_alone[0].hex() == alone[0].hex() and compiled_alone[1:] == alone[1:]
-            assert crossing(v_cross, u_cross) == cross
-            assert hexes(v_cross) == hexes(v) and hexes(u_cross) == hexes(u)
+            for other, (v_one, v_two, u_two) in zip(compiled, runs):
+                # eps 0 is never met, and a width of at most -inf never.
+                assert ending(lambda: other.phase(order, relative, v_one, eps=0.0, max_sweeps=1)) \
+                    == ("IterationCapExceeded", 1)
+                assert hexes(v_one) == hexes(v_alone)
+                assert ending(lambda: other.phase(order, relative, v_two, u_two, eps=-math.inf,
+                                                  max_sweeps=1)) \
+                    == ((1, cross) if cross >= 0 else ("IterationCapExceeded", 1))
+                assert hexes(v_two) == hexes(v) and hexes(u_two) == hexes(u)
 
 
 @pytest.mark.parametrize("relative", [True, False])
 @pytest.mark.parametrize("opt", ["max", "min"])
 @pytest.mark.parametrize("seed", range(12))
-def test_one_vector_sweep_measures_the_error_up_to_stop(seed, opt, relative):
-    # Both tiers skip the same gains for every stop, so they return the same
-    # float; it is the exact error below stop and at least stop otherwise,
-    # and the vector never depends on stop.
+def test_one_vector_sweep_measures_the_error_up_to_stop(seed, opt, relative, monkeypatch):
+    # `_sweep` skips the gains past stop: it returns the exact error below
+    # stop and at least stop otherwise, and the vector never depends on
+    # stop.  A compiled one-vector phase ends at the first sweep whose error
+    # so measured is below eps, which is the sweep a loop of exact `_sweep`s
+    # ends at, even for eps at an exact error or one ulp beside it.
     problem = random_problem(seed, opt)
     maximize = opt == "max"
-    order = problem.default_order()
-    random.Random(seed).shuffle(order)
-    compiled = _compile_sweep(problem.kernel, order, maximize, relative, False)
+    order = shuffled_order(problem, seed)
+    compiled = random_problem(seed, opt)
+    compile_form(compiled, order, relative, False, monkeypatch)
     v = problem.initial_vector()
+    errors = []
     for _ in range(6):
         v_exact = list(v)
         exact = _sweep(problem.kernel, order, maximize, relative, v_exact)[0]
+        errors.append(exact)
         stops = (math.inf, exact, math.nextafter(exact, -math.inf),
                  math.nextafter(exact, math.inf), 0.5 * exact, 2.0 * exact)
         for stop in stops:
-            v_generic, v_compiled = list(v), list(v)
+            v_generic = list(v)
             generic = _sweep(problem.kernel, order, maximize, relative, v_generic, stop=stop)
-            fast = compiled(v_compiled, stop)
-            assert fast[0].hex() == generic[0].hex()
-            assert fast[1:] == generic[1:] == (True, True, -1)
-            assert hexes(v_generic) == hexes(v_compiled) == hexes(v_exact)
+            assert generic[1:] == (True, True, -1)
+            assert hexes(v_generic) == hexes(v_exact)
             if exact < stop:
                 assert generic[0].hex() == exact.hex()
             else:
                 assert generic[0] >= stop
         v = v_exact
+    for eps in {x for e in errors if e > 0.0
+                for x in (e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf))}:
+        v_generic, v_compiled = problem.initial_vector(), problem.initial_vector()
+        want = ending(lambda: generic_phase(problem, order, relative, v_generic, eps=eps,
+                                            max_sweeps=6))
+        assert ending(lambda: compiled.phase(order, relative, v_compiled, eps=eps,
+                                             max_sweeps=6)) == want
+        assert hexes(v_compiled) == hexes(v_generic)
 
 
-def test_sweep_past_stop_measures_no_more_gains():
+def test_sweep_past_stop_measures_no_more_gains(monkeypatch):
     # s0 gains 1 and s1 gains 2 in the first sweep: once the error has
     # reached stop at s0, the sweep stops measuring, and still updates s1.
+    # A compiled phase stops measuring the same way: with eps 1 its first
+    # sweep reads an error of at least 1, so a second sweep runs (and ends
+    # the phase with error 0), while a measured 2 would mean the same.
     model = mdp_of(0, [[(1, 1, 2)]], [[(1, 2, 2)]], [[(1, 0, 2)]])
     problem = reward_problem(model, [2], "max", [])
     order = problem.default_order()
-    compiled = _compile_sweep(problem.kernel, order, True, False, False)
-    for sweep in (lambda v, stop: _sweep(problem.kernel, order, True, False, v, stop=stop),
-                  compiled):
-        for stop, error in ((0.5, 1.0), (1.0, 1.0), (math.nextafter(1.0, 2.0), 2.0),
-                            (math.inf, 2.0)):
+    for stop, error in ((0.5, 1.0), (1.0, 1.0), (math.nextafter(1.0, 2.0), 2.0),
+                        (math.inf, 2.0)):
+        v = problem.initial_vector()
+        assert _sweep(problem.kernel, order, True, False, v, stop=stop) == (error, True, True, -1)
+        assert v == [1.0, 2.0, 0.0]
+    for local_branches in (solvers._LOCAL_BRANCHES, 0):
+        monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
+        problem = reward_problem(model, [2], "max", [])
+        compile_form(problem, order, False, False, monkeypatch)
+        for eps, sweeps in ((0.5, 2), (1.0, 2), (2.0, 2), (math.nextafter(2.0, 3.0), 1)):
             v = problem.initial_vector()
-            assert sweep(v, stop) == (error, True, True, -1) and v == [1.0, 2.0, 0.0]
+            assert problem.phase(order, False, v, eps=eps, max_sweeps=5) == (sweeps, -1)
+            assert v == [1.0, 2.0, 0.0]
 
 
-def test_problem_sweep_compiles_each_form_after_the_threshold(me0, monkeypatch):
+def test_problem_phase_compiles_each_form_after_the_threshold(me0, monkeypatch):
     monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 3)
-    generic = []
-    real_sweep = solvers._sweep
+    generic, compiles = [], []
+    real_sweep, real_compile = solvers._sweep, solvers._compile_phase
     monkeypatch.setattr(solvers, "_sweep", lambda *args: generic.append(args) or real_sweep(*args))
+    monkeypatch.setattr(solvers, "_compile_phase",
+                        lambda *args: compiles.append(args[4]) or real_compile(*args))
     problem, reference = golden_problem(me0), golden_problem(me0)
     order = problem.default_order()
     v, u = problem.initial_vector(), [1.0] * 5
     v_ref, u_ref = list(v), list(u)
-    for _ in range(6):
-        want = real_sweep(reference.kernel, order, True, True, v_ref)
-        assert problem.sweep(order, True, v) == want
-        assert v == v_ref
-    assert len(generic) == 3
-    # OVI's two-vector form never compiles: every sweep of it is generic.
+    # Two sweeps of a phase that runs into its cap, then a phase of 6: its
+    # first sweep is the form's third generic one, the runner runs the rest.
+    with pytest.raises(IterationCapExceeded):
+        problem.phase(order, True, v, eps=1e-300, max_sweeps=2)
+    with pytest.raises(IterationCapExceeded):
+        generic_phase(reference, order, True, v_ref, eps=1e-300, max_sweeps=2)
+    assert len(generic) == 2 and compiles == []
+    with pytest.raises(IterationCapExceeded) as got:
+        problem.phase(order, True, v, eps=1e-300, max_sweeps=6)
+    assert got.value.sweeps == 6 and len(generic) == 3 and compiles == [None]
+    with pytest.raises(IterationCapExceeded):
+        generic_phase(reference, order, True, v_ref, eps=1e-300, max_sweeps=6)
+    assert v == v_ref
+    generic.clear()
+    # The compiled form runs every sweep of a later phase with the same order.
+    assert problem.phase(order, True, v, eps=1.0, max_sweeps=6) == (1, -1)
+    assert generic == []
+    generic_phase(reference, order, True, v_ref, eps=1.0, max_sweeps=6)
+    # OVI's two-vector sweeps never count towards a form: `sweep` is `_sweep`.
     for _ in range(6):
         want = real_sweep(reference.kernel, order, True, False, v_ref, u_ref)
         assert problem.sweep(order, False, v, u) == want
         assert (v, u) == (v_ref, u_ref)
-    assert len(generic) == 9
+    assert len(generic) == 6 and compiles == [None]
+    generic.clear()
     # The other error mode, and a new order object, are new forms that start
     # generic again.
-    want = real_sweep(reference.kernel, order, True, False, v_ref)
-    assert problem.sweep(order, False, v) == want
-    assert len(generic) == 10
-    problem.sweep(list(order), True, v)
-    assert len(generic) == 11
-    # Interval iteration's crossing-only form is a form of its own: it starts
-    # generic although a one-vector form has compiled, switches at the
-    # threshold, and returns only the crossing state.
+    with pytest.raises(IterationCapExceeded):
+        problem.phase(order, False, v, eps=1e-300, max_sweeps=1)
+    with pytest.raises(IterationCapExceeded):
+        problem.phase(list(order), True, v, eps=1e-300, max_sweeps=1)
+    assert len(generic) == 2 and compiles == [None]
+    generic.clear()
+    # Interval iteration's phase is a form of its own: it starts generic
+    # although a one-vector form has compiled, and compiles at the
+    # threshold with the initial state for its width test.
     v, u = problem.initial_vector(), [1.0] * 5
-    v_ref, u_ref = list(v), list(u)
-    for k in range(6):
-        want = real_sweep(reference.kernel, order, True, False, v_ref, u_ref)[3]
-        got = problem.sweep(order, False, v, u, crossing_only=True)
-        assert type(got) is int and got == want
-        assert (v, u) == (v_ref, u_ref)
-        assert len(generic) == 11 + min(k + 1, 3)
+    with pytest.raises(IterationCapExceeded):
+        problem.phase(order, False, v, u, eps=-math.inf, max_sweeps=5)
+    assert len(generic) == 3 and compiles == [None, problem.model.initial]
 
 
 @pytest.mark.parametrize("mode", ["relative", "absolute"])
 def test_verification_sweeps_never_compile(mode, monkeypatch):
     # OVI's two-vector sweeps always run `_sweep`: even at threshold 1 only
-    # the one-vector form reaches `_compile_sweep`, no generated source holds
+    # the one-vector form reaches `_compile_phase`, no generated source holds
     # the up/down flags, and the outcome is that of the default threshold.
     # A reward problem whose ovi certifies after 19 (relative) or 3
     # (absolute) verification sweeps.
@@ -219,10 +308,10 @@ def test_verification_sweeps_never_compile(mode, monkeypatch):
 
     expected = run()
     forms, sources, generic_two = [], [], []
-    real_compile_sweep, real_sweep = solvers._compile_sweep, solvers._sweep
+    real_compile_phase, real_sweep = solvers._compile_phase, solvers._sweep
     monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 1)
-    monkeypatch.setattr(solvers, "_compile_sweep",
-                        lambda *args: forms.append(args[4]) or real_compile_sweep(*args))
+    monkeypatch.setattr(solvers, "_compile_phase",
+                        lambda *args: forms.append(args[4]) or real_compile_phase(*args))
     monkeypatch.setattr(solvers, "compile", lambda source, *args: sources.append(source)
                         or compile(source, *args), raising=False)
     monkeypatch.setattr(solvers, "_sweep", lambda *args: generic_two.append(args[5] is not None)
@@ -230,7 +319,7 @@ def test_verification_sweeps_never_compile(mode, monkeypatch):
     assert run() == expected and expected[-1] == "ok"
     # Every two-vector sweep ran generic, and there were several of them.
     assert sum(generic_two) > 1
-    assert forms == [False] and sources
+    assert forms == [None] and sources
     assert not any("up" in source or "dn" in source for source in sources)
 
 
@@ -248,40 +337,196 @@ def test_non_finite_kernel_constants_stay_generic(bad, field, monkeypatch):
               (Transition((Branch(1.0, 0.0, 1, one, zero),)),))
     problem = reward_problem(Mdp(2, 0, states), [1], "max", [])
     order = problem.default_order()
-    assert _compile_sweep(problem.kernel, order, True, False, crossing_only=False) is None
-    assert _compile_sweep(problem.kernel, order, True, False, crossing_only=True) is None
+    assert _compile_phase(problem.kernel, order, True, False, None) is None
+    assert _compile_phase(problem.kernel, order, True, False, 0) is None
     v, v_ref = problem.initial_vector(), problem.initial_vector()
-    for _ in range(3):
-        got = problem.sweep(order, False, v)
-        want = _sweep(problem.kernel, order, True, False, v_ref)
-        assert got[0].hex() == want[0].hex() and got[1:] == want[1:]
+    for cap in (1, 2, 3):
+        assert ending(lambda: problem.phase(order, False, v, eps=0.0, max_sweeps=1)) \
+            == ("IterationCapExceeded", 1)
+        _sweep(problem.kernel, order, True, False, v_ref)
         assert hexes(v) == hexes(v_ref)
+    assert problem._tiers[False][2] is False
 
 
-def test_compiled_sweep_splits_long_sums_and_many_choices():
+def test_targets_out_of_range_stay_generic(monkeypatch):
+    # A hand-built kernel may name a state by a negative index, which a list
+    # reads from its end; a runner's local variables would not alias it.
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 1)
+    half, one = Fraction(1, 2), Fraction(1)
+    states = ((Transition((Branch(0.5, 1.0, -1, half, one), Branch(0.5, 1.0, 1, half, one))),),
+              (Transition((Branch(1.0, 0.0, 1, one, Fraction(0)),)),))
+    problem = reward_problem(Mdp(2, 0, states), [1], "max", [])
+    order = problem.default_order()
+    assert _compile_phase(problem.kernel, order, True, False, None) is None
+    v, v_ref = problem.initial_vector(), problem.initial_vector()
+    assert problem.phase(order, False, v, eps=0.5, max_sweeps=9) \
+        == generic_phase(problem, order, False, v_ref, eps=0.5, max_sweeps=9)
+    assert hexes(v) == hexes(v_ref)
+
+
+def test_compiled_sweep_splits_long_sums_and_many_choices(monkeypatch):
     # One choice of 3000 branches would be too deep for one expression; the
-    # next state has 40 choices, many with equal sums.
-    n = 3000
-    wide = [[(Fraction(1, n), k % 3, k % 7) for k in range(n)]]
-    many = [[(1, 0, 1 + k % 5)] for k in range(40)]
-    model = mdp_of(0, wide, many, [[(1, 1, 2)]], [[(1, 0, 3)]], [[(1, 2, 4)]], [[(1, 0, 5)]],
-                   [[(1, 0, 6)]])
-    for opt in ("max", "min"):
-        problem = reward_problem(model, [6], opt, [])
-        order = problem.default_order()
-        for crossing_only in (False, True):
-            compiled = _compile_sweep(problem.kernel, order, opt == "max", True, crossing_only)
-            v, v_ref = problem.initial_vector(), problem.initial_vector()
-            u, u_ref = [10.0] * 7, [10.0] * 7
-            for _ in range(3):
-                if crossing_only:
-                    got = compiled(v, u)
-                    assert got == _sweep(problem.kernel, order, opt == "max", True, v_ref, u_ref)[3]
-                else:
-                    got = compiled(v, math.inf)
-                    want = _sweep(problem.kernel, order, opt == "max", True, v_ref)
-                    assert got[0].hex() == want[0].hex() and got[1:] == want[1:]
-                assert hexes(v) == hexes(v_ref) and hexes(u) == hexes(u_ref)
+    # next state has 40 choices, many with equal sums.  Widths 3 and 100
+    # compile to local variables, 3000 to blocks.
+    for width in (3, 100, 3000):
+        wide = [[(Fraction(1, width), k % 3, k % 7) for k in range(width)]]
+        many = [[(1, 0, 1 + k % 5)] for k in range(40)]
+        model = mdp_of(0, wide, many, [[(1, 1, 2)]], [[(1, 0, 3)]], [[(1, 2, 4)]],
+                       [[(1, 0, 5)]], [[(1, 0, 6)]])
+        for opt in ("max", "min"):
+            problem = reward_problem(model, [6], opt, [])
+            order = problem.default_order()
+            for two in (False, True):
+                compile_form(problem, order, True, two, monkeypatch)
+                v, v_ref = problem.initial_vector(), problem.initial_vector()
+                u, u_ref = ([10.0] * 7, [10.0] * 7) if two else (None, None)
+                want = ending(lambda: generic_phase(problem, order, True, v_ref, u_ref,
+                                                    eps=-math.inf, max_sweeps=3))
+                assert ending(lambda: problem.phase(order, True, v, u, eps=-math.inf,
+                                                    max_sweeps=3)) == want
+                assert hexes(v) == hexes(v_ref) and (not two or hexes(u) == hexes(u_ref))
+
+
+# ---------------------------------------------------------------------------
+# Compiled phases against a loop of `_sweep`.
+
+@BODIES
+@pytest.mark.parametrize("relative", [True, False])
+@pytest.mark.parametrize("opt", ["max", "min"])
+@pytest.mark.parametrize("seed", range(6))
+def test_compiled_phase_ends_where_generic_sweeps_end(seed, opt, relative, local_branches,
+                                                      monkeypatch):
+    # Hex-equal vectors, the same last sweep, and at a cap falling
+    # mid-phase the same IterationCapExceeded count, for several eps.
+    monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
+    problem, compiled = random_problem(seed, opt), random_problem(seed, opt)
+    order = shuffled_order(problem, seed)
+    compile_form(compiled, order, relative, False, monkeypatch)
+    for eps in (1e-2, 1e-6, 1e-9, 1e-12):
+        v_generic, v_compiled = problem.initial_vector(), problem.initial_vector()
+        sweeps, _ = generic_phase(problem, order, relative, v_generic, eps=eps, max_sweeps=10**6)
+        assert compiled.phase(order, relative, v_compiled, eps=eps, max_sweeps=10**6) \
+            == (sweeps, -1)
+        assert hexes(v_compiled) == hexes(v_generic)
+        for cap in {sweeps - 1, sweeps // 2} - {0}:
+            v_generic, v_compiled = problem.initial_vector(), problem.initial_vector()
+            with pytest.raises(IterationCapExceeded) as capped:
+                compiled.phase(order, relative, v_compiled, eps=eps, max_sweeps=cap)
+            assert capped.value.sweeps == cap
+            with pytest.raises(IterationCapExceeded):
+                generic_phase(problem, order, relative, v_generic, eps=eps, max_sweeps=cap)
+            assert hexes(v_compiled) == hexes(v_generic)
+
+
+@BODIES
+@pytest.mark.parametrize("relative_width", [True, False])
+@pytest.mark.parametrize("opt", ["max", "min"])
+@pytest.mark.parametrize("seed", range(6))
+def test_compiled_interval_phase_matches_generic_sweeps(seed, opt, relative_width,
+                                                        local_branches, monkeypatch):
+    # From an upper start above the lower vector the phase ends at the
+    # width test, from one partly below it at the first crossing state;
+    # both vectors and the sweep count, or the cap's count, must agree.
+    monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
+    problem, compiled = random_problem(seed, opt), random_problem(seed, opt)
+    order = shuffled_order(problem, seed)
+    compile_form(compiled, order, False, True, monkeypatch)
+    rng = random.Random(seed)
+    start = problem.initial_vector()
+    above = [x + 3.0 if s in problem.unknowns else x for s, x in enumerate(start)]
+    mixed = [x + rng.uniform(-1.0, 3.0) if s in problem.unknowns else x
+             for s, x in enumerate(start)]
+    for upper in (above, mixed):
+        for eps in (1e-1, 1e-4, 1e-8):
+            for cap in (10**5, 3, 1):
+                v_generic, u_generic = list(start), list(upper)
+                v_compiled, u_compiled = list(start), list(upper)
+                want = ending(lambda: generic_phase(problem, order, False, v_generic, u_generic,
+                                                    eps=eps, max_sweeps=cap,
+                                                    relative_width=relative_width))
+                assert ending(lambda: compiled.phase(order, False, v_compiled, u_compiled,
+                                                     eps=eps, max_sweeps=cap,
+                                                     relative_width=relative_width)) == want
+                assert hexes(v_compiled) == hexes(v_generic)
+                assert hexes(u_compiled) == hexes(u_generic)
+
+
+@BODIES
+@pytest.mark.parametrize("two", [False, True])
+def test_compiled_phase_raises_at_the_deadline(two, local_branches, monkeypatch):
+    # A clock that ticks once per deadline test: the test before sweep 7
+    # reads 6, past the deadline 5.5, so six sweeps run and stay in the
+    # vectors.  eps 0 and a width of at most -inf are never met.
+    monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
+    problem, compiled = random_problem(3, "max"), random_problem(3, "max")
+    order = problem.default_order()
+    compile_form(compiled, order, True, two, monkeypatch)
+    v, v_ref = problem.initial_vector(), problem.initial_vector()
+    u = [x + 3.0 if s in problem.unknowns else x for s, x in enumerate(v)] if two else None
+    u_ref = list(u) if two else None
+    eps = -math.inf if two else 0.0
+    ticks = itertools.count()
+    monkeypatch.setattr(solvers.time, "perf_counter", lambda: next(ticks))
+    with pytest.raises(SolveTimeout):
+        compiled.phase(order, True, v, u, eps=eps, max_sweeps=100, deadline=5.5)
+    assert next(ticks) == 7
+    with pytest.raises(IterationCapExceeded):
+        generic_phase(problem, order, True, v_ref, u_ref, eps=eps, max_sweeps=6)
+    assert hexes(v) == hexes(v_ref) and (not two or hexes(u) == hexes(u_ref))
+
+
+@BODIES
+def test_compiled_width_test_reads_an_initial_state_outside_the_order(local_branches,
+                                                                      monkeypatch):
+    # s0 is the initial state, but neither in the order nor a target of its
+    # states: its values stay at their start, 5 apart.
+    monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
+    model = mdp_of(0, [[(1, 1, 1)]], [[(1, 1, 2)]], [[(1, 0, 2)]])
+    order = [1]
+    for eps, want in ((5.0, (1, -1)), (4.0, ("IterationCapExceeded", 4))):
+        problem = reward_problem(model, [2], "max", [])
+        compile_form(problem, order, False, True, monkeypatch)
+        v, u = problem.initial_vector(), [5.0, 5.0, 0.0]
+        assert ending(lambda: problem.phase(order, False, v, u, eps=eps, max_sweeps=4)) == want
+        assert (v, u) == ([0.0, 1.0, 0.0], [5.0, 1.0, 0.0])
+
+
+def compile_peak(problem, two):
+    """The tracemalloc peak of compiling `problem`'s phase form, and what stays."""
+    order = problem.default_order()
+    tracemalloc.start()
+    try:
+        runner = _compile_phase(problem.kernel, order, True, True,
+                                problem.model.initial if two else None)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert runner is not None
+    return peak, kept
+
+
+def test_compile_memory_stays_bounded():
+    # A compile holds about 8 KB (one vector) to 11 KB (two) per branch of
+    # a runner that keeps its values in local variables, so a form of 235
+    # branches, below the cap of 256, peaks near 1.9 to 2.5 MB (tracemalloc,
+    # Python 3.11).  A form of 2 000+ branches compiles to blocks over the
+    # lists, each compiled on its own; beyond the code that stays, the
+    # compile holds about 0.3 to 0.4 MB at any size (about 20 MB for this
+    # form in local variables).
+    def problem(seed, n, goals):
+        doc = generate_random(seed, n, 3, 4, 4, goals)
+        targets = sorted(doc.declared_goals)
+        model = make_goals_absorbing(doc.model, targets)
+        return reward_problem(model, targets, "max", s_infinity(model, targets, "max"))
+
+    small, large = problem(2, 50, 1), problem(11, 500, 5)
+    assert 200 < sum(len(b) for s in small.unknowns for b in small.kernel[s]) \
+        <= solvers._LOCAL_BRANCHES
+    assert sum(len(b) for s in large.unknowns for b in large.kernel[s]) > 2000
+    for two in (False, True):
+        assert compile_peak(small, two)[0] < 4_000_000
+        peak, kept = compile_peak(large, two)
+        assert peak - kept < 1_000_000
 
 
 def test_threads_sharing_a_problem_get_identical_outcomes(monkeypatch):
@@ -352,18 +597,17 @@ def test_observers_get_the_live_vectors(me0):
 def test_gsvi_observer_changes_nothing_and_sees_exact_errors(mode, compile_after,
                                                               monkeypatch):
     # chain-16 runs far past the switch to the compiled tier.  Without an
-    # observer every sweep stops measuring at epsilon_vi; with one it
-    # measures exactly.  Sweep count and vector agree to the last bit, and
-    # the observed errors are those of sweeps that measure everything.
+    # observer gsvi runs one `BellmanProblem.phase`, whose sweeps stop
+    # measuring at epsilon_vi; with one it runs exact `sweep`s and never
+    # compiles.  Sweep count and vector agree to the last bit, and the
+    # observed errors are those of sweeps that measure everything.
     monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", compile_after)
-    stops = []
-    real_sweep = solvers.BellmanProblem.sweep
-
-    def spy(self, *args, stop=math.inf, **kwargs):
-        stops.append(stop)
-        return real_sweep(self, *args, stop=stop, **kwargs)
-
-    monkeypatch.setattr(solvers.BellmanProblem, "sweep", spy)
+    calls = []
+    for name in ("phase", "sweep"):
+        real = getattr(solvers.BellmanProblem, name)
+        monkeypatch.setattr(solvers.BellmanProblem, name,
+                            lambda *args, real=real, name=name, **kwargs:
+                            calls.append(name) or real(*args, **kwargs))
     doc = generate_slow_chain(16, Fraction(2, 3))
     goals = sorted(doc.declared_goals)
     model = make_goals_absorbing(doc.model, goals)
@@ -371,11 +615,11 @@ def test_gsvi_observer_changes_nothing_and_sees_exact_errors(mode, compile_after
     quiet, watched = (reward_problem(model, goals, "max", []) for _ in range(2))
     v_quiet, v_watched = quiet.initial_vector(), watched.initial_vector()
     sweeps = gsvi(quiet, v_quiet, criterion)
-    assert sweeps > 256 and set(stops) == {1e-9}
-    stops.clear()
+    assert sweeps > 256 and calls == ["phase"] and quiet._tiers[mode == "relative"][2]
+    calls.clear()
     events: list = []
     assert gsvi(watched, v_watched, criterion, observer=record(events)) == sweeps
-    assert set(stops) == {math.inf}
+    assert calls == ["sweep"] * sweeps and not watched._tiers
     assert hexes(v_quiet) == hexes(v_watched)
     v = watched.initial_vector()
     for _, _, error, _ in events:
@@ -650,11 +894,12 @@ def test_interval_iteration_names_the_first_crossing_state(order, first, monkeyp
     for threshold in (1, 10**18):
         monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", threshold)
         problem = probability_problem(m, goals=[3], opt="max")
-        # One sweep of the crossing-only form on throwaway vectors, with the
-        # same order object: at threshold 1 the compiled form then runs every
-        # sweep of interval iteration, at the unreachable one the generic
-        # form does.
-        problem.sweep(order, False, problem.initial_vector(), [0.5] * 4, crossing_only=True)
+        # One sweep of interval iteration's phase on throwaway vectors, with
+        # the same order object: at threshold 1 the compiled runner then runs
+        # every sweep of interval iteration, at the unreachable one `_sweep`
+        # does.
+        assert problem.phase(order, False, problem.initial_vector(), [0.5] * 4, eps=0.1,
+                             max_sweeps=1) == (1, first)
         assert bool(problem._tiers[None][2]) == (threshold == 1)
         with pytest.raises(SolverError, match=f"crossed at state {first}:"):
             interval_iteration(problem, make_property("pmax", [3], 0.05, "absolute"),
