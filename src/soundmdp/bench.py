@@ -59,6 +59,8 @@ def make_solve_arg_parser(prog: str = "solve", suite_mode: bool = False) -> argp
                        help="mark the row trivial when the result is 0 or 1")
     else:
         p.add_argument("--csv", action="store_true", help="emit a CSV row instead of a report")
+        p.add_argument("--timeout", type=float, default=None, metavar="SEC",
+                       help="numeric-phase timeout in seconds (default: none)")
     return p
 
 

@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    req = request_from_args(args, Path.cwd())
+    req = request_from_args(args, Path.cwd(), timeout=args.timeout)
     row, result = run_request(req)
     if args.csv:
         print(",".join(CSV_COLUMNS))

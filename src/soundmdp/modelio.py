@@ -466,61 +466,110 @@ def generate_random(seed: int, n_states: int, max_transitions: int, max_branches
 
     rng = random.Random(seed)
     for _ in range(1000):
-        doc = _random_attempt(rng, n_states, max_transitions, max_branches,
-                              r_max, r_min, goal_count, allow_end_components)
-        if allow_end_components or _only_absorbing_components(doc.model):
+        goals, draw, cycle = _random_draw(rng, n_states, max_transitions, max_branches,
+                                          r_max > 0, goal_count, allow_end_components)
+        if allow_end_components or _only_absorbing_components(draw):
+            doc = _random_model(goals, draw, cycle, r_max, r_min)
             assert not validate(doc.model)
             return doc
     raise GeneratorError("could not generate an end-component-free model with these bounds")
 
 
-def _random_attempt(rng: random.Random, n_states: int, max_transitions: int,
-                    max_branches: int, r_max: Fraction, r_min: Fraction,
-                    goal_count: int, allow_ec: bool) -> ModelDocument:
+#: one drawn state: None for a goal, else per transition (weights, reward eighths, targets)
+_Draw = list[tuple[list[int], list[int], list[int]]] | None
+
+
+def _random_draw(rng: random.Random, n_states: int, max_transitions: int, max_branches: int,
+                 rewarded: bool, goal_count: int, allow_ec: bool
+                 ) -> tuple[list[int], list[_Draw], tuple[int, int] | None]:
+    """The integers of one candidate model, drawn in a fixed order: the goals,
+    then per state and transition the targets, their weights and, if
+    `rewarded`, one reward eighth per branch; last, with `allow_ec`, the two
+    states of the injected cycle (or None)."""
     goals = sorted(rng.sample(range(1, n_states), goal_count))
     goal_set = set(goals)
-    transitions: list[tuple[Transition, ...]] = []
+    draw: list[_Draw] = []
     for s in range(n_states):
         if s in goal_set:
-            transitions.append((transition([branch(1, 0, s)]),))
+            draw.append(None)
             continue
         ts = []
         for _ in range(rng.randint(1, max_transitions)):
             targets = rng.sample(range(n_states), rng.randint(1, min(max_branches, n_states)))
             weights = [rng.randint(1, 9) for _ in targets]
-            total = sum(weights)
-            branches = []
-            for w, tgt in zip(weights, targets):
-                if r_max > 0:
-                    reward = r_min + (r_max - r_min) * Fraction(rng.randint(0, 8), 8)
-                else:
-                    reward = Fraction(0)
-                branches.append(branch(Fraction(w, total), reward, tgt))
-            ts.append(transition(branches))
-        transitions.append(tuple(ts))
-    model = Mdp(n_states, 0, tuple(transitions))
+            eighths = [rng.randint(0, 8) for _ in targets] if rewarded else [0] * len(targets)
+            ts.append((weights, eighths, targets))
+        draw.append(ts)
+    cycle = None
     if allow_ec and n_states - goal_count >= 2:
-        a, b = rng.sample([s for s in range(n_states) if s not in goal_set], 2)
-        new = list(model.transitions)
-        new[a] = new[a] + (transition([branch(1, 0, b)]),)
-        new[b] = new[b] + (transition([branch(1, 0, a)]),)
-        model = Mdp(n_states, 0, tuple(new))
-    return _labelled(model, goals)
+        cycle = tuple(rng.sample([s for s in range(n_states) if s not in goal_set], 2))
+    return goals, draw, cycle
 
 
-def _only_absorbing_components(model: Mdp) -> bool:
-    """True when every end component of the reward-stripped model is a fully
-    absorbing single state (all of whose transitions are kept self-loops)."""
-    from .graph import mec_decomposition
-    from .model import strip_rewards
+def _random_model(goals: list[int], draw: list[_Draw], cycle: tuple[int, int] | None,
+                  r_max: Fraction, r_min: Fraction) -> ModelDocument:
+    """The exact model of one draw: weights normalised per transition, reward
+    eighth k as r_min + (r_max - r_min) * k/8, goals absorbing, and the cycle's
+    two states joined by zero-reward moves."""
+    rewards = [r_min + (r_max - r_min) * Fraction(k, 8) for k in range(9)]
+    transitions: list[tuple[Transition, ...]] = []
+    for s, ts in enumerate(draw):
+        if ts is None:
+            transitions.append((transition([branch(1, 0, s)]),))
+            continue
+        choices = []
+        for weights, eighths, targets in ts:
+            total = sum(weights)
+            choices.append(transition([branch(Fraction(w, total), rewards[k], t)
+                                       for w, k, t in zip(weights, eighths, targets)]))
+        transitions.append(tuple(choices))
+    if cycle is not None:
+        a, b = cycle
+        transitions[a] += (transition([branch(1, 0, b)]),)
+        transitions[b] += (transition([branch(1, 0, a)]),)
+    return _labelled(Mdp(len(draw), 0, tuple(transitions)), goals)
 
-    for mec in mec_decomposition(strip_rewards(model)):
-        if len(mec.states) > 1:
-            return False
-        (s,) = mec.states
-        if len(mec.kept_transitions[s]) != len(model.transitions[s]):
-            return False
-    return True
+
+def _only_absorbing_components(draw: list[_Draw]) -> bool:
+    """True when every end component of the drawn structure is a fully
+    absorbing single state (all of whose transitions are self-loops).
+
+    Reward-stripped, every transition may take part in an end component, so
+    only the targets matter.  A state whose transitions are all self-loops
+    is such a component; every other component lies among the remaining
+    states.  Those hold an end component exactly when peeling, again and
+    again, each state with no transition whose targets all remain leaves a
+    state: a bottom strongly connected component of what remains is one.
+    """
+    targets = [[[s]] if ts is None else [tgts for _, _, tgts in ts]
+               for s, ts in enumerate(draw)]
+    remaining = [not all(t == [s] for t in ts) for s, ts in enumerate(targets)]
+    # The transitions whose targets all remain, with their states' counts of
+    # them, and for each target the transitions that use it.
+    owner: list[int] = []
+    alive = [0] * len(targets)
+    users: list[list[int]] = [[] for _ in targets]
+    for s, ts in enumerate(targets):
+        if remaining[s]:
+            for tgts in ts:
+                if all(remaining[t] for t in tgts):
+                    for t in tgts:
+                        users[t].append(len(owner))
+                    owner.append(s)
+                    alive[s] += 1
+    live = [True] * len(owner)
+    stranded = [s for s, r in enumerate(remaining) if r and not alive[s]]
+    while stranded:
+        t = stranded.pop()
+        remaining[t] = False
+        for k in users[t]:
+            if live[k]:
+                live[k] = False
+                s = owner[k]
+                alive[s] -= 1
+                if not alive[s]:
+                    stranded.append(s)
+    return not any(remaining)
 
 
 def generate_slow_chain(n: int, p: Number) -> ModelDocument:

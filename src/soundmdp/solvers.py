@@ -32,8 +32,14 @@ compiles the form into a phase runner (`_compile_phase`): straight-line
 Python with the kernel's constants as literals, which performs the same
 operations in the same order without the per-branch loop overhead, inside
 a loop over sweeps that holds the values in local variables from the
-phase's start to its end.  A compile costs as much as 180 to 280 generic
-sweeps, so the switch comes at 256 sweeps and short solves never reach it.
+phase's start to its end.  It leaves out only operations that cannot change
+a float: a multiply by a probability of 1.0, interval iteration's
+temporaries for a state without a self-loop, and, where every weight is
+positive and every reward positive-signed, the `0.0 +` that starts each
+choice sum; the last is exact only from vectors with no negative or -0.0
+entry, so `phase` checks that before it calls a runner.  A compile costs as
+much as 130 to 340 generic sweeps, so the switch comes at 256 sweeps and
+short solves never reach it.
 OVI's verification phases prove or refute a guess within a few sweeps, far
 fewer than a compile of theirs would need to pay for itself, so they always
 run `_sweep`.
@@ -77,6 +83,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 from .errors import IterationCapExceeded, SolveTimeout, SolverError
@@ -154,7 +161,10 @@ class BellmanProblem:
         compiles a runner for the form (`_compile_phase`), which runs this
         phase's remaining sweeps and every later phase's, with the same
         floats, sweep counts and crossing.  The order must not change while
-        it is in use.
+        it is in use.  A call gives its vectors to the runner only when no
+        entry of either is negative or -0.0 (one `copysign` pass over each,
+        at the call or at the switch), which the runner's sums rely on;
+        otherwise all of its sweeps run `_sweep`.
         """
         form = relative if u is None else None
         tiers = self._tiers  # type: ignore[attr-defined]
@@ -164,7 +174,8 @@ class BellmanProblem:
         maximize = self.opt == "max"
         s_i = self.model.initial
         sweeps = 0
-        while not tier[2]:
+        runner = tier[2] if tier[2] and _positive_signs(v, u) else None
+        while runner is None:
             if sweeps >= max_sweeps:
                 raise IterationCapExceeded(sweeps)
             _check_deadline(deadline)
@@ -176,12 +187,14 @@ class BellmanProblem:
                 if tier[1] >= COMPILE_AFTER_SWEEPS:
                     tier[2] = _compile_phase(self.kernel, order, maximize, relative,
                                              None if u is None else s_i) or False
+                    if tier[2] and _positive_signs(v, u):
+                        runner = tier[2]
             if u is None:
                 if error < eps:
                     return sweeps, -1
             elif cross >= 0 or u[s_i] - v[s_i] <= (eps * v[s_i] if relative_width else eps):
                 return sweeps, cross
-        sweeps, end = tier[2](v, u, sweeps, max_sweeps, deadline, eps, relative_width)
+        sweeps, end = runner(v, u, sweeps, max_sweeps, deadline, eps, relative_width)
         if end == _CAPPED:
             raise IterationCapExceeded(sweeps)
         if end == _LATE:
@@ -281,6 +294,12 @@ def _check_deadline(deadline: float | None) -> None:
         raise SolveTimeout(_LATE_MESSAGE)
 
 
+def _positive_signs(v: list[float], u: list[float] | None) -> bool:
+    """True when no entry of `v`, or of `u` if given, is negative or -0.0."""
+    return all(-1.0 not in map(math.copysign, repeat(1.0), vec)
+               for vec in (v, u) if vec is not None)
+
+
 def _sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
            v: list[float], u: list[float] | None = None,
            stop: float = math.inf) -> tuple[float, bool, bool, int]:
@@ -332,14 +351,16 @@ def _sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
 
 
 #: generic sweeps a form runs before `BellmanProblem.phase` compiles its
-#: runner.  On the benchmark's 50-state models and slow chains a compile
-#: costs as much as 180 to 280 generic sweeps of its form (0.9 ms on a
-#: 19-branch chain to 8.5 ms on a 235-branch model), and a runner sweep is
-#: 2.6 to 4.3 times faster than a generic one, so a compile is repaid 265 to
-#: 444 sweeps after the switch (medians of 5 in-process runs, shared 2-core
-#: x86-64 host, Python 3.11).  At 256 the generic sweeps have cost about one
-#: compile when the switch comes, so a phase that ends right after it pays
-#: at most about twice its generic cost, and every long phase gains.
+#: runner.  On every long form of the benchmark's 50-state models and slow
+#: chains a compile costs as much as 130 to 340 generic sweeps of its form
+#: (1.0 ms on a 19-branch chain to 6.9 ms on a 235-branch model), and a
+#: runner sweep is 2.9 to 4.7 times faster than a generic one, so a compile
+#: is repaid 190 to 460 sweeps after the switch (medians of 5 compiles and
+#: of 7 timings of 256 sweeps from the start of the form's longest phase,
+#: two in-process runs, shared 2-core x86-64 host, Python 3.11).  At 256
+#: the generic sweeps have cost about one compile when the switch comes, so
+#: a phase that ends right after it pays at most about twice its generic
+#: cost, and every long phase gains.
 COMPILE_AFTER_SWEEPS = 256
 
 #: branches per statement and per block function over the lists
@@ -359,52 +380,75 @@ _CAPPED, _LATE = -2, -3
 _LATE_MESSAGE = "numeric phase ran past its deadline"
 
 
-def _best_lines(trs: tuple, vec: str, target: str, maximize: bool) -> list[str]:
+def _best_lines(trs: tuple, vec: str, target: str, maximize: bool,
+                seedless: bool) -> list[str]:
     """Statements leaving the state's best choice value over `vec` in `target`.
 
     `vec` formats a state id into the expression that reads its value, a
-    list item or a local variable.  Each choice's sum is
+    list item or a local variable.  Each choice's sum is `_sweep`'s
     `0.0 + p*(r+vec[t]) + ...` in branch order, written in statements of
     at most one block's terms so that the compiler never sees a deeply
-    nested expression; `+ p*vec[t]` stands for a reward of +0.0, since only
-    a zero product's sign can differ and the sum, which starts at +0.0,
-    absorbs it.  A later choice replaces the best only when strictly
-    better, so ties go to the first best choice, as in `_state_value`.
+    nested expression.  Three rewrites leave every float as it is:
+
+    - `p*vec[t]` stands for a reward of +0.0: `+0.0 + x` differs from `x`
+      only for x = -0.0, and then only in a zero product's sign, which a
+      sum started at +0.0 absorbs;
+    - `(r+vec[t])` and `vec[t]` stand for a probability of exactly 1.0,
+      since `1.0*y` is `y` for every y;
+    - with `seedless`, a sum starts at its first term instead of at
+      `0.0 +`, since `0.0 + y` is `y` for every y but -0.0;
+      `_compile_phase` sets it only where no term and no value read is
+      ever -0.0, which also covers the first rewrite.
+
+    A later choice replaces the best only when strictly better, so ties go
+    to the first best choice, as in `_state_value`.
     """
     better = ">" if maximize else "<"
     lines = []
     for i, branches in enumerate(trs):
         name = target if i == 0 else "y"
-        terms = [f"+{p!r}*{vec.format(t)}" if r == 0.0 and math.copysign(1.0, r) > 0.0
-                 else f"+{p!r}*({r!r}+{vec.format(t)})" for p, r, t in branches]
-        acc = "0.0"
+        terms = []
+        for p, r, t in branches:
+            term = vec.format(t) if r == 0.0 and math.copysign(1.0, r) > 0.0 \
+                else f"({r!r}+{vec.format(t)})"
+            terms.append(term if p == 1.0 else f"{p!r}*{term}")
+        head = [] if seedless and terms else ["0.0"]
         for j in range(0, max(len(terms), 1), _BLOCK_BRANCHES):
-            lines.append(f"{name} = {acc}" + "".join(terms[j:j + _BLOCK_BRANCHES]))
-            acc = name
+            lines.append(f"{name} = " + "+".join(head + terms[j:j + _BLOCK_BRANCHES]))
+            head = [name]
         if i:
             lines.append(f"if y {better} {target}: {target} = y")
     return lines
 
 
 def _state_lines(s: int, trs: tuple, maximize: bool, relative: bool, two: bool,
-                 v: str, u: str) -> list[str]:
+                 seedless: bool, v: str, u: str) -> list[str]:
     """One state's statements of a sweep, `_sweep`'s operations in its order.
 
     The one-vector form guards the gain lines with `if e < eps:`, the `stop`
     test of `_sweep`; the two-vector form backs up both vectors without any
-    error, up or down line and keeps the first crossing state in `c`.
+    error, up or down line and keeps the first crossing state in `c`.  A
+    state of the two-vector form without a self-loop assigns its new values
+    straight to its own `v` and `u`: its v-sums read only other states' `v`
+    and its u-sums only `u`, so every sum and the crossing test see the
+    values they see in `_sweep`.
     """
-    lines = _best_lines(trs, v, "n", maximize)
+    vs, us = v.format(s), u.format(s)
+    if two and all(t != s for branches in trs for _, _, t in branches):
+        return [*_best_lines(trs, v, vs, maximize, seedless),
+                *_best_lines(trs, u, us, maximize, seedless),
+                f"if {us} < {vs} and c < 0: c = {s}"]
+    lines = _best_lines(trs, v, "n", maximize, seedless)
     if two:
-        lines += [*_best_lines(trs, u, "m", maximize),
+        lines += [*_best_lines(trs, u, "m", maximize, seedless),
                   f"if m < n and c < 0: c = {s}",
-                  f"{u.format(s)} = m"]
+                  f"{us} = m"]
     else:
         lines += ["if e < eps:",
-                  f"    g = (n - {v.format(s)}) / n if n > 0 else 0.0" if relative
-                  else f"    g = n - {v.format(s)}",
+                  f"    g = (n - {vs}) / n if n > 0 else 0.0" if relative
+                  else f"    g = n - {vs}",
                   "    if g > e: e = g"]
-    lines.append(f"{v.format(s)} = n")
+    lines.append(f"{vs} = n")
     return lines
 
 
@@ -437,6 +481,22 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool, relativ
     None, and the caller stays generic, when a state has no choice, a
     target out of range, or a non-float or non-finite constant: the source
     holds only `repr` of finite floats and int indices.
+
+    The seed rule.  `_sweep` starts every choice sum at `acc = 0.0`, which
+    changes the first term `y` only when `y` is -0.0 (to +0.0).  Where
+    every branch of the form has a weight above 0.0 and a reward whose sign
+    is positive (+0.0 or above: every parsed, generated, goal-absorbed,
+    reward-stripped and quotient model), the runner's sums start at their
+    first term (`_best_lines`' `seedless`); other forms keep the `0.0 +`.
+    This is exact as long as every value the runner reads has a positive
+    sign, none negative and none -0.0, which `BellmanProblem.phase`
+    checks of both vectors before it calls the runner.  Then, by induction
+    over the updates: `r + x` of a positive-signed reward and value is
+    positive-signed (a sum is -0.0 only of two -0.0 terms), so is its
+    product with a positive weight, and so is every partial sum of such
+    terms; the first term is never -0.0, so every sum equals `_sweep`'s bit
+    for bit, and each state stores one of these sums, positive-signed
+    again.  The runner never writes a state outside `order`.
     """
     n = len(kernel)
     if not all(type(s) is int and 0 <= s < n and _compilable(kernel[s], n) for s in order):
@@ -445,6 +505,8 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool, relativ
     if two and not (type(s_init) is int and 0 <= s_init < n):
         return None
     branches = sum(len(b) for s in order for b in kernel[s])
+    seedless = all(p > 0.0 and math.copysign(1.0, r) > 0.0
+                   for s in order for b in kernel[s] for p, r, _ in b)
     if two:
         start, stop_test = "c = -1", ["if c >= 0 or {u} - {v} <= (eps * {v} if rel else eps):",
                                       "    end = c"]
@@ -454,7 +516,7 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool, relativ
     if branches <= _LOCAL_BRANCHES:
         v, u = "v{}", "u{}"
         body = [line for s in order
-                for line in _state_lines(s, kernel[s], maximize, relative, two, v, u)]
+                for line in _state_lines(s, kernel[s], maximize, relative, two, seedless, v, u)]
         read = sorted({t for s in order for b in kernel[s] for _, _, t in b}
                       | set(order) | ({s_init} if two else set()))
         written = sorted(set(order))
@@ -467,7 +529,7 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool, relativ
         blocks, lines, size = [], [], 0
         blocks_namespace: dict = {"__builtins__": {}}
         for i, s in enumerate(order):
-            lines += _state_lines(s, kernel[s], maximize, relative, two, v, u)
+            lines += _state_lines(s, kernel[s], maximize, relative, two, seedless, v, u)
             size += sum(len(b) for b in kernel[s])
             if size >= _BLOCK_BRANCHES or i == len(order) - 1:
                 exec(compile("\n    ".join([head, *lines, tail]), "<compiled sweep>", "exec"),

@@ -113,6 +113,37 @@ def test_solve_checks_epsilon_before_reading_the_model(tmp_path, capsys):
     assert capsys.readouterr().err == "error: epsilon must be a positive finite real, not 0.0\n"
 
 
+def test_solve_timeout(tmp_path, capsys):
+    # Value iteration to 1e-9 on this chain runs for seconds; past a 1 ms
+    # deadline the report is the status alone, exit code 1.
+    path = tmp_path / "chain.mdpx"
+    path.write_text(write_explicit(generate_slow_chain(14, Fraction(1, 2))))
+    request = ["solve", str(path), "--prop", "emax", "--method", "vi", "--epsilon", "1e-9"]
+    assert main([*request, "--timeout", "0.001"]) == 1
+    assert capsys.readouterr() == ("", "error: timeout\n")
+    assert main([*request, "--timeout", "0.001", "--csv"]) == 1
+    assert capsys.readouterr().out.splitlines()[1].endswith(",timeout")
+
+
+def test_solve_timeout_leaves_a_solve_that_meets_it_unchanged(me_file, capsys):
+    request = ["solve", str(me_file), "--prop", "emin", "--method", "ii"]
+    assert main(request) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert main([*request, "--timeout", "600"]) == 0
+    timed = capsys.readouterr().out.splitlines()
+    assert [line for line in timed if not line.startswith("time")] \
+        == [line for line in plain if not line.startswith("time")]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_solve_rejects_a_timeout_that_is_not_positive(tmp_path, capsys, value):
+    # Checked with the other options, before the model is read.
+    code = main(["solve", str(tmp_path / "missing.mdpx"), "--prop", "pmax", "--timeout", value])
+    assert code == 2
+    assert capsys.readouterr().err \
+        == f"error: timeout must be a positive number, not {float(value)!r}\n"
+
+
 def test_bench_rejects_bad_options_up_front(me_file, tmp_path, capsys):
     # A bad option fails the whole suite at its line, not as an error row.
     suite = tmp_path / "bad.suite"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import random
 import re
 import time
 from fractions import Fraction
@@ -10,6 +12,7 @@ from soundmdp import (GeneratorError, Mdp, ModelDocument, ParseError, branch,
                       generate_example_me, generate_random, generate_slow_chain,
                       make_goals_absorbing, make_property, mec_decomposition, oracle_exact,
                       parse_explicit, strip_rewards, transition, validate, write_explicit)
+from soundmdp import modelio
 
 ME_TEXT = """
 mdpx 1
@@ -188,6 +191,54 @@ def test_generate_random_inconsistent_bounds():
         generate_random(0, 3, 0, 1, 0, 1)
     with pytest.raises(GeneratorError):
         generate_random(0, 3, 1, 1, 1, 1, min_reward=2)
+
+
+# sha256 of write_explicit(generate_random(...)): the benchmark's models
+# (large, stiff-2, stiff-3) and variants with end components, a minimum
+# reward and no rewards.  A generator that draws other integers, or in
+# another order, or accepts another draw, changes them.
+GENERATED_DIGESTS = [
+    ((1, 4000, 3, 4, 4, 80), {},
+     "045be712ed1d360a37e8c9b7e56aaa39186e7f7575e7eb3032549dcc8bec7664"),
+    ((2, 50, 3, 4, 4, 1), {},
+     "cc1cec316b627c04d824eea9e7fd58a532046d694e40804731fae88d7507030f"),
+    ((3, 50, 3, 4, 4, 1), {},
+     "7d92dc4b603845161e257c480e1e91e9ee3fa4f555f594cf36325839e71f22e9"),
+    ((0, 8, 3, 3, 4, 2), {"allow_end_components": True},
+     "d7ed3b8a35581fcbdcd892ab26edf8625a6d87ad90fbf456722e8ab14e6f0878"),
+    ((30, 40, 3, 4, 4, 4), {"allow_end_components": True},
+     "173cecf2d9b887dfda462c27daac20fe847206133310539f11df3a66ae34e30b"),
+    ((11, 6, 2, 2, Fraction(2), 1), {"min_reward": Fraction(1, 4)},
+     "ef7dc16a4e51c3cf9e28e58314f809cf5f05510e6ba1a50d971ef30222ca287f"),
+    ((7, 20, 2, 3, 0, 2), {},
+     "1b8fcbf83ff9382206ffbf08f9f8392715ecbb2dad4f3291fdc32ddd1c136efa"),
+]
+
+
+@pytest.mark.parametrize("args, kwargs, digest", GENERATED_DIGESTS,
+                         ids=["large", "stiff-2", "stiff-3", "ec-8", "ec-40", "min-reward",
+                              "no-reward"])
+def test_generate_random_models_are_pinned(args, kwargs, digest):
+    text = write_explicit(generate_random(*args, **kwargs))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_generator_end_component_test_matches_mec_decomposition():
+    # The generator tests a draw's bare targets before it builds any model;
+    # on every draw, the rejected ones too, the verdict must be that of the
+    # MEC decomposition of the built, reward-stripped model.
+    rng = random.Random(3)
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        goals, draw, _ = modelio._random_draw(rng, n, 3, 3, True, rng.randint(1, n - 1), False)
+        model = modelio._random_model(goals, draw, None, Fraction(4), Fraction(0)).model
+        mecs = mec_decomposition(strip_rewards(model))
+        want = all(len(mec.states) == 1 and len(mec.kept_transitions[min(mec.states)])
+                   == len(model.transitions[min(mec.states)]) for mec in mecs)
+        assert modelio._only_absorbing_components(draw) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_slow_chain_structure():

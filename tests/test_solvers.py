@@ -491,6 +491,131 @@ def test_compiled_width_test_reads_an_initial_state_outside_the_order(local_bran
         assert (v, u) == ([0.0, 1.0, 0.0], [5.0, 1.0, 0.0])
 
 
+# ---------------------------------------------------------------------------
+# The runners' lean sums (no `0.0 +` seed, no unit weights, no temporaries
+# in interval iteration) against a loop of `_sweep`, on kernels and inputs
+# that no valid model produces.
+
+#: weights, rewards and input values of the hand-built kernels: unit
+#: probabilities, +0.0 and -0.0 rewards, negative weights and inputs, and a
+#: negative subnormal
+WEIGHTS = (1.0, 0.5, 0.25, 0.75, -0.5)
+REWARDS = (0.0, 0.0, 1.0, 0.5, -0.0)
+VALUES = (0.0, 0.3, 1.0, -0.0, -1e-320, -0.5)
+
+
+def signed_kernel_model(rng, n, signed):
+    """n states, the last an absorbing goal; every other state has one to
+    three choices of one to four branches, self-loops among them.  Unless
+    `signed`, every weight is above 0.0 and every reward +0.0 or above."""
+    def choice():
+        branches = []
+        for t in rng.sample(range(n), rng.randint(1, min(4, n))):
+            p = rng.choice(WEIGHTS if signed else WEIGHTS[:4])
+            r = rng.choice(REWARDS if signed else REWARDS[:4])
+            branches.append(Branch(p, r, t, Fraction(p), Fraction(r)))
+        return Transition(tuple(branches))
+
+    states = [tuple(choice() for _ in range(rng.randint(1, 3))) for _ in range(n - 1)]
+    states.append((Transition((Branch(1.0, 0.0, n - 1, Fraction(1), Fraction(0)),)),))
+    return Mdp(n, 0, tuple(states))
+
+
+def positive_signs(*vectors):
+    return all(math.copysign(1.0, x) > 0.0 for vec in vectors if vec for x in vec)
+
+
+@BODIES
+@pytest.mark.parametrize("signed", [False, True], ids=["positive", "signed"])
+@pytest.mark.parametrize("seed", range(10))
+def test_runners_match_sweep_on_signed_zeros_and_negatives(seed, signed, local_branches,
+                                                            monkeypatch):
+    # Random kernels, both runner forms, phases from positive inputs and
+    # from inputs holding -0.0, negatives and a negative subnormal: the
+    # vectors hex-equal, the same sweep count or cap, the same crossing.
+    # The runner runs exactly the phases whose inputs have no negative sign;
+    # from the others a runner without the `0.0 +` seed would store -0.0
+    # where `_sweep` stores +0.0.
+    monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
+    rng = random.Random(seed)
+    generic = []
+    real_sweep = solvers._sweep
+    monkeypatch.setattr(solvers, "_sweep", lambda *args: generic.append(args) or real_sweep(*args))
+    for _ in range(6):
+        n = rng.randint(2, 8)
+        model, opt = signed_kernel_model(rng, n, signed), rng.choice(["max", "min"])
+        problem, compiled = reward_problem(model, [n - 1], opt, []), \
+            reward_problem(model, [n - 1], opt, [])
+        order = problem.default_order()
+        rng.shuffle(order)
+        for relative, two in ((True, False), (False, False), (False, True)):
+            compile_form(compiled, order, relative, two, monkeypatch)
+            for trial in range(6):
+                values = VALUES[:3] if trial == 0 else VALUES
+                v = [rng.choice(values) for _ in range(n)]
+                u = [rng.choice(values) + rng.choice((0.0, 2.0)) for _ in range(n)] \
+                    if two else None
+                v_ref, u_ref = list(v), (list(u) if two else None)
+                eps, cap = rng.choice((1e-3, 0.5, -math.inf if two else 0.0)), rng.randint(1, 6)
+                want = ending(lambda: generic_phase(problem, order, relative, v_ref, u_ref,
+                                                    eps=eps, max_sweeps=cap))
+                runs_compiled = positive_signs(v, u)
+                generic.clear()
+                assert ending(lambda: compiled.phase(order, relative, v, u, eps=eps,
+                                                     max_sweeps=cap)) == want
+                assert hexes(v) == hexes(v_ref)
+                assert not two or hexes(u) == hexes(u_ref)
+                assert (not generic) == runs_compiled
+
+
+def runner_sources(problem, two, monkeypatch):
+    """The sources `_compile_phase` generates for `problem`'s default order."""
+    sources = []
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "compile", lambda source, *args: sources.append(source)
+                      or compile(source, *args), raising=False)
+        assert _compile_phase(problem.kernel, problem.default_order(), True, False,
+                              problem.model.initial if two else None)
+    return "\n".join(sources)
+
+
+@pytest.mark.parametrize("weight", [Fraction(1, 2), Fraction(-1, 2)])
+def test_runner_sources_drop_seed_unit_weights_and_interval_temporaries(weight, monkeypatch):
+    # s0: one choice, no self-loop.  s1: two choices, a self-loop in one.
+    # s2: two choices, no self-loop.  s3 is the goal.  A negative weight
+    # (s2's first branch) keeps the `0.0 +` of every sum of the form.
+    model = mdp_of(0, [[(1, 1, 1)]],
+                   [[(HALF, 0, 1), (HALF, 2, 2)], [(1, 0, 3)]],
+                   [[(weight, 0, 3), (1 - weight, 1, 0)], [(1, 0, 3)]],
+                   [[(1, 0, 3)]])
+    problem = reward_problem(model, [3], "max", [])
+    one, two = runner_sources(problem, False, monkeypatch), runner_sources(problem, True,
+                                                                           monkeypatch)
+    assert "1.0*" not in one + two
+    if weight < 0:
+        assert "n = 0.0+(1.0+v1)" in one and "v0 = 0.0+(1.0+v1)" in two
+        return
+    assert "0.0+" not in one + two
+    assert "n = (1.0+v1)" in one
+    # Interval iteration: s0 and s2 assign their own values; s1 reads its own.
+    assert "v0 = (1.0+v1)\n" in two and "u0 = (1.0+u1)\n" in two
+    assert "if u0 < v0 and c < 0: c = 0" in two
+    assert "n = 0.5*v1+0.5*(2.0+v2)" in two and "m = 0.5*u1+0.5*(2.0+u2)" in two
+    assert "if m < n and c < 0: c = 1" in two
+    assert "v2 = 0.5*v3+0.5*(1.0+v0)" in two and "if y > v2: v2 = y" in two
+    assert "if u2 < v2 and c < 0: c = 2" in two
+    # The runner from positive inputs, `_sweep` from a -0.0 input.
+    order = problem.default_order()
+    for start in (problem.initial_vector(), [0.0, -0.0, 0.0, 0.0]):
+        compiled = reward_problem(model, [3], "max", [])
+        compile_form(compiled, order, False, True, monkeypatch)
+        v, u = list(start), [5.0, 5.0, 5.0, 0.0]
+        v_ref, u_ref = list(v), list(u)
+        assert compiled.phase(order, False, v, u, eps=1e-3, max_sweeps=10**4) \
+            == generic_phase(problem, order, False, v_ref, u_ref, eps=1e-3, max_sweeps=10**4)
+        assert hexes(v) == hexes(v_ref) and hexes(u) == hexes(u_ref)
+
+
 def compile_peak(problem, two):
     """The tracemalloc peak of compiling `problem`'s phase form, and what stays."""
     order = problem.default_order()
