@@ -42,14 +42,18 @@ much as 130 to 340 generic sweeps, so the switch comes at 256 sweeps and
 short solves never reach it.
 OVI's verification phases prove or refute a guess within a few sweeps, far
 fewer than a compile of theirs would need to pay for itself, so they always
-run `_sweep`.
+run `_sweep`.  On a problem with a unique fixed point and at most
+POLICY_MAX_UNKNOWNS unknowns, OVI's first iteration phase stops at
+POLICY_AFTER_SWEEPS sweeps for a policy-evaluation guess (see `ovi`), which
+usually ends the solve before any form compiles.
 
 Lower iterates started from the seed vector stay below the least fixed point,
 so a plain VI result is only a lower bound with no error guarantee.  The sound
 solvers return certified two-sided bounds: interval iteration squeezes the
 value between a rising lower and a falling upper iterate, and optimistic VI
-guesses an upper vector from the lower one and accepts it only when a joint
-sweep moves no upper value up (inductivity, hence a true upper bound).
+guesses an upper vector from the lower one, or both vectors from a policy's
+values, and accepts it only when a joint sweep moves no upper value up
+(inductivity, hence a true upper bound).
 
 `gsvi`, `ovi` and `interval_iteration` share one calling convention:
 `(problem, ..., order=None, *, max_sweeps=DEFAULT_SWEEP_CAP, deadline=None,
@@ -67,18 +71,27 @@ it must copy to keep.  An observed phase runs `_sweep` for every sweep:
                                    after each `ovi` verification sweep, with
                                    the flags of `_sweep` (cross: the first
                                    crossing state or -1);
+  ("policy", rounds, l, u)         when `ovi` makes a policy-evaluation guess,
+                                   before its first joint sweep: the rounds
+                                   of policy iteration, the lower and the
+                                   upper vector;
   ("cancel", reason)               when `ovi` refutes a guess: "up", "cross"
-                                   or "guard" (the ten-times rule);
+                                   or "guard" (the ten-times rule), or
+                                   "policy" for a policy-evaluation guess;
   ("adopt-upper",)                 when `ovi` keeps a refuted upper vector as
                                    its lower one;
   ("epsilon-vi", x)                when `ovi` sets the next phase's threshold.
 
-`ovi` passes its observer on to `gsvi`, so its iteration phases send "iter".
+`ovi` passes its observer on to `gsvi`, so its iteration phases send "iter";
+an iteration phase paused for a policy-evaluation guess counts its sweeps on
+from the pause when it resumes.  The joint sweeps of a policy-evaluation
+guess send no "verify".
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -628,6 +641,140 @@ def _exact_outcome(value: float, sweeps: int, method: str, start: float) -> Solv
                         method=method, certified=True)
 
 
+#: sweeps after which `ovi`'s first iteration phase pauses for a
+#: policy-evaluation guess.  It comes before COMPILE_AFTER_SWEEPS, so that an
+#: accepted guess never pays for a compile, and above the 53 sweeps of the
+#: longest phase of the `large` benchmark workload.
+POLICY_AFTER_SWEEPS = 128
+
+#: the most unknowns a policy-evaluation guess solves for.  Dense elimination
+#: holds n**2 floats and costs up to n**3/3 multiply-adds per round; skipping
+#: zero entries, a round on `generate_random(seed, n, 3, 4, 4, n // 50)` emax
+#: took 33-55 ms at 400 unknowns, 84-111 ms at 600 and 130-240 ms at 800,
+#: against 30-95 ms for the 128 generic sweeps before the pause (seeds 0-2,
+#: 4-8 rounds each, shared 2-core x86-64 host, Python 3.11).  Above 600 a
+#: round costs more than twice the pause, and a guess that fails costs
+#: seconds.
+POLICY_MAX_UNKNOWNS = 600
+
+#: policy-improvement rounds before a policy-evaluation guess is given up;
+#: the models above took at most 8 up to 600 unknowns, and 13 at 1 500
+POLICY_MAX_ROUNDS = 16
+
+#: joint sweeps a policy-evaluation guess gets to prove itself.  Its lower
+#: and upper vectors are scaled solutions of a linear system, and the first
+#: sweep can move a value by an ulp the wrong way, most often at a state
+#: that copies another through a zero-reward branch of probability 1; a
+#: sweep or two settles them on the benchmark's models and on random models
+#: of up to 600 unknowns, and an ultra-stiff 1 000-state model (value
+#: 3.8e13) took 39.
+POLICY_CHECK_SWEEPS = 32
+
+
+def _choice_value(branches: tuple, values: Sequence[float]) -> float:
+    acc = 0.0
+    for p, r, t in branches:
+        acc += p * (r + values[t])
+    return acc
+
+
+def _improved_choice(trs: tuple, current: int, values: Sequence[float], maximize: bool) -> int:
+    """The state's best choice over `values`: `current` unless another is
+    strictly better, and of several such the first best."""
+    best = _choice_value(trs[current], values)
+    for c, branches in enumerate(trs):
+        value = _choice_value(branches, values)
+        if value > best if maximize else value < best:
+            best, current = value, c
+    return current
+
+
+def _solve_dense(rows: list[list[float]]) -> list[float] | None:
+    """Solve the augmented system `rows` (each row n coefficients and then
+    the right-hand side) by Gaussian elimination with partial pivoting,
+    skipping zero entries; None if a pivot is 0 or a solution entry is not
+    finite.  The rows are overwritten."""
+    n = len(rows)
+    for j in range(n):
+        k = max(range(j, n), key=lambda i: abs(rows[i][j]))
+        pivot = rows[k]
+        d = pivot[j]
+        if d == 0.0:
+            return None
+        rows[j], rows[k] = pivot, rows[j]
+        tail = [(c, pivot[c]) for c in range(j + 1, n + 1) if pivot[c] != 0.0]
+        for i in range(j + 1, n):
+            row = rows[i]
+            if row[j] != 0.0:
+                f = row[j] / d
+                for c, y in tail:
+                    row[c] -= f * y
+    x = [0.0] * n
+    for j in range(n - 1, -1, -1):
+        row = rows[j]
+        acc = row[n]
+        for c in range(j + 1, n):
+            acc -= row[c] * x[c]
+        x[j] = acc / row[j]
+    return x if all(map(math.isfinite, x)) else None
+
+
+def _policy_values(problem: BellmanProblem, v: Sequence[float],
+                   deadline: float | None) -> tuple[int, list[float]] | None:
+    """Policy iteration from the greedy policy of `v`: (rounds, values).
+
+    A round solves x = r_σ + P_σ·x over the unknowns by `_solve_dense`,
+    fixed states read from the seeds, and then moves each state to a
+    strictly better choice over x, if it has one; the first round that
+    moves none ends the iteration.  The values are the seeds with x at the
+    unknowns.  None if a weight of an unknown state is not a positive finite
+    float (a hand-built model can have one), a system is singular or has a
+    non-finite solution, or POLICY_MAX_ROUNDS rounds all move a choice.
+    Checks `deadline` before every round.
+    """
+    kernel = problem.kernel
+    unknowns = sorted(problem.unknowns)
+    if not all(type(p) is float and 0.0 < p < math.inf
+               for s in unknowns for branches in kernel[s] for p, _, _ in branches):
+        return None
+    maximize = problem.opt == "max"
+    seed = problem.seed
+    index = {s: i for i, s in enumerate(unknowns)}
+    n = len(unknowns)
+    policy = [_improved_choice(kernel[s], 0, v, maximize) for s in unknowns]
+    x = list(seed)
+    for rounds in range(1, POLICY_MAX_ROUNDS + 1):
+        _check_deadline(deadline)
+        rows = []
+        for s, c in zip(unknowns, policy):
+            row = [0.0] * (n + 1)
+            row[index[s]] = 1.0
+            b = 0.0
+            for p, r, t in kernel[s][c]:
+                j = index.get(t)
+                if j is None:
+                    b += p * (r + seed[t])
+                else:
+                    b += p * r
+                    row[j] -= p
+            row[n] = b
+            rows.append(row)
+        solution = _solve_dense(rows)
+        if solution is None:
+            return None
+        for s, value in zip(unknowns, solution):
+            x[s] = value
+        moved = False
+        for i, s in enumerate(unknowns):
+            c = _improved_choice(kernel[s], policy[i], x, maximize)
+            if c != policy[i]:
+                policy[i] = c
+                moved = True
+        if not moved:
+            return rounds, x
+    return None
+
+
 def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
         order: Sequence[int] | None = None, *, max_sweeps: int = DEFAULT_SWEEP_CAP,
         deadline: float | None = None, observer: Observer | None = None) -> SolveOutcome:
@@ -643,6 +790,28 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
     the vectors cross, refutes the candidate: the iteration phase resumes
     with the error requirement halved.  Verification phases running past ten
     times the preceding iteration phase are cancelled likewise.
+
+    A second source of guesses: on a problem with a unique fixed point and
+    at most POLICY_MAX_UNKNOWNS unknowns, a first iteration phase that runs
+    POLICY_AFTER_SWEEPS sweeps pauses there (before COMPILE_AFTER_SWEEPS)
+    for one policy-evaluation guess.  `_policy_values` runs policy
+    iteration from the greedy policy of `v`, each policy evaluated by dense
+    Gaussian elimination.  Its values x give a lower vector x*(1 - eps/2)
+    and an upper one x*(1 + eps/2) (x -/+ eps/2 for an absolute width, the
+    upper one clamped to 1 in probability mode), which are swept together,
+    apart from `v`.  The guess is accepted after the first joint sweep in
+    which no upper value moved up, no lower value moved down, the vectors
+    did not cross and the interval at the initial state is narrow enough.
+    Then `u` satisfies B(u) <= u, an upper bound, and `l` satisfies
+    B(l) >= l, which proves it a lower bound only where the fixed point is
+    unique, the rule "adopt-upper" relies on too.  A crossing, a sweep in
+    which no upper value moved down, or POLICY_CHECK_SWEEPS sweeps without
+    acceptance refute the guess; it counts as one phase, cancelled, and the
+    paused iteration phase resumes from the untouched `v`, so every later
+    vector is what it would have been without the guess.  No guess is made
+    where `_policy_values` finds none (a weight that is not a positive
+    finite float, a singular system, a non-finite value, or too many
+    rounds).  Observed and unobserved runs take the same path.
 
     This is a semi-algorithm: when `max_sweeps`, the budget of all phases
     together, runs out, the outcome is flagged "no-certificate" rather than
@@ -665,24 +834,80 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
     phases = 0
     cancelled = 0
     vi_error = criterion.epsilon_vi
+    # The first iteration phase pauses after POLICY_AFTER_SWEEPS sweeps, if
+    # it runs that long, for one policy-evaluation guess; `paused` counts the
+    # sweeps the current phase ran before its pause.
+    policy = problem.unique_fixed_point and len(problem.unknowns) <= POLICY_MAX_UNKNOWNS
+    paused = 0
 
     def uncertified() -> SolveOutcome:
         lower = _reported_lower(problem, v[s_i])
         return SolveOutcome(lower, lower, None, total_sweeps, phases, cancelled,
                             time.perf_counter() - start, "ovi", False, "no-certificate")
 
+    def certified(lower: list[float], upper: list[float]) -> SolveOutcome:
+        return SolveOutcome(0.5 * (upper[s_i] + lower[s_i]), lower[s_i], upper[s_i],
+                            total_sweeps, phases, cancelled, time.perf_counter() - start,
+                            "ovi", True, "ok")
+
+    def narrow(lower: list[float], upper: list[float]) -> bool:
+        return upper[s_i] - lower[s_i] <= (2.0 * eps * lower[s_i] if relative_width
+                                           else 2.0 * eps)
+
     while True:
         # Iteration phase.
         budget = max_sweeps - total_sweeps
         if budget <= 0:
             return uncertified()
+        cap = POLICY_AFTER_SWEEPS if policy and budget > POLICY_AFTER_SWEEPS else budget
+        policy = False
+        phase_observer = observer
+        if observer is not None and paused:
+            def phase_observer(event, sweep, *payload, shift=paused):
+                observer(event, sweep + shift, *payload)
         try:
             iter_sweeps = gsvi(problem, v, ErrorCriterion(criterion.mode, vi_error), order,
-                               max_sweeps=budget, deadline=deadline, observer=observer)
+                               max_sweeps=cap, deadline=deadline, observer=phase_observer)
         except IterationCapExceeded:
-            total_sweeps = max_sweeps
-            return uncertified()
+            if cap == budget:
+                total_sweeps = max_sweeps
+                return uncertified()
+            total_sweeps += cap
+            paused = cap
+            guess = _policy_values(problem, v, deadline)
+            if guess is not None:
+                rounds, lower = guess
+                upper = list(lower)
+                for s in order:
+                    x = lower[s]
+                    lower[s] = x * (1.0 - 0.5 * eps) if relative_width else x - 0.5 * eps
+                    upper[s] = x * (1.0 + 0.5 * eps) if relative_width else x + 0.5 * eps
+                    if problem.probability_mode and upper[s] > 1.0:
+                        upper[s] = 1.0
+                phases += 1
+                if observer is not None:
+                    observer("policy", rounds, lower, upper)
+                for _ in range(min(POLICY_CHECK_SWEEPS, max_sweeps - total_sweeps)):
+                    _check_deadline(deadline)
+                    total_sweeps += 1
+                    before = list(lower)
+                    _, up, down, cross = problem.sweep(order, relative_error, lower, upper)
+                    # No upper value moved up: `upper` is inductive, an upper
+                    # bound.  No lower value moved down: with a unique fixed
+                    # point, `lower` is a lower bound (the rule "adopt-upper"
+                    # relies on too).
+                    if down and cross < 0 and all(map(operator.le, before, lower)) \
+                            and narrow(lower, upper):
+                        return certified(lower, upper)
+                    if up or cross >= 0:
+                        break
+                cancelled += 1
+                if observer is not None:
+                    observer("cancel", "policy")
+            continue  # resume the paused phase from `v`, which the guess left as it was
         total_sweeps += iter_sweeps
+        iter_sweeps += paused
+        paused = 0
 
         # Guess the upper candidate from the lower values over the unknowns.
         u = list(v)
@@ -717,10 +942,8 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
                     if observer is not None:
                         observer("adopt-upper")
                 break
-            if down and u[s_i] - v[s_i] <= (2.0 * eps * v[s_i] if relative_width else 2.0 * eps):
-                return SolveOutcome(0.5 * (u[s_i] + v[s_i]), v[s_i], u[s_i], total_sweeps,
-                                    phases, cancelled, time.perf_counter() - start,
-                                    "ovi", True, "ok")
+            if down and narrow(v, u):
+                return certified(v, u)
             if verif_sweeps > VERIFICATION_FACTOR * max(iter_sweeps, 1):
                 cancelled += 1
                 if observer is not None:

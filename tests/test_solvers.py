@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
 import random
@@ -7,15 +8,18 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from soundmdp import (ErrorCriterion, IterationCapExceeded, SolverError, SolveTimeout, bellman_apply,
-                      eliminate_end_components, generate_random, generate_slow_chain,
-                      gsvi, interval_iteration, make_goals_absorbing, make_property,
-                      mec_decomposition, oracle_exact, oracle_values, ovi, plain_vi,
-                      prob0_set, probability_problem, reward_problem, reward_upper_init,
-                      s_infinity, strip_rewards)
+from soundmdp import (ErrorCriterion, IterationCapExceeded, SolveOptions, SolverError,
+                      SolveTimeout, bellman_apply, branch, eliminate_end_components,
+                      generate_random, generate_slow_chain, gsvi, interval_iteration,
+                      make_goals_absorbing, make_property, mec_decomposition, oracle_exact,
+                      oracle_values, ovi, plain_vi, prob0_set, probability_problem,
+                      reward_problem, reward_upper_init, s_infinity, solve, strip_rewards)
+from soundmdp.graph import goal_distance_order
+from soundmdp.oracle import SCHEDULER_GUARD, scheduler_count
 from soundmdp import solvers
 from soundmdp.model import Branch, Mdp, Transition
 from soundmdp.solvers import _compile_phase, _sweep
@@ -967,6 +971,211 @@ def test_ovi_ten_times_verification_guard():
     if out.certified:
         exact = oracle_exact(m, make_property("emax", [3]))
         assert Fraction(out.lower_bound) <= exact <= Fraction(out.upper_bound)
+
+
+# ---------------------------------------------------------------------------
+# Policy-evaluation guesses.
+
+def chain_problem(unique=True):
+    """emax on the slow chain s0..s10 (p = 1/2): its first iteration phase
+    runs far past POLICY_AFTER_SWEEPS."""
+    model = make_goals_absorbing(generate_slow_chain(10, HALF).model, [10])
+    return model, reward_problem(model, [10], "max", s_infinity(model, [10], "max"),
+                                 unique_fixed_point=unique)
+
+
+def summary(out):
+    """An outcome's fields but its wall time, floats as hex."""
+    return tuple(x.hex() if type(x) is float else x
+                 for k, x in vars(out).items() if k != "wall_time")
+
+
+def spy_policy(monkeypatch, replace=None):
+    """Counts `_policy_values` calls; `replace(problem, v)` gives their result."""
+    calls = []
+    real = solvers._policy_values
+
+    def spy(problem, v, deadline):
+        calls.append(list(v))
+        return replace(problem, v) if replace else real(problem, v, deadline)
+
+    monkeypatch.setattr(solvers, "_policy_values", spy)
+    return calls
+
+
+def test_policy_guess_certifies_the_slow_chain_after_one_joint_sweep(monkeypatch):
+    model, problem = chain_problem()
+    calls = spy_policy(monkeypatch)
+    events: list[tuple] = []
+    out = ovi(problem, ErrorCriterion("relative", 1e-6), make_property("emax", [10]),
+              observer=record(events))
+    assert len(calls) == 1 and len(calls[0]) == model.num_states
+    assert out.certified and out.status == "ok"
+    assert (out.iterations, out.verification_phases, out.cancelled_verifications) == \
+        (solvers.POLICY_AFTER_SWEEPS + 1, 1, 0)
+    exact = oracle_exact(model, make_property("emax", [10]))
+    assert Fraction(out.lower_bound) <= exact <= Fraction(out.upper_bound)
+    assert [ev[0] for ev in events if ev[0] != "iter"] == ["policy"]
+    assert [ev[1] for ev in events if ev[0] == "iter"] == \
+        list(range(1, solvers.POLICY_AFTER_SWEEPS + 1))
+    rounds, lower, upper = events[-1][1:]
+    assert rounds == 1
+    assert lower[10] == upper[10] == 0.0  # the goal holds its seed
+    assert all(lo < hi for lo, hi in zip(lower[:10], upper[:10]))
+
+
+def test_policy_guess_above_the_value_is_not_kept_as_a_lower_bound(monkeypatch):
+    # Every value times 1 + 2e-6: the upper vector is inductive and narrow
+    # enough, but the lower one lies above the value and moves down.
+    model, problem = chain_problem()
+    prop = make_property("emax", [10])
+    exact = oracle_values(model, prop)
+    above = [float(x) * (1.0 + 2e-6) for x in exact]
+    spy_policy(monkeypatch, lambda problem, v: (1, list(above)))
+    events: list[tuple] = []
+    out = ovi(problem, ErrorCriterion("relative", 1e-6), prop, observer=record(events))
+    assert ("cancel", "policy") in events
+    assert out.certified
+    assert Fraction(out.lower_bound) <= exact[0] <= Fraction(out.upper_bound)
+
+
+def test_policy_guess_needs_a_unique_fixed_point(monkeypatch):
+    calls = spy_policy(monkeypatch)
+    for unique in (False, True):
+        problem = chain_problem(unique)[1]
+        events: list[tuple] = []
+        out = ovi(problem, ErrorCriterion("relative", 1e-6), make_property("emax", [10]),
+                  observer=record(events))
+        assert out.certified
+        assert len(calls) == unique
+        assert any(ev[0] == "policy" for ev in events) == unique
+
+
+def test_policy_guess_needs_at_most_policy_max_unknowns(monkeypatch):
+    calls = spy_policy(monkeypatch)
+    problem = chain_problem()[1]
+    monkeypatch.setattr(solvers, "POLICY_MAX_UNKNOWNS", len(problem.unknowns) - 1)
+    ovi(problem, ErrorCriterion("relative", 1e-6), make_property("emax", [10]))
+    assert not calls
+    monkeypatch.setattr(solvers, "POLICY_MAX_UNKNOWNS", len(problem.unknowns))
+    ovi(problem, ErrorCriterion("relative", 1e-6), make_property("emax", [10]))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("weight", [0, Fraction(-1, 16)])
+def test_policy_guess_refuses_a_kernel_with_a_non_positive_weight(weight, monkeypatch):
+    # A hand-built model, which `solve` does not validate: the chain's state
+    # 3 gets one more branch of weight `weight`, balanced on its restart.
+    chain = generate_slow_chain(10, HALF).model
+    ts = list(chain.transitions)
+    ts[3] = (Transition((branch(HALF, 1, 4), branch(HALF - weight, 1, 0), branch(weight, 1, 5))),)
+    model = Mdp(chain.num_states, 0, tuple(ts))
+    solved = []
+    real = solvers._solve_dense
+    monkeypatch.setattr(solvers, "_solve_dense", lambda rows: solved.append(1) or real(rows))
+    prop = make_property("emax", [10])
+    out = solve(model, prop, SolveOptions(method="ovi")).outcome
+    assert not solved
+    monkeypatch.setattr(solvers, "POLICY_MAX_UNKNOWNS", 0)
+    assert summary(out) == summary(solve(model, prop, SolveOptions(method="ovi")).outcome)
+
+
+@pytest.mark.parametrize("order", ["forward", "goal-distance"])
+def test_refuted_policy_guess_leaves_the_iteration_as_it_was(order, monkeypatch):
+    # The guess is half the lower vector, which every upper value leaves
+    # upwards in the first joint sweep; the run then is the run without a
+    # guess, one sweep, one phase and one cancellation longer.
+    model, problem = chain_problem()
+    order = (problem.default_order() if order == "forward"
+             else goal_distance_order(model, frozenset([10]), problem.unknowns))
+    criterion, prop = ErrorCriterion("relative", 1e-6), make_property("emax", [10])
+
+    def run(observed):
+        events: list[tuple] = []
+        fresh = chain_problem()[1]
+        out = ovi(fresh, criterion, prop, order, observer=record(events) if observed else None)
+        return out, [tuple(x.hex() if type(x) is float else hexes(x) if type(x) is list else x
+                           for x in ev) for ev in events]
+
+    monkeypatch.setattr(solvers, "POLICY_MAX_UNKNOWNS", 0)
+    parent = {observed: run(observed) for observed in (False, True)}
+    monkeypatch.undo()
+    calls = spy_policy(monkeypatch, lambda problem, v: (1, [0.5 * x for x in v]))
+    for observed in (False, True):
+        out, events = run(observed)
+        before, events = parent[observed][0], [ev for ev in events
+                                               if ev[0] != "policy" and ev != ("cancel", "policy")]
+        assert (out.iterations, out.verification_phases, out.cancelled_verifications) == (
+            before.iterations + 1, before.verification_phases + 1,
+            before.cancelled_verifications + 1)
+        assert summary(out)[:3] == summary(before)[:3]  # value and bounds
+        assert events == parent[observed][1]
+    assert len(calls) == 2
+    assert hexes(calls[0]) == hexes(calls[1])
+
+
+def test_policy_guess_certifies_a_500_state_stiff_emax_within_a_timeout():
+    # Without the guess this request runs past 60 s.
+    doc = generate_random(1, 500, 3, 4, 4, 10)
+    goals = sorted(doc.declared_goals)
+    out = solve(doc.model, make_property("emax", goals), SolveOptions(method="ovi", timeout=30)).outcome
+    assert out.certified and out.status == "ok"
+    assert out.verification_phases == 1 and out.cancelled_verifications == 0
+    assert out.iterations <= solvers.POLICY_AFTER_SWEEPS + solvers.POLICY_CHECK_SWEEPS
+    reference = perfbench_reference()
+    if reference is not None:
+        ref = reference.reference_value(doc.model, goals, "emax")
+        assert out.lower_bound * (1 - 1e-10) <= ref <= out.upper_bound * (1 + 1e-10)
+
+
+def perfbench_reference():
+    """The benchmark's policy-iteration reference (`perfbench/reference.py`,
+    on numpy and scipy), or None where those are not installed."""
+    try:
+        import numpy, scipy.sparse  # noqa: F401
+    except ImportError:
+        return None
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: (states, seeds) of the differential run: models the oracle can solve, and
+#: the `sweep` benchmark's 50-state size, which only the reference can
+STIFF_MODELS = ((6, range(16)), (8, range(16)), (50, range(12)))
+
+
+def test_policy_guesses_bracket_the_value_on_stiff_random_models(monkeypatch):
+    reference = perfbench_reference()
+    calls = spy_policy(monkeypatch)
+    checked = {"oracle": 0, "reference": 0}
+    for n, seeds in STIFF_MODELS:
+        for seed in seeds:
+            doc = generate_random(seed, n, 3, 4, 4, 1)
+            goals = sorted(doc.declared_goals)
+            small = scheduler_count(doc.model) <= SCHEDULER_GUARD
+            if not small and reference is None:
+                continue
+            for kind in ("pmax", "pmin", "emax", "emin"):
+                fired = len(calls)
+                prop = make_property(kind, goals)
+                out = solve(doc.model, prop, SolveOptions(method="ovi")).outcome
+                if len(calls) == fired:
+                    continue
+                assert out.certified and out.status == "ok"
+                if small:
+                    exact = oracle_exact(doc.model, prop)
+                    assert Fraction(out.lower_bound) <= exact <= Fraction(out.upper_bound)
+                    checked["oracle"] += 1
+                else:
+                    ref = reference.reference_value(doc.model, goals, kind)
+                    slack = 1e-10 * ref  # the reference's own rounding
+                    assert out.lower_bound - slack <= ref <= out.upper_bound + slack
+                    checked["reference"] += 1
+    assert checked["oracle"] >= 10
+    assert checked["reference"] >= 10 or reference is None
 
 
 # ---------------------------------------------------------------------------
