@@ -29,7 +29,10 @@ reads the copy:
      unknowns that reach none of them come last.  Values then flow out
      from the goals within one sweep instead of one state per sweep.
      Interval iteration computes the order only once its upper start
-     exists.  "forward" is id order, the solvers' own default.
+     exists.  "forward" is id order, the solvers' own default.  The emax
+     upper start lies within rounding of the value, so for emax the upper
+     end that interval iteration reports is widened by its sweeps'
+     rounding (`rounding_widened`).
 
 SolveOptions checks every field when it is built, so a bad option fails
 before any work, whether or not the request would reach a sweep.
@@ -59,7 +62,7 @@ from .model import (Mdp, Property, PropertyKind, collector_paused, make_goals_ab
 from .oracle import oracle_values
 from .solvers import (DEFAULT_SWEEP_CAP, BellmanProblem, ErrorCriterion, SolveOutcome,
                       interval_iteration, ovi, plain_vi, probability_problem, reward_problem,
-                      reward_upper_init)
+                      reward_upper_init, rounding_widened)
 
 METHODS = ("vi", "ovi", "ii", "oracle")
 #: the fixed iteration orders; "random:<seed>" shuffles the ids with that seed
@@ -257,6 +260,9 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
             outcome = ovi(problem, criterion, prop, order, **budget)
         else:  # ii
             outcome = interval_iteration(problem, prop, upper, order, **budget)
+            if undecided and kind == PropertyKind.EMAX:
+                # The emax start lies within rounding of the value.
+                outcome = rounding_widened(problem, outcome, upper[work.initial])
 
     if result.warnings:
         outcome.certified = False

@@ -25,6 +25,9 @@ from soundmdp.model import Branch, Mdp, Transition
 from soundmdp.solvers import _compile_phase, _sweep
 from conftest import HALF, mdp_of, record
 
+#: the slow chains of the benchmark's `sweep` workload
+BENCHMARK_CHAINS = ((10, HALF), (16, Fraction(2, 3)), (20, Fraction(3, 4)), (40, Fraction(9, 10)))
+
 
 def golden_problem(me0):
     """The example reachability problem with s- held at zero: unknowns {s0, s1, s2}."""
@@ -1298,10 +1301,11 @@ def test_reward_upper_init_infinite_states():
 @pytest.mark.parametrize("reversed_order", [False, True])
 @pytest.mark.parametrize("tie", ["reward", "probability"])
 def test_reward_upper_init_takes_exact_extremes_among_float_ties(tie, reversed_order):
-    # 1 + 2**-60 rounds to 1.0, and 1/2 + 2**-70 and 1/2 - 2**-70 both round
-    # to 0.5.  The bound 1 * r_max / q_min must come from the exact extremes
-    # (1 + 2**-60, resp. 1/2 - 2**-70), where it lies just above 2 and rounds
-    # up; the other tie would give exactly 2.0.
+    # emin keeps the global bound n * r_max / q_min**n.  1 + 2**-60 rounds to
+    # 1.0, and 1/2 + 2**-70 and 1/2 - 2**-70 both round to 0.5.  The bound
+    # 1 * r_max / q_min must come from the exact extremes (1 + 2**-60, resp.
+    # 1/2 - 2**-70), where it lies just above 2 and rounds up; the other tie
+    # would give exactly 2.0.
     if tie == "reward":
         branches = [(HALF, 1, 1), (HALF, 1 + Fraction(1, 2**60), 0)]
     else:
@@ -1311,7 +1315,102 @@ def test_reward_upper_init_takes_exact_extremes_among_float_ties(tie, reversed_o
     m = mdp_of(0, [branches], [[(1, 0, 1)]])
     ((a, b),) = [t.branches for t in m.transitions[0]]
     assert a[:2] == b[:2]  # the floats tie on both fields
-    assert reward_upper_init(m, [1], "max", []) == [math.nextafter(2.0, math.inf), 0.0]
+    assert reward_upper_init(m, [1], "min", []) == [math.nextafter(2.0, math.inf), 0.0]
+
+
+@pytest.mark.parametrize("reward, restart", [(1, "1/4"), ("1/3", "1/2"), ("1/10", "3/10")])
+def test_emax_reward_bound_rounds_outward(reward, restart):
+    # One state that pays `reward` per step and falls back to itself with
+    # probability `restart`: its value r / (1 - restart) is the bound itself.
+    # Rounded to nearest, the bound lands below the value in each of these:
+    # at the quotient 1/0.75, at the reward 1/3, and at 1/10 and 7/10.
+    r, q = Fraction(reward), Fraction(restart)
+    m = mdp_of(0, [[(q, r, 0), (1 - q, r, 1)]], [[(1, 0, 1)]])
+    exact = r / (1 - q)
+    assert oracle_values(m, make_property("emax", [1]))[0] == exact
+    bound = reward_upper_init(m, [1], "max", [])[0]
+    assert exact <= Fraction(bound) <= exact * (1 + Fraction(1, 10**14))
+
+
+@pytest.mark.parametrize("n, p", BENCHMARK_CHAINS)
+def test_emax_reward_bound_on_benchmark_chains(n, p):
+    # On a restarting chain a path from s_k reaches the goal without coming
+    # back with probability exactly p**(n-k), so the bound is the exact value.
+    model = make_goals_absorbing(generate_slow_chain(n, p).model, [n])
+    exact = oracle_exact(model, make_property("emax", [n]))
+    bounds = reward_upper_init(model, [n], "max", s_infinity(model, [n], "max"))
+    assert bounds[n] == 0.0 and len(set(bounds[:n])) == 1
+    assert exact <= Fraction(bounds[0]) <= exact * (1 + Fraction(1, 10**8))
+
+
+@pytest.mark.parametrize("n, p, sweeps", [(n, p, sweeps) for (n, p), sweeps in zip(
+    BENCHMARK_CHAINS, ({"goal-distance": 6713, "forward": 13321},
+                       {"goal-distance": 5740, "forward": 17048},
+                       {"goal-distance": 3097, "forward": 12172},
+                       {"goal-distance": 793, "forward": 7485}))])
+def test_interval_iteration_from_emax_bound_brackets_chain_values(n, p, sweeps):
+    # The upper vector starts within ulps of the value.  On chain-16 the float
+    # sweeps of the goal-distance order end one ulp below 14324331/8192, so
+    # the certificate rests on the widening of its upper end.
+    doc = generate_slow_chain(n, p)
+    prop = make_property("emax", [n], 1e-6)
+    exact = oracle_exact(make_goals_absorbing(doc.model, [n]), prop)
+    for order, count in sweeps.items():
+        out = solve(doc.model, prop, SolveOptions(method="ii", order=order)).outcome
+        assert out.certified and out.status == "ok"
+        assert out.iterations == count
+        assert Fraction(out.lower_bound) <= exact <= Fraction(out.upper_bound)
+
+
+@pytest.mark.parametrize("seed, sweeps", [(3, 20872), (2, None)])
+def test_stiff_emax_interval_iteration_certifies(seed, sweeps):
+    # From n * r_max / q_min**n interval iteration needed 195 729 sweeps on
+    # seed 3 and did not finish within 200 000 on seed 2.  The oracle's
+    # scheduler guard refuses these models, so OVI's interval is the referee.
+    doc = generate_random(seed, 50, 3, 4, 4, 1)
+    prop = make_property("emax", sorted(doc.declared_goals), 1e-6)
+    ii, ref = (solve(doc.model, prop, SolveOptions(method=m, max_sweeps=200_000)).outcome
+               for m in ("ii", "ovi"))
+    assert ii.certified and ii.status == "ok" and ref.certified
+    if sweeps is not None:
+        assert ii.iterations == sweeps
+    assert ii.lower_bound <= ref.upper_bound and ref.lower_bound <= ii.upper_bound
+
+
+@pytest.mark.parametrize("branches", [
+    [(Fraction(3, 2), 1, 1), (Fraction(-1, 2), 1, 0)],   # a negative weight
+    [(HALF, -1, 1), (HALF, 1, 0)],                         # a negative reward
+    [(HALF, Fraction(-1, 10**400), 1), (HALF, 1, 0)],      # one whose float is -0.0
+])
+def test_emax_reward_bound_refuses_negative_fields(branches):
+    # pipeline.solve does not validate a hand-built model; the bound's argument
+    # needs weights in (0, 1] and rewards >= 0, so it refuses the rest.
+    m = mdp_of(0, [branches], [[(1, 0, 1)]])
+    with pytest.raises(SolverError, match="no finite reward upper bound"):
+        reward_upper_init(m, [1], "max", [])
+
+
+def test_emax_reward_bound_refuses_an_unprocessed_state():
+    # With s-infinity left out, state 0 (free of rewards, but able to stay
+    # put) has a choice that never reaches a processed state.
+    m = mdp_of(0, [[(1, 0, 0)], [(1, 0, 1)]], [[(1, 1, 2)]], [[(1, 0, 2)]])
+    assert s_infinity(m, [2], "max") == {0}
+    bounds = reward_upper_init(m, [2], "max", [0])
+    assert bounds[0] == math.inf and 1.0 < bounds[1] < 1.0 + 1e-14 and bounds[2] == 0.0
+    with pytest.raises(SolverError, match="no finite reward upper bound"):
+        reward_upper_init(m, [2], "max", [])
+
+
+def test_rounding_widened_covers_the_sweeps_rounding():
+    # 2 sweeps over 1 unknown with choices of at most 2 branches: the upper
+    # end grows by at least 2 * (2 + 3) * 2 * 2**-53 relative.
+    m = mdp_of(0, [[(HALF, 1, 0), (HALF, 1, 1)]], [[(1, 0, 1)]])
+    problem = reward_problem(m, [1], "max", [])
+    out = solvers.SolveOutcome(2.0, 1.5, 2.0, 2, method="ii", certified=True)
+    widened = solvers.rounding_widened(problem, out, math.inf)
+    assert Fraction(widened.upper_bound) >= 2 * (1 + Fraction(20, 2**53))
+    assert widened.lower_bound == 1.5 and widened.value == 0.5 * (1.5 + widened.upper_bound)
+    assert solvers.rounding_widened(problem, out, 2.0).upper_bound == 2.0
 
 
 def test_reward_upper_init_degenerate_probabilities():
