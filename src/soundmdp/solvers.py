@@ -17,35 +17,24 @@ and an upper vector together, in one pass over each state's branches; OVI
 reads the error, the up/down flags and the first crossing state, interval
 iteration only the crossing state.
 
-`_sweep` loops over the kernel's branch tuples and runs every sweep; it is
-the reference the tests hold compiled code to.  `BellmanProblem.sweep` runs
-one `_sweep` with the exact error, for OVI's verification phases and every
-observed sweep.  An unobserved iteration phase of `gsvi` or interval
-iteration is one call of `BellmanProblem.phase`, which sweeps until the
-phase's stop test holds: a sweep whose error is below epsilon_vi, for
-`gsvi`, which measures the error only up to epsilon_vi (beyond it the sweep
-cannot end the phase, so the rest of it updates states without measuring
-their gains); a crossing or a narrow enough interval at the initial state,
-for interval iteration, which measures no error.  The first
-COMPILE_AFTER_SWEEPS sweeps of each form run `_sweep`; then the problem
-compiles the form into a phase runner (`_compile_phase`): straight-line
-Python with the kernel's constants as literals, which performs the same
+`_sweep` loops over the kernel's branch tuples and runs every sweep of
+`gsvi` and `ovi`; it is the reference the tests hold compiled code to.
+Unobserved, `gsvi` measures the error only up to epsilon_vi (beyond it the
+sweep cannot end the iteration, so the rest of it updates states without
+measuring their gains).  Interval iteration measures no error, and its
+phase ends at a crossing or a narrow enough interval at the initial state.
+An unobserved interval iteration that runs COMPILE_AFTER_SWEEPS sweeps
+compiles its phase into a runner (`_compile_phase`): straight-line Python
+with the kernel's constants as literals, which performs the same
 operations in the same order without the per-branch loop overhead, inside
-a loop over sweeps that holds the values in local variables from the
-phase's start to its end.  It leaves out only operations that cannot change
-a float: a multiply by a probability of 1.0, interval iteration's
-temporaries for a state without a self-loop, and, where every weight is
-positive and every reward positive-signed, the `0.0 +` that starts each
-choice sum; the last is exact only from vectors with no negative or -0.0
-entry, so `phase` checks that before it calls a runner.  A compile costs as
-much as 130 to 340 generic sweeps, so the switch comes at 256 sweeps and
-short solves never reach it.
-OVI's verification phases prove or refute a guess within a few sweeps, far
-fewer than a compile of theirs would need to pay for itself, so they always
-run `_sweep`.  On a problem with a unique fixed point and at most
-POLICY_MAX_UNKNOWNS unknowns, OVI's first iteration phase stops at
-POLICY_AFTER_SWEEPS sweeps for a policy-evaluation guess (see `ovi`), which
-usually ends the solve before any form compiles.
+a loop over sweeps that holds the values in local variables up to the
+phase's end.  It leaves out only operations that cannot change a float: a
+multiply by a probability of 1.0, the temporaries of a state without a
+self-loop, and, where every weight is positive and every reward
+positive-signed, the `0.0 +` that starts each choice sum; the last is
+exact only from vectors with no negative or -0.0 entry, which interval
+iteration checks before it calls a runner.  A phase of more than
+_LOCAL_BRANCHES branches stays with `_sweep`.
 
 Lower iterates started from the seed vector stay below the least fixed point,
 so a plain VI result is only a lower bound with no error guarantee.  The sound
@@ -61,7 +50,7 @@ observer=None)`.  `max_sweeps` bounds all sweeps of the call (for `ovi`, the
 total over its iteration and verification phases), `deadline` is a
 `time.perf_counter()` value past which a sweep raises `SolveTimeout`, and
 `observer(event, *payload)` is called with the solver's live vectors, which
-it must copy to keep.  An observed phase runs `_sweep` for every sweep:
+it must copy to keep.  An observed solve runs `_sweep` for every sweep:
 
   ("iter", sweep, error, v)        after each `gsvi` sweep, with the exact
                                    error;
@@ -132,10 +121,6 @@ class BellmanProblem:
             raise SolverError(f"unknown opt {self.opt!r}")
         if len(self.seed) != self.model.num_states:
             raise SolverError("seed vector length does not match the state count")
-        # Per phase form (relative for one vector, None for two): [order,
-        # generic sweeps run, the compiled runner; None until the switch,
-        # False if it cannot compile].
-        object.__setattr__(self, "_tiers", {})
 
     @cached_property
     def kernel(self) -> Kernel:
@@ -148,72 +133,8 @@ class BellmanProblem:
 
         With one vector it updates `v` and returns (error, True, True, -1);
         with two it updates `v` and `u` and returns (error, up, down, cross).
-        OVI's verification phases and every observed sweep run this.
         """
         return _sweep(self.kernel, order, self.opt == "max", relative, v, u)
-
-    def phase(self, order: Sequence[int], relative: bool, v: list[float],
-              u: list[float] | None = None, *, eps: float, max_sweeps: int,
-              deadline: float | None = None,
-              relative_width: bool = False) -> tuple[int, int]:
-        """Gauss-Seidel sweeps in place until the phase's stop test holds.
-
-        Returns (sweeps, cross).  One vector (`u` None), for `gsvi`: the
-        phase ends after the first sweep whose error, measured only up to
-        `eps` (the `stop` of `_sweep`), is below `eps`; cross is -1.  Two
-        vectors, for interval iteration: the phase ends after the first
-        sweep in which `u` fell below `v`, with cross that state, or after
-        the first whose width `u - v` at the initial state is at most `eps`
-        (`eps` times the lower value if `relative_width`), with cross -1;
-        no error is measured and `relative` is not read.  A phase that
-        reaches `max_sweeps` sweeps first raises IterationCapExceeded, one
-        that finds `deadline` passed before a sweep raises SolveTimeout;
-        either way the vectors hold every sweep run so far.
-
-        The first COMPILE_AFTER_SWEEPS sweeps of a form (one error mode, or
-        two vectors, with one order object) run `_sweep`; then the problem
-        compiles a runner for the form (`_compile_phase`), which runs this
-        phase's remaining sweeps and every later phase's, with the same
-        floats, sweep counts and crossing.  The order must not change while
-        it is in use.  A call gives its vectors to the runner only when no
-        entry of either is negative or -0.0 (one `copysign` pass over each,
-        at the call or at the switch), which the runner's sums rely on;
-        otherwise all of its sweeps run `_sweep`.
-        """
-        form = relative if u is None else None
-        tiers = self._tiers  # type: ignore[attr-defined]
-        tier = tiers.get(form)
-        if tier is None or tier[0] is not order:
-            tier = tiers[form] = [order, 0, None]
-        maximize = self.opt == "max"
-        s_i = self.model.initial
-        sweeps = 0
-        runner = tier[2] if tier[2] and _positive_signs(v, u) else None
-        while runner is None:
-            if sweeps >= max_sweeps:
-                raise IterationCapExceeded(sweeps)
-            _check_deadline(deadline)
-            sweeps += 1
-            error, _, _, cross = _sweep(self.kernel, order, maximize, relative, v, u,
-                                        eps if u is None else 0.0)
-            if tier[2] is None:
-                tier[1] += 1
-                if tier[1] >= COMPILE_AFTER_SWEEPS:
-                    tier[2] = _compile_phase(self.kernel, order, maximize, relative,
-                                             None if u is None else s_i) or False
-                    if tier[2] and _positive_signs(v, u):
-                        runner = tier[2]
-            if u is None:
-                if error < eps:
-                    return sweeps, -1
-            elif cross >= 0 or u[s_i] - v[s_i] <= (eps * v[s_i] if relative_width else eps):
-                return sweeps, cross
-        sweeps, end = runner(v, u, sweeps, max_sweeps, deadline, eps, relative_width)
-        if end == _CAPPED:
-            raise IterationCapExceeded(sweeps)
-        if end == _LATE:
-            raise SolveTimeout(_LATE_MESSAGE)
-        return sweeps, end
 
     def initial_vector(self) -> list[float]:
         return list(self.seed)
@@ -308,10 +229,9 @@ def _check_deadline(deadline: float | None) -> None:
         raise SolveTimeout(_LATE_MESSAGE)
 
 
-def _positive_signs(v: list[float], u: list[float] | None) -> bool:
-    """True when no entry of `v`, or of `u` if given, is negative or -0.0."""
-    return all(-1.0 not in map(math.copysign, repeat(1.0), vec)
-               for vec in (v, u) if vec is not None)
+def _positive_signs(v: list[float], u: list[float]) -> bool:
+    """True when no entry of `v` or `u` is negative or -0.0."""
+    return all(-1.0 not in map(math.copysign, repeat(1.0), vec) for vec in (v, u))
 
 
 def _sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
@@ -364,28 +284,25 @@ def _sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
     return error, up, down, cross
 
 
-#: generic sweeps a form runs before `BellmanProblem.phase` compiles its
-#: runner.  On every long form of the benchmark's 50-state models and slow
-#: chains a compile costs as much as 130 to 340 generic sweeps of its form
-#: (1.0 ms on a 19-branch chain to 6.9 ms on a 235-branch model), and a
-#: runner sweep is 2.9 to 4.7 times faster than a generic one, so a compile
-#: is repaid 190 to 460 sweeps after the switch (medians of 5 compiles and
-#: of 7 timings of 256 sweeps from the start of the form's longest phase,
-#: two in-process runs, shared 2-core x86-64 host, Python 3.11).  At 256
-#: the generic sweeps have cost about one compile when the switch comes, so
-#: a phase that ends right after it pays at most about twice its generic
-#: cost, and every long phase gains.
+#: generic sweeps interval iteration runs before it compiles its phase.  On
+#: the benchmark's four slow chains (phases of 19 to 79 branches) a compile
+#: costs as much as 130 to 310 generic two-vector sweeps (1.1 to 3.1 ms), and
+#: a runner sweep is 3.1 to 3.7 times faster than a generic one, so a compile
+#: is repaid 170 to 450 sweeps after the switch (medians of 7 compiles and of
+#: 7 timings of 256 sweeps, in process, shared 2-core x86-64 host, Python
+#: 3.11).  At 256 the generic sweeps have cost about one compile when the
+#: switch comes, so a phase that ends right after it pays at most about twice
+#: its generic cost, and every long phase gains.
 COMPILE_AFTER_SWEEPS = 256
 
-#: branches per statement and per block function over the lists
-_BLOCK_BRANCHES = 32
+#: branches per statement of a choice sum, so that the compiler never sees a
+#: deeply nested expression
+_STATEMENT_BRANCHES = 32
 
-#: the most branches a runner holds in local variables.  CPython's parser and
-#: compiler hold the whole source of such a runner at once: its compile peaks
-#: at about 8 KB per branch in the one-vector form and 11 KB in the two-vector
-#: form (tracemalloc, Python 3.11), so this bounds one compile near 2 to 3 MB.
-#: Larger forms call block functions of _BLOCK_BRANCHES branches over the
-#: lists, whose compiles hold one block each.
+#: the most branches a phase runner holds in local variables.  CPython's
+#: parser and compiler hold the whole source of a runner at once, about 11 KB
+#: per branch at the compile's peak (tracemalloc, Python 3.11), so this
+#: bounds one compile near 3 MB.  A larger phase stays with `_sweep`.
 _LOCAL_BRANCHES = 256
 
 #: how a runner ended other than by its stop test: at the sweep cap, or past the deadline
@@ -398,11 +315,10 @@ def _best_lines(trs: tuple, vec: str, target: str, maximize: bool,
                 seedless: bool) -> list[str]:
     """Statements leaving the state's best choice value over `vec` in `target`.
 
-    `vec` formats a state id into the expression that reads its value, a
-    list item or a local variable.  Each choice's sum is `_sweep`'s
-    `0.0 + p*(r+vec[t]) + ...` in branch order, written in statements of
-    at most one block's terms so that the compiler never sees a deeply
-    nested expression.  Three rewrites leave every float as it is:
+    `vec` is the prefix of the local variables holding one vector's values
+    (`v` or `u`).  Each choice's sum is `_sweep`'s `0.0 + p*(r+vec[t]) + ...`
+    in branch order, written in statements of at most _STATEMENT_BRANCHES
+    terms.  Three rewrites leave every float as it is:
 
     - `p*vec[t]` stands for a reward of +0.0: `+0.0 + x` differs from `x`
       only for x = -0.0, and then only in a zero product's sign, which a
@@ -423,47 +339,36 @@ def _best_lines(trs: tuple, vec: str, target: str, maximize: bool,
         name = target if i == 0 else "y"
         terms = []
         for p, r, t in branches:
-            term = vec.format(t) if r == 0.0 and math.copysign(1.0, r) > 0.0 \
-                else f"({r!r}+{vec.format(t)})"
+            term = f"{vec}{t}" if r == 0.0 and math.copysign(1.0, r) > 0.0 \
+                else f"({r!r}+{vec}{t})"
             terms.append(term if p == 1.0 else f"{p!r}*{term}")
         head = [] if seedless and terms else ["0.0"]
-        for j in range(0, max(len(terms), 1), _BLOCK_BRANCHES):
-            lines.append(f"{name} = " + "+".join(head + terms[j:j + _BLOCK_BRANCHES]))
+        for j in range(0, max(len(terms), 1), _STATEMENT_BRANCHES):
+            lines.append(f"{name} = " + "+".join(head + terms[j:j + _STATEMENT_BRANCHES]))
             head = [name]
         if i:
             lines.append(f"if y {better} {target}: {target} = y")
     return lines
 
 
-def _state_lines(s: int, trs: tuple, maximize: bool, relative: bool, two: bool,
-                 seedless: bool, v: str, u: str) -> list[str]:
-    """One state's statements of a sweep, `_sweep`'s operations in its order.
-
-    The one-vector form guards the gain lines with `if e < eps:`, the `stop`
-    test of `_sweep`; the two-vector form backs up both vectors without any
-    error, up or down line and keeps the first crossing state in `c`.  A
-    state of the two-vector form without a self-loop assigns its new values
+def _state_lines(s: int, trs: tuple, maximize: bool, seedless: bool) -> list[str]:
+    """One state's statements of a two-vector sweep, `_sweep`'s operations in
+    its order, without any error, up or down line; the first crossing state
+    is kept in `c`.  A state without a self-loop assigns its new values
     straight to its own `v` and `u`: its v-sums read only other states' `v`
     and its u-sums only `u`, so every sum and the crossing test see the
     values they see in `_sweep`.
     """
-    vs, us = v.format(s), u.format(s)
-    if two and all(t != s for branches in trs for _, _, t in branches):
-        return [*_best_lines(trs, v, vs, maximize, seedless),
-                *_best_lines(trs, u, us, maximize, seedless),
+    vs, us = f"v{s}", f"u{s}"
+    if all(t != s for branches in trs for _, _, t in branches):
+        return [*_best_lines(trs, "v", vs, maximize, seedless),
+                *_best_lines(trs, "u", us, maximize, seedless),
                 f"if {us} < {vs} and c < 0: c = {s}"]
-    lines = _best_lines(trs, v, "n", maximize, seedless)
-    if two:
-        lines += [*_best_lines(trs, u, "m", maximize, seedless),
-                  f"if m < n and c < 0: c = {s}",
-                  f"{us} = m"]
-    else:
-        lines += ["if e < eps:",
-                  f"    g = (n - {vs}) / n if n > 0 else 0.0" if relative
-                  else f"    g = n - {vs}",
-                  "    if g > e: e = g"]
-    lines.append(f"{vs} = n")
-    return lines
+    return [*_best_lines(trs, "v", "n", maximize, seedless),
+            *_best_lines(trs, "u", "m", maximize, seedless),
+            f"if m < n and c < 0: c = {s}",
+            f"{us} = m",
+            f"{vs} = n"]
 
 
 def _compilable(trs: tuple, n: int) -> bool:
@@ -473,39 +378,38 @@ def _compilable(trs: tuple, n: int) -> bool:
         for branches in trs for p, r, t in branches)
 
 
-def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
-                   s_init: int | None) -> Callable | None:
-    """The phase runner of `BellmanProblem.phase`: `_sweep`, unrolled, in a loop.
+def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
+                   s_init: int) -> Callable | None:
+    """Interval iteration's phase runner: `_sweep` over two vectors, unrolled,
+    in a loop.
 
-    Without `s_init` it runs the one-vector form, with it the two-vector
-    form of interval iteration, whose width test reads state `s_init`.  The
-    runner `run(v, u, sweeps, cap, deadline, eps, relative_width)` runs
-    Gauss-Seidel sweeps until the phase's stop test holds, counting on from
-    `sweeps`; before each sweep it ends at the cap or past the deadline,
-    as `BellmanProblem.phase` does.  It returns (sweeps, end): end is the
-    crossing state or -1 after the stop test, _CAPPED or _LATE otherwise.
+    The runner `run(v, u, sweeps, cap, deadline, eps, relative_width)` runs
+    Gauss-Seidel sweeps, counting on from `sweeps`, until one in which `u`
+    fell below `v` or whose width `u - v` at state `s_init` is at most `eps`
+    (`eps` times the lower value if `relative_width`); before each sweep it
+    ends at the cap or past the deadline, as `interval_iteration`'s loop
+    does.  It returns (sweeps, end): end is the crossing state or -1 after
+    the stop test, _CAPPED or _LATE otherwise.
 
     Every state of `order` becomes a few statements with its probabilities,
     rewards and targets as literals; the operations and their order are
-    those of `_sweep`, so every float comes out bit-identical.  A form of
-    at most _LOCAL_BRANCHES branches keeps every value it reads in a local
-    variable, loaded before the loop and stored back after it; a larger
-    one runs function blocks of about _BLOCK_BRANCHES branches over the
-    lists, so that no compile holds more than a block's source.  Returns
-    None, and the caller stays generic, when a state has no choice, a
-    target out of range, or a non-float or non-finite constant: the source
-    holds only `repr` of finite floats and int indices.
+    those of `_sweep`, so every float comes out bit-identical.  Every value
+    the runner reads sits in a local variable, loaded before the loop and
+    stored back after it.  Returns None, and the caller stays with `_sweep`,
+    for a phase of more than _LOCAL_BRANCHES branches, and where a state has
+    no choice, a target out of range, or a non-float or non-finite constant:
+    the source holds only `repr` of finite floats and int indices.
 
     The seed rule.  `_sweep` starts every choice sum at `acc = 0.0`, which
     changes the first term `y` only when `y` is -0.0 (to +0.0).  Where
-    every branch of the form has a weight above 0.0 and a reward whose sign
-    is positive (+0.0 or above: every parsed, generated, goal-absorbed,
+    every branch of the phase has a weight above 0.0 and a reward whose
+    sign is positive (+0.0 or above: every parsed, generated, goal-absorbed,
     reward-stripped and quotient model), the runner's sums start at their
-    first term (`_best_lines`' `seedless`); other forms keep the `0.0 +`.
+    first term (`_best_lines`' `seedless`); other phases keep the `0.0 +`.
     This is exact as long as every value the runner reads has a positive
-    sign, none negative and none -0.0, which `BellmanProblem.phase`
-    checks of both vectors before it calls the runner.  Then, by induction
-    over the updates: `r + x` of a positive-signed reward and value is
+    sign, none negative and none -0.0, which `interval_iteration` checks of
+    both vectors before it calls the runner.  Then, by induction over the
+    updates: `r + x` of a positive-signed reward and value is
     positive-signed (a sum is -0.0 only of two -0.0 terms), so is its
     product with a positive weight, and so is every partial sum of such
     terms; the first term is never -0.0, so every sum equals `_sweep`'s bit
@@ -513,51 +417,20 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool, relativ
     again.  The runner never writes a state outside `order`.
     """
     n = len(kernel)
-    if not all(type(s) is int and 0 <= s < n and _compilable(kernel[s], n) for s in order):
+    if not (type(s_init) is int and 0 <= s_init < n) or not all(
+            type(s) is int and 0 <= s < n and _compilable(kernel[s], n) for s in order):
         return None
-    two = s_init is not None
-    if two and not (type(s_init) is int and 0 <= s_init < n):
+    if sum(len(b) for s in order for b in kernel[s]) > _LOCAL_BRANCHES:
         return None
-    branches = sum(len(b) for s in order for b in kernel[s])
     seedless = all(p > 0.0 and math.copysign(1.0, r) > 0.0
                    for s in order for b in kernel[s] for p, r, _ in b)
-    if two:
-        start, stop_test = "c = -1", ["if c >= 0 or {u} - {v} <= (eps * {v} if rel else eps):",
-                                      "    end = c"]
-    else:
-        start, stop_test = "e = 0.0", ["if e < eps:", "    end = -1"]
-    namespace: dict = {"__builtins__": {}, "time": time}
-    if branches <= _LOCAL_BRANCHES:
-        v, u = "v{}", "u{}"
-        body = [line for s in order
-                for line in _state_lines(s, kernel[s], maximize, relative, two, seedless, v, u)]
-        read = sorted({t for s in order for b in kernel[s] for _, _, t in b}
-                      | set(order) | ({s_init} if two else set()))
-        written = sorted(set(order))
-        load = [f"v{t} = v[{t}]" for t in read] + [f"u{t} = u[{t}]" for t in read if two]
-        store = [f"v[{s}] = v{s}" for s in written] + [f"u[{s}] = u{s}" for s in written if two]
-    else:
-        v, u = "v[{}]", "u[{}]"
-        head, tail = ("def block(v, u, c):", "return c") if two else ("def block(v, e, eps):",
-                                                                      "return e")
-        blocks, lines, size = [], [], 0
-        blocks_namespace: dict = {"__builtins__": {}}
-        for i, s in enumerate(order):
-            lines += _state_lines(s, kernel[s], maximize, relative, two, seedless, v, u)
-            size += sum(len(b) for b in kernel[s])
-            if size >= _BLOCK_BRANCHES or i == len(order) - 1:
-                exec(compile("\n    ".join([head, *lines, tail]), "<compiled sweep>", "exec"),
-                     blocks_namespace)
-                # Popped, so that the function is not reachable from its own globals.
-                blocks.append(blocks_namespace.pop("block"))
-                lines, size = [], 0
-        namespace["blocks"] = tuple(blocks)
-        body = ["for block in blocks:",
-                "    c = block(v, u, c)" if two else "    e = block(v, e, eps)"]
-        load = store = []
+    read = sorted({t for s in order for b in kernel[s] for _, _, t in b}
+                  | set(order) | {s_init})
+    written = sorted(set(order))
     source = "\n".join([
         "def run(v, u, k, cap, deadline, eps, rel):",
-        *("    " + line for line in load),
+        *(f"    v{t} = v[{t}]" for t in read),
+        *(f"    u{t} = u[{t}]" for t in read),
         "    while True:",
         "        if k >= cap:",
         f"            end = {_CAPPED}",
@@ -566,13 +439,16 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool, relativ
         f"            end = {_LATE}",
         "            break",
         "        k += 1",
-        "        " + start,
-        *("        " + line for line in body),
-        *("        " + line.format(v=v.format(s_init), u=u.format(s_init))
-          for line in stop_test),
+        "        c = -1",
+        *("        " + line for s in order
+          for line in _state_lines(s, kernel[s], maximize, seedless)),
+        f"        if c >= 0 or u{s_init} - v{s_init} <= (eps * v{s_init} if rel else eps):",
+        "            end = c",
         "            break",
-        *("    " + line for line in store),
+        *(f"    v[{s}] = v{s}" for s in written),
+        *(f"    u[{s}] = u{s}" for s in written),
         "    return k, end"])
+    namespace: dict = {"__builtins__": {}, "time": time}
     exec(compile(source, "<compiled phase>", "exec"), namespace)
     return namespace.pop("run")
 
@@ -591,26 +467,26 @@ def gsvi(problem: BellmanProblem, values: list[float], criterion: ErrorCriterion
     contribute nothing.  Iteration stops once a sweep's error drops below
     epsilon_vi.  Started below the least fixed point it stays below it.
 
-    Without an observer, the iteration is one `BellmanProblem.phase`, whose
-    sweeps stop measuring gains once the error reaches epsilon_vi (the sweep
-    cannot end the iteration then).  An observer receives every sweep's
-    exact error; every vector and sweep count is the same either way.
+    Without an observer, a sweep stops measuring gains once the error
+    reaches epsilon_vi (the sweep cannot end the iteration then).  An
+    observer receives every sweep's exact error; every vector and sweep
+    count is the same either way.
     """
     relative = criterion.mode == "relative"
     eps = criterion.epsilon_vi
     if order is None:
         order = problem.default_order()
-    if observer is None:
-        return problem.phase(order, relative, values, eps=eps, max_sweeps=max_sweeps,
-                             deadline=deadline)[0]
+    kernel, maximize = problem.kernel, problem.opt == "max"
+    stop = eps if observer is None else math.inf
     sweeps = 0
     while True:
         if sweeps >= max_sweeps:
             raise IterationCapExceeded(sweeps)
         _check_deadline(deadline)
         sweeps += 1
-        error = problem.sweep(order, relative, values)[0]
-        observer("iter", sweeps, error, values)
+        error = _sweep(kernel, order, maximize, relative, values, None, stop)[0]
+        if observer is not None:
+            observer("iter", sweeps, error, values)
         if error < eps:
             return sweeps
 
@@ -643,9 +519,8 @@ def _exact_outcome(value: float, sweeps: int, method: str, start: float) -> Solv
 
 
 #: sweeps after which `ovi`'s first iteration phase pauses for a
-#: policy-evaluation guess.  It comes before COMPILE_AFTER_SWEEPS, so that an
-#: accepted guess never pays for a compile, and above the 53 sweeps of the
-#: longest phase of the `large` benchmark workload.
+#: policy-evaluation guess, above the 53 sweeps of the longest phase of the
+#: `large` benchmark workload.
 POLICY_AFTER_SWEEPS = 128
 
 #: the most unknowns a policy-evaluation guess solves for.  Dense elimination
@@ -794,8 +669,8 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
 
     A second source of guesses: on a problem with a unique fixed point and
     at most POLICY_MAX_UNKNOWNS unknowns, a first iteration phase that runs
-    POLICY_AFTER_SWEEPS sweeps pauses there (before COMPILE_AFTER_SWEEPS)
-    for one policy-evaluation guess.  `_policy_values` runs policy
+    POLICY_AFTER_SWEEPS sweeps pauses there for one policy-evaluation
+    guess.  `_policy_values` runs policy
     iteration from the greedy policy of `v`, each policy evaluated by dense
     Gaussian elimination.  Its values x give a lower vector x*(1 - eps/2)
     and an upper one x*(1 + eps/2) (x -/+ eps/2 for an absolute width, the
@@ -974,7 +849,15 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
     the seeds, or a crossing (upper below lower), is reported as an error
     naming the state; but sweeps are monotone, so an upper_init between the
     seeds and the true value never crosses and goes undetected, and the
-    returned interval then misses the value."""
+    returned interval then misses the value.
+
+    The phase ends after the first sweep in which the upper vector fell
+    below the lower one, or whose width at the initial state is at most
+    twice the property's epsilon; it measures no error.  Unobserved, it
+    hands its remaining sweeps to a `_compile_phase` runner after
+    COMPILE_AFTER_SWEEPS sweeps, when the runner compiles and neither
+    vector holds a negative or -0.0 entry (one `copysign` pass over each);
+    the runner gives the same floats, sweep count and crossing."""
     start = time.perf_counter()
     model = problem.model
     s_i = model.initial
@@ -994,25 +877,34 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
     u = [upper_init[s] if s in problem.unknowns else problem.seed[s]
          for s in model.states]
     for s in problem.unknowns:
-        if u[s] < v[s]:
+        # `not >=` also rejects NaN, which would neither cross nor narrow.
+        if not u[s] >= v[s]:
             raise SolverError(f"initial upper value at state {s} lies below the lower vector")
     tolerance = 2.0 * eps
-    if observer is None:
-        sweeps, cross = problem.phase(order, False, v, u, eps=tolerance, max_sweeps=max_sweeps,
-                                      deadline=deadline, relative_width=relative_width)
-    else:
-        sweeps = 0
-        while True:
-            if sweeps >= max_sweeps:
-                raise IterationCapExceeded(sweeps)
-            _check_deadline(deadline)
-            sweeps += 1
-            cross = problem.sweep(order, False, v, u)[3]
-            if cross >= 0:
+    kernel, maximize = problem.kernel, problem.opt == "max"
+    sweeps = 0
+    while True:
+        if sweeps == COMPILE_AFTER_SWEEPS and observer is None:
+            runner = _compile_phase(kernel, order, maximize, s_i)
+            if runner is not None and _positive_signs(v, u):
+                sweeps, cross = runner(v, u, sweeps, max_sweeps, deadline, tolerance,
+                                       relative_width)
+                if cross == _CAPPED:
+                    raise IterationCapExceeded(sweeps)
+                if cross == _LATE:
+                    raise SolveTimeout(_LATE_MESSAGE)
                 break
+        if sweeps >= max_sweeps:
+            raise IterationCapExceeded(sweeps)
+        _check_deadline(deadline)
+        sweeps += 1
+        cross = _sweep(kernel, order, maximize, False, v, u, 0.0)[3]  # stop 0.0: no error
+        if cross >= 0:
+            break
+        if observer is not None:
             observer("ii", sweeps, v, u)
-            if u[s_i] - v[s_i] <= (tolerance * v[s_i] if relative_width else tolerance):
-                break
+        if u[s_i] - v[s_i] <= (tolerance * v[s_i] if relative_width else tolerance):
+            break
     if cross >= 0:
         raise SolverError(
             f"interval iteration crossed at state {cross}: the initial upper vector "

@@ -230,8 +230,9 @@ def test_parse_and_solve_leave_no_cyclic_garbage(kind, method):
 
 @pytest.mark.parametrize("method", ["vi", "ovi", "ii"])
 def test_compiled_sweeps_leave_no_cyclic_garbage(method, monkeypatch):
-    # A compiled sweep is dropped from the namespace it was exec'd into;
-    # otherwise function and globals would form a cycle.
+    # Interval iteration's compiled phase runner is dropped from the
+    # namespace it was exec'd into; otherwise function and globals would
+    # form a cycle.  vi and ovi compile nothing.
     monkeypatch.setattr("soundmdp.solvers.COMPILE_AFTER_SWEEPS", 1)
     model, goals = trap_instance(1, 30)  # pmax strictly between 0 and 1 at state 0
     gc.collect()

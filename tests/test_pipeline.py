@@ -10,6 +10,7 @@ from soundmdp import (ErrorCriterion, Mdp, PipelineError, SolveOptions, SolveTim
                       generate_slow_chain, make_goals_absorbing, make_property,
                       mec_decomposition, oracle_exact, ovi, rebase_initial, reward_problem,
                       s_infinity, solve, strip_rewards)
+from soundmdp import solvers
 from soundmdp.graph import goal_distance_order
 
 from conftest import HALF, trap_beside_chain, trap_instance
@@ -369,6 +370,37 @@ def test_compiled_sweeps_change_no_outcome(kind, method, monkeypatch):
                     except Exception as exc:  # the same failure on both tiers
                         outcomes.append((type(exc).__name__, str(exc)))
                 assert outcomes[0] == outcomes[1]
+
+
+#: the slow chains of the benchmark's `sweep` workload (perfbench's CHAIN_PARAMS)
+BENCHMARK_CHAINS = ((10, Fraction(1, 2)), (16, Fraction(2, 3)), (20, Fraction(3, 4)),
+                    (40, Fraction(9, 10)))
+
+
+@pytest.mark.parametrize("n, p", BENCHMARK_CHAINS)
+def test_benchmark_chain_emax_ii_runs_one_compiled_runner(n, p, monkeypatch):
+    # The one compiled form the benchmark runs: interval iteration on the
+    # slow chains passes the switch, compiles one runner and hands it the
+    # rest of its phase, with the outcome of an unreachable threshold.
+    doc = generate_slow_chain(n, p)
+    prop = make_property("emax", doc.declared_goals)
+    compiled, starts = [], []
+    real = solvers._compile_phase
+
+    def compile_phase(*args):
+        runner = real(*args)
+        compiled.append(runner)
+        return runner and (lambda v, u, k, *rest: starts.append(k) or runner(v, u, k, *rest))
+
+    monkeypatch.setattr(solvers, "_compile_phase", compile_phase)
+    result = solve(doc.model, prop, SolveOptions(method="ii"))
+    assert result.outcome.certified and result.outcome.iterations > solvers.COMPILE_AFTER_SWEEPS
+    assert len(compiled) == 1 and compiled[0] is not None
+    assert starts == [solvers.COMPILE_AFTER_SWEEPS]
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 10**18)
+    assert _outcome_hex(solve(doc.model, prop, SolveOptions(method="ii"))) \
+        == _outcome_hex(result)
+    assert len(compiled) == 1
 
 
 def _spy(monkeypatch, name, fn):

@@ -91,7 +91,8 @@ def random_problem(seed, opt):
 
 def generic_phase(problem, order, relative, v, u=None, *, eps, max_sweeps,
                   relative_width=False):
-    """`BellmanProblem.phase` as a loop of `_sweep`s that measure every error."""
+    """`gsvi`'s iteration (one vector) or interval iteration's phase (two) as
+    a loop of `_sweep`s that measure every error."""
     maximize = problem.opt == "max"
     s_i = problem.model.initial
     sweeps = 0
@@ -107,6 +108,21 @@ def generic_phase(problem, order, relative, v, u=None, *, eps, max_sweeps,
             return sweeps, cross
 
 
+def compiled_phase(problem, order, v, u, *, eps, max_sweeps, deadline=None,
+                   relative_width=False):
+    """Interval iteration's phase by its compiled runner alone, from sweep 0,
+    ending like `generic_phase`: (sweeps, cross), or the cap's
+    IterationCapExceeded; past the deadline, SolveTimeout."""
+    runner = _compile_phase(problem.kernel, order, problem.opt == "max", problem.model.initial)
+    assert runner is not None
+    sweeps, end = runner(v, u, 0, max_sweeps, deadline, eps, relative_width)
+    if end == solvers._CAPPED:
+        raise IterationCapExceeded(sweeps)
+    if end == solvers._LATE:
+        raise SolveTimeout("late")
+    return sweeps, end
+
+
 def ending(run):
     """What a phase returned, or the type and sweep count of what it raised."""
     try:
@@ -115,15 +131,39 @@ def ending(run):
         return type(exc).__name__, getattr(exc, "sweeps", None)
 
 
-def compile_form(problem, order, relative, two, monkeypatch):
-    """Compiles the phase form of `problem` for `order` (one error mode, or
-    two vectors) by one generic sweep on throwaway vectors at threshold 1,
-    so that every later phase of the form runs the compiled runner."""
-    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 1)
-    v = problem.initial_vector()
-    u = [x + 1.0 for x in v] if two else None
-    ending(lambda: problem.phase(order, relative, v, u, eps=0.0, max_sweeps=1))
-    assert problem._tiers[None if two else relative][2]
+def ii_ending(problem, upper, order=None, **budget):
+    """interval_iteration's outcome in hex at an absolute width of 1e-3, or
+    the type and sweep count of what it raised.  Interval iteration reads
+    only the property's width, not its goals."""
+    prop = make_property("pmax" if problem.probability_mode else "emax", [0], 1e-3, "absolute")
+
+    def run():
+        o = interval_iteration(problem, prop, upper, order, **budget)
+        return o.value.hex(), o.lower_bound.hex(), o.upper_bound.hex(), o.iterations
+    return ending(run)
+
+
+def spy_runners(monkeypatch):
+    """Wraps `_compile_phase`.  Returns two lists that fill as interval
+    iteration runs: what each compile returned, and the sweep count each
+    call of a runner ended at."""
+    compiled, ran = [], []
+    real = solvers._compile_phase
+
+    def compile_phase(*args):
+        runner = real(*args)
+        compiled.append(runner)
+        if runner is None:
+            return None
+
+        def run(*call):
+            sweeps, end = runner(*call)
+            ran.append(sweeps)
+            return sweeps, end
+        return run
+
+    monkeypatch.setattr(solvers, "_compile_phase", compile_phase)
+    return compiled, ran
 
 
 def shuffled_order(problem, seed):
@@ -132,35 +172,29 @@ def shuffled_order(problem, seed):
     return order
 
 
-#: both runner bodies: values in local variables, and block functions over the lists
-BODIES = pytest.mark.parametrize("local_branches", [solvers._LOCAL_BRANCHES, 0],
-                                 ids=["locals", "blocks"])
-
-
 @pytest.mark.parametrize("relative", [True, False])
 @pytest.mark.parametrize("opt", ["max", "min"])
 @pytest.mark.parametrize("seed", range(8))
-def test_sweep_two_vectors_match_one_vector_sweeps(seed, opt, relative, monkeypatch):
+def test_sweep_two_vectors_match_one_vector_sweeps(seed, opt, relative):
     # `_sweep`'s two-vector form must match two one-vector sweeps, and one
-    # sweep of either compiled runner, with either body, must match `_sweep`
-    # bit for bit.
+    # sweep of the compiled runner, wherever interval iteration would call
+    # it (no negative or -0.0 entry), must match `_sweep` bit for bit.
     problem = random_problem(seed, opt)
     maximize = opt == "max"
     rng = random.Random(seed)
+    runs = 0
     for order in (shuffled_order(problem, seed), problem.default_order(),
                   problem.default_order()[::-1]):
-        compiled = []
-        for local_branches in (solvers._LOCAL_BRANCHES, 0):
-            monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
-            compiled.append(random_problem(seed, opt))
-            compile_form(compiled[-1], order, relative, False, monkeypatch)
-            compile_form(compiled[-1], order, relative, True, monkeypatch)
         v = problem.initial_vector()
         # The upper start may lie below v somewhere, so crossings occur too.
         u = [x + rng.uniform(-1.0, 3.0) if s in problem.unknowns else x for s, x in enumerate(v)]
-        for _ in range(4):
+        for step in range(4):
+            if step == 2:  # a positive-signed start for the runner, crossings included
+                v = [x + rng.uniform(0.0, 1.0) if s in problem.unknowns else x
+                     for s, x in enumerate(v)]
+                u = [abs(x) for x in u]
             v_alone, u_alone, u_before = list(v), list(u), list(u)
-            runs = [(list(v), list(v), list(u)) for _ in compiled]
+            v_two, u_two = list(v), list(u)
             error, up, down, cross = _sweep(problem.kernel, order, maximize, relative, v, u)
             alone = _sweep(problem.kernel, order, maximize, relative, v_alone)
             _sweep(problem.kernel, order, maximize, relative, u_alone)
@@ -169,31 +203,29 @@ def test_sweep_two_vectors_match_one_vector_sweeps(seed, opt, relative, monkeypa
             assert up == all(u[s] >= u_before[s] for s in order)
             assert down == all(u[s] <= u_before[s] for s in order)
             assert cross == next((s for s in order if u[s] < v[s]), -1)
-            for other, (v_one, v_two, u_two) in zip(compiled, runs):
-                # eps 0 is never met, and a width of at most -inf never.
-                assert ending(lambda: other.phase(order, relative, v_one, eps=0.0, max_sweeps=1)) \
-                    == ("IterationCapExceeded", 1)
-                assert hexes(v_one) == hexes(v_alone)
-                assert ending(lambda: other.phase(order, relative, v_two, u_two, eps=-math.inf,
-                                                  max_sweeps=1)) \
+            if solvers._positive_signs(v_two, u_two):
+                runs += 1
+                # A width of at most -inf is never met.
+                assert ending(lambda: compiled_phase(problem, order, v_two, u_two, eps=-math.inf,
+                                                     max_sweeps=1)) \
                     == ((1, cross) if cross >= 0 else ("IterationCapExceeded", 1))
                 assert hexes(v_two) == hexes(v) and hexes(u_two) == hexes(u)
+    assert runs >= 3
 
 
 @pytest.mark.parametrize("relative", [True, False])
 @pytest.mark.parametrize("opt", ["max", "min"])
 @pytest.mark.parametrize("seed", range(12))
-def test_one_vector_sweep_measures_the_error_up_to_stop(seed, opt, relative, monkeypatch):
+def test_one_vector_sweep_measures_the_error_up_to_stop(seed, opt, relative):
     # `_sweep` skips the gains past stop: it returns the exact error below
     # stop and at least stop otherwise, and the vector never depends on
-    # stop.  A compiled one-vector phase ends at the first sweep whose error
-    # so measured is below eps, which is the sweep a loop of exact `_sweep`s
-    # ends at, even for eps at an exact error or one ulp beside it.
+    # stop.  Unobserved gsvi, whose sweeps stop measuring at epsilon_vi,
+    # ends at the first sweep whose error so measured is below epsilon_vi,
+    # which is the sweep a loop of exact `_sweep`s ends at, even for
+    # epsilon_vi at an exact error or one ulp beside it.
     problem = random_problem(seed, opt)
     maximize = opt == "max"
     order = shuffled_order(problem, seed)
-    compiled = random_problem(seed, opt)
-    compile_form(compiled, order, relative, False, monkeypatch)
     v = problem.initial_vector()
     errors = []
     for _ in range(6):
@@ -212,22 +244,25 @@ def test_one_vector_sweep_measures_the_error_up_to_stop(seed, opt, relative, mon
             else:
                 assert generic[0] >= stop
         v = v_exact
+    mode = "relative" if relative else "absolute"
     for eps in {x for e in errors if e > 0.0
                 for x in (e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf))}:
-        v_generic, v_compiled = problem.initial_vector(), problem.initial_vector()
-        want = ending(lambda: generic_phase(problem, order, relative, v_generic, eps=eps,
+        v_exact, v_gsvi = problem.initial_vector(), problem.initial_vector()
+        want = ending(lambda: generic_phase(problem, order, relative, v_exact, eps=eps,
                                             max_sweeps=6))
-        assert ending(lambda: compiled.phase(order, relative, v_compiled, eps=eps,
-                                             max_sweeps=6)) == want
-        assert hexes(v_compiled) == hexes(v_generic)
+        got = ending(lambda: gsvi(problem, v_gsvi, ErrorCriterion(mode, eps), order,
+                                  max_sweeps=6))
+        assert got == (want[0] if want[1] == -1 else want)
+        assert hexes(v_gsvi) == hexes(v_exact)
 
 
-def test_sweep_past_stop_measures_no_more_gains(monkeypatch):
+def test_sweep_past_stop_measures_no_more_gains():
     # s0 gains 1 and s1 gains 2 in the first sweep: once the error has
     # reached stop at s0, the sweep stops measuring, and still updates s1.
-    # A compiled phase stops measuring the same way: with eps 1 its first
-    # sweep reads an error of at least 1, so a second sweep runs (and ends
-    # the phase with error 0), while a measured 2 would mean the same.
+    # Unobserved gsvi stops measuring the same way: with epsilon_vi 1 its
+    # first sweep reads an error of at least 1, so a second sweep runs (and
+    # ends the iteration with error 0), while a measured 2 would mean the
+    # same.
     model = mdp_of(0, [[(1, 1, 2)]], [[(1, 2, 2)]], [[(1, 0, 2)]])
     problem = reward_problem(model, [2], "max", [])
     order = problem.default_order()
@@ -236,76 +271,54 @@ def test_sweep_past_stop_measures_no_more_gains(monkeypatch):
         v = problem.initial_vector()
         assert _sweep(problem.kernel, order, True, False, v, stop=stop) == (error, True, True, -1)
         assert v == [1.0, 2.0, 0.0]
-    for local_branches in (solvers._LOCAL_BRANCHES, 0):
-        monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
-        problem = reward_problem(model, [2], "max", [])
-        compile_form(problem, order, False, False, monkeypatch)
-        for eps, sweeps in ((0.5, 2), (1.0, 2), (2.0, 2), (math.nextafter(2.0, 3.0), 1)):
-            v = problem.initial_vector()
-            assert problem.phase(order, False, v, eps=eps, max_sweeps=5) == (sweeps, -1)
-            assert v == [1.0, 2.0, 0.0]
+    for eps, sweeps in ((0.5, 2), (1.0, 2), (2.0, 2), (math.nextafter(2.0, 3.0), 1)):
+        v = problem.initial_vector()
+        assert gsvi(problem, v, ErrorCriterion("absolute", eps), order, max_sweeps=5) == sweeps
+        assert v == [1.0, 2.0, 0.0]
 
 
-def test_problem_phase_compiles_each_form_after_the_threshold(me0, monkeypatch):
-    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 3)
-    generic, compiles = [], []
-    real_sweep, real_compile = solvers._sweep, solvers._compile_phase
+def test_interval_iteration_compiles_after_the_threshold(me0, monkeypatch):
+    # The first COMPILE_AFTER_SWEEPS sweeps run `_sweep`; then one compile,
+    # and the runner runs the rest of the phase, to its end or its cap.
+    # gsvi and ovi never compile, nor does an observed interval iteration.
+    generic = []
+    real_sweep = solvers._sweep
     monkeypatch.setattr(solvers, "_sweep", lambda *args: generic.append(args) or real_sweep(*args))
-    monkeypatch.setattr(solvers, "_compile_phase",
-                        lambda *args: compiles.append(args[4]) or real_compile(*args))
-    problem, reference = golden_problem(me0), golden_problem(me0)
-    order = problem.default_order()
-    v, u = problem.initial_vector(), [1.0] * 5
-    v_ref, u_ref = list(v), list(u)
-    # Two sweeps of a phase that runs into its cap, then a phase of 6: its
-    # first sweep is the form's third generic one, the runner runs the rest.
-    with pytest.raises(IterationCapExceeded):
-        problem.phase(order, True, v, eps=1e-300, max_sweeps=2)
-    with pytest.raises(IterationCapExceeded):
-        generic_phase(reference, order, True, v_ref, eps=1e-300, max_sweeps=2)
-    assert len(generic) == 2 and compiles == []
-    with pytest.raises(IterationCapExceeded) as got:
-        problem.phase(order, True, v, eps=1e-300, max_sweeps=6)
-    assert got.value.sweeps == 6 and len(generic) == 3 and compiles == [None]
-    with pytest.raises(IterationCapExceeded):
-        generic_phase(reference, order, True, v_ref, eps=1e-300, max_sweeps=6)
-    assert v == v_ref
+    compiled, ran = spy_runners(monkeypatch)
+    _, problem = quotient_problem(me0)
+    upper = [1.0] * problem.model.num_states
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 10**18)
+    want = ii_ending(problem, upper)
+    assert want[3] > 4 and not compiled
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 3)
+    for cap, sweeps, end in ((2, 2, ("IterationCapExceeded", 2)),
+                             (3, 3, ("IterationCapExceeded", 3)),
+                             (4, 3, ("IterationCapExceeded", 4)),
+                             (10**6, 3, want)):
+        for spy in (generic, compiled, ran):
+            spy.clear()
+        assert ii_ending(problem, upper, max_sweeps=cap) == end
+        assert len(generic) == sweeps
+        assert len(compiled) == len(ran) == (cap >= 3)
+    assert ran == [want[3]]
     generic.clear()
-    # The compiled form runs every sweep of a later phase with the same order.
-    assert problem.phase(order, True, v, eps=1.0, max_sweeps=6) == (1, -1)
-    assert generic == []
-    generic_phase(reference, order, True, v_ref, eps=1.0, max_sweeps=6)
-    # OVI's two-vector sweeps never count towards a form: `sweep` is `_sweep`.
-    for _ in range(6):
-        want = real_sweep(reference.kernel, order, True, False, v_ref, u_ref)
-        assert problem.sweep(order, False, v, u) == want
-        assert (v, u) == (v_ref, u_ref)
-    assert len(generic) == 6 and compiles == [None]
-    generic.clear()
-    # The other error mode, and a new order object, are new forms that start
-    # generic again.
-    with pytest.raises(IterationCapExceeded):
-        problem.phase(order, False, v, eps=1e-300, max_sweeps=1)
-    with pytest.raises(IterationCapExceeded):
-        problem.phase(list(order), True, v, eps=1e-300, max_sweeps=1)
-    assert len(generic) == 2 and compiles == [None]
-    generic.clear()
-    # Interval iteration's phase is a form of its own: it starts generic
-    # although a one-vector form has compiled, and compiles at the
-    # threshold with the initial state for its width test.
-    v, u = problem.initial_vector(), [1.0] * 5
-    with pytest.raises(IterationCapExceeded):
-        problem.phase(order, False, v, u, eps=-math.inf, max_sweeps=5)
-    assert len(generic) == 3 and compiles == [None, problem.model.initial]
+    compiled.clear()
+    events: list = []
+    prop = make_property("pmax", [0], 1e-3, "absolute")
+    interval_iteration(problem, prop, upper, observer=record(events))
+    assert len(generic) == len(events) == want[3] and not compiled
+    criterion = ErrorCriterion("absolute", 1e-12)
+    assert gsvi(problem, problem.initial_vector(), criterion) > 3
+    ovi(problem, criterion, make_property("pmax", [0], 1e-9, "absolute"))
+    assert not compiled
 
 
 @pytest.mark.parametrize("mode", ["relative", "absolute"])
 def test_verification_sweeps_never_compile(mode, monkeypatch):
-    # OVI's two-vector sweeps always run `_sweep`: even at threshold 1 only
-    # the one-vector form reaches `_compile_phase`, no generated source holds
-    # the up/down flags, and the outcome is that of the default threshold.
-    # A reward problem whose ovi certifies after 19 (relative) or 3
-    # (absolute) verification sweeps.
+    # OVI compiles nothing: even at threshold 1 no generated source exists,
+    # every sweep runs `_sweep`, and the outcome is that of the default
+    # threshold.  A reward problem whose ovi certifies after 19 (relative)
+    # or 3 (absolute) verification sweeps.
     prop = make_property("emax", generate_random(7, 13, 3, 3, 4, 1).declared_goals)
 
     def run():
@@ -314,11 +327,10 @@ def test_verification_sweeps_never_compile(mode, monkeypatch):
                 o.verification_phases, o.cancelled_verifications, o.status)
 
     expected = run()
-    forms, sources, generic_two = [], [], []
-    real_compile_phase, real_sweep = solvers._compile_phase, solvers._sweep
+    sources, generic_two = [], []
+    real_sweep = solvers._sweep
     monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 1)
-    monkeypatch.setattr(solvers, "_compile_phase",
-                        lambda *args: forms.append(args[4]) or real_compile_phase(*args))
+    compiled, _ = spy_runners(monkeypatch)
     monkeypatch.setattr(solvers, "compile", lambda source, *args: sources.append(source)
                         or compile(source, *args), raising=False)
     monkeypatch.setattr(solvers, "_sweep", lambda *args: generic_two.append(args[5] is not None)
@@ -326,8 +338,7 @@ def test_verification_sweeps_never_compile(mode, monkeypatch):
     assert run() == expected and expected[-1] == "ok"
     # Every two-vector sweep ran generic, and there were several of them.
     assert sum(generic_two) > 1
-    assert forms == [None] and sources
-    assert not any("up" in source or "dn" in source for source in sources)
+    assert compiled == [] and sources == []
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -335,7 +346,6 @@ def test_verification_sweeps_never_compile(mode, monkeypatch):
 def test_non_finite_kernel_constants_stay_generic(bad, field, monkeypatch):
     # BellmanProblem accepts an unvalidated model; its constants never reach
     # generated source unless they are finite floats.
-    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 1)
     good = (0.5, 1.0, 1)
     odd = list(good)
     odd[field] = bad
@@ -344,38 +354,37 @@ def test_non_finite_kernel_constants_stay_generic(bad, field, monkeypatch):
               (Transition((Branch(1.0, 0.0, 1, one, zero),)),))
     problem = reward_problem(Mdp(2, 0, states), [1], "max", [])
     order = problem.default_order()
-    assert _compile_phase(problem.kernel, order, True, False, None) is None
-    assert _compile_phase(problem.kernel, order, True, False, 0) is None
-    v, v_ref = problem.initial_vector(), problem.initial_vector()
-    for cap in (1, 2, 3):
-        assert ending(lambda: problem.phase(order, False, v, eps=0.0, max_sweeps=1)) \
-            == ("IterationCapExceeded", 1)
-        _sweep(problem.kernel, order, True, False, v_ref)
-        assert hexes(v) == hexes(v_ref)
-    assert problem._tiers[False][2] is False
+    assert _compile_phase(problem.kernel, order, True, 0) is None
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 10**18)
+    want = ii_ending(problem, [10.0, 0.0], max_sweeps=3)
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 0)
+    compiled, _ = spy_runners(monkeypatch)
+    assert ii_ending(problem, [10.0, 0.0], max_sweeps=3) == want
+    assert compiled == [None]
 
 
 def test_targets_out_of_range_stay_generic(monkeypatch):
     # A hand-built kernel may name a state by a negative index, which a list
     # reads from its end; a runner's local variables would not alias it.
-    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 1)
     half, one = Fraction(1, 2), Fraction(1)
     states = ((Transition((Branch(0.5, 1.0, -1, half, one), Branch(0.5, 1.0, 1, half, one))),),
               (Transition((Branch(1.0, 0.0, 1, one, Fraction(0)),)),))
     problem = reward_problem(Mdp(2, 0, states), [1], "max", [])
     order = problem.default_order()
-    assert _compile_phase(problem.kernel, order, True, False, None) is None
-    v, v_ref = problem.initial_vector(), problem.initial_vector()
-    assert problem.phase(order, False, v, eps=0.5, max_sweeps=9) \
-        == generic_phase(problem, order, False, v_ref, eps=0.5, max_sweeps=9)
-    assert hexes(v) == hexes(v_ref)
+    assert _compile_phase(problem.kernel, order, True, 0) is None
+    v, u = problem.initial_vector(), [5.0, 0.0]
+    want = generic_phase(problem, order, False, v, u, eps=2e-3, max_sweeps=99)
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 0)
+    compiled, _ = spy_runners(monkeypatch)
+    assert ii_ending(problem, [5.0, 0.0], max_sweeps=99) \
+        == ((0.5 * (u[0] + v[0])).hex(), v[0].hex(), u[0].hex(), want[0])
+    assert compiled == [None]
 
 
-def test_compiled_sweep_splits_long_sums_and_many_choices(monkeypatch):
-    # One choice of 3000 branches would be too deep for one expression; the
-    # next state has 40 choices, many with equal sums.  Widths 3 and 100
-    # compile to local variables, 3000 to blocks.
-    for width in (3, 100, 3000):
+def test_compiled_sweep_splits_long_sums_and_many_choices():
+    # One choice of 100 branches becomes statements of 32 terms; the next
+    # state has 40 choices, many with equal sums.
+    for width in (3, 100):
         wide = [[(Fraction(1, width), k % 3, k % 7) for k in range(width)]]
         many = [[(1, 0, 1 + k % 5)] for k in range(40)]
         model = mdp_of(0, wide, many, [[(1, 1, 2)]], [[(1, 0, 3)]], [[(1, 2, 4)]],
@@ -383,125 +392,123 @@ def test_compiled_sweep_splits_long_sums_and_many_choices(monkeypatch):
         for opt in ("max", "min"):
             problem = reward_problem(model, [6], opt, [])
             order = problem.default_order()
-            for two in (False, True):
-                compile_form(problem, order, True, two, monkeypatch)
-                v, v_ref = problem.initial_vector(), problem.initial_vector()
-                u, u_ref = ([10.0] * 7, [10.0] * 7) if two else (None, None)
-                want = ending(lambda: generic_phase(problem, order, True, v_ref, u_ref,
-                                                    eps=-math.inf, max_sweeps=3))
-                assert ending(lambda: problem.phase(order, True, v, u, eps=-math.inf,
-                                                    max_sweeps=3)) == want
-                assert hexes(v) == hexes(v_ref) and (not two or hexes(u) == hexes(u_ref))
+            v, v_ref = problem.initial_vector(), problem.initial_vector()
+            u, u_ref = [10.0] * 7, [10.0] * 7
+            want = ending(lambda: generic_phase(problem, order, True, v_ref, u_ref,
+                                                eps=-math.inf, max_sweeps=3))
+            assert ending(lambda: compiled_phase(problem, order, v, u, eps=-math.inf,
+                                                 max_sweeps=3)) == want
+            assert hexes(v) == hexes(v_ref) and hexes(u) == hexes(u_ref)
+
+
+def test_phases_over_local_branches_stay_generic(monkeypatch):
+    # A phase of more than _LOCAL_BRANCHES branches is not compiled: here a
+    # choice of 3 000 branches.  Interval iteration then runs `_sweep` for
+    # every sweep, with the outcome of an unreachable threshold.  A phase of
+    # exactly _LOCAL_BRANCHES branches compiles.
+    wide = [[(Fraction(1, 3000), k % 3, k % 7) for k in range(3000)]]
+    model = mdp_of(0, wide, *([[(HALF, 1, s + 1), (HALF, 0, 0)]] for s in range(1, 6)),
+                   [[(1, 0, 6)]])
+    upper = reward_upper_init(model, [6], "max", [])
+    for opt in ("max", "min"):
+        problem = reward_problem(model, [6], opt, [])
+        assert _compile_phase(problem.kernel, problem.default_order(), opt == "max", 0) is None
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 10**18)
+            want = ii_ending(problem, upper)
+        assert want[3] > 2
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 2)
+            compiled, _ = spy_runners(patch)
+            assert ii_ending(problem, upper) == want
+            assert compiled == [None]
+    small = random_problem(1, "max")
+    order = small.default_order()
+    branches = sum(len(b) for s in order for b in small.kernel[s])
+    for local_branches, compiles in ((branches, True), (branches - 1, False)):
+        monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
+        assert (_compile_phase(small.kernel, order, True, small.model.initial) is not None) \
+            == compiles
 
 
 # ---------------------------------------------------------------------------
-# Compiled phases against a loop of `_sweep`.
+# The compiled phase against a loop of `_sweep`.
 
-@BODIES
-@pytest.mark.parametrize("relative", [True, False])
-@pytest.mark.parametrize("opt", ["max", "min"])
-@pytest.mark.parametrize("seed", range(6))
-def test_compiled_phase_ends_where_generic_sweeps_end(seed, opt, relative, local_branches,
-                                                      monkeypatch):
-    # Hex-equal vectors, the same last sweep, and at a cap falling
-    # mid-phase the same IterationCapExceeded count, for several eps.
-    monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
-    problem, compiled = random_problem(seed, opt), random_problem(seed, opt)
-    order = shuffled_order(problem, seed)
-    compile_form(compiled, order, relative, False, monkeypatch)
-    for eps in (1e-2, 1e-6, 1e-9, 1e-12):
-        v_generic, v_compiled = problem.initial_vector(), problem.initial_vector()
-        sweeps, _ = generic_phase(problem, order, relative, v_generic, eps=eps, max_sweeps=10**6)
-        assert compiled.phase(order, relative, v_compiled, eps=eps, max_sweeps=10**6) \
-            == (sweeps, -1)
-        assert hexes(v_compiled) == hexes(v_generic)
-        for cap in {sweeps - 1, sweeps // 2} - {0}:
-            v_generic, v_compiled = problem.initial_vector(), problem.initial_vector()
-            with pytest.raises(IterationCapExceeded) as capped:
-                compiled.phase(order, relative, v_compiled, eps=eps, max_sweeps=cap)
-            assert capped.value.sweeps == cap
-            with pytest.raises(IterationCapExceeded):
-                generic_phase(problem, order, relative, v_generic, eps=eps, max_sweeps=cap)
-            assert hexes(v_compiled) == hexes(v_generic)
-
-
-@BODIES
 @pytest.mark.parametrize("relative_width", [True, False])
 @pytest.mark.parametrize("opt", ["max", "min"])
 @pytest.mark.parametrize("seed", range(6))
-def test_compiled_interval_phase_matches_generic_sweeps(seed, opt, relative_width,
-                                                        local_branches, monkeypatch):
+def test_compiled_interval_phase_matches_generic_sweeps(seed, opt, relative_width):
     # From an upper start above the lower vector the phase ends at the
-    # width test, from one partly below it at the first crossing state;
-    # both vectors and the sweep count, or the cap's count, must agree.
-    monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
-    problem, compiled = random_problem(seed, opt), random_problem(seed, opt)
+    # width test, from a lower vector lifted partly above the upper one at
+    # the first crossing state; both vectors and the sweep count, or the
+    # cap's count, must agree.
+    problem = random_problem(seed, opt)
     order = shuffled_order(problem, seed)
-    compile_form(compiled, order, False, True, monkeypatch)
     rng = random.Random(seed)
     start = problem.initial_vector()
     above = [x + 3.0 if s in problem.unknowns else x for s, x in enumerate(start)]
-    mixed = [x + rng.uniform(-1.0, 3.0) if s in problem.unknowns else x
+    lifted = [x + rng.uniform(0.0, 2.0) if s in problem.unknowns else x
+              for s, x in enumerate(start)]
+    mixed = [x + rng.uniform(0.0, 3.0) if s in problem.unknowns else x
              for s, x in enumerate(start)]
-    for upper in (above, mixed):
+    for lower, upper in ((start, above), (lifted, mixed)):
         for eps in (1e-1, 1e-4, 1e-8):
             for cap in (10**5, 3, 1):
-                v_generic, u_generic = list(start), list(upper)
-                v_compiled, u_compiled = list(start), list(upper)
+                v_generic, u_generic = list(lower), list(upper)
+                v_compiled, u_compiled = list(lower), list(upper)
                 want = ending(lambda: generic_phase(problem, order, False, v_generic, u_generic,
                                                     eps=eps, max_sweeps=cap,
                                                     relative_width=relative_width))
-                assert ending(lambda: compiled.phase(order, False, v_compiled, u_compiled,
+                assert ending(lambda: compiled_phase(problem, order, v_compiled, u_compiled,
                                                      eps=eps, max_sweeps=cap,
                                                      relative_width=relative_width)) == want
                 assert hexes(v_compiled) == hexes(v_generic)
                 assert hexes(u_compiled) == hexes(u_generic)
 
 
-@BODIES
-@pytest.mark.parametrize("two", [False, True])
-def test_compiled_phase_raises_at_the_deadline(two, local_branches, monkeypatch):
+def test_compiled_phase_raises_at_the_deadline(monkeypatch):
     # A clock that ticks once per deadline test: the test before sweep 7
     # reads 6, past the deadline 5.5, so six sweeps run and stay in the
-    # vectors.  eps 0 and a width of at most -inf are never met.
-    monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
-    problem, compiled = random_problem(3, "max"), random_problem(3, "max")
+    # vectors.  A width of at most -inf is never met.  Interval iteration
+    # turns the runner's end into SolveTimeout.
+    problem = random_problem(3, "max")
     order = problem.default_order()
-    compile_form(compiled, order, True, two, monkeypatch)
     v, v_ref = problem.initial_vector(), problem.initial_vector()
-    u = [x + 3.0 if s in problem.unknowns else x for s, x in enumerate(v)] if two else None
-    u_ref = list(u) if two else None
-    eps = -math.inf if two else 0.0
+    u = [x + 3.0 if s in problem.unknowns else x for s, x in enumerate(v)]
+    u_ref = list(u)
     ticks = itertools.count()
     monkeypatch.setattr(solvers.time, "perf_counter", lambda: next(ticks))
     with pytest.raises(SolveTimeout):
-        compiled.phase(order, True, v, u, eps=eps, max_sweeps=100, deadline=5.5)
+        compiled_phase(problem, order, v, u, eps=-math.inf, max_sweeps=100, deadline=5.5)
     assert next(ticks) == 7
     with pytest.raises(IterationCapExceeded):
-        generic_phase(problem, order, True, v_ref, u_ref, eps=eps, max_sweeps=6)
-    assert hexes(v) == hexes(v_ref) and (not two or hexes(u) == hexes(u_ref))
+        generic_phase(problem, order, True, v_ref, u_ref, eps=-math.inf, max_sweeps=6)
+    assert hexes(v) == hexes(v_ref) and hexes(u) == hexes(u_ref)
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 0)
+    _, ran = spy_runners(monkeypatch)
+    with pytest.raises(SolveTimeout, match="past its deadline"):
+        interval_iteration(problem, make_property("emax", [0], 1e-300, "absolute"),
+                           [1e9] * problem.model.num_states, deadline=next(ticks) + 5.5)
+    assert len(ran) == 1
 
 
-@BODIES
-def test_compiled_width_test_reads_an_initial_state_outside_the_order(local_branches,
-                                                                      monkeypatch):
+def test_compiled_width_test_reads_an_initial_state_outside_the_order():
     # s0 is the initial state, but neither in the order nor a target of its
     # states: its values stay at their start, 5 apart.
-    monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
     model = mdp_of(0, [[(1, 1, 1)]], [[(1, 1, 2)]], [[(1, 0, 2)]])
     order = [1]
     for eps, want in ((5.0, (1, -1)), (4.0, ("IterationCapExceeded", 4))):
         problem = reward_problem(model, [2], "max", [])
-        compile_form(problem, order, False, True, monkeypatch)
         v, u = problem.initial_vector(), [5.0, 5.0, 0.0]
-        assert ending(lambda: problem.phase(order, False, v, u, eps=eps, max_sweeps=4)) == want
+        assert ending(lambda: compiled_phase(problem, order, v, u, eps=eps, max_sweeps=4)) \
+            == want
         assert (v, u) == ([0.0, 1.0, 0.0], [5.0, 1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
-# The runners' lean sums (no `0.0 +` seed, no unit weights, no temporaries
-# in interval iteration) against a loop of `_sweep`, on kernels and inputs
-# that no valid model produces.
+# The runner's lean sums (no `0.0 +` seed, no unit weights, no temporaries)
+# against a loop of `_sweep`, on kernels and inputs that no valid model
+# produces.
 
 #: weights, rewards and input values of the hand-built kernels: unit
 #: probabilities, +0.0 and -0.0 rewards, negative weights and inputs, and a
@@ -529,60 +536,52 @@ def signed_kernel_model(rng, n, signed):
 
 
 def positive_signs(*vectors):
-    return all(math.copysign(1.0, x) > 0.0 for vec in vectors if vec for x in vec)
+    return all(math.copysign(1.0, x) > 0.0 for vec in vectors for x in vec)
 
 
-@BODIES
 @pytest.mark.parametrize("signed", [False, True], ids=["positive", "signed"])
 @pytest.mark.parametrize("seed", range(10))
-def test_runners_match_sweep_on_signed_zeros_and_negatives(seed, signed, local_branches,
-                                                            monkeypatch):
-    # Random kernels, both runner forms, phases from positive inputs and
-    # from inputs holding -0.0, negatives and a negative subnormal: the
-    # vectors hex-equal, the same sweep count or cap, the same crossing.
-    # The runner runs exactly the phases whose inputs have no negative sign;
-    # from the others a runner without the `0.0 +` seed would store -0.0
-    # where `_sweep` stores +0.0.
-    monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
+def test_runners_match_sweep_on_signed_zeros_and_negatives(seed, signed):
+    # Random kernels, phases from positive inputs and from inputs holding
+    # -0.0, negatives and a negative subnormal.  Interval iteration's guard
+    # passes exactly the inputs without a negative sign, and from those the
+    # runner gives hex-equal vectors, the same sweep count or cap and the
+    # same crossing as `_sweep`; from the others a runner without the
+    # `0.0 +` seed could store -0.0 where `_sweep` stores +0.0.
     rng = random.Random(seed)
-    generic = []
-    real_sweep = solvers._sweep
-    monkeypatch.setattr(solvers, "_sweep", lambda *args: generic.append(args) or real_sweep(*args))
+    runs = 0
     for _ in range(6):
         n = rng.randint(2, 8)
         model, opt = signed_kernel_model(rng, n, signed), rng.choice(["max", "min"])
-        problem, compiled = reward_problem(model, [n - 1], opt, []), \
-            reward_problem(model, [n - 1], opt, [])
+        problem = reward_problem(model, [n - 1], opt, [])
         order = problem.default_order()
         rng.shuffle(order)
-        for relative, two in ((True, False), (False, False), (False, True)):
-            compile_form(compiled, order, relative, two, monkeypatch)
-            for trial in range(6):
-                values = VALUES[:3] if trial == 0 else VALUES
-                v = [rng.choice(values) for _ in range(n)]
-                u = [rng.choice(values) + rng.choice((0.0, 2.0)) for _ in range(n)] \
-                    if two else None
-                v_ref, u_ref = list(v), (list(u) if two else None)
-                eps, cap = rng.choice((1e-3, 0.5, -math.inf if two else 0.0)), rng.randint(1, 6)
-                want = ending(lambda: generic_phase(problem, order, relative, v_ref, u_ref,
-                                                    eps=eps, max_sweeps=cap))
-                runs_compiled = positive_signs(v, u)
-                generic.clear()
-                assert ending(lambda: compiled.phase(order, relative, v, u, eps=eps,
-                                                     max_sweeps=cap)) == want
-                assert hexes(v) == hexes(v_ref)
-                assert not two or hexes(u) == hexes(u_ref)
-                assert (not generic) == runs_compiled
+        for trial in range(18):
+            values = VALUES[:3] if trial % 3 == 0 else VALUES
+            v = [rng.choice(values) for _ in range(n)]
+            u = [rng.choice(values) + rng.choice((0.0, 2.0)) for _ in range(n)]
+            v_ref, u_ref = list(v), list(u)
+            eps, cap = rng.choice((1e-3, 0.5, -math.inf)), rng.randint(1, 6)
+            want = ending(lambda: generic_phase(problem, order, False, v_ref, u_ref,
+                                                eps=eps, max_sweeps=cap))
+            assert solvers._positive_signs(v, u) == positive_signs(v, u)
+            if not positive_signs(v, u):
+                continue
+            runs += 1
+            assert ending(lambda: compiled_phase(problem, order, v, u, eps=eps,
+                                                 max_sweeps=cap)) == want
+            assert hexes(v) == hexes(v_ref) and hexes(u) == hexes(u_ref)
+    assert runs >= 12
 
 
-def runner_sources(problem, two, monkeypatch):
-    """The sources `_compile_phase` generates for `problem`'s default order."""
+def runner_source(problem, monkeypatch):
+    """The source `_compile_phase` generates for `problem`'s default order."""
     sources = []
     with monkeypatch.context() as patch:
         patch.setattr(solvers, "compile", lambda source, *args: sources.append(source)
                       or compile(source, *args), raising=False)
-        assert _compile_phase(problem.kernel, problem.default_order(), True, False,
-                              problem.model.initial if two else None)
+        assert _compile_phase(problem.kernel, problem.default_order(), True,
+                              problem.model.initial)
     return "\n".join(sources)
 
 
@@ -590,61 +589,45 @@ def runner_sources(problem, two, monkeypatch):
 def test_runner_sources_drop_seed_unit_weights_and_interval_temporaries(weight, monkeypatch):
     # s0: one choice, no self-loop.  s1: two choices, a self-loop in one.
     # s2: two choices, no self-loop.  s3 is the goal.  A negative weight
-    # (s2's first branch) keeps the `0.0 +` of every sum of the form.
+    # (s2's first branch) keeps the `0.0 +` of every sum of the phase.
     model = mdp_of(0, [[(1, 1, 1)]],
                    [[(HALF, 0, 1), (HALF, 2, 2)], [(1, 0, 3)]],
                    [[(weight, 0, 3), (1 - weight, 1, 0)], [(1, 0, 3)]],
                    [[(1, 0, 3)]])
     problem = reward_problem(model, [3], "max", [])
-    one, two = runner_sources(problem, False, monkeypatch), runner_sources(problem, True,
-                                                                           monkeypatch)
-    assert "1.0*" not in one + two
+    source = runner_source(problem, monkeypatch)
+    assert "1.0*" not in source
     if weight < 0:
-        assert "n = 0.0+(1.0+v1)" in one and "v0 = 0.0+(1.0+v1)" in two
+        assert "v0 = 0.0+(1.0+v1)" in source
         return
-    assert "0.0+" not in one + two
-    assert "n = (1.0+v1)" in one
-    # Interval iteration: s0 and s2 assign their own values; s1 reads its own.
-    assert "v0 = (1.0+v1)\n" in two and "u0 = (1.0+u1)\n" in two
-    assert "if u0 < v0 and c < 0: c = 0" in two
-    assert "n = 0.5*v1+0.5*(2.0+v2)" in two and "m = 0.5*u1+0.5*(2.0+u2)" in two
-    assert "if m < n and c < 0: c = 1" in two
-    assert "v2 = 0.5*v3+0.5*(1.0+v0)" in two and "if y > v2: v2 = y" in two
-    assert "if u2 < v2 and c < 0: c = 2" in two
-    # The runner from positive inputs, `_sweep` from a -0.0 input.
-    order = problem.default_order()
-    for start in (problem.initial_vector(), [0.0, -0.0, 0.0, 0.0]):
-        compiled = reward_problem(model, [3], "max", [])
-        compile_form(compiled, order, False, True, monkeypatch)
-        v, u = list(start), [5.0, 5.0, 5.0, 0.0]
-        v_ref, u_ref = list(v), list(u)
-        assert compiled.phase(order, False, v, u, eps=1e-3, max_sweeps=10**4) \
-            == generic_phase(problem, order, False, v_ref, u_ref, eps=1e-3, max_sweeps=10**4)
-        assert hexes(v) == hexes(v_ref) and hexes(u) == hexes(u_ref)
-
-
-def compile_peak(problem, two):
-    """The tracemalloc peak of compiling `problem`'s phase form, and what stays."""
-    order = problem.default_order()
-    tracemalloc.start()
-    try:
-        runner = _compile_phase(problem.kernel, order, True, True,
-                                problem.model.initial if two else None)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert runner is not None
-    return peak, kept
+    assert "0.0+" not in source
+    # s0 and s2 assign their own values; s1 reads its own.
+    assert "v0 = (1.0+v1)\n" in source and "u0 = (1.0+u1)\n" in source
+    assert "if u0 < v0 and c < 0: c = 0" in source
+    assert "n = 0.5*v1+0.5*(2.0+v2)" in source and "m = 0.5*u1+0.5*(2.0+u2)" in source
+    assert "if m < n and c < 0: c = 1" in source
+    assert "v2 = 0.5*v3+0.5*(1.0+v0)" in source and "if y > v2: v2 = y" in source
+    assert "if u2 < v2 and c < 0: c = 2" in source
+    # Interval iteration hands positive inputs to the runner and leaves a
+    # -0.0 input to `_sweep`; the outcomes are those of `_sweep` alone.
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 0)
+    compiled, ran = spy_runners(monkeypatch)
+    for start, runs in ((problem.seed, 1), ((0.0, -0.0, 0.0, 0.0), 0)):
+        started = solvers.BellmanProblem(model, "max", problem.unknowns, start, False)
+        ran.clear()
+        got = ii_ending(started, [50.0, 50.0, 50.0, 0.0])
+        v, u = list(start), [50.0, 50.0, 50.0, 0.0]
+        sweeps, _ = generic_phase(problem, problem.default_order(), False, v, u, eps=2e-3,
+                                  max_sweeps=10**4)
+        assert got == ((0.5 * (u[0] + v[0])).hex(), v[0].hex(), u[0].hex(), sweeps)
+        assert len(ran) == runs
 
 
 def test_compile_memory_stays_bounded():
-    # A compile holds about 8 KB (one vector) to 11 KB (two) per branch of
-    # a runner that keeps its values in local variables, so a form of 235
-    # branches, below the cap of 256, peaks near 1.9 to 2.5 MB (tracemalloc,
-    # Python 3.11).  A form of 2 000+ branches compiles to blocks over the
-    # lists, each compiled on its own; beyond the code that stays, the
-    # compile holds about 0.3 to 0.4 MB at any size (about 20 MB for this
-    # form in local variables).
+    # A compile holds about 11 KB per branch, so a phase of 235 branches,
+    # below the cap of 256, peaks near 2.5 MB (tracemalloc, Python 3.11).  A
+    # phase of 2 000+ branches, which would hold about 20 MB, is not
+    # compiled.
     def problem(seed, n, goals):
         doc = generate_random(seed, n, 3, 4, 4, goals)
         targets = sorted(doc.declared_goals)
@@ -655,26 +638,34 @@ def test_compile_memory_stays_bounded():
     assert 200 < sum(len(b) for s in small.unknowns for b in small.kernel[s]) \
         <= solvers._LOCAL_BRANCHES
     assert sum(len(b) for s in large.unknowns for b in large.kernel[s]) > 2000
-    for two in (False, True):
-        assert compile_peak(small, two)[0] < 4_000_000
-        peak, kept = compile_peak(large, two)
-        assert peak - kept < 1_000_000
+    tracemalloc.start()
+    try:
+        runner = _compile_phase(small.kernel, small.default_order(), True, small.model.initial)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert runner is not None and peak < 4_000_000
+    assert _compile_phase(large.kernel, large.default_order(), True, large.model.initial) is None
 
 
 def test_threads_sharing_a_problem_get_identical_outcomes(monkeypatch):
-    # Each ovi call brings its own order object, so threads sharing one
-    # problem keep replacing each other's sweep counts and compiled forms.
+    # Each interval_iteration call compiles its own runner, which keeps its
+    # values in its own local variables, so threads sharing one problem get
+    # the outcome of a lone call.
     monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 2)
     doc = generate_slow_chain(8, Fraction(1, 2))
     goals = sorted(doc.declared_goals)
     model = make_goals_absorbing(doc.model, goals)
     prop = make_property("emax", goals)
+    upper = reward_upper_init(model, goals, "max", [])
 
     def run(problem):
-        o = ovi(problem, ErrorCriterion(), prop)
-        return o.value.hex(), o.lower_bound.hex(), o.upper_bound.hex(), o.iterations, o.status
+        o = interval_iteration(problem, prop, upper)
+        return o.value.hex(), o.lower_bound.hex(), o.upper_bound.hex(), o.iterations
 
+    _, ran = spy_runners(monkeypatch)
     expected = run(reward_problem(model, goals, "max", []))
+    assert len(ran) == 1 and expected[-1] > 2
     shared = reward_problem(model, goals, "max", [])
     results: list = []
     interval = sys.getswitchinterval()
@@ -689,7 +680,7 @@ def test_threads_sharing_a_problem_get_identical_outcomes(monkeypatch):
         assert not any(w.is_alive() for w in workers)
     finally:
         sys.setswitchinterval(interval)
-    assert results == [expected] * 12
+    assert results == [expected] * 12 and len(ran) == 13
 
 
 # ---------------------------------------------------------------------------
@@ -724,22 +715,14 @@ def test_observers_get_the_live_vectors(me0):
     assert verifies and all(any(event[4] is u for u in guesses) for event in verifies)
 
 
-@pytest.mark.parametrize("compile_after", [solvers.COMPILE_AFTER_SWEEPS, 2])
 @pytest.mark.parametrize("mode", ["relative", "absolute"])
-def test_gsvi_observer_changes_nothing_and_sees_exact_errors(mode, compile_after,
-                                                              monkeypatch):
-    # chain-16 runs far past the switch to the compiled tier.  Without an
-    # observer gsvi runs one `BellmanProblem.phase`, whose sweeps stop
-    # measuring at epsilon_vi; with one it runs exact `sweep`s and never
-    # compiles.  Sweep count and vector agree to the last bit, and the
-    # observed errors are those of sweeps that measure everything.
-    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", compile_after)
-    calls = []
-    for name in ("phase", "sweep"):
-        real = getattr(solvers.BellmanProblem, name)
-        monkeypatch.setattr(solvers.BellmanProblem, name,
-                            lambda *args, real=real, name=name, **kwargs:
-                            calls.append(name) or real(*args, **kwargs))
+def test_gsvi_observer_changes_nothing_and_sees_exact_errors(mode, monkeypatch):
+    # chain-16 runs hundreds of sweeps.  Without an observer gsvi's sweeps
+    # stop measuring at epsilon_vi; with one they measure everything.
+    # Sweep count and vector agree to the last bit, and the observed errors
+    # are those of sweeps that measure everything.
+    stops = []
+    monkeypatch.setattr(solvers, "_sweep", lambda *args: stops.append(args[6]) or _sweep(*args))
     doc = generate_slow_chain(16, Fraction(2, 3))
     goals = sorted(doc.declared_goals)
     model = make_goals_absorbing(doc.model, goals)
@@ -747,11 +730,11 @@ def test_gsvi_observer_changes_nothing_and_sees_exact_errors(mode, compile_after
     quiet, watched = (reward_problem(model, goals, "max", []) for _ in range(2))
     v_quiet, v_watched = quiet.initial_vector(), watched.initial_vector()
     sweeps = gsvi(quiet, v_quiet, criterion)
-    assert sweeps > 256 and calls == ["phase"] and quiet._tiers[mode == "relative"][2]
-    calls.clear()
+    assert sweeps > 256 and stops == [1e-9] * sweeps
+    stops.clear()
     events: list = []
     assert gsvi(watched, v_watched, criterion, observer=record(events)) == sweeps
-    assert calls == ["sweep"] * sweeps and not watched._tiers
+    assert stops == [math.inf] * sweeps
     assert hexes(v_quiet) == hexes(v_watched)
     v = watched.initial_vector()
     for _, _, error, _ in events:
@@ -1228,19 +1211,32 @@ def test_interval_iteration_names_the_first_crossing_state(order, first, monkeyp
     # monotone: the upper start 0.5 lies above the seeds but below the fixed
     # point 1, and the first sweep drops every upper value below its lower.
     m = mdp_of(0, *([[(2, 0, 3), (-1, 0, s)]] for s in range(3)), [[(1, 0, 3)]])
-    for threshold in (1, 10**18):
+    _, ran = spy_runners(monkeypatch)
+    # At threshold 0 the compiled runner runs every sweep, at the
+    # unreachable one `_sweep` does.
+    for threshold, runs in ((0, [1]), (10**18, [])):
         monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", threshold)
+        ran.clear()
         problem = probability_problem(m, goals=[3], opt="max")
-        # One sweep of interval iteration's phase on throwaway vectors, with
-        # the same order object: at threshold 1 the compiled runner then runs
-        # every sweep of interval iteration, at the unreachable one `_sweep`
-        # does.
-        assert problem.phase(order, False, problem.initial_vector(), [0.5] * 4, eps=0.1,
-                             max_sweeps=1) == (1, first)
-        assert bool(problem._tiers[None][2]) == (threshold == 1)
         with pytest.raises(SolverError, match=f"crossed at state {first}:"):
             interval_iteration(problem, make_property("pmax", [3], 0.05, "absolute"),
                                [0.5] * 4, order)
+        assert ran == runs
+
+
+def test_interval_iteration_rejects_a_nan_upper_start():
+    # `u < v` is False for NaN, so a NaN start passed the check and then
+    # neither crossed nor narrowed: the phase ran to its sweep cap.
+    doc = generate_slow_chain(10, HALF)
+    goals = sorted(doc.declared_goals)
+    model = make_goals_absorbing(doc.model, goals)
+    problem = reward_problem(model, goals, "max", [])
+    upper = reward_upper_init(model, goals, "max", [])
+    for s in (model.initial, max(problem.unknowns)):
+        start = list(upper)
+        start[s] = math.nan
+        with pytest.raises(SolverError, match=f"initial upper value at state {s} lies below"):
+            interval_iteration(problem, make_property("emax", goals), start, max_sweeps=1000)
 
 
 def test_interval_iteration_cap(me0):
