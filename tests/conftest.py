@@ -6,7 +6,7 @@ from typing import Callable
 import pytest
 
 from soundmdp import (Mdp, branch, generate_example_me, generate_random, generate_slow_chain,
-                      make_goals_absorbing, strip_rewards, transition)
+                      make_goals_absorbing, solvers, strip_rewards, transition)
 
 
 def mdp_of(initial: int, *states) -> Mdp:
@@ -31,6 +31,29 @@ def trap_instance(seed: int, n_states: int) -> tuple[Mdp, list[int]]:
 def record(events: list) -> Callable[..., None]:
     """A solver observer appending each event, with copies of the live vectors."""
     return lambda *event: events.append(tuple(list(x) if type(x) is list else x for x in event))
+
+
+def spy_runners(monkeypatch):
+    """Wraps `_compile_phase`.  Returns two lists that fill as interval
+    iteration runs: what each compile returned, and the sweep count each
+    call of a runner ended at."""
+    compiled, ran = [], []
+    real = solvers._compile_phase
+
+    def compile_phase(*args):
+        runner = real(*args)
+        compiled.append(runner)
+        if runner is None:
+            return None
+
+        def run(*call):
+            sweeps, end = runner(*call)
+            ran.append(sweeps)
+            return sweeps, end
+        return run
+
+    monkeypatch.setattr(solvers, "_compile_phase", compile_phase)
+    return compiled, ran
 
 
 @pytest.fixture(scope="session")

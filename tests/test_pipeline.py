@@ -13,7 +13,7 @@ from soundmdp import (ErrorCriterion, Mdp, PipelineError, SolveOptions, SolveTim
 from soundmdp import solvers
 from soundmdp.graph import goal_distance_order
 
-from conftest import HALF, trap_beside_chain, trap_instance
+from conftest import HALF, spy_runners, trap_beside_chain, trap_instance
 
 
 def test_pipeline_pmax_golden_run(me_doc):
@@ -384,19 +384,11 @@ def test_benchmark_chain_emax_ii_runs_one_compiled_runner(n, p, monkeypatch):
     # rest of its phase, with the outcome of an unreachable threshold.
     doc = generate_slow_chain(n, p)
     prop = make_property("emax", doc.declared_goals)
-    compiled, starts = [], []
-    real = solvers._compile_phase
-
-    def compile_phase(*args):
-        runner = real(*args)
-        compiled.append(runner)
-        return runner and (lambda v, u, k, *rest: starts.append(k) or runner(v, u, k, *rest))
-
-    monkeypatch.setattr(solvers, "_compile_phase", compile_phase)
+    compiled, ran = spy_runners(monkeypatch)
     result = solve(doc.model, prop, SolveOptions(method="ii"))
     assert result.outcome.certified and result.outcome.iterations > solvers.COMPILE_AFTER_SWEEPS
     assert len(compiled) == 1 and compiled[0] is not None
-    assert starts == [solvers.COMPILE_AFTER_SWEEPS]
+    assert ran == [result.outcome.iterations]
     monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 10**18)
     assert _outcome_hex(solve(doc.model, prop, SolveOptions(method="ii"))) \
         == _outcome_hex(result)

@@ -23,7 +23,7 @@ from soundmdp.oracle import SCHEDULER_GUARD, scheduler_count
 from soundmdp import solvers
 from soundmdp.model import Branch, Mdp, Transition
 from soundmdp.solvers import _compile_phase, _sweep
-from conftest import HALF, mdp_of, record
+from conftest import HALF, mdp_of, record, spy_runners
 
 #: the slow chains of the benchmark's `sweep` workload
 BENCHMARK_CHAINS = ((10, HALF), (16, Fraction(2, 3)), (20, Fraction(3, 4)), (40, Fraction(9, 10)))
@@ -141,29 +141,6 @@ def ii_ending(problem, upper, order=None, **budget):
         o = interval_iteration(problem, prop, upper, order, **budget)
         return o.value.hex(), o.lower_bound.hex(), o.upper_bound.hex(), o.iterations
     return ending(run)
-
-
-def spy_runners(monkeypatch):
-    """Wraps `_compile_phase`.  Returns two lists that fill as interval
-    iteration runs: what each compile returned, and the sweep count each
-    call of a runner ended at."""
-    compiled, ran = [], []
-    real = solvers._compile_phase
-
-    def compile_phase(*args):
-        runner = real(*args)
-        compiled.append(runner)
-        if runner is None:
-            return None
-
-        def run(*call):
-            sweeps, end = runner(*call)
-            ran.append(sweeps)
-            return sweeps, end
-        return run
-
-    monkeypatch.setattr(solvers, "_compile_phase", compile_phase)
-    return compiled, ran
 
 
 def shuffled_order(problem, seed):
