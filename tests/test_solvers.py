@@ -411,14 +411,22 @@ def test_phases_over_local_branches_stay_generic(monkeypatch):
 # ---------------------------------------------------------------------------
 # The compiled phase against a loop of `_sweep`.
 
+#: the runner's body, values in local variables, up to this many branches
+#: (a longer phase stays with `_sweep`)
+LOCALS = pytest.mark.parametrize("local_branches", [solvers._LOCAL_BRANCHES], ids=["locals"])
+
+
+@LOCALS
 @pytest.mark.parametrize("relative_width", [True, False])
 @pytest.mark.parametrize("opt", ["max", "min"])
 @pytest.mark.parametrize("seed", range(6))
-def test_compiled_interval_phase_matches_generic_sweeps(seed, opt, relative_width):
+def test_compiled_interval_phase_matches_generic_sweeps(seed, opt, relative_width,
+                                                        local_branches, monkeypatch):
     # From an upper start above the lower vector the phase ends at the
     # width test, from a lower vector lifted partly above the upper one at
     # the first crossing state; both vectors and the sweep count, or the
     # cap's count, must agree.
+    monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
     problem = random_problem(seed, opt)
     order = shuffled_order(problem, seed)
     rng = random.Random(seed)
@@ -443,35 +451,44 @@ def test_compiled_interval_phase_matches_generic_sweeps(seed, opt, relative_widt
                 assert hexes(u_compiled) == hexes(u_generic)
 
 
-def test_compiled_phase_raises_at_the_deadline(monkeypatch):
+@LOCALS
+@pytest.mark.parametrize("through_ii", [False, True])
+def test_compiled_phase_raises_at_the_deadline(through_ii, local_branches, monkeypatch):
     # A clock that ticks once per deadline test: the test before sweep 7
     # reads 6, past the deadline 5.5, so six sweeps run and stay in the
-    # vectors.  A width of at most -inf is never met.  Interval iteration
-    # turns the runner's end into SolveTimeout.
+    # vectors.  A width of at most -inf is never met.  Through interval
+    # iteration, whose start reads the clock first, five sweeps run and the
+    # runner's end becomes SolveTimeout.
+    monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
     problem = random_problem(3, "max")
+    ticks = itertools.count()
+    monkeypatch.setattr(solvers.time, "perf_counter", lambda: next(ticks))
+    if through_ii:
+        monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 0)
+        _, ran = spy_runners(monkeypatch)
+        with pytest.raises(SolveTimeout, match="past its deadline"):
+            interval_iteration(problem, make_property("emax", [0], 1e-300, "absolute"),
+                               [1e9] * problem.model.num_states, deadline=5.5)
+        assert ran == [5]
+        return
     order = problem.default_order()
     v, v_ref = problem.initial_vector(), problem.initial_vector()
     u = [x + 3.0 if s in problem.unknowns else x for s, x in enumerate(v)]
     u_ref = list(u)
-    ticks = itertools.count()
-    monkeypatch.setattr(solvers.time, "perf_counter", lambda: next(ticks))
     with pytest.raises(SolveTimeout):
         compiled_phase(problem, order, v, u, eps=-math.inf, max_sweeps=100, deadline=5.5)
     assert next(ticks) == 7
     with pytest.raises(IterationCapExceeded):
         generic_phase(problem, order, True, v_ref, u_ref, eps=-math.inf, max_sweeps=6)
     assert hexes(v) == hexes(v_ref) and hexes(u) == hexes(u_ref)
-    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 0)
-    _, ran = spy_runners(monkeypatch)
-    with pytest.raises(SolveTimeout, match="past its deadline"):
-        interval_iteration(problem, make_property("emax", [0], 1e-300, "absolute"),
-                           [1e9] * problem.model.num_states, deadline=next(ticks) + 5.5)
-    assert len(ran) == 1
 
 
-def test_compiled_width_test_reads_an_initial_state_outside_the_order():
+@LOCALS
+def test_compiled_width_test_reads_an_initial_state_outside_the_order(local_branches,
+                                                                      monkeypatch):
     # s0 is the initial state, but neither in the order nor a target of its
     # states: its values stay at their start, 5 apart.
+    monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
     model = mdp_of(0, [[(1, 1, 1)]], [[(1, 1, 2)]], [[(1, 0, 2)]])
     order = [1]
     for eps, want in ((5.0, (1, -1)), (4.0, ("IterationCapExceeded", 4))):
@@ -516,15 +533,18 @@ def positive_signs(*vectors):
     return all(math.copysign(1.0, x) > 0.0 for vec in vectors for x in vec)
 
 
+@LOCALS
 @pytest.mark.parametrize("signed", [False, True], ids=["positive", "signed"])
 @pytest.mark.parametrize("seed", range(10))
-def test_runners_match_sweep_on_signed_zeros_and_negatives(seed, signed):
+def test_runners_match_sweep_on_signed_zeros_and_negatives(seed, signed, local_branches,
+                                                            monkeypatch):
     # Random kernels, phases from positive inputs and from inputs holding
     # -0.0, negatives and a negative subnormal.  Interval iteration's guard
     # passes exactly the inputs without a negative sign, and from those the
     # runner gives hex-equal vectors, the same sweep count or cap and the
     # same crossing as `_sweep`; from the others a runner without the
     # `0.0 +` seed could store -0.0 where `_sweep` stores +0.0.
+    monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
     rng = random.Random(seed)
     runs = 0
     for _ in range(6):
@@ -692,12 +712,17 @@ def test_observers_get_the_live_vectors(me0):
     assert verifies and all(any(event[4] is u for u in guesses) for event in verifies)
 
 
+@pytest.mark.parametrize("compile_after", [solvers.COMPILE_AFTER_SWEEPS, 2])
 @pytest.mark.parametrize("mode", ["relative", "absolute"])
-def test_gsvi_observer_changes_nothing_and_sees_exact_errors(mode, monkeypatch):
-    # chain-16 runs hundreds of sweeps.  Without an observer gsvi's sweeps
+def test_gsvi_observer_changes_nothing_and_sees_exact_errors(mode, compile_after,
+                                                              monkeypatch):
+    # chain-16 runs hundreds of sweeps, past the compile switch at either
+    # threshold, yet gsvi compiles nothing.  Without an observer its sweeps
     # stop measuring at epsilon_vi; with one they measure everything.
     # Sweep count and vector agree to the last bit, and the observed errors
     # are those of sweeps that measure everything.
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", compile_after)
+    compiled, _ = spy_runners(monkeypatch)
     stops = []
     monkeypatch.setattr(solvers, "_sweep", lambda *args: stops.append(args[6]) or _sweep(*args))
     doc = generate_slow_chain(16, Fraction(2, 3))
@@ -711,7 +736,7 @@ def test_gsvi_observer_changes_nothing_and_sees_exact_errors(mode, monkeypatch):
     stops.clear()
     events: list = []
     assert gsvi(watched, v_watched, criterion, observer=record(events)) == sweeps
-    assert stops == [math.inf] * sweeps
+    assert stops == [math.inf] * sweeps and not compiled
     assert hexes(v_quiet) == hexes(v_watched)
     v = watched.initial_vector()
     for _, _, error, _ in events:
