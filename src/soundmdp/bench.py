@@ -34,7 +34,7 @@ def make_solve_arg_parser(prog: str = "solve", suite_mode: bool = False) -> argp
     p = argparse.ArgumentParser(prog=prog, add_help=not suite_mode)
     p.add_argument("model", help="path to an MDPX model file")
     p.add_argument("--prop", required=True, choices=[k.value for k in PropertyKind])
-    p.add_argument("--goal", nargs="+", default=[], metavar="STATE",
+    p.add_argument("--goal", nargs="+", default=(), metavar="STATE",
                    help="goal states (labels or ids); defaults to the file's goal declaration")
     p.add_argument("--method", default="ovi", choices=["vi", "ovi", "ii", "oracle"])
     p.add_argument("--epsilon", type=float, default=1e-6,

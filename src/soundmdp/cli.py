@@ -1,9 +1,14 @@
 """Command-line front end: solve one instance, run a benchmark suite, or
-compare two result CSVs."""
+compare two result CSVs.
+
+The argument parser is built once per process, on the first `main` call,
+and shared by every later call; parsing leaves it as it was, so in-process
+calls stay independent."""
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -13,6 +18,7 @@ from .bench import (CSV_COLUMNS, compare_results, format_value, load_document,
 from .errors import SoundMdpError
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="soundmdp",
                                      description="Explicit-state MDP solver with sound value iteration")
@@ -41,10 +47,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.csv:
         print(",".join(CSV_COLUMNS))
         print(",".join(row.get(c, "") for c in CSV_COLUMNS))
-        return 0 if row["status"] in ("ok", "uncertified") else 1
     if result is None:
         print(f"error: {row.get('_message', row['status'])}", file=sys.stderr)
         return 1
+    if args.csv:
+        return 0
     doc = load_document(req.model_path)
     prop = resolve_property(doc, req)
     outcome = result.outcome

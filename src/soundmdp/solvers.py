@@ -34,7 +34,8 @@ self-loop, and, where every weight is positive and every reward
 positive-signed, the `0.0 +` that starts each choice sum; the last is
 exact only from vectors with no negative or -0.0 entry, which interval
 iteration checks before it calls a runner.  A phase of more than
-_LOCAL_BRANCHES branches stays with `_sweep`.
+_LOCAL_BRANCHES branches stays with `_sweep`.  Runners are cached per
+process by their source, so a phase repeated in the process compiles once.
 
 Lower iterates started from the seed vector stay below the least fixed point,
 so a plain VI result is only a lower bound with no error guarantee.  The sound
@@ -84,7 +85,7 @@ import operator
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
@@ -292,7 +293,9 @@ def _sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
 #: 7 timings of 256 sweeps, in process, shared 2-core x86-64 host, Python
 #: 3.11).  At 256 the generic sweeps have cost about one compile when the
 #: switch comes, so a phase that ends right after it pays at most about twice
-#: its generic cost, and every long phase gains.
+#: its generic cost, and every long phase gains.  Only a phase's first run in
+#: the process pays the compile: a repeat takes its runner from `_runner`'s
+#: cache.
 COMPILE_AFTER_SWEEPS = 256
 
 #: branches per statement of a choice sum, so that the compiler never sees a
@@ -400,6 +403,13 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
     no choice, a target out of range, or a non-float or non-finite constant:
     the source holds only `repr` of finite floats and int indices.
 
+    The source is always generated, and `_runner` compiles it only when no
+    earlier phase of the process generated the same source: a phase repeated
+    in the process, in any solve or thread, gets the same runner object.
+    Equal sources give the same operations on the same constants, so a
+    shared runner gives every float, sweep count and crossing that a fresh
+    compile would.
+
     The seed rule.  `_sweep` starts every choice sum at `acc = 0.0`, which
     changes the first term `y` only when `y` is -0.0 (to +0.0).  Where
     every branch of the phase has a weight above 0.0 and a reward whose
@@ -448,6 +458,21 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
         *(f"    v[{s}] = v{s}" for s in written),
         *(f"    u[{s}] = u{s}" for s in written),
         "    return k, end"])
+    return _runner(source)
+
+
+#: compiled runners kept per process, keyed by their source, the least
+#: recently used dropped first.  A cached runner of 256 branches holds 53 to
+#: 60 KB with its 22 KB source (tracemalloc, Python 3.11), so a full cache
+#: holds under 2 MB.
+_RUNNER_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_RUNNER_CACHE_SIZE)
+def _runner(source: str) -> Callable:
+    """The function `run` that `source` defines, compiled once per process.
+    A runner keeps its values in locals and reads only `time`, so solves in
+    several threads may share it."""
     namespace: dict = {"__builtins__": {}, "time": time}
     exec(compile(source, "<compiled phase>", "exec"), namespace)
     return namespace.pop("run")

@@ -11,7 +11,7 @@ import pytest
 import soundmdp
 from soundmdp import ModelDocument, generate_example_me, generate_random, generate_slow_chain, write_explicit
 from soundmdp.bench import CSV_COLUMNS, read_result_csv, run_suite
-from soundmdp.cli import main
+from soundmdp.cli import _build_parser, main
 
 from conftest import trap_beside_chain
 
@@ -122,7 +122,59 @@ def test_solve_timeout(tmp_path, capsys):
     assert main([*request, "--timeout", "0.001"]) == 1
     assert capsys.readouterr() == ("", "error: timeout\n")
     assert main([*request, "--timeout", "0.001", "--csv"]) == 1
-    assert capsys.readouterr().out.splitlines()[1].endswith(",timeout")
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1].endswith(",timeout") and err == "error: timeout\n"
+
+
+def test_solve_csv_reports_the_reason_for_an_error(tmp_path, capsys):
+    # Standard output keeps the CSV; the reason goes to standard error, as
+    # in the report mode, located by line and column.
+    path = tmp_path / "dangling.mdpx"
+    path.write_text("mdpx 1\nstates 2\ninitial 0\nstate 0\n  transition\n"
+                    "    branch 1 0 nowhere\nstate 1\n  transition\n    branch 1 0 1\n")
+    request = ["solve", str(path), "--prop", "pmax", "--goal", "1"]
+    message = "error: dangling target: unknown state label 'nowhere' (line 6, column 16)\n"
+    assert main(request) == 1
+    assert capsys.readouterr() == ("", message)
+    assert main([*request, "--csv"]) == 1
+    out, err = capsys.readouterr()
+    assert err == message
+    header, row = out.splitlines()
+    assert header == ",".join(CSV_COLUMNS) and row.endswith(",error")
+
+
+def test_in_process_calls_stay_independent(me_file, capsys):
+    # The parser is built once per process.  Calls through it, in this order,
+    # give what each gives through a freshly built parser, times aside.
+    calls = [["solve", str(me_file), "--prop", "pmax", "--goal", "s+"],
+             ["solve", str(me_file), "--prop", "emin"],
+             ["solve", str(me_file), "--prop", "emin", "--csv"],
+             ["solve", str(me_file), "--prop", "bogus"],
+             ["solve", str(me_file), "--prop", "pmax", "--epsilon", "0"]]
+    calls.append(calls[0])
+    timed = [i for i, column in enumerate(CSV_COLUMNS) if column.endswith("_ms")]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        lines = [line for line in out.splitlines() if not line.startswith("time")]
+        if "--csv" in argv:
+            lines = [",".join(f for i, f in enumerate(line.split(",")) if i not in timed)
+                     for line in lines]
+        return code, lines, err
+
+    shared = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 2, 2, 0]
+    assert shared[0] == shared[-1] and "invalid choice: 'bogus'" in shared[3][2]
+    assert _build_parser() is _build_parser()
 
 
 def test_solve_timeout_leaves_a_solve_that_meets_it_unchanged(me_file, capsys):

@@ -305,11 +305,11 @@ def test_verification_sweeps_never_compile(mode, monkeypatch):
 
     expected = run()
     sources, generic_two = [], []
-    real_sweep = solvers._sweep
+    real_sweep, real_runner = solvers._sweep, solvers._runner
     monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 1)
     compiled, _ = spy_runners(monkeypatch)
-    monkeypatch.setattr(solvers, "compile", lambda source, *args: sources.append(source)
-                        or compile(source, *args), raising=False)
+    monkeypatch.setattr(solvers, "_runner", lambda source: sources.append(source)
+                        or real_runner(source))
     monkeypatch.setattr(solvers, "_sweep", lambda *args: generic_two.append(args[5] is not None)
                         or real_sweep(*args))
     assert run() == expected and expected[-1] == "ok"
@@ -572,11 +572,13 @@ def test_runners_match_sweep_on_signed_zeros_and_negatives(seed, signed, local_b
 
 
 def runner_source(problem, monkeypatch):
-    """The source `_compile_phase` generates for `problem`'s default order."""
+    """The source `_compile_phase` generates for `problem`'s default order,
+    whether or not its runner is cached."""
     sources = []
+    real_runner = solvers._runner
     with monkeypatch.context() as patch:
-        patch.setattr(solvers, "compile", lambda source, *args: sources.append(source)
-                      or compile(source, *args), raising=False)
+        patch.setattr(solvers, "_runner", lambda source: sources.append(source)
+                      or real_runner(source))
         assert _compile_phase(problem.kernel, problem.default_order(), True,
                               problem.model.initial)
     return "\n".join(sources)
@@ -645,10 +647,77 @@ def test_compile_memory_stays_bounded():
     assert _compile_phase(large.kernel, large.default_order(), True, large.model.initial) is None
 
 
+def test_a_repeated_phase_reuses_its_runner(monkeypatch):
+    # A second interval iteration on an equal phase, in a problem of its
+    # own, generates the same source and gets the first one's runner object
+    # without a compile; both give the all-generic outcome.
+    doc = generate_slow_chain(8, HALF)
+    goals = sorted(doc.declared_goals)
+    model = make_goals_absorbing(doc.model, goals)
+    prop = make_property("emax", goals)
+    upper = reward_upper_init(model, goals, "max", [])
+
+    def run():
+        o = interval_iteration(reward_problem(model, goals, "max", []), prop, upper)
+        return o.value.hex(), o.lower_bound.hex(), o.upper_bound.hex(), o.iterations
+
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 10**18)
+    generic = run()
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 2)
+    solvers._runner.cache_clear()
+    sources: list = []
+    monkeypatch.setattr(solvers, "compile", lambda source, *args: sources.append(source)
+                        or compile(source, *args), raising=False)
+    compiled, ran = spy_runners(monkeypatch)
+    first = run()
+    assert len(sources) == len(compiled) == len(ran) == 1 and compiled[0] is not None
+    second = run()
+    assert len(sources) == 1 and len(compiled) == len(ran) == 2
+    assert compiled[1] is compiled[0]
+    assert first == second == generic and generic[-1] > 2
+
+
+def test_phases_that_differ_get_distinct_runners():
+    # One constant, the order, the direction or the initial state changes
+    # the source, and so the runner; an equal phase gets the cached one.
+    problem = random_problem(3, "max")
+    kernel, order, s_i = problem.kernel, problem.default_order(), problem.model.initial
+    assert any(len(kernel[s]) > 1 for s in order)
+    s = order[0]
+    (p, r, t), *rest = kernel[s][0]
+    changed = list(kernel)
+    changed[s] = (((p, math.nextafter(r, math.inf), t), *rest), *kernel[s][1:])
+    runners = [_compile_phase(kernel, order, True, s_i),
+               _compile_phase(tuple(changed), order, True, s_i),
+               _compile_phase(kernel, order[::-1], True, s_i),
+               _compile_phase(kernel, order, False, s_i),
+               _compile_phase(kernel, order, True, next(x for x in order if x != s_i))]
+    assert None not in runners and len({id(runner) for runner in runners}) == 5
+    assert _compile_phase(kernel, list(order), True, s_i) is runners[0]
+
+
+def test_runner_cache_stays_at_its_bound():
+    # A single-state phase per reward: more distinct phases than the cache
+    # holds.  The least recently used runners make room, so the first phase
+    # compiles again.
+    def phase(reward):
+        kernel = ((((0.5, reward, 0), (0.5, 0.0, 1)),), (((1.0, 0.0, 1),),))
+        assert _compile_phase(kernel, [0], True, 0) is not None
+
+    solvers._runner.cache_clear()
+    size = solvers._RUNNER_CACHE_SIZE
+    for k in range(size + 3):
+        phase(float(k))
+    info = solvers._runner.cache_info()
+    assert info.currsize == info.maxsize == size and info.misses == size + 3
+    phase(0.0)
+    assert solvers._runner.cache_info().misses == size + 4
+
+
 def test_threads_sharing_a_problem_get_identical_outcomes(monkeypatch):
-    # Each interval_iteration call compiles its own runner, which keeps its
-    # values in its own local variables, so threads sharing one problem get
-    # the outcome of a lone call.
+    # Every interval_iteration call here runs the one shared runner of the
+    # phase, which keeps its values in its own local variables, so threads
+    # sharing one problem get the outcome of a lone call.
     monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 2)
     doc = generate_slow_chain(8, Fraction(1, 2))
     goals = sorted(doc.declared_goals)
@@ -660,7 +729,7 @@ def test_threads_sharing_a_problem_get_identical_outcomes(monkeypatch):
         o = interval_iteration(problem, prop, upper)
         return o.value.hex(), o.lower_bound.hex(), o.upper_bound.hex(), o.iterations
 
-    _, ran = spy_runners(monkeypatch)
+    compiled, ran = spy_runners(monkeypatch)
     expected = run(reward_problem(model, goals, "max", []))
     assert len(ran) == 1 and expected[-1] > 2
     shared = reward_problem(model, goals, "max", [])
@@ -678,6 +747,7 @@ def test_threads_sharing_a_problem_get_identical_outcomes(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert results == [expected] * 12 and len(ran) == 13
+    assert compiled[0] is not None and all(runner is compiled[0] for runner in compiled)
 
 
 # ---------------------------------------------------------------------------
