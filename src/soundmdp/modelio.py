@@ -26,7 +26,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, islice, repeat
 from math import fsum
 from operator import itemgetter, lt, sub
@@ -109,9 +109,9 @@ _TINY_EXPONENT = 100_000
 _EXPONENT = re.compile(r"([+-]?)0*([0-9]+)")
 
 
-def _parse_number(token: str, line: int, raw: str, index: int) -> tuple:
+def _number(token: str) -> tuple:
     """The token's (float, exact value), or (token,) for a value outside the
-    binary64 range.
+    binary64 range; ValueError or ZeroDivisionError for a malformed token.
 
     A huge exponent is recognised without building the number, which would
     take seconds for a token such as 1e3000000 or 1e-10000000: a non-zero
@@ -122,27 +122,54 @@ def _parse_number(token: str, line: int, raw: str, index: int) -> tuple:
     Exponents are compared by their digit counts first and passed on without
     their leading zeros, since int() refuses more than 4300 digits.
     """
-    try:
-        cut = max(token.rfind("e"), token.rfind("E"))
-        exponent = _EXPONENT.fullmatch(token, cut + 1) if cut > 0 else None
-        if exponent:
-            sign, digits = exponent.groups()
-            bound = str(cut + (_TINY_EXPONENT if sign == "-" else _HUGE_EXPONENT))
-            # Digit strings without leading zeros order as (length, text).
-            if (len(digits), digits) > (len(bound), bound):
-                value = exact(token[:cut] + "e0")
-                if value != 0:
-                    return (token,)
-            else:
-                value = exact(token[:cut] + "e" + sign + digits)
+    cut = max(token.rfind("e"), token.rfind("E"))
+    exponent = _EXPONENT.fullmatch(token, cut + 1) if cut > 0 else None
+    if exponent:
+        sign, digits = exponent.groups()
+        bound = str(cut + (_TINY_EXPONENT if sign == "-" else _HUGE_EXPONENT))
+        # Digit strings without leading zeros order as (length, text).
+        if (len(digits), digits) > (len(bound), bound):
+            value = exact(token[:cut] + "e0")
+            if value != 0:
+                return (token,)
         else:
-            value = exact(token)
-    except (ValueError, ZeroDivisionError):
-        raise _error(f"malformed number {token!r}", line, raw, index) from None
+            value = exact(token[:cut] + "e" + sign + digits)
+    else:
+        value = exact(token)
     try:
         return (float(value), value)
     except OverflowError:
         return (token,)
+
+
+#: the longest number token whose conversion is kept for the process.  A
+#: token without an exponent of at most this many characters holds a
+#: numerator and a denominator below 10**32; with an exponent a few
+#: characters can stand for a huge one (1e-99999 has a 41 KB denominator),
+#: so such tokens are converted on every call.
+_MEMO_TOKEN_CHARS = 32
+
+#: conversions kept per process, the least recently used dropped first; at
+#: most a few hundred bytes each
+_NUMBER_MEMO_SIZE = 1024
+
+_memo_number = lru_cache(maxsize=_NUMBER_MEMO_SIZE)(_number)
+
+
+def _parse_number(token: str, line: int, raw: str, index: int) -> tuple:
+    """`_number` of the token, raising a located ParseError for a malformed
+    one.  The conversion of a short token without an exponent is taken from
+    a per-process memo (`_memo_number`), which keeps no error: a malformed
+    token is converted, and reported at its line and column, on every call.
+    The memo holds only immutable (float, Fraction) pairs, and `lru_cache`
+    may be shared by threads.
+    """
+    try:
+        if len(token) <= _MEMO_TOKEN_CHARS and "e" not in token and "E" not in token:
+            return _memo_number(token)
+        return _number(token)
+    except (ValueError, ZeroDivisionError):
+        raise _error(f"malformed number {token!r}", line, raw, index) from None
 
 
 @collector_paused()
@@ -153,7 +180,10 @@ def parse_explicit(text: str) -> ModelDocument:
     pass checks every statement and resolves each distinct number token,
     once per call and role and at its first line, to its (float, Fraction)
     pair, or to (token,) when it is outside the binary64 range; so a
-    malformed number is reported in document order.  It keeps the branches
+    malformed number is reported in document order.  The conversion of a
+    short token without an exponent comes from a per-process memo
+    (`_parse_number`); the per-call dicts still map each token once per
+    role, and errors are raised anew by every call.  It keeps the branches
     as four flat columns in document order, holding each branch's
     probability pair, reward pair, target token and line number, and
     records the index of each transition's first branch and of each
@@ -175,8 +205,8 @@ def parse_explicit(text: str) -> ModelDocument:
     by construction.  Only when one of these fails is `validate` run, so
     that its violations, their order and the cut to the first five make
     the message.  A line's text is looked up again only when an error has
-    to be located.  Nothing is cached across calls, and the cyclic garbage
-    collector is paused while the model is built.
+    to be located.  Only number conversions are kept across calls, and the
+    cyclic garbage collector is paused while the model is built.
     """
     lines = enumerate(text.splitlines(), start=1)
     for ln, raw in lines:

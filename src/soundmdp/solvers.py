@@ -35,7 +35,9 @@ positive-signed, the `0.0 +` that starts each choice sum; the last is
 exact only from vectors with no negative or -0.0 entry, which interval
 iteration checks before it calls a runner.  A phase of more than
 _LOCAL_BRANCHES branches stays with `_sweep`.  Runners are cached per
-process by their source, so a phase repeated in the process compiles once.
+process by the phase itself (`_phase_key`), so a phase repeated in the
+process compiles once, and its repeats run the runner from their first
+sweep.
 
 Lower iterates started from the seed vector stay below the least fixed point,
 so a plain VI result is only a lower bound with no error guarantee.  The sound
@@ -80,12 +82,15 @@ guess send no "verify".
 
 from __future__ import annotations
 
+import marshal
 import math
 import operator
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
@@ -294,8 +299,8 @@ def _sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
 #: 3.11).  At 256 the generic sweeps have cost about one compile when the
 #: switch comes, so a phase that ends right after it pays at most about twice
 #: its generic cost, and every long phase gains.  Only a phase's first run in
-#: the process pays the compile: a repeat takes its runner from `_runner`'s
-#: cache.
+#: the process runs these generic sweeps and pays the compile: a repeat finds
+#: its runner in `_RUNNERS` and runs it from sweep 0.
 COMPILE_AFTER_SWEEPS = 256
 
 #: branches per statement of a choice sum, so that the compiler never sees a
@@ -403,12 +408,10 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
     no choice, a target out of range, or a non-float or non-finite constant:
     the source holds only `repr` of finite floats and int indices.
 
-    The source is always generated, and `_runner` compiles it only when no
-    earlier phase of the process generated the same source: a phase repeated
-    in the process, in any solve or thread, gets the same runner object.
-    Equal sources give the same operations on the same constants, so a
-    shared runner gives every float, sweep count and crossing that a fresh
-    compile would.
+    Every call compiles; `interval_iteration` keeps the runner in
+    `_RUNNERS` under the phase's `_phase_key`, so a phase repeated in the
+    process compiles once.  A runner keeps its values in locals and reads
+    only `time`, so solves in several threads may share it.
 
     The seed rule.  `_sweep` starts every choice sum at `acc = 0.0`, which
     changes the first term `y` only when `y` is -0.0 (to +0.0).  Where
@@ -458,24 +461,80 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
         *(f"    v[{s}] = v{s}" for s in written),
         *(f"    u[{s}] = u{s}" for s in written),
         "    return k, end"])
-    return _runner(source)
-
-
-#: compiled runners kept per process, keyed by their source, the least
-#: recently used dropped first.  A cached runner of 256 branches holds 53 to
-#: 60 KB with its 22 KB source (tracemalloc, Python 3.11), so a full cache
-#: holds under 2 MB.
-_RUNNER_CACHE_SIZE = 32
-
-
-@lru_cache(maxsize=_RUNNER_CACHE_SIZE)
-def _runner(source: str) -> Callable:
-    """The function `run` that `source` defines, compiled once per process.
-    A runner keeps its values in locals and reads only `time`, so solves in
-    several threads may share it."""
     namespace: dict = {"__builtins__": {}, "time": time}
     exec(compile(source, "<compiled phase>", "exec"), namespace)
     return namespace.pop("run")
+
+
+def _phase_key(kernel: Kernel, order: Sequence[int], maximize: bool,
+               s_init: int) -> bytes | None:
+    """What `_compile_phase` generates a runner from, as bytes: the
+    direction, the initial state, the order and the kernel rows of the
+    order's states, by `marshal` (format 2, which writes no back-references).
+
+    Marshal writes every float by its bits, so -0.0 and +0.0 give different
+    keys where tuples of floats compare and hash them as equal, though
+    `_best_lines` and the seed rule emit different source for them; and it
+    writes only exact ints, floats, bools, tuples and lists, refusing a
+    Fraction or a subclass.  So equal keys hold equal constants of equal
+    types, from which `_compile_phase` generates equal source.  None for a
+    phase marshal refuses, which `_compile_phase` would refuse too, and,
+    without writing a byte, for a phase of more than _LOCAL_BRANCHES
+    states, which in a valid model has more branches than a runner holds.
+    """
+    if len(order) > _LOCAL_BRANCHES:
+        return None
+    try:
+        return marshal.dumps((maximize, s_init, tuple(order),
+                              tuple(map(kernel.__getitem__, order))), 2)
+    except (ValueError, TypeError, IndexError):
+        return None
+
+
+class _RunnerCache:
+    """Compiled phase runners by `_phase_key`, at most `size` of them, the
+    least recently used dropped first; safe to share between threads.
+    `hits` counts the lookups that found a runner."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.hits = 0
+        self._runners: OrderedDict[bytes, Callable] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._runners)
+
+    def get(self, key: bytes | None) -> Callable | None:
+        with self._lock:
+            runner = self._runners.get(key)
+            if runner is not None:
+                self.hits += 1
+                self._runners.move_to_end(key)
+            return runner
+
+    def put(self, key: bytes, runner: Callable) -> Callable:
+        """Keeps `runner` unless another thread stored one first; returns the
+        one kept."""
+        with self._lock:
+            runner = self._runners.setdefault(key, runner)
+            self._runners.move_to_end(key)
+            if len(self._runners) > self.size:
+                self._runners.popitem(last=False)
+            return runner
+
+    def clear(self) -> None:
+        with self._lock:
+            self._runners.clear()
+            self.hits = 0
+
+
+#: compiled runners kept per process.  A runner of 230 to 237 branches
+#: retains 30 to 41 KB and its key 7.5 KB (tracemalloc, Python 3.11), so a
+#: full cache holds under 2 MB.
+_RUNNER_CACHE_SIZE = 32
+
+_RUNNERS = _RunnerCache(_RUNNER_CACHE_SIZE)
 
 
 #: observer(event, *payload), see the module docstring
@@ -879,10 +938,13 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
     The phase ends after the first sweep in which the upper vector fell
     below the lower one, or whose width at the initial state is at most
     twice the property's epsilon; it measures no error.  Unobserved, it
-    hands its remaining sweeps to a `_compile_phase` runner after
-    COMPILE_AFTER_SWEEPS sweeps, when the runner compiles and neither
-    vector holds a negative or -0.0 entry (one `copysign` pass over each);
-    the runner gives the same floats, sweep count and crossing."""
+    looks its phase up in `_RUNNERS` before the first sweep.  A phase
+    compiled earlier in the process runs its runner from sweep 0; any other
+    runs COMPILE_AFTER_SWEEPS generic sweeps, then compiles its runner
+    (`_compile_phase`), stores it and hands it the remaining sweeps.  A
+    runner runs only where neither vector holds a negative or -0.0 entry
+    (one `copysign` pass over each), and gives the same floats, sweep count
+    and crossing as `_sweep`."""
     start = time.perf_counter()
     model = problem.model
     s_i = model.initial
@@ -907,10 +969,19 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
             raise SolverError(f"initial upper value at state {s} lies below the lower vector")
     tolerance = 2.0 * eps
     kernel, maximize = problem.kernel, problem.opt == "max"
+    key = runner = None
+    if observer is None:
+        key = _phase_key(kernel, order, maximize, s_i)
+        runner = _RUNNERS.get(key)
+    # The sweep at which the runner takes over: the first for a cached one.
+    switch = 0 if runner is not None else COMPILE_AFTER_SWEEPS
     sweeps = 0
     while True:
-        if sweeps == COMPILE_AFTER_SWEEPS and observer is None:
-            runner = _compile_phase(kernel, order, maximize, s_i)
+        if sweeps == switch and observer is None:
+            if runner is None:
+                runner = _compile_phase(kernel, order, maximize, s_i)
+                if runner is not None and key is not None:
+                    runner = _RUNNERS.put(key, runner)
             if runner is not None and _positive_signs(v, u):
                 sweeps, cross = runner(v, u, sweeps, max_sweeps, deadline, tolerance,
                                        relative_width)
@@ -919,6 +990,7 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
                 if cross == _LATE:
                     raise SolveTimeout(_LATE_MESSAGE)
                 break
+            switch = COMPILE_AFTER_SWEEPS
         if sweeps >= max_sweeps:
             raise IterationCapExceeded(sweeps)
         _check_deadline(deadline)

@@ -6,7 +6,23 @@ from typing import Callable
 import pytest
 
 from soundmdp import (Mdp, branch, generate_example_me, generate_random, generate_slow_chain,
-                      make_goals_absorbing, solvers, strip_rewards, transition)
+                      make_goals_absorbing, modelio, solvers, strip_rewards, transition)
+
+
+def clear_caches() -> None:
+    """Empty the per-process caches: interval iteration's phase runners
+    and the parser's number conversions."""
+    solvers._RUNNERS.clear()
+    modelio._memo_number.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Every test starts, and leaves, with both caches empty, so that no
+    test depends on the tests run before it."""
+    clear_caches()
+    yield
+    clear_caches()
 
 
 def mdp_of(initial: int, *states) -> Mdp:
@@ -36,7 +52,8 @@ def record(events: list) -> Callable[..., None]:
 def spy_runners(monkeypatch):
     """Wraps `_compile_phase`.  Returns two lists that fill as interval
     iteration runs: what each compile returned, and the sweep count each
-    call of a runner ended at."""
+    call of a runner ended at, also of a runner taken from the cache, which
+    holds the wrapped runners."""
     compiled, ran = [], []
     real = solvers._compile_phase
 
@@ -54,6 +71,24 @@ def spy_runners(monkeypatch):
 
     monkeypatch.setattr(solvers, "_compile_phase", compile_phase)
     return compiled, ran
+
+
+def spy_sources(monkeypatch) -> list:
+    """Wraps `compile` in `solvers`' namespace.  Returns a list that gains
+    the source of each runner compiled."""
+    sources: list = []
+    monkeypatch.setattr(solvers, "compile", lambda source, *args: sources.append(source)
+                        or compile(source, *args), raising=False)
+    return sources
+
+
+def count_generic_sweeps(monkeypatch) -> list:
+    """Wraps `solvers._sweep`.  Returns a list that gains one entry per
+    generic sweep."""
+    sweeps: list = []
+    real_sweep = solvers._sweep
+    monkeypatch.setattr(solvers, "_sweep", lambda *args: sweeps.append(1) or real_sweep(*args))
+    return sweeps
 
 
 @pytest.fixture(scope="session")

@@ -492,6 +492,46 @@ def test_huge_negative_exponent_is_reported_at_its_first_branch():
     assert str(err.value) == f"number {token!r} outside the binary64 range (line 8, column 12)"
 
 
+@pytest.mark.parametrize("token", ["1e-99999", "1E-99999", "0." + "0" * 40 + "1"],
+                         ids=["exponent", "upper-case-exponent", "43-characters"])
+def test_number_memo_keeps_no_long_or_exponent_token(token):
+    # 1e-99999 is 8 characters with a 41 KB denominator: a token with an
+    # exponent, or of more than 32 characters, is converted on every parse
+    # and never kept.  Only the probability 1 is.
+    text = _H + f"state 0\n transition\n  branch 1 {token} 0\n"
+    for _ in range(2):
+        (b,) = parse_explicit(text).model.transitions[0][0].branches
+        assert b.reward_exact == Fraction(token)
+    info = modelio._memo_number.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+
+
+def test_malformed_number_is_located_by_every_parse():
+    # Errors are never memoised: each parse converts a malformed token anew
+    # and reports it at the first line and column where it finds it.
+    first = _H + "state 0\n transition\n  branch 1 1/0 0\n"
+    later = _H + "state 0\n transition\n  branch 1 0 0\n transition\n  branch   1/0 0 0\n"
+    for text, where in ((first, (6, 12)), (first, (6, 12)), (later, (8, 12)),
+                        (first, (6, 12))):
+        with pytest.raises(ParseError, match="malformed number '1/0'") as err:
+            parse_explicit(text)
+        assert (err.value.line, err.value.column) == where
+    assert modelio._memo_number.cache_info().currsize == 2  # "1" and "0"
+
+
+def test_number_memo_stays_at_its_bound():
+    # More distinct short tokens than the memo holds: it stays at its
+    # bound, and a parse after it has dropped tokens gives an equal model.
+    size = modelio._NUMBER_MEMO_SIZE
+    text = _H + "state 0\n" + "".join(f" transition\n  branch 1 {k} 0\n"
+                                      for k in range(size + 10))
+    doc = parse_explicit(text)
+    info = modelio._memo_number.cache_info()
+    assert info.currsize == info.maxsize == size and info.misses == size + 10
+    assert parse_explicit(text) == doc
+    assert modelio._memo_number.cache_info().currsize == size
+
+
 # Every token of this document is corrupted in turn below.  It has comments,
 # tabs, blank lines, forward label references and non-canonical integer
 # targets ("+2", "03", "+1").

@@ -13,7 +13,8 @@ from soundmdp import (ErrorCriterion, Mdp, PipelineError, SolveOptions, SolveTim
 from soundmdp import solvers
 from soundmdp.graph import goal_distance_order
 
-from conftest import HALF, spy_runners, trap_beside_chain, trap_instance
+from conftest import (HALF, clear_caches, count_generic_sweeps, spy_runners, trap_beside_chain,
+                      trap_instance)
 
 
 def test_pipeline_pmax_golden_run(me_doc):
@@ -351,8 +352,10 @@ def _outcome_hex(result):
 @pytest.mark.parametrize("method", ["vi", "ovi", "ii"])
 @pytest.mark.parametrize("kind", ["pmax", "pmin", "emax", "emin"])
 def test_compiled_sweeps_change_no_outcome(kind, method, monkeypatch):
-    # Threshold 1 compiles every form after its first sweep; an unreachable
-    # threshold keeps every sweep generic.  Outcomes must match bit for bit.
+    # From an empty runner cache an unreachable threshold keeps every sweep
+    # generic, and threshold 1 compiles interval iteration's phase after its
+    # first sweep and stores its runner; the unreachable threshold then runs
+    # the stored runner from sweep 0.  Outcomes must match bit for bit.
     docs = [generate_random(3, 12, 3, 4, 4, 1),
             generate_random(5, 16, 3, 4, 4, 2, allow_end_components=True),
             generate_slow_chain(10, Fraction(1, 2))]
@@ -363,13 +366,14 @@ def test_compiled_sweeps_change_no_outcome(kind, method, monkeypatch):
                 options = SolveOptions(method=method, order=order, error_mode=error_mode,
                                        max_sweeps=40_000)
                 outcomes = []
-                for threshold in (1, 10**18):
+                clear_caches()
+                for threshold in (10**18, 1, 10**18):
                     monkeypatch.setattr("soundmdp.solvers.COMPILE_AFTER_SWEEPS", threshold)
                     try:
                         outcomes.append(_outcome_hex(solve(doc.model, prop, options)))
                     except Exception as exc:  # the same failure on both tiers
                         outcomes.append((type(exc).__name__, str(exc)))
-                assert outcomes[0] == outcomes[1]
+                assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 #: the slow chains of the benchmark's `sweep` workload (perfbench's CHAIN_PARAMS)
@@ -379,20 +383,47 @@ BENCHMARK_CHAINS = ((10, Fraction(1, 2)), (16, Fraction(2, 3)), (20, Fraction(3,
 
 @pytest.mark.parametrize("n, p", BENCHMARK_CHAINS)
 def test_benchmark_chain_emax_ii_runs_one_compiled_runner(n, p, monkeypatch):
-    # The one compiled form the benchmark runs: interval iteration on the
-    # slow chains passes the switch, compiles one runner and hands it the
-    # rest of its phase, with the outcome of an unreachable threshold.
+    # The one compiled form the benchmark runs: from an empty runner cache,
+    # interval iteration on the slow chains passes the switch after
+    # COMPILE_AFTER_SWEEPS generic sweeps, compiles one runner and hands it
+    # the rest of its phase, with the outcome of an unreachable threshold.
     doc = generate_slow_chain(n, p)
     prop = make_property("emax", doc.declared_goals)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 10**18)
+        generic = _outcome_hex(solve(doc.model, prop, SolveOptions(method="ii")))
     compiled, ran = spy_runners(monkeypatch)
+    sweeps = count_generic_sweeps(monkeypatch)
     result = solve(doc.model, prop, SolveOptions(method="ii"))
     assert result.outcome.certified and result.outcome.iterations > solvers.COMPILE_AFTER_SWEEPS
     assert len(compiled) == 1 and compiled[0] is not None
-    assert ran == [result.outcome.iterations]
-    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 10**18)
-    assert _outcome_hex(solve(doc.model, prop, SolveOptions(method="ii"))) \
-        == _outcome_hex(result)
-    assert len(compiled) == 1
+    assert ran == [result.outcome.iterations] and len(sweeps) == solvers.COMPILE_AFTER_SWEEPS
+    assert _outcome_hex(result) == generic
+
+
+def test_warm_benchmark_chains_emax_ii_run_no_generic_sweep(monkeypatch):
+    # Repeated in one process, as the benchmark's worker repeats them, the
+    # four chain emax/ii solves find their runners cached and run them from
+    # sweep 0: no generic sweep and no compile, and every outcome hex-equal
+    # to an all-generic solve.
+    requests = [(doc.model, make_property("emax", doc.declared_goals))
+                for doc in (generate_slow_chain(n, p) for n, p in BENCHMARK_CHAINS)]
+    options = SolveOptions(method="ii")
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 10**18)
+        generic = [_outcome_hex(solve(model, prop, options)) for model, prop in requests]
+    assert len(solvers._RUNNERS) == 0
+    compiled, ran = spy_runners(monkeypatch)
+    cold = [_outcome_hex(solve(model, prop, options)) for model, prop in requests]
+    assert len(compiled) == len(solvers._RUNNERS) == 4 and None not in compiled
+    compiled.clear()
+    ran.clear()
+    sweeps = count_generic_sweeps(monkeypatch)
+    hits = solvers._RUNNERS.hits
+    warm = [_outcome_hex(solve(model, prop, options)) for model, prop in requests]
+    assert warm == cold == generic
+    assert not sweeps and not compiled and ran == [o[1] for o in warm] == [6713, 5740, 3097, 793]
+    assert solvers._RUNNERS.hits == hits + 4
 
 
 def _spy(monkeypatch, name, fn):

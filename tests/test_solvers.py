@@ -22,8 +22,9 @@ from soundmdp.graph import goal_distance_order
 from soundmdp.oracle import SCHEDULER_GUARD, scheduler_count
 from soundmdp import solvers
 from soundmdp.model import Branch, Mdp, Transition
-from soundmdp.solvers import _compile_phase, _sweep
-from conftest import HALF, mdp_of, record, spy_runners
+from soundmdp.solvers import _compile_phase, _phase_key, _sweep
+from conftest import (HALF, clear_caches, count_generic_sweeps, mdp_of, record, spy_runners,
+                      spy_sources)
 
 #: the slow chains of the benchmark's `sweep` workload
 BENCHMARK_CHAINS = ((10, HALF), (16, Fraction(2, 3)), (20, Fraction(3, 4)), (40, Fraction(9, 10)))
@@ -255,9 +256,12 @@ def test_sweep_past_stop_measures_no_more_gains():
 
 
 def test_interval_iteration_compiles_after_the_threshold(me0, monkeypatch):
-    # The first COMPILE_AFTER_SWEEPS sweeps run `_sweep`; then one compile,
-    # and the runner runs the rest of the phase, to its end or its cap.
-    # gsvi and ovi never compile, nor does an observed interval iteration.
+    # From an empty runner cache the first COMPILE_AFTER_SWEEPS sweeps run
+    # `_sweep`; then one compile, and the runner runs the rest of the phase,
+    # to its end or its cap.  A repeat finds the runner cached and runs it
+    # from sweep 0: no `_sweep`, no compile.  gsvi and ovi never compile,
+    # nor does an observed interval iteration, whose every sweep runs
+    # `_sweep` also where the runner is cached.
     generic = []
     real_sweep = solvers._sweep
     monkeypatch.setattr(solvers, "_sweep", lambda *args: generic.append(args) or real_sweep(*args))
@@ -272,18 +276,24 @@ def test_interval_iteration_compiles_after_the_threshold(me0, monkeypatch):
                              (3, 3, ("IterationCapExceeded", 3)),
                              (4, 3, ("IterationCapExceeded", 4)),
                              (10**6, 3, want)):
+        clear_caches()
         for spy in (generic, compiled, ran):
             spy.clear()
         assert ii_ending(problem, upper, max_sweeps=cap) == end
         assert len(generic) == sweeps
         assert len(compiled) == len(ran) == (cap >= 3)
     assert ran == [want[3]]
+    for cap, end in ((2, ("IterationCapExceeded", 2)), (10**6, want)):
+        for spy in (generic, compiled, ran):
+            spy.clear()
+        assert ii_ending(problem, upper, max_sweeps=cap) == end
+        assert not generic and not compiled and ran == [min(cap, want[3])]
     generic.clear()
-    compiled.clear()
+    ran.clear()
     events: list = []
     prop = make_property("pmax", [0], 1e-3, "absolute")
     interval_iteration(problem, prop, upper, observer=record(events))
-    assert len(generic) == len(events) == want[3] and not compiled
+    assert len(generic) == len(events) == want[3] and not compiled and not ran
     criterion = ErrorCriterion("absolute", 1e-12)
     assert gsvi(problem, problem.initial_vector(), criterion) > 3
     ovi(problem, criterion, make_property("pmax", [0], 1e-9, "absolute"))
@@ -304,18 +314,17 @@ def test_verification_sweeps_never_compile(mode, monkeypatch):
                 o.verification_phases, o.cancelled_verifications, o.status)
 
     expected = run()
-    sources, generic_two = [], []
-    real_sweep, real_runner = solvers._sweep, solvers._runner
+    generic_two: list = []
+    real_sweep = solvers._sweep
     monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 1)
     compiled, _ = spy_runners(monkeypatch)
-    monkeypatch.setattr(solvers, "_runner", lambda source: sources.append(source)
-                        or real_runner(source))
+    sources = spy_sources(monkeypatch)
     monkeypatch.setattr(solvers, "_sweep", lambda *args: generic_two.append(args[5] is not None)
                         or real_sweep(*args))
     assert run() == expected and expected[-1] == "ok"
     # Every two-vector sweep ran generic, and there were several of them.
     assert sum(generic_two) > 1
-    assert compiled == [] and sources == []
+    assert compiled == [] and sources == [] and len(solvers._RUNNERS) == 0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -572,13 +581,9 @@ def test_runners_match_sweep_on_signed_zeros_and_negatives(seed, signed, local_b
 
 
 def runner_source(problem, monkeypatch):
-    """The source `_compile_phase` generates for `problem`'s default order,
-    whether or not its runner is cached."""
-    sources = []
-    real_runner = solvers._runner
+    """The source `_compile_phase` generates for `problem`'s default order."""
     with monkeypatch.context() as patch:
-        patch.setattr(solvers, "_runner", lambda source: sources.append(source)
-                      or real_runner(source))
+        sources = spy_sources(patch)
         assert _compile_phase(problem.kernel, problem.default_order(), True,
                               problem.model.initial)
     return "\n".join(sources)
@@ -645,41 +650,56 @@ def test_compile_memory_stays_bounded():
         tracemalloc.stop()
     assert runner is not None and peak < 4_000_000
     assert _compile_phase(large.kernel, large.default_order(), True, large.model.initial) is None
+    # Interval iteration does not even key a phase of more states than a
+    # runner may hold branches.
+    assert len(large.unknowns) > solvers._LOCAL_BRANCHES
+    assert _phase_key(large.kernel, large.default_order(), True, large.model.initial) is None
 
 
-def test_a_repeated_phase_reuses_its_runner(monkeypatch):
-    # A second interval iteration on an equal phase, in a problem of its
-    # own, generates the same source and gets the first one's runner object
-    # without a compile; both give the all-generic outcome.
-    doc = generate_slow_chain(8, HALF)
+def chain_ii_runs(n=8):
+    """A run of interval iteration on the slow chain with n + 1 states, in a
+    problem of its own: the outcome in hex and the sweep count."""
+    doc = generate_slow_chain(n, HALF)
     goals = sorted(doc.declared_goals)
     model = make_goals_absorbing(doc.model, goals)
     prop = make_property("emax", goals)
     upper = reward_upper_init(model, goals, "max", [])
 
-    def run():
-        o = interval_iteration(reward_problem(model, goals, "max", []), prop, upper)
+    def run(problem=None):
+        o = interval_iteration(problem or reward_problem(model, goals, "max", []), prop, upper)
         return o.value.hex(), o.lower_bound.hex(), o.upper_bound.hex(), o.iterations
+    return run, lambda: reward_problem(model, goals, "max", [])
 
+
+def test_a_repeated_phase_reuses_its_runner(monkeypatch):
+    # The first interval iteration on the phase runs COMPILE_AFTER_SWEEPS
+    # generic sweeps and compiles; a second, in a problem of its own, finds
+    # the runner cached and runs it from sweep 0, with no generic sweep and
+    # no compile.  Both give the all-generic outcome.
+    run, _ = chain_ii_runs()
     monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 10**18)
-    generic = run()
+    generic_outcome = run()
+    assert len(solvers._RUNNERS) == 0
     monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 2)
-    solvers._runner.cache_clear()
-    sources: list = []
-    monkeypatch.setattr(solvers, "compile", lambda source, *args: sources.append(source)
-                        or compile(source, *args), raising=False)
+    sources = spy_sources(monkeypatch)
     compiled, ran = spy_runners(monkeypatch)
+    generic = count_generic_sweeps(monkeypatch)
     first = run()
     assert len(sources) == len(compiled) == len(ran) == 1 and compiled[0] is not None
+    assert len(generic) == 2 and ran == [first[-1]]
+    generic.clear()
+    hits = solvers._RUNNERS.hits
     second = run()
-    assert len(sources) == 1 and len(compiled) == len(ran) == 2
-    assert compiled[1] is compiled[0]
-    assert first == second == generic and generic[-1] > 2
+    assert len(sources) == len(compiled) == 1 and not generic
+    assert ran == [first[-1]] * 2 and solvers._RUNNERS.hits == hits + 1
+    assert first == second == generic_outcome and generic_outcome[-1] > 2
 
 
-def test_phases_that_differ_get_distinct_runners():
+def test_phases_that_differ_get_distinct_runners(monkeypatch):
     # One constant, the order, the direction or the initial state changes
-    # the source, and so the runner; an equal phase gets the cached one.
+    # the phase's key, and interval iteration then compiles a runner of its
+    # own for it; an equal phase, its order a list or a tuple, finds the
+    # cached one.
     problem = random_problem(3, "max")
     kernel, order, s_i = problem.kernel, problem.default_order(), problem.model.initial
     assert any(len(kernel[s]) > 1 for s in order)
@@ -687,52 +707,102 @@ def test_phases_that_differ_get_distinct_runners():
     (p, r, t), *rest = kernel[s][0]
     changed = list(kernel)
     changed[s] = (((p, math.nextafter(r, math.inf), t), *rest), *kernel[s][1:])
-    runners = [_compile_phase(kernel, order, True, s_i),
-               _compile_phase(tuple(changed), order, True, s_i),
-               _compile_phase(kernel, order[::-1], True, s_i),
-               _compile_phase(kernel, order, False, s_i),
-               _compile_phase(kernel, order, True, next(x for x in order if x != s_i))]
-    assert None not in runners and len({id(runner) for runner in runners}) == 5
-    assert _compile_phase(kernel, list(order), True, s_i) is runners[0]
+    phases = [(kernel, order, True, s_i), (tuple(changed), order, True, s_i),
+              (kernel, order[::-1], True, s_i), (kernel, order, False, s_i),
+              (kernel, order, True, next(x for x in order if x != s_i))]
+    keys = [_phase_key(*phase) for phase in phases]
+    assert None not in keys and len(set(keys)) == 5
+    assert _phase_key(kernel, tuple(order), True, s_i) == keys[0]
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 0)
+    compiled, _ = spy_runners(monkeypatch)
+    for k, (phase_kernel, phase_order, maximize, initial) in enumerate(phases):
+        model = Mdp(problem.model.num_states, initial, tuple(
+            tuple(Transition(tuple(Branch(p, r, t, Fraction(p), Fraction(r))
+                                   for p, r, t in branches)) for branches in trs)
+            for trs in phase_kernel))
+        phase_problem = solvers.BellmanProblem(model, "max" if maximize else "min",
+                                               problem.unknowns, problem.seed, False)
+        ii_ending(phase_problem, [1e3] * model.num_states, phase_order, max_sweeps=3)
+        assert len(compiled) == k + 1 and len(solvers._RUNNERS) == k + 1
+    assert None not in compiled and len({id(runner) for runner in compiled}) == 5
+    hits = solvers._RUNNERS.hits
+    ii_ending(problem, [1e3] * problem.model.num_states, tuple(order), max_sweeps=3)
+    assert len(compiled) == 5 and solvers._RUNNERS.hits == hits + 1
 
 
-def test_runner_cache_stays_at_its_bound():
+def test_signed_zero_rewards_get_distinct_runners(monkeypatch):
+    # Two raw kernels that differ only in the sign of one zero reward: equal
+    # as tuples of floats, and with equal hashes, yet `_best_lines` writes
+    # `v2` for +0.0 and `(-0.0+v2)` for -0.0, and -0.0 keeps the `0.0 +`
+    # seed of every sum.  Each gets a runner of its own, compiled from its
+    # own source, and each phase ends as a loop of `_sweep`s does.
+    def model(zero):
+        half, one, nought = Fraction(1, 2), Fraction(1), Fraction(0)
+        return Mdp(3, 0, (
+            (Transition((Branch(0.5, 1.0, 1, half, one), Branch(0.5, 0.0, 0, half, nought))),),
+            (Transition((Branch(0.5, zero, 2, half, nought), Branch(0.5, 1.0, 0, half, one))),),
+            (Transition((Branch(1.0, 0.0, 2, one, nought),)),)))
+
+    plus, minus = model(0.0), model(-0.0)
+    problems = [reward_problem(m, [2], "max", []) for m in (plus, minus)]
+    assert problems[0].kernel == problems[1].kernel
+    assert hash(problems[0].kernel) == hash(problems[1].kernel)
+    order = problems[0].default_order()
+    keys = [_phase_key(p.kernel, order, True, 0) for p in problems]
+    assert keys[0] != keys[1]
+    upper = [50.0, 50.0, 0.0]
+    wants = []
+    for problem in problems:
+        v, u = problem.initial_vector(), list(upper)
+        sweeps, _ = generic_phase(problem, order, False, v, u, eps=2e-3, max_sweeps=10**4)
+        wants.append(((0.5 * (u[0] + v[0])).hex(), v[0].hex(), u[0].hex(), sweeps))
+    sources = spy_sources(monkeypatch)
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 0)
+    compiled, ran = spy_runners(monkeypatch)
+    for problem, want in zip(problems, wants):
+        assert ii_ending(problem, upper) == want
+    assert len(compiled) == len(ran) == 2 and compiled[0] is not compiled[1]
+    assert "0.0+" not in sources[0] and "0.5*(-0.0+v2)" in sources[1]
+    assert len(solvers._RUNNERS) == 2
+    for problem, want in zip(problems, wants):
+        assert ii_ending(problem, upper) == want
+    assert len(compiled) == 2 and len(ran) == 4
+
+
+def test_runner_cache_stays_at_its_bound(monkeypatch):
     # A single-state phase per reward: more distinct phases than the cache
     # holds.  The least recently used runners make room, so the first phase
-    # compiles again.
-    def phase(reward):
-        kernel = ((((0.5, reward, 0), (0.5, 0.0, 1)),), (((1.0, 0.0, 1),),))
-        assert _compile_phase(kernel, [0], True, 0) is not None
+    # compiles again, and a recent one is found.
+    compiled, _ = spy_runners(monkeypatch)
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 0)
 
-    solvers._runner.cache_clear()
+    def phase(reward):
+        model = mdp_of(0, [[(HALF, reward, 0), (HALF, 0, 1)]], [[(1, 0, 1)]])
+        ii_ending(reward_problem(model, [1], "max", []), [1e3, 0.0], max_sweeps=2)
+
     size = solvers._RUNNER_CACHE_SIZE
     for k in range(size + 3):
-        phase(float(k))
-    info = solvers._runner.cache_info()
-    assert info.currsize == info.maxsize == size and info.misses == size + 3
-    phase(0.0)
-    assert solvers._runner.cache_info().misses == size + 4
+        phase(k)
+    assert len(solvers._RUNNERS) == size and len(compiled) == size + 3
+    phase(size + 2)
+    assert len(compiled) == size + 3 and solvers._RUNNERS.hits == 1
+    phase(0)
+    assert len(solvers._RUNNERS) == size and len(compiled) == size + 4
 
 
 def test_threads_sharing_a_problem_get_identical_outcomes(monkeypatch):
-    # Every interval_iteration call here runs the one shared runner of the
-    # phase, which keeps its values in its own local variables, so threads
-    # sharing one problem get the outcome of a lone call.
+    # Threads start on an empty runner cache, so several may compile the
+    # phase at once: the cache keeps the first runner stored and hands it to
+    # every later call.  A runner keeps its values in its own local
+    # variables, so threads sharing one problem get the outcome of a lone
+    # generic call.
+    run, new_problem = chain_ii_runs()
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 10**18)
+    expected = run()
+    assert expected[-1] > 2
     monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 2)
-    doc = generate_slow_chain(8, Fraction(1, 2))
-    goals = sorted(doc.declared_goals)
-    model = make_goals_absorbing(doc.model, goals)
-    prop = make_property("emax", goals)
-    upper = reward_upper_init(model, goals, "max", [])
-
-    def run(problem):
-        o = interval_iteration(problem, prop, upper)
-        return o.value.hex(), o.lower_bound.hex(), o.upper_bound.hex(), o.iterations
-
     compiled, ran = spy_runners(monkeypatch)
-    expected = run(reward_problem(model, goals, "max", []))
-    assert len(ran) == 1 and expected[-1] > 2
-    shared = reward_problem(model, goals, "max", [])
+    shared = new_problem()
     results: list = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -746,8 +816,10 @@ def test_threads_sharing_a_problem_get_identical_outcomes(monkeypatch):
         assert not any(w.is_alive() for w in workers)
     finally:
         sys.setswitchinterval(interval)
-    assert results == [expected] * 12 and len(ran) == 13
-    assert compiled[0] is not None and all(runner is compiled[0] for runner in compiled)
+    assert results == [expected] * 12 and len(ran) == 12
+    assert 1 <= len(compiled) <= 4 and None not in compiled
+    assert len(solvers._RUNNERS) == 1 and solvers._RUNNERS.hits >= 8
+    assert run() == expected and len(ran) == 13 and len(compiled) <= 4
 
 
 # ---------------------------------------------------------------------------
@@ -1284,9 +1356,10 @@ def test_interval_iteration_names_the_first_crossing_state(order, first, monkeyp
     # point 1, and the first sweep drops every upper value below its lower.
     m = mdp_of(0, *([[(2, 0, 3), (-1, 0, s)]] for s in range(3)), [[(1, 0, 3)]])
     _, ran = spy_runners(monkeypatch)
-    # At threshold 0 the compiled runner runs every sweep, at the
-    # unreachable one `_sweep` does.
-    for threshold, runs in ((0, [1]), (10**18, [])):
+    # At the unreachable threshold `_sweep` runs every sweep; at threshold
+    # 0 the runner, compiled and stored; and then at the unreachable
+    # threshold again the stored runner, from sweep 0.
+    for threshold, runs in ((10**18, []), (0, [1]), (10**18, [1])):
         monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", threshold)
         ran.clear()
         problem = probability_problem(m, goals=[3], opt="max")
