@@ -91,7 +91,14 @@ def request_from_args(args: argparse.Namespace, base_dir: Path,
 
 
 def load_document(path: Path) -> ModelDocument:
-    return parse_explicit(path.read_text())
+    """Reads and parses a model file; a file that does not decode is a
+    ParseError naming it."""
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not {exc.encoding} text: {exc.reason} "
+                         f"at byte {exc.start}") from None
+    return parse_explicit(text)
 
 
 def resolve_property(doc: ModelDocument, req: RunRequest) -> Property:

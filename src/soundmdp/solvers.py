@@ -30,7 +30,9 @@ operations in the same order without the per-branch loop overhead, inside
 a loop over sweeps that holds the values in local variables up to the
 phase's end.  It leaves out only operations that cannot change a float: a
 multiply by a probability of 1.0, the temporaries of a state without a
-self-loop, and, where every weight is positive and every reward
+self-loop, a repeat of a branch term `p*(r+x[t])` before t is next written
+(a term whose t the phase never writes is computed once, before the
+loop), and, where every weight is positive and every reward
 positive-signed, the `0.0 +` that starts each choice sum; the last is
 exact only from vectors with no negative or -0.0 entry, which interval
 iteration checks before it calls a runner.  A phase of more than
@@ -87,7 +89,7 @@ import math
 import operator
 import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -292,15 +294,15 @@ def _sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
 
 #: generic sweeps interval iteration runs before it compiles its phase.  On
 #: the benchmark's four slow chains (phases of 19 to 79 branches) a compile
-#: costs as much as 130 to 310 generic two-vector sweeps (1.1 to 3.1 ms), and
-#: a runner sweep is 3.1 to 3.7 times faster than a generic one, so a compile
-#: is repaid 170 to 450 sweeps after the switch (medians of 7 compiles and of
-#: 7 timings of 256 sweeps, in process, shared 2-core x86-64 host, Python
-#: 3.11).  At 256 the generic sweeps have cost about one compile when the
-#: switch comes, so a phase that ends right after it pays at most about twice
-#: its generic cost, and every long phase gains.  Only a phase's first run in
-#: the process runs these generic sweeps and pays the compile: a repeat finds
-#: its runner in `_RUNNERS` and runs it from sweep 0.
+#: costs as much as 210 to 250 generic two-vector sweeps (1.3 to 4.4 ms), and
+#: a runner sweep is 5.1 to 5.2 times faster than a generic one, so a compile
+#: is repaid 260 to 320 sweeps after the switch (medians of 5 in-process
+#: runs, shared 2-core x86-64 host, Python 3.11.7).  At 256 the generic
+#: sweeps have cost about one compile when the switch comes, so a phase that
+#: ends right after it pays at most about twice its generic cost, and every
+#: long phase gains.  Only a phase's first run in the process runs these
+#: generic sweeps and pays the compile: a repeat finds its runner in
+#: `_RUNNERS` and runs it from sweep 0.
 COMPILE_AFTER_SWEEPS = 256
 
 #: branches per statement of a choice sum, so that the compiler never sees a
@@ -320,13 +322,14 @@ _LATE_MESSAGE = "numeric phase ran past its deadline"
 
 
 def _best_lines(trs: tuple, vec: str, target: str, maximize: bool,
-                seedless: bool) -> list[str]:
+                seedless: bool, share: Callable[[str, int], str]) -> list[str]:
     """Statements leaving the state's best choice value over `vec` in `target`.
 
     `vec` is the prefix of the local variables holding one vector's values
     (`v` or `u`).  Each choice's sum is `_sweep`'s `0.0 + p*(r+vec[t]) + ...`
     in branch order, written in statements of at most _STATEMENT_BRANCHES
-    terms.  Three rewrites leave every float as it is:
+    terms; `share(term, t)` gives the text each term is written as (see
+    `_compile_phase`).  Three rewrites leave every float as it is:
 
     - `p*vec[t]` stands for a reward of +0.0: `+0.0 + x` differs from `x`
       only for x = -0.0, and then only in a zero product's sign, which a
@@ -349,7 +352,7 @@ def _best_lines(trs: tuple, vec: str, target: str, maximize: bool,
         for p, r, t in branches:
             term = f"{vec}{t}" if r == 0.0 and math.copysign(1.0, r) > 0.0 \
                 else f"({r!r}+{vec}{t})"
-            terms.append(term if p == 1.0 else f"{p!r}*{term}")
+            terms.append(share(term if p == 1.0 else f"{p!r}*{term}", t))
         head = [] if seedless and terms else ["0.0"]
         for j in range(0, max(len(terms), 1), _STATEMENT_BRANCHES):
             lines.append(f"{name} = " + "+".join(head + terms[j:j + _STATEMENT_BRANCHES]))
@@ -359,7 +362,8 @@ def _best_lines(trs: tuple, vec: str, target: str, maximize: bool,
     return lines
 
 
-def _state_lines(s: int, trs: tuple, maximize: bool, seedless: bool) -> list[str]:
+def _state_lines(s: int, trs: tuple, maximize: bool, seedless: bool,
+                 share: Callable[[str, int], str]) -> list[str]:
     """One state's statements of a two-vector sweep, `_sweep`'s operations in
     its order, without any error, up or down line; the first crossing state
     is kept in `c`.  A state without a self-loop assigns its new values
@@ -369,11 +373,11 @@ def _state_lines(s: int, trs: tuple, maximize: bool, seedless: bool) -> list[str
     """
     vs, us = f"v{s}", f"u{s}"
     if all(t != s for branches in trs for _, _, t in branches):
-        return [*_best_lines(trs, "v", vs, maximize, seedless),
-                *_best_lines(trs, "u", us, maximize, seedless),
+        return [*_best_lines(trs, "v", vs, maximize, seedless, share),
+                *_best_lines(trs, "u", us, maximize, seedless, share),
                 f"if {us} < {vs} and c < 0: c = {s}"]
-    return [*_best_lines(trs, "v", "n", maximize, seedless),
-            *_best_lines(trs, "u", "m", maximize, seedless),
+    return [*_best_lines(trs, "v", "n", maximize, seedless, share),
+            *_best_lines(trs, "u", "m", maximize, seedless, share),
             f"if m < n and c < 0: c = {s}",
             f"{us} = m",
             f"{vs} = n"]
@@ -408,6 +412,16 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
     no choice, a target out of range, or a non-float or non-finite constant:
     the source holds only `repr` of finite floats and int indices.
 
+    Common terms.  A term's value depends only on its text and on the one
+    variable it reads, so the runner computes it once while that variable
+    stays the same: a term into a state outside `order` once, before the
+    loop, and a term used again before its target is next written once per
+    sweep, into a temporary (`(w<k>:=term)` at its first use, `w<k>` after).
+    A first pass over `order` counts the uses of each term by its text,
+    which holds `repr` of the constants the rewrites keep (-0.0 apart from
+    +0.0), and its target's epoch, the writes to it so far in the sweep;
+    the second pass writes the sweep.
+
     Every call compiles; `interval_iteration` keeps the runner in
     `_RUNNERS` under the phase's `_phase_key`, so a phase repeated in the
     process compiles once.  A runner keeps its values in locals and reads
@@ -440,10 +454,38 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
     read = sorted({t for s in order for b in kernel[s] for _, _, t in b}
                   | set(order) | {s_init})
     written = sorted(set(order))
+    uses: Counter = Counter()
+    temps: dict[tuple, str] = {}
+    hoisted: list[str] = []
+
+    def count(term: str, t: int) -> str:
+        uses[term, epoch.get(t)] += 1
+        return term
+
+    def share(term: str, t: int) -> str:
+        key = (term, epoch.get(t))
+        fixed = key[1] is None
+        if term.isidentifier() or not fixed and uses[key] < 2:
+            return term  # a bare variable, or a term used once per sweep
+        name = temps.get(key)
+        if name is None:
+            name = temps[key] = f"w{len(temps)}"
+            if not fixed:
+                return f"({name}:={term})"
+            hoisted.append(f"    {name} = {term}")
+        return name
+
+    for rewrite in (count, share):  # count every term's uses, then write the sweep
+        epoch = dict.fromkeys(order, 0)
+        body = []
+        for s in order:
+            body += _state_lines(s, kernel[s], maximize, seedless, rewrite)
+            epoch[s] += 1
     source = "\n".join([
         "def run(v, u, k, cap, deadline, eps, rel):",
         *(f"    v{t} = v[{t}]" for t in read),
         *(f"    u{t} = u[{t}]" for t in read),
+        *hoisted,
         "    while True:",
         "        if k >= cap:",
         f"            end = {_CAPPED}",
@@ -453,8 +495,7 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
         "            break",
         "        k += 1",
         "        c = -1",
-        *("        " + line for s in order
-          for line in _state_lines(s, kernel[s], maximize, seedless)),
+        *("        " + line for line in body),
         f"        if c >= 0 or u{s_init} - v{s_init} <= (eps * v{s_init} if rel else eps):",
         "            end = c",
         "            break",

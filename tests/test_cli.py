@@ -315,6 +315,26 @@ def test_bench_parse_error_row(tmp_path):
     assert rows[0]["status"] == "error" and not ok
 
 
+def test_undecodable_model_file_is_an_error(me_file, tmp_path, capsys):
+    # A model file that is not UTF-8 text is reported like a missing one:
+    # solve prints `error: ...` and exits 1, and bench writes an error row
+    # and runs the suite's other rows.
+    bad = tmp_path / "bad.mdpx"
+    bad.write_bytes(b"\xff\xfe")
+    message = f"{bad} is not utf-8 text: invalid start byte at byte 0"
+    assert main(["solve", str(bad), "--prop", "pmax", "--goal", "0"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    suite = tmp_path / "u.suite"
+    suite.write_text("bad.mdpx --prop pmax --goal 0 --method ovi\n"
+                     f"{me_file.name} --prop pmax --goal s+ --method ovi --ref 0.5\n")
+    out_csv = tmp_path / "u.csv"
+    assert main(["bench", str(suite), "-o", str(out_csv), "--reps", "1"]) == 1
+    assert f"error       result=- ({message})" in capsys.readouterr().out
+    rows = read_result_csv(out_csv)
+    assert rows["bad:pmax"]["status"] == "error"
+    assert (rows["me:pmax"]["status"], rows["me:pmax"]["correct"]) == ("ok", "true")
+
+
 def test_bench_parallel_matches_serial(me_file, tmp_path):
     suite = tmp_path / "par.suite"
     suite.write_text(

@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -580,6 +581,79 @@ def test_runners_match_sweep_on_signed_zeros_and_negatives(seed, signed, local_b
     assert runs >= 12
 
 
+def shared_term_phase(rng, signed):
+    """A phase built to share terms: n states, the last two absorbing and
+    fixed, whose branches draw from a few (p, r, t) triples into s1 (last
+    in the order), into s2 (third in the order, so that it is written
+    between uses of a term; every state's first choice reads it) and into
+    the fixed states, plus self-loops; one to three choices per state.
+    Unless `signed`, every weight is above 0.0 and every reward +0.0 or
+    above.  Returns the problem and the order."""
+    n = rng.randint(6, 9)
+    weights, rewards = (WEIGHTS, REWARDS) if signed else (WEIGHTS[:4], REWARDS[:4])
+    pool = [(rng.choice(weights), rng.choice(rewards), t) for t in (1, 1, 2, 2, n - 2, n - 1)]
+
+    def choice(s, first):
+        picks = [pool[2]] * first + rng.choices(pool, k=rng.randint(1, 3))
+        if rng.random() < 0.3:
+            picks.append((rng.choice(weights), rng.choice(rewards), s))
+        return Transition(tuple(Branch(p, r, t, Fraction(p), Fraction(r)) for p, r, t in picks))
+
+    states = [tuple(choice(s, i == 0) for i in range(rng.randint(1, 3))) for s in range(n - 2)]
+    states += [(Transition((Branch(1.0, 0.0, g, Fraction(1), Fraction(0)),)),)
+               for g in (n - 2, n - 1)]
+    problem = reward_problem(Mdp(n, 0, tuple(states)), [n - 2, n - 1], rng.choice(["max", "min"]),
+                             [])
+    rest = [s for s in range(n - 2) if s not in (1, 2)]
+    rng.shuffle(rest)
+    return problem, [*rest[:2], 2, *rest[2:], 1]
+
+
+@LOCALS
+@pytest.mark.parametrize("signed", [False, True], ids=["positive", "signed"])
+@pytest.mark.parametrize("seed", range(8))
+def test_shared_terms_match_sweep(seed, signed, local_branches, monkeypatch):
+    # Runners that hoist the terms into fixed states and compute each term
+    # shared by several states once per sweep give hex-equal vectors, the
+    # same sweep count or cap and the same crossing as `_sweep`.  Inputs
+    # holding -0.0 or a negative fail interval iteration's guard and take
+    # the generic path; a runner that keeps the `0.0 +` seed matches
+    # `_sweep` even from those.
+    monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
+    sources = spy_sources(monkeypatch)
+    rng = random.Random(seed)
+    endings = set()
+    for _ in range(6):
+        problem, order = shared_term_phase(rng, signed)
+        seedless = all(p > 0.0 and math.copysign(1.0, r) > 0.0
+                       for s in order for b in problem.kernel[s] for p, r, _ in b)
+        for trial in range(18):
+            values = VALUES[:3] if trial % 2 == 0 else VALUES
+            v = [rng.choice(values) for _ in problem.model.states]
+            # u above v; u partly below v, positive; u partly below v, signed
+            u = [x + 2.0 if trial % 3 == 0 else abs(x - 0.5) if trial % 3 == 1
+                 else x + rng.choice((0.0, 2.0, -1.0)) for x in v]
+            v_ref, u_ref = list(v), list(u)
+            eps, cap = rng.choice((1e-3, 0.5, 4.0, -math.inf)), rng.randint(1, 6)
+            want = ending(lambda: generic_phase(problem, order, False, v_ref, u_ref,
+                                                eps=eps, max_sweeps=cap))
+            if not positive_signs(v, u):
+                assert not solvers._positive_signs(v, u)
+                if seedless:
+                    continue
+            assert ending(lambda: compiled_phase(problem, order, v, u, eps=eps,
+                                                 max_sweeps=cap)) == want
+            assert hexes(v) == hexes(v_ref) and hexes(u) == hexes(u_ref)
+            endings.add("cap" if want[0] == "IterationCapExceeded" else min(want[1], 0))
+    assert endings == {"cap", -1, 0}
+    # Every kind of term the rewrites make was written: hoisted before the
+    # loop, shared in it, and shared again after its target's write.
+    assert any(re.search(r"^    w\d+ = ", source.split("while True:")[0], re.M)
+               for source in sources)
+    walrus = re.compile(r"\(w\d+:=([^()]*(?:\([^()]*\))?)\)")
+    assert any(len(terms) > len(set(terms)) for terms in map(walrus.findall, sources))
+
+
 def runner_source(problem, monkeypatch):
     """The source `_compile_phase` generates for `problem`'s default order."""
     with monkeypatch.context() as patch:
@@ -610,8 +684,17 @@ def test_runner_sources_drop_seed_unit_weights_and_interval_temporaries(weight, 
     assert "if u0 < v0 and c < 0: c = 0" in source
     assert "n = 0.5*v1+0.5*(2.0+v2)" in source and "m = 0.5*u1+0.5*(2.0+u2)" in source
     assert "if m < n and c < 0: c = 1" in source
-    assert "v2 = 0.5*v3+0.5*(1.0+v0)" in source and "if y > v2: v2 = y" in source
+    # s2's branch into the goal s3, which the phase never writes, is
+    # computed once, before the loop.
+    assert "    w0 = 0.5*v3\n    w1 = 0.5*u3\n    while True:" in source
+    assert "v2 = w0+0.5*(1.0+v0)" in source and "if y > v2: v2 = y" in source
     assert "if u2 < v2 and c < 0: c = 2" in source
+    # A term read by several states before its target is next written is
+    # computed once per sweep: in id order, s1 to s7 of the slow chain read
+    # s0's new value, each through 0.5*(1.0+v0).
+    chain = runner_source(chain_ii_runs()[1](), monkeypatch)
+    assert chain.count("0.5*(1.0+v0)") == 1 and "+(w0:=0.5*(1.0+v0))\n" in chain
+    assert all(f"v{s} = 0.5*(1.0+v{s + 1})+w0\n" in chain for s in range(2, 7))
     # Interval iteration hands positive inputs to the runner and leaves a
     # -0.0 input to `_sweep`; the outcomes are those of `_sweep` alone.
     monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 0)
