@@ -45,7 +45,8 @@ def make_solve_arg_parser(prog: str = "solve", suite_mode: bool = False) -> argp
                    help="per-sweep convergence criterion of the iteration phases")
     p.add_argument("--epsilon-vi", type=float, default=None,
                    help="initial iteration-phase threshold (default: epsilon)")
-    p.add_argument("--precomp", default="required", choices=["required", "all", "none"])
+    p.add_argument("--precomp", default="required", choices=["required", "none"],
+                   help="required: prob0/prob1 or the infinite-reward states; none: skip them")
     p.add_argument("--ec-elim", default="auto", choices=["auto", "force", "off"])
     p.add_argument("--order", default="goal-distance",
                    help="state iteration order: goal-distance (by backward distance from "
@@ -90,15 +91,21 @@ def request_from_args(args: argparse.Namespace, base_dir: Path,
                       instance, getattr(args, "ref", None), getattr(args, "exclude_trivial", False))
 
 
-def load_document(path: Path) -> ModelDocument:
-    """Reads and parses a model file; a file that does not decode is a
+def _read_text(path: Path) -> str:
+    """A file's text; a file that cannot be read or does not decode is a
     ParseError naming it."""
     try:
-        text = path.read_text()
+        return path.read_text()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not {exc.encoding} text: {exc.reason} "
                          f"at byte {exc.start}") from None
-    return parse_explicit(text)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def load_document(path: Path) -> ModelDocument:
+    """Reads and parses a model file."""
+    return parse_explicit(_read_text(path))
 
 
 def resolve_property(doc: ModelDocument, req: RunRequest) -> Property:
@@ -119,7 +126,7 @@ def run_request(req: RunRequest, reps: int = 1) -> tuple[dict, PipelineResult | 
     try:
         doc = load_document(req.model_path)
         prop = resolve_property(doc, req)
-    except (OSError, ParseError, PipelineError, SoundMdpError) as exc:
+    except SoundMdpError as exc:
         row["status"] = "error"
         row["result"] = ""
         row["correct"] = ""
@@ -185,7 +192,7 @@ def parse_suite(path: Path) -> list[RunRequest]:
     parser = make_solve_arg_parser("suite-line", suite_mode=True)
     requests: list[RunRequest] = []
     seen: dict[str, int] = {}
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
@@ -242,7 +249,7 @@ def run_suite(suite_path: Path, output_path: Path, reps: int = 3,
 
 
 def read_result_csv(path: Path) -> dict[str, dict]:
-    text = "\n".join(ln for ln in path.read_text().splitlines() if not ln.startswith("#"))
+    text = "\n".join(ln for ln in _read_text(path).splitlines() if not ln.startswith("#"))
     out: dict[str, dict] = {}
     for row in csv.DictReader(io.StringIO(text)):
         out[row["instance"]] = row
@@ -266,20 +273,30 @@ class Comparison:
     sweeps_under_half: int = 0
 
 
+def _measures(path: Path) -> dict[str, tuple[float, float]]:
+    """Solve time and sweeps by instance from a result CSV; a missing column
+    or a cell that is not a number is a ParseError naming the file."""
+    try:
+        return {instance: (float(row["solve_ms"] or 0.0), float(row["sweeps"] or 0.0))
+                for instance, row in read_result_csv(path).items()}
+    except KeyError as exc:
+        raise ParseError(f"{path} has no {exc.args[0]!r} column") from None
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def compare_results(path_a: Path, path_b: Path) -> Comparison:
     """Per-instance solve-time and sweep ratios of B over A, with the counts of
     instances beyond the 2x and 0.5x bands."""
-    a = read_result_csv(path_a)
-    b = read_result_csv(path_b)
+    a, b = _measures(path_a), _measures(path_b)
     if set(a) != set(b):
         only_a = sorted(set(a) - set(b))
         only_b = sorted(set(b) - set(a))
         raise PipelineError(f"instance ids differ: only in A {only_a}, only in B {only_b}")
     cmp = Comparison()
     for instance in sorted(a):
-        ra, rb = a[instance], b[instance]
-        t = _ratio(float(ra["solve_ms"] or 0.0), float(rb["solve_ms"] or 0.0))
-        s = _ratio(float(ra["sweeps"] or 0.0), float(rb["sweeps"] or 0.0))
+        (ta, sa), (tb, sb) = a[instance], b[instance]
+        t, s = _ratio(ta, tb), _ratio(sa, sb)
         cmp.rows.append((instance, t, s))
         cmp.time_over_2x += t > 2.0
         cmp.time_under_half += t < 0.5

@@ -12,7 +12,8 @@ class ModelError(SoundMdpError):
 
 
 class ParseError(SoundMdpError):
-    """Syntax or semantic error in an MDPX document."""
+    """Syntax or semantic error in an MDPX document, or an input file that
+    cannot be read."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line

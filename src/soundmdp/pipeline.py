@@ -7,15 +7,14 @@ reads the copy:
   2. precompute on that model, which still has its rewards (prob0 and prob1
      read only the structure): prob0 and prob1 for probabilities, from one
      predecessor index, the infinite-reward states s-infinity for rewards
-     (precomp="required"; "all" computes the same sets, "none" none of
-     them);
+     (precomp="required"; "none" computes none of them);
   3. unless step 2 decided the initial state, or it is a goal, strip the
      rewards for probability queries, since end-component elimination and
      the solvers read them;
   4. collapse end components where the plan asks for it (always for emin,
-     and for pmax under ii or under precomp="all"), mapping the precomputed
-     sets onto the quotient: elimination preserves pmax and emin, whose
-     sets are unions of components.  With ec_elim="auto" this step is
+     and for pmax under ii), mapping the precomputed sets onto the
+     quotient: elimination preserves pmax and emin, whose sets are unions
+     of components.  With ec_elim="auto" this step is
      skipped when the initial state is decided as in step 3; "force"
      always eliminates, and the oracle keeps its planned path;
   5. solve, where a decided initial state costs no sweep, no iteration
@@ -74,7 +73,7 @@ class SolveOptions:
     """How to solve a request; every field is checked when the options are built."""
 
     method: str = "ovi"
-    precomp: str = "required"  # "required" | "all" | "none"
+    precomp: str = "required"  # "required" | "none"
     ec_elim: str = "auto"      # "auto" | "force" | "off"
     error_mode: str = "relative"
     epsilon_vi: float | None = None  # defaults to the property epsilon
@@ -85,7 +84,7 @@ class SolveOptions:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise PipelineError(f"unknown method {self.method!r}")
-        if self.precomp not in ("required", "all", "none"):
+        if self.precomp not in ("required", "none"):
             raise PipelineError(f"unknown precomp mode {self.precomp!r}")
         if self.ec_elim not in ("auto", "force", "off"):
             raise PipelineError(f"unknown ec-elim mode {self.ec_elim!r}")
@@ -119,8 +118,7 @@ def _plan(kind: PropertyKind, options: SolveOptions) -> tuple[bool, bool]:
     Raises PipelineError for the requests interval iteration cannot solve.
     """
     eliminate = options.ec_elim == "force" or options.ec_elim == "auto" and (
-        kind == PropertyKind.EMIN
-        or kind == PropertyKind.PMAX and (options.method == "ii" or options.precomp == "all"))
+        kind == PropertyKind.EMIN or kind == PropertyKind.PMAX and options.method == "ii")
     if options.method == "ii":
         if options.precomp == "none":
             raise PipelineError("ii requires a unique fixed point: precomp=none is not allowed")

@@ -36,10 +36,12 @@ loop), and, where every weight is positive and every reward
 positive-signed, the `0.0 +` that starts each choice sum; the last is
 exact only from vectors with no negative or -0.0 entry, which interval
 iteration checks before it calls a runner.  A phase of more than
-_LOCAL_BRANCHES branches stays with `_sweep`.  Runners are cached per
-process by the phase itself (`_phase_key`), so a phase repeated in the
-process compiles once, and its repeats run the runner from their first
-sweep.
+_LOCAL_BRANCHES branches stays with `_sweep`.  Runners are kept per
+process in a plain dict keyed by the phase itself (`_RUNNERS`, by
+`_phase_key`), emptied when full, so a phase repeated in the process
+compiles once and its repeats run the runner from their first sweep.  The
+benchmark's `sweep` workload compiles 4 runners, `large` none, and a
+one-shot `soundmdp solve` reuses none.
 
 Lower iterates started from the seed vector stay below the least fixed point,
 so a plain VI result is only a lower bound with no error guarantee.  The sound
@@ -87,9 +89,8 @@ from __future__ import annotations
 import marshal
 import math
 import operator
-import threading
 import time
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -532,50 +533,14 @@ def _phase_key(kernel: Kernel, order: Sequence[int], maximize: bool,
         return None
 
 
-class _RunnerCache:
-    """Compiled phase runners by `_phase_key`, at most `size` of them, the
-    least recently used dropped first; safe to share between threads.
-    `hits` counts the lookups that found a runner."""
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.hits = 0
-        self._runners: OrderedDict[bytes, Callable] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._runners)
-
-    def get(self, key: bytes | None) -> Callable | None:
-        with self._lock:
-            runner = self._runners.get(key)
-            if runner is not None:
-                self.hits += 1
-                self._runners.move_to_end(key)
-            return runner
-
-    def put(self, key: bytes, runner: Callable) -> Callable:
-        """Keeps `runner` unless another thread stored one first; returns the
-        one kept."""
-        with self._lock:
-            runner = self._runners.setdefault(key, runner)
-            self._runners.move_to_end(key)
-            if len(self._runners) > self.size:
-                self._runners.popitem(last=False)
-            return runner
-
-    def clear(self) -> None:
-        with self._lock:
-            self._runners.clear()
-            self.hits = 0
-
-
 #: compiled runners kept per process.  A runner of 230 to 237 branches
 #: retains 30 to 41 KB and its key 7.5 KB (tracemalloc, Python 3.11), so a
 #: full cache holds under 2 MB.
 _RUNNER_CACHE_SIZE = 32
 
-_RUNNERS = _RunnerCache(_RUNNER_CACHE_SIZE)
+#: compiled phase runners by `_phase_key`, emptied when full; every access
+#: is one dict call, atomic under the GIL, so threads share it without a lock
+_RUNNERS: dict[bytes, Callable] = {}
 
 
 #: observer(event, *payload), see the module docstring
@@ -982,7 +947,9 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
     looks its phase up in `_RUNNERS` before the first sweep.  A phase
     compiled earlier in the process runs its runner from sweep 0; any other
     runs COMPILE_AFTER_SWEEPS generic sweeps, then compiles its runner
-    (`_compile_phase`), stores it and hands it the remaining sweeps.  A
+    (`_compile_phase`), stores it and hands it the remaining sweeps.  It
+    stores by `setdefault`, so threads that compile one phase at once run
+    the runner stored first, and it empties a full `_RUNNERS` first.  A
     runner runs only where neither vector holds a negative or -0.0 entry
     (one `copysign` pass over each), and gives the same floats, sweep count
     and crossing as `_sweep`."""
@@ -1022,7 +989,9 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
             if runner is None:
                 runner = _compile_phase(kernel, order, maximize, s_i)
                 if runner is not None and key is not None:
-                    runner = _RUNNERS.put(key, runner)
+                    if len(_RUNNERS) >= _RUNNER_CACHE_SIZE:
+                        _RUNNERS.clear()
+                    runner = _RUNNERS.setdefault(key, runner)
             if runner is not None and _positive_signs(v, u):
                 sweeps, cross = runner(v, u, sweeps, max_sweeps, deadline, tolerance,
                                        relative_width)

@@ -140,7 +140,7 @@ def test_criterion_4_certified_methods_match_exact_oracle():
                 prop = make_property(kind, goals, 1e-6)
                 exact = oracle_exact(model, prop)
                 for method in ("ovi", "ii"):
-                    res = solve(model, prop, SolveOptions(method=method, precomp="all"))
+                    res = solve(model, prop, SolveOptions(method=method))
                     out = res.outcome
                     if exact == math.inf:
                         assert out.value == math.inf

@@ -177,6 +177,13 @@ def test_in_process_calls_stay_independent(me_file, capsys):
     assert _build_parser() is _build_parser()
 
 
+def test_precomp_all_is_a_usage_error(me_file, capsys):
+    # `--precomp all` added nothing that `--ec-elim force` does not.
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(me_file), "--prop", "pmax", "--goal", "s+", "--precomp", "all"])
+    assert exc.value.code == 2 and "invalid choice: 'all'" in capsys.readouterr().err
+
+
 def test_solve_timeout_leaves_a_solve_that_meets_it_unchanged(me_file, capsys):
     request = ["solve", str(me_file), "--prop", "emin", "--method", "ii"]
     assert main(request) == 0
@@ -301,7 +308,7 @@ def test_bench_exclude_trivial(tmp_path):
     model_path = tmp_path / "r.mdpx"
     model_path.write_text(write_explicit(doc))
     suite = tmp_path / "t.suite"
-    suite.write_text("r.mdpx --prop pmax --method ovi --precomp all --exclude-trivial\n")
+    suite.write_text("r.mdpx --prop pmax --method ovi --exclude-trivial\n")
     rows, ok = run_suite(suite, tmp_path / "out.csv", reps=1, timeout=None)
     assert rows[0]["status"] == "trivial"
     assert ok
@@ -386,6 +393,29 @@ def test_compare_rejects_mismatched_ids(tmp_path, capsys):
     _write_csv(path_b, [_row("z", 1.0, 1)])
     assert main(["compare", str(path_a), str(path_b)]) == 2
     assert "instance ids differ" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, content, message", [
+    ("bench", None, "cannot read {path}: No such file or directory"),
+    ("bench", b"\xff\xfe", "{path} is not utf-8 text: invalid start byte at byte 0"),
+    ("compare", None, "cannot read {path}: No such file or directory"),
+    ("compare", b"\xff\xfe", "{path} is not utf-8 text: invalid start byte at byte 0"),
+    ("compare", b"name,solve_ms,sweeps\nx,1.0,2\n", "{path} has no 'instance' column"),
+    ("compare", b"instance,solve_ms,sweeps\nx,fast,2\n",
+     "{path}: could not convert string to float: 'fast'"),
+], ids=["bench-missing", "bench-undecodable", "compare-missing", "compare-undecodable",
+        "compare-no-instance-column", "compare-non-numeric-cell"])
+def test_unusable_suite_or_result_file_is_an_error(tmp_path, capsys, command, content, message):
+    # These used to end in a traceback; like a bad option, each is one
+    # `error:` line naming the file, and exit code 2.
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_bytes(content)
+    argv = ["bench", str(path), "-o", str(tmp_path / "out.csv")] if command == "bench" \
+        else ["compare", str(path), str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_compare_accepts_its_own_bench_output(me_file, tmp_path, capsys):

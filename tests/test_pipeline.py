@@ -75,15 +75,15 @@ def test_pipeline_requirement_rejections(me_doc):
 
 @pytest.mark.parametrize("kind, options, eliminated", [
     ("pmax", SolveOptions(method="ovi"), False),
-    ("pmax", SolveOptions(method="ovi", precomp="all"), True),
+    ("pmax", SolveOptions(method="ovi", ec_elim="force"), True),
     ("pmax", SolveOptions(method="ii"), True),
-    ("pmax", SolveOptions(method="ii", precomp="all", ec_elim="force"), True),
+    ("pmax", SolveOptions(method="ii", ec_elim="force"), True),
     ("pmin", SolveOptions(method="ii"), False),
-    ("emax", SolveOptions(method="vi", precomp="all"), False),
+    ("emax", SolveOptions(method="vi"), False),
     ("emin", SolveOptions(method="vi"), True),
     ("emin", SolveOptions(method="oracle", ec_elim="off"), False),
-], ids=["pmax-ovi", "pmax-ovi-precomp-all", "pmax-ii", "pmax-ii-forced", "pmin-ii",
-        "emax-vi-precomp-all", "emin-vi", "emin-oracle-off"])
+], ids=["pmax-ovi", "pmax-ovi-forced", "pmax-ii", "pmax-ii-forced", "pmin-ii",
+        "emax-vi", "emin-vi", "emin-oracle-off"])
 def test_pipeline_eliminates_end_components_where_needed(me_doc, kind, options, eliminated):
     prop = make_property(kind, [1] if kind.startswith("p") else [1, 2])
     res = solve(me_doc.model, prop, options)
@@ -117,10 +117,10 @@ def test_pipeline_pmin_trap_value(me_doc):
     assert res.outcome.value == 0.0 and res.outcome.certified
 
 
-def test_pipeline_precomp_all_fixes_sure_states():
+def test_pipeline_prob1_fixes_sure_states():
     doc = generate_random(11, 6, 2, 2, Fraction(2), 1, min_reward=Fraction(1, 4))
     prop = make_property("pmax", sorted(doc.declared_goals))
-    res = solve(doc.model, prop, SolveOptions(method="ovi", precomp="all"))
+    res = solve(doc.model, prop, SolveOptions(method="ovi"))
     assert res.outcome.value == 1.0 and res.outcome.iterations == 0  # prob1 covers s0
 
 
@@ -160,7 +160,7 @@ def test_pipeline_decided_initial_state_skips_end_components(me_doc, monkeypatch
                         (rebase_initial(me_doc.model, 2), make_property("pmax", [1])),
                         (rebase_initial(me_doc.model, 1), make_property("emin", [1, 2]))):
         for method in ("vi", "ovi", "ii"):
-            res = solve(model, prop, SolveOptions(method=method, precomp="all"))
+            res = solve(model, prop, SolveOptions(method=method))
             assert res.outcome.certified or method == "vi"
             assert not res.warnings
             assert not any(step.startswith("ec-elimination") for step in res.applied)
@@ -171,7 +171,8 @@ def test_pipeline_decided_initial_state_skips_end_components(me_doc, monkeypatch
     assert any(step.startswith("ec-elimination") for step in res.applied)
     assert any("not guaranteed to preserve" in w for w in res.warnings)
     assert len(calls) == 1
-    solve(doc.model, prob1_everywhere, SolveOptions(method="oracle", precomp="all"))
+    solve(rebase_initial(me_doc.model, 1), make_property("emin", [1, 2]),
+          SolveOptions(method="oracle"))
     assert len(calls) == 2
 
 
@@ -293,6 +294,7 @@ def test_goal_distance_order_reproduces(me_doc):
     ("timeout", -1.0, "timeout must be a positive number"),
     ("timeout", 0.0, "timeout must be a positive number"),  # once meant no limit
     ("error_mode", "squared", "unknown error mode"),
+    ("precomp", "all", "unknown precomp mode"),  # retired: `ec_elim="force"` does its work
     ("order", "bogus", "unknown iteration order"),
     ("order", "randomly", "unknown iteration order"),
     ("order", "random:x", "malformed random order seed"),
@@ -419,11 +421,9 @@ def test_warm_benchmark_chains_emax_ii_run_no_generic_sweep(monkeypatch):
     compiled.clear()
     ran.clear()
     sweeps = count_generic_sweeps(monkeypatch)
-    hits = solvers._RUNNERS.hits
     warm = [_outcome_hex(solve(model, prop, options)) for model, prop in requests]
     assert warm == cold == generic
     assert not sweeps and not compiled and ran == [o[1] for o in warm] == [6713, 5740, 3097, 793]
-    assert solvers._RUNNERS.hits == hits + 4
 
 
 def _spy(monkeypatch, name, fn):
@@ -453,7 +453,7 @@ def test_decided_probability_request_copies_nothing(kind, method, monkeypatch):
     # An undecided request strips after the precomputations, before it
     # eliminates end components.
     model, goals = trap_instance(1, 30)
-    res = solve(model, make_property("pmax", goals), SolveOptions(method=method, precomp="all"))
+    res = solve(model, make_property("pmax", goals), SolveOptions(method=method, ec_elim="force"))
     assert len(stripped) == len(mecs) == 1
     steps = [step.split("(")[0] for step in res.applied]
     assert steps == ["absorb-goals", "prob0", "prob1", "strip-rewards", "ec-elimination"]
