@@ -306,6 +306,12 @@ def _sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
 #: `_RUNNERS` and runs it from sweep 0.
 COMPILE_AFTER_SWEEPS = 256
 
+#: sweeps a seedless phase runner runs between two checks of whether its
+#: upper vector has settled; a check snapshots `u` and compares it after
+#: the next sweep, so a runner enters its v-only loop at most 17 sweeps
+#: after `u`'s last change, and a sweep between checks costs nothing more
+_SETTLE_CHECK_SWEEPS = 16
+
 #: branches per statement of a choice sum, so that the compiler never sees a
 #: deeply nested expression
 _STATEMENT_BRANCHES = 32
@@ -363,25 +369,18 @@ def _best_lines(trs: tuple, vec: str, target: str, maximize: bool,
     return lines
 
 
-def _state_lines(s: int, trs: tuple, maximize: bool, seedless: bool,
+def _state_lines(s: int, trs: tuple, vec: str, maximize: bool, seedless: bool,
                  share: Callable[[str, int], str]) -> list[str]:
-    """One state's statements of a two-vector sweep, `_sweep`'s operations in
-    its order, without any error, up or down line; the first crossing state
-    is kept in `c`.  A state without a self-loop assigns its new values
-    straight to its own `v` and `u`: its v-sums read only other states' `v`
-    and its u-sums only `u`, so every sum and the crossing test see the
-    values they see in `_sweep`.
+    """One state's statements of a sweep over `vec` (`v` or `u`), `_sweep`'s
+    operations on that vector in its order.  A state without a self-loop
+    assigns its new value straight to its own variable, since its sums read
+    only other states' values; one with a self-loop sums into a temporary
+    first (`n` for `v`, `m` for `u`).
     """
-    vs, us = f"v{s}", f"u{s}"
     if all(t != s for branches in trs for _, _, t in branches):
-        return [*_best_lines(trs, "v", vs, maximize, seedless, share),
-                *_best_lines(trs, "u", us, maximize, seedless, share),
-                f"if {us} < {vs} and c < 0: c = {s}"]
-    return [*_best_lines(trs, "v", "n", maximize, seedless, share),
-            *_best_lines(trs, "u", "m", maximize, seedless, share),
-            f"if m < n and c < 0: c = {s}",
-            f"{us} = m",
-            f"{vs} = n"]
+        return _best_lines(trs, vec, f"{vec}{s}", maximize, seedless, share)
+    temp = "n" if vec == "v" else "m"
+    return [*_best_lines(trs, vec, temp, maximize, seedless, share), f"{vec}{s} = {temp}"]
 
 
 def _compilable(trs: tuple, n: int) -> bool:
@@ -448,13 +447,14 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
     if not (type(s_init) is int and 0 <= s_init < n) or not all(
             type(s) is int and 0 <= s < n and _compilable(kernel[s], n) for s in order):
         return None
-    if sum(len(b) for s in order for b in kernel[s]) > _LOCAL_BRANCHES:
+    if sum(len(b) for s in order for b in kernel[s]) > _LOCAL_BRANCHES \
+            or len(set(order)) < len(order):
         return None
     seedless = all(p > 0.0 and math.copysign(1.0, r) > 0.0
                    for s in order for b in kernel[s] for p, r, _ in b)
     read = sorted({t for s in order for b in kernel[s] for _, _, t in b}
                   | set(order) | {s_init})
-    written = sorted(set(order))
+    written = sorted(order)
     uses: Counter = Counter()
     temps: dict[tuple, str] = {}
     hoisted: list[str] = []
@@ -476,34 +476,62 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
             hoisted.append(f"    {name} = {term}")
         return name
 
-    for rewrite in (count, share):  # count every term's uses, then write the sweep
-        epoch = dict.fromkeys(order, 0)
-        body = []
-        for s in order:
-            body += _state_lines(s, kernel[s], maximize, seedless, rewrite)
-            epoch[s] += 1
+    for rewrite in (count, share):  # count every term's uses, then write the sweeps
+        sweeps = []
+        for vec in ("v", "u"):
+            epoch = dict.fromkeys(order, 0)
+            lines = []
+            for s in order:
+                lines += _state_lines(s, kernel[s], vec, maximize, seedless, rewrite)
+                if vec == "v":
+                    lines.append(f"if u{s} < v{s} and c < 0: c = {s}")
+                epoch[s] += 1
+            sweeps.append(lines)
+    lower, upper = sweeps
+
+    def pack(vec: str) -> str:
+        return "(" + "".join(f"{vec}{s}, " for s in written) + ")"
+
+    top = ["        if k >= cap:",
+           f"            end = {_CAPPED}",
+           "            break"]
+    if seedless:
+        top = ["        if k >= lim:",
+               *("    " + line for line in top),
+               "            if snap is None:",
+               f"                snap = {pack('u')}",
+               "                lim = k + 1",
+               f"            elif snap == {pack('u')}:",
+               "                moving = False",
+               "                lim = cap",
+               "            else:",
+               "                snap = None",
+               f"                lim = k + {_SETTLE_CHECK_SWEEPS} "
+               f"if k + {_SETTLE_CHECK_SWEEPS} < cap else cap"]
+        upper = ["if moving:", *("    " + line for line in upper)]
     source = "\n".join([
         "def run(v, u, k, cap, deadline, eps, rel):",
-        *(f"    v{t} = v[{t}]" for t in read),
-        *(f"    u{t} = u[{t}]" for t in read),
+        "    " + ", ".join(f"v{t}" for t in read) + " = load(v)",
+        "    " + ", ".join(f"u{t}" for t in read) + " = load(u)",
         *hoisted,
+        *(["    lim = k", "    snap = None", "    moving = True"] if seedless else []),
         "    while True:",
-        "        if k >= cap:",
-        f"            end = {_CAPPED}",
-        "            break",
+        *top,
         "        if deadline is not None and time.perf_counter() > deadline:",
         f"            end = {_LATE}",
         "            break",
         "        k += 1",
+        *("        " + line for line in upper),
         "        c = -1",
-        *("        " + line for line in body),
+        *("        " + line for line in lower),
         f"        if c >= 0 or u{s_init} - v{s_init} <= (eps * v{s_init} if rel else eps):",
         "            end = c",
         "            break",
-        *(f"    v[{s}] = v{s}" for s in written),
-        *(f"    u[{s}] = u{s}" for s in written),
+        f"    for t, x in zip(written, {pack('v')}): v[t] = x",
+        f"    for t, x in zip(written, {pack('u')}): u[t] = x",
         "    return k, end"])
-    namespace: dict = {"__builtins__": {}, "time": time}
+    namespace: dict = {"__builtins__": {}, "time": time, "zip": zip,
+                       "load": operator.itemgetter(*read), "written": tuple(written)}
     exec(compile(source, "<compiled phase>", "exec"), namespace)
     return namespace.pop("run")
 
@@ -752,9 +780,11 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
     (clamped to 1 in probability mode).  A verification sweep in which no
     upper value moved up proves the candidate inductive, so the exact value
     lies in [v(init), u(init)]; the midpoint is returned once that interval
-    is narrow enough.  A sweep in which no upper value moved down, or where
-    the vectors cross, refutes the candidate: the iteration phase resumes
-    with the error requirement halved.  Verification phases running past ten
+    is narrow enough.  That test comes first, so a sweep that moves no upper
+    value at all (B(u) = u) certifies a narrow enough candidate.  Otherwise
+    a sweep in which no upper value moved down, or where the vectors cross,
+    refutes the candidate: the iteration phase resumes with the error
+    requirement halved.  Verification phases running past ten
     times the preceding iteration phase are cancelled likewise.
 
     A second source of guesses: on a problem with a unique fixed point and
@@ -897,6 +927,10 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
             error, up, down, cross = problem.sweep(order, relative_error, v, u)
             if observer is not None:
                 observer("verify", verif_sweeps, error, v, u, up, down, cross)
+            # Certify before refuting: a sweep that moves no upper value sets
+            # both flags, and B(u) = u <= u makes `u` inductive.
+            if down and cross < 0 and narrow(v, u):
+                return certified(v, u)
             if up or cross >= 0:
                 cancelled += 1
                 if observer is not None:
@@ -908,8 +942,6 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
                     if observer is not None:
                         observer("adopt-upper")
                 break
-            if down and narrow(v, u):
-                return certified(v, u)
             if verif_sweeps > VERIFICATION_FACTOR * max(iter_sweeps, 1):
                 cancelled += 1
                 if observer is not None:

@@ -21,7 +21,7 @@ from soundmdp import (ErrorCriterion, IterationCapExceeded, SolveOptions, Solver
                       reward_problem, reward_upper_init, s_infinity, solve, strip_rewards)
 from soundmdp.graph import goal_distance_order
 from soundmdp.oracle import SCHEDULER_GUARD, scheduler_count
-from soundmdp import solvers
+from soundmdp import pipeline, solvers
 from soundmdp.model import Branch, Mdp, Transition
 from soundmdp.solvers import _compile_phase, _phase_key, _sweep
 from conftest import (HALF, clear_caches, count_generic_sweeps, mdp_of, record, spy_runners,
@@ -510,6 +510,223 @@ def test_compiled_width_test_reads_an_initial_state_outside_the_order(local_bran
 
 
 # ---------------------------------------------------------------------------
+# The settled upper vector: a seedless runner checks every
+# _SETTLE_CHECK_SWEEPS + 1 sweeps, from its first, whether a whole sweep left
+# every `u` value as it was, and from then on skips the u-sweep.  From sweep
+# 0 it snapshots `u` before sweeps 1, 18, 35, ... and compares after each.
+
+def chain_phase(n, p, order="goal-distance"):
+    """The interval-iteration phase the pipeline runs for emax on the slow
+    chain s0..sn: (problem, prop, upper start, order)."""
+    doc = generate_slow_chain(n, p)
+    calls = []
+    real = pipeline.interval_iteration
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "interval_iteration",
+                      lambda *args, **budget: calls.append(args) or real(*args, **budget))
+        solve(doc.model, make_property("emax", [n], 1e-6), SolveOptions(method="ii", order=order))
+    (args,) = calls
+    return args
+
+
+def last_upper_change(problem, prop, upper, order):
+    """The last sweep of interval iteration's phase that changed a `u` value
+    (0 if none did), and the phase's outcome, by generic sweeps."""
+    last, before = [0], [None]
+
+    def observe(event, sweep, v, u):
+        if u != before[0]:
+            before[0], last[0] = list(u), sweep
+    before[0] = [upper[s] if s in problem.unknowns else problem.seed[s]
+                 for s in problem.model.states]
+    outcome = interval_iteration(problem, prop, upper, order, observer=observe)
+    return last[0], outcome
+
+
+def u_sweeps_skipped(run):
+    """Runs `run()` with the compiled runners' lines traced.  Returns the
+    sweep count at the first sweep that skipped the u-sweep, or None, and
+    the number of sweeps that ran it."""
+    skipped, ran = [], []
+
+    def local(frame, event, arg):
+        if event == "line":
+            text = sources[-1].split("\n")[frame.f_lineno - 1].strip()
+            if text == "if moving:":
+                if frame.f_locals["moving"]:
+                    ran.append(frame.f_locals["k"])
+                else:
+                    skipped.append(frame.f_locals["k"])
+                    frame.f_trace_lines = False  # the rest of the run is untraced
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code.co_filename == "<compiled phase>" else None
+
+    clear_caches()  # so that `run` compiles its runner, and its source is seen
+    with pytest.MonkeyPatch.context() as patch:
+        sources = spy_sources(patch)
+        sys.settrace(trace)
+        try:
+            result = run()
+        finally:
+            sys.settrace(None)
+    return result, (skipped[0] if skipped else None), len(ran)
+
+
+def fixed_upper(problem, order, u):
+    """`u` swept alone until a whole sweep leaves it as it was."""
+    maximize = problem.opt == "max"
+    while True:
+        before = list(u)
+        _sweep(problem.kernel, order, maximize, False, list(u), u)
+        if before == u:
+            return u
+
+
+def endings_agree(problem, order, v, u, caps, eps=2e-6, deadline=None, relative_width=True):
+    """Runs the compiled runner and `_sweep` from (v, u) to each cap; both
+    vectors in hex, the sweep count and the crossing or cap must agree.
+    Returns the endings."""
+    endings = []
+    for cap in caps:
+        v_ref, u_ref, v_run, u_run = list(v), list(u), list(v), list(u)
+        want = ending(lambda: generic_phase(problem, order, False, v_ref, u_ref, eps=eps,
+                                            max_sweeps=cap, relative_width=relative_width))
+        got = ending(lambda: compiled_phase(problem, order, v_run, u_run, eps=eps,
+                                            max_sweeps=cap, deadline=deadline,
+                                            relative_width=relative_width))
+        assert got == want, cap
+        assert hexes(v_run) == hexes(v_ref) and hexes(u_run) == hexes(u_ref), cap
+        endings.append(want)
+    return endings
+
+
+#: caps on the snapshot and the compare sweeps of the first three checks, and
+#: on the sweeps next to them
+CHECK_CAPS = (1, 2, 3, 16, 17, 18, 19, 33, 34, 35, 36, 37, 40)
+
+
+def test_runner_on_a_upper_vector_settled_from_sweep_0():
+    # The first check compares after sweep 1 and the runner skips the
+    # u-sweep from sweep 2; every cap, and the width test, ends as `_sweep`'s.
+    problem, prop, upper, order = chain_phase(10, HALF)
+    v = problem.initial_vector()
+    u = fixed_upper(problem, order, [upper[s] if s in problem.unknowns else problem.seed[s]
+                                     for s in problem.model.states])
+    endings = endings_agree(problem, order, v, u, (*CHECK_CAPS, 10**5))
+    assert endings[-1][1] == -1 and endings[-1][0] > 100
+    runner = lambda: compiled_phase(problem, order, list(v), list(u), eps=2e-6, max_sweeps=10**5,
+                                    relative_width=True)
+    result, first, ran = u_sweeps_skipped(runner)
+    assert result == endings[-1] and (first, ran) == (2, 1)
+
+
+def test_runner_on_a_upper_vector_that_settles_after_sweep_31():
+    # chain-16's `u` last changes in sweep 31: the checks after sweeps 1 and
+    # 18 fail, the one after sweep 35 passes.
+    problem, prop, upper, order = chain_phase(16, Fraction(2, 3))
+    assert last_upper_change(problem, prop, upper, order)[0] == 31
+    v = problem.initial_vector()
+    u = [upper[s] if s in problem.unknowns else problem.seed[s] for s in problem.model.states]
+    endings = endings_agree(problem, order, v, u, (*CHECK_CAPS, 10**5))
+    assert endings[-1] == (5740, -1)
+    runner = lambda: compiled_phase(problem, order, list(v), list(u), eps=2e-6, max_sweeps=10**5,
+                                    relative_width=True)
+    assert u_sweeps_skipped(runner) == ((5740, -1), 36, 35)
+
+
+def test_runner_on_a_upper_vector_that_never_settles():
+    # Under the forward order chain-10's `u` moves in every sweep of the
+    # phase: every check fails and every sweep runs the u-sweep (traced
+    # over the first 500).
+    problem, prop, upper, order = chain_phase(10, HALF, "forward")
+    assert last_upper_change(problem, prop, upper, order)[0] == 13321
+    v = problem.initial_vector()
+    u = [upper[s] if s in problem.unknowns else problem.seed[s] for s in problem.model.states]
+    endings = endings_agree(problem, order, v, u, (*CHECK_CAPS, 10**5))
+    assert endings[-1] == (13321, -1)
+    runner = lambda: ending(lambda: compiled_phase(problem, order, list(v), list(u), eps=2e-6,
+                                                   max_sweeps=500, relative_width=True))
+    assert u_sweeps_skipped(runner) == (("IterationCapExceeded", 500), None, 500)
+
+
+@pytest.mark.parametrize("tick", [1, 2, 17, 18, 30, 40])
+def test_runner_on_a_settled_upper_vector_ends_at_the_deadline(tick, monkeypatch):
+    # A clock that ticks once per deadline test: `tick` sweeps run, before,
+    # on and after the checks of chain-16 (compares after sweeps 1, 18 and
+    # 35), and stay in the vectors.
+    problem, prop, upper, order = chain_phase(16, Fraction(2, 3))
+    v = problem.initial_vector()
+    u = [upper[s] if s in problem.unknowns else problem.seed[s] for s in problem.model.states]
+    v_ref, u_ref = list(v), list(u)
+    ticks = itertools.count()
+    monkeypatch.setattr(solvers.time, "perf_counter", lambda: next(ticks))
+    with pytest.raises(SolveTimeout):
+        compiled_phase(problem, order, v, u, eps=2e-6, max_sweeps=100, deadline=tick - 0.5,
+                       relative_width=True)
+    assert next(ticks) == tick + 1
+    with pytest.raises(IterationCapExceeded):
+        generic_phase(problem, order, False, v_ref, u_ref, eps=2e-6, max_sweeps=tick,
+                      relative_width=True)
+    assert hexes(v) == hexes(v_ref) and hexes(u) == hexes(u_ref)
+
+
+def crossing_model(reward):
+    """s0 keeps 0.9 of its value and takes 0.1 from s1, which the phase
+    never writes; `reward` on the self-loop."""
+    return mdp_of(0, [[(Fraction(9, 10), reward, 0), (Fraction(1, 10), 0, 1)]], [[(1, 0, 1)]])
+
+
+def test_runner_finds_a_crossing_after_the_u_sweeps_stop():
+    # With v1 = 1 and u1 = 0.5, u0 = 0.5 is settled from sweep 0, and v0
+    # rises as 1 - 0.9**k: it passes u0 in sweep 7, five sweeps after the
+    # runner stopped sweeping `u`.
+    problem = reward_problem(crossing_model(0), [1], "max", [])
+    v, u = [0.0, 1.0], [0.5, 0.5]
+    endings = endings_agree(problem, [0], v, u, (1, 2, 6, 7, 10**3), eps=1e-9,
+                            relative_width=False)
+    assert endings == [("IterationCapExceeded", 1), ("IterationCapExceeded", 2),
+                       ("IterationCapExceeded", 6), (7, 0), (7, 0)]
+    runner = lambda: compiled_phase(problem, [0], list(v), list(u), eps=1e-9, max_sweeps=10**3)
+    assert u_sweeps_skipped(runner) == ((7, 0), 2, 1)
+
+
+def test_signed_phase_never_skips_the_u_sweep():
+    # A -0.0 reward makes the phase signed: its runner keeps the `0.0 +` of
+    # every sum and runs the u-sweep in every sweep, though `u` is settled
+    # from sweep 0, with the same crossing as `_sweep`.
+    problem = reward_problem(crossing_model(Fraction(0)), [1], "max", [])
+    kernel = ((((0.9, -0.0, 0), (0.1, 0.0, 1)),), problem.kernel[1])
+    object.__setattr__(problem, "kernel", kernel)
+    v, u = [0.0, 1.0], [0.5, 0.5]
+    assert endings_agree(problem, [0], v, u, (1, 2, 10**3), eps=1e-9, relative_width=False) \
+        == [("IterationCapExceeded", 1), ("IterationCapExceeded", 2), (7, 0)]
+    runner = lambda: compiled_phase(problem, [0], list(v), list(u), eps=1e-9, max_sweeps=10**3)
+    with pytest.MonkeyPatch.context() as patch:
+        sources = spy_sources(patch)
+        runner()
+    assert "0.0+" in sources[0] and "moving" not in sources[0]
+
+
+@pytest.mark.parametrize("n, p", BENCHMARK_CHAINS)
+def test_benchmark_chains_skip_the_u_sweep_within_17_sweeps_of_its_last_change(n, p, monkeypatch):
+    # No output shows whether the runner ever skips its u-sweep, so this
+    # traces its lines: interval iteration on each benchmark chain, with its
+    # runner from sweep 0, must stop sweeping `u` within
+    # _SETTLE_CHECK_SWEEPS + 1 sweeps of `u`'s last change, and certify the
+    # same interval after the same sweeps as its generic run.
+    problem, prop, upper, order = chain_phase(n, p)
+    settled, generic = last_upper_change(problem, prop, upper, order)
+    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 0)
+    outcome, first, ran = u_sweeps_skipped(
+        lambda: interval_iteration(problem, prop, upper, order))
+    assert (outcome.lower_bound.hex(), outcome.upper_bound.hex(), outcome.iterations) \
+        == (generic.lower_bound.hex(), generic.upper_bound.hex(), generic.iterations)
+    assert first == ran + 1 and settled < ran <= settled + solvers._SETTLE_CHECK_SWEEPS + 1
+
+
+# ---------------------------------------------------------------------------
 # The runner's lean sums (no `0.0 +` seed, no unit weights, no temporaries)
 # against a loop of `_sweep`, on kernels and inputs that no valid model
 # produces.
@@ -683,10 +900,10 @@ def test_runner_sources_drop_seed_unit_weights_and_interval_temporaries(weight, 
     assert "v0 = (1.0+v1)\n" in source and "u0 = (1.0+u1)\n" in source
     assert "if u0 < v0 and c < 0: c = 0" in source
     assert "n = 0.5*v1+0.5*(2.0+v2)" in source and "m = 0.5*u1+0.5*(2.0+u2)" in source
-    assert "if m < n and c < 0: c = 1" in source
+    assert "u1 = m\n" in source and "v1 = n\n        if u1 < v1 and c < 0: c = 1" in source
     # s2's branch into the goal s3, which the phase never writes, is
     # computed once, before the loop.
-    assert "    w0 = 0.5*v3\n    w1 = 0.5*u3\n    while True:" in source
+    assert "    w0 = 0.5*v3\n    w1 = 0.5*u3\n    lim = k\n" in source
     assert "v2 = w0+0.5*(1.0+v0)" in source and "if y > v2: v2 = y" in source
     assert "if u2 < v2 and c < 0: c = 2" in source
     # A term read by several states before its target is next written is
@@ -1112,16 +1329,34 @@ def test_ovi_initial_state_outside_unknowns(me0):
     assert out.certified and out.value == 0.0 and out.iterations == 0
 
 
-def test_ovi_reports_no_certificate_when_stalled():
+def test_ovi_certifies_a_stationary_upper_vector():
     # Reachability value exactly 1 with a relative width: the inflated guess
-    # clamps back onto the fixed point and every verification sweep leaves it
-    # unchanged, which the flag discipline treats as a rejection.  OVI must
-    # give up with an honest no-certificate outcome rather than loop.
+    # clamps back onto the fixed point, and the first verification sweep
+    # leaves it unchanged.  A sweep that moves no upper value proves
+    # B(u) = u <= u, so the guess is inductive and certified at once.
     m = mdp_of(0, [[(1, 0, 1)]], [[(1, 0, 1)]])
     problem = probability_problem(m, goals=[1], opt="max")
-    out = ovi(problem, ErrorCriterion("relative", 1e-6), make_property("pmax", [1]))
-    assert not out.certified and out.status == "no-certificate"
-    assert out.value == 1.0 and out.upper_bound is None
+    events: list[tuple] = []
+    out = ovi(problem, ErrorCriterion("relative", 1e-6), make_property("pmax", [1]),
+              observer=record(events))
+    assert out.certified and out.status == "ok"
+    assert (out.lower_bound, out.value, out.upper_bound) == (1.0, 1.0, 1.0)
+    assert out.verification_phases == 1 and out.cancelled_verifications == 0
+    assert [ev[5:7] for ev in events if ev[0] == "verify"] == [(True, True)]  # up and down
+
+
+def test_ovi_certifies_the_slow_chain_pmax_without_precomputation():
+    # Without prob1 the slow chain's pmax is 1 everywhere but settled by no
+    # precomputation.  The guesses clamp to 1.0, which no sweep moves: each
+    # such sweep was cancelled as "up", 68 phases and 15 780 sweeps ending
+    # in no-certificate.  Certified once the certify test comes first.
+    doc = generate_slow_chain(10, HALF)
+    out = solve(doc.model, make_property("pmax", [10]),
+                SolveOptions(method="ovi", precomp="none")).outcome
+    assert out.certified and out.status == "ok"
+    assert (out.lower_bound.hex(), out.upper_bound) == ((0.99999904652441807).hex(), 1.0)
+    assert out.iterations == 7091
+    assert out.cancelled_verifications < out.verification_phases
 
 
 def test_ovi_global_sweep_cap():
