@@ -35,7 +35,12 @@ self-loop, a repeat of a branch term `p*(r+x[t])` before t is next written
 loop), and, where every weight is positive and every reward
 positive-signed, the `0.0 +` that starts each choice sum; the last is
 exact only from vectors with no negative or -0.0 entry, which interval
-iteration checks before it calls a runner.  A phase of more than
+iteration checks before it calls a runner.  In such a phase the runner
+also stops sweeping the upper vector once a whole sweep has left it as it
+was: u-sums read only `u`, so every later sweep would too, and the runner
+sweeps `v` alone from then on.  The benchmark chains' upper vectors, which
+start at the emax bound, settle within their first 31 sweeps of 793 to
+6 713.  A phase of more than
 _LOCAL_BRANCHES branches stays with `_sweep`.  Runners are kept per
 process in a plain dict keyed by the phase itself (`_RUNNERS`, by
 `_phase_key`), emptied when full, so a phase repeated in the process
@@ -306,10 +311,11 @@ def _sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
 #: `_RUNNERS` and runs it from sweep 0.
 COMPILE_AFTER_SWEEPS = 256
 
-#: sweeps a seedless phase runner runs between two checks of whether its
-#: upper vector has settled; a check snapshots `u` and compares it after
-#: the next sweep, so a runner enters its v-only loop at most 17 sweeps
-#: after `u`'s last change, and a sweep between checks costs nothing more
+#: sweeps a seedless phase runner waits after a failed check before it
+#: snapshots `u` again (`_compile_phase`'s settle rule).  A check builds
+#: two tuples of the phase's `u` values, which a runner whose `u` never
+#: settles pays once per 17 sweeps; a runner stops sweeping a settled `u`
+#: at most 17 sweeps after its last change
 _SETTLE_CHECK_SWEEPS = 16
 
 #: branches per statement of a choice sum, so that the compiler never sees a
@@ -317,9 +323,10 @@ _SETTLE_CHECK_SWEEPS = 16
 _STATEMENT_BRANCHES = 32
 
 #: the most branches a phase runner holds in local variables.  CPython's
-#: parser and compiler hold the whole source of a runner at once, about 11 KB
-#: per branch at the compile's peak (tracemalloc, Python 3.11), so this
-#: bounds one compile near 3 MB.  A larger phase stays with `_sweep`.
+#: parser and compiler hold the whole source of a runner at once, about 10
+#: KB per branch at the compile's peak (tracemalloc: 9.6 KB on Python 3.11,
+#: 11.7 KB on 3.12), so this bounds one compile near 2.5 to 3 MB.  A larger
+#: phase stays with `_sweep`.
 _LOCAL_BRANCHES = 256
 
 #: how a runner ended other than by its stop test: at the sweep cap, or past the deadline
@@ -404,13 +411,22 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
     the stop test, _CAPPED or _LATE otherwise.
 
     Every state of `order` becomes a few statements with its probabilities,
-    rewards and targets as literals; the operations and their order are
-    those of `_sweep`, so every float comes out bit-identical.  Every value
-    the runner reads sits in a local variable, loaded before the loop and
-    stored back after it.  Returns None, and the caller stays with `_sweep`,
-    for a phase of more than _LOCAL_BRANCHES branches, and where a state has
-    no choice, a target out of range, or a non-float or non-finite constant:
-    the source holds only `repr` of finite floats and int indices.
+    rewards and targets as literals.  A runner sweep first updates `u` over
+    the whole order, then `v`, and tests each state for a crossing right
+    after its new `v`.  A u-sum reads only `u` and a v-sum only `v`, so
+    every sum performs `_sweep`'s operations in its order on the values
+    `_sweep` gives it, and each crossing test sees the state's two new
+    values: every float, the sweep count and the first crossing state come
+    out as in `_sweep`.  Every value the runner reads sits in a local
+    variable, loaded before the loop (one `itemgetter` call per vector) and
+    stored back after it (one loop per vector), which keeps the source a
+    tenth shorter than a statement per value would.  Returns None, and the
+    caller stays with `_sweep`, for a phase of more than _LOCAL_BRANCHES
+    branches, for an empty order or one that names a state twice (`_sweep`
+    tests such a state between its two updates), and where a state has no
+    choice, a
+    target out of range, or a non-float or non-finite constant: the source
+    holds only `repr` of finite floats and int indices.
 
     Common terms.  A term's value depends only on its text and on the one
     variable it reads, so the runner computes it once while that variable
@@ -442,19 +458,36 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
     terms; the first term is never -0.0, so every sum equals `_sweep`'s bit
     for bit, and each state stores one of these sums, positive-signed
     again.  The runner never writes a state outside `order`.
+
+    The settle rule.  A seedless phase's runner stops sweeping `u` once one
+    whole sweep has left every `u` value as it was; from then on a sweep
+    updates `v` alone and keeps every other operation: the crossing tests
+    against the settled `u`, the width test, the cap and the deadline.  This
+    is exact: a u-sum reads only `u` and constants, so a sweep that changes
+    no `u` value repeats itself at every later sweep.  The runner tells by
+    `==`, which is bit equality for these values: they are positive-signed
+    (the seed rule), so no -0.0 meets a +0.0, and a NaN equals nothing, so
+    it never settles.  The check costs a sweep between checks nothing: it
+    sits behind the cap test, `k >= lim` with `lim <= cap`.  A check
+    snapshots `u` and sets `lim` to the next sweep; after that one sweep it
+    compares (the first state's value first, which in a phase whose `u`
+    still moves ends the comparison at once), and on a difference sets
+    `lim` _SETTLE_CHECK_SWEEPS sweeps on (at most to the cap) for the next
+    snapshot.  So a runner stops sweeping `u` at most
+    _SETTLE_CHECK_SWEEPS + 1 sweeps after its last change.  Signed phases
+    sweep both vectors in every sweep.
     """
     n = len(kernel)
     if not (type(s_init) is int and 0 <= s_init < n) or not all(
             type(s) is int and 0 <= s < n and _compilable(kernel[s], n) for s in order):
         return None
     if sum(len(b) for s in order for b in kernel[s]) > _LOCAL_BRANCHES \
-            or len(set(order)) < len(order):
+            or not order or len(set(order)) < len(order):
         return None
     seedless = all(p > 0.0 and math.copysign(1.0, r) > 0.0
                    for s in order for b in kernel[s] for p, r, _ in b)
     read = sorted({t for s in order for b in kernel[s] for _, _, t in b}
                   | set(order) | {s_init})
-    written = sorted(order)
     uses: Counter = Counter()
     temps: dict[tuple, str] = {}
     hoisted: list[str] = []
@@ -490,7 +523,7 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
     lower, upper = sweeps
 
     def pack(vec: str) -> str:
-        return "(" + "".join(f"{vec}{s}, " for s in written) + ")"
+        return "(" + "".join(f"{vec}{s}, " for s in order) + ")"
 
     top = ["        if k >= cap:",
            f"            end = {_CAPPED}",
@@ -501,7 +534,7 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
                "            if snap is None:",
                f"                snap = {pack('u')}",
                "                lim = k + 1",
-               f"            elif snap == {pack('u')}:",
+               f"            elif snap[0] == u{order[0]} and snap == {pack('u')}:",
                "                moving = False",
                "                lim = cap",
                "            else:",
@@ -515,6 +548,7 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
         "    " + ", ".join(f"u{t}" for t in read) + " = load(u)",
         *hoisted,
         *(["    lim = k", "    snap = None", "    moving = True"] if seedless else []),
+        "    c = -1",  # a sweep that sets c ends the loop, so every sweep starts at -1
         "    while True:",
         *top,
         "        if deadline is not None and time.perf_counter() > deadline:",
@@ -522,7 +556,6 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
         "            break",
         "        k += 1",
         *("        " + line for line in upper),
-        "        c = -1",
         *("        " + line for line in lower),
         f"        if c >= 0 or u{s_init} - v{s_init} <= (eps * v{s_init} if rel else eps):",
         "            end = c",
@@ -531,7 +564,7 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
         f"    for t, x in zip(written, {pack('u')}): u[t] = x",
         "    return k, end"])
     namespace: dict = {"__builtins__": {}, "time": time, "zip": zip,
-                       "load": operator.itemgetter(*read), "written": tuple(written)}
+                       "load": operator.itemgetter(*read), "written": tuple(order)}
     exec(compile(source, "<compiled phase>", "exec"), namespace)
     return namespace.pop("run")
 
@@ -561,9 +594,10 @@ def _phase_key(kernel: Kernel, order: Sequence[int], maximize: bool,
         return None
 
 
-#: compiled runners kept per process.  A runner of 230 to 237 branches
-#: retains 30 to 41 KB and its key 7.5 KB (tracemalloc, Python 3.11), so a
-#: full cache holds under 2 MB.
+#: compiled runners kept per process.  A runner of 230 to 251 branches
+#: retains 35 to 37 KB and its key 7.3 to 7.9 KB; the `sweep` workload's
+#: four chain runners (19 to 79 branches) retain 38 KB with their keys
+#: (tracemalloc, Python 3.11).  So a full cache holds under 1.5 MB.
 _RUNNER_CACHE_SIZE = 32
 
 #: compiled phase runners by `_phase_key`, emptied when full; every access

@@ -368,6 +368,21 @@ def test_targets_out_of_range_stay_generic(monkeypatch):
     assert compiled == [None]
 
 
+def test_orders_that_repeat_a_state_stay_generic(monkeypatch):
+    # A runner sweeps `u` before `v` and tests each state for a crossing
+    # after its new `v`; `_sweep` tests a state named twice between its two
+    # updates, so such an order, and an empty one, keep `_sweep`.
+    problem, prop, upper, _ = chain_phase(8, HALF)
+    for order in ([3, 2, 1, 0, 4, 5, 6, 7, 2], []):
+        assert _compile_phase(problem.kernel, order, True, 0) is None
+        want = ii_ending(problem, upper, order, max_sweeps=300, observer=lambda *event: None)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 0)
+            compiled, _ = spy_runners(patch)
+            assert ii_ending(problem, upper, order, max_sweeps=300) == want
+        assert compiled == [None]
+
+
 def test_compiled_sweep_splits_long_sums_and_many_choices():
     # One choice of 100 branches becomes statements of 32 terms; the next
     # state has 40 choices, many with equal sums.
@@ -928,10 +943,10 @@ def test_runner_sources_drop_seed_unit_weights_and_interval_temporaries(weight, 
 
 
 def test_compile_memory_stays_bounded():
-    # A compile holds about 11 KB per branch, so a phase of 235 branches,
-    # below the cap of 256, peaks near 2.5 MB (tracemalloc, Python 3.11).  A
-    # phase of 2 000+ branches, which would hold about 20 MB, is not
-    # compiled.
+    # A compile holds about 10 KB per branch, so a phase of 235 branches,
+    # below the cap of 256, peaks near 2.3 MB (tracemalloc, Python 3.11;
+    # 2.8 MB on 3.12).  A phase of 2 000+ branches, which would hold about
+    # 20 MB, is not compiled.
     def problem(seed, n, goals):
         doc = generate_random(seed, n, 3, 4, 4, goals)
         targets = sorted(doc.declared_goals)
