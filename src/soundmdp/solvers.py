@@ -300,13 +300,15 @@ def _sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
 
 #: generic sweeps interval iteration runs before it compiles its phase.  On
 #: the benchmark's four slow chains (phases of 19 to 79 branches) a compile
-#: costs as much as 210 to 250 generic two-vector sweeps (1.3 to 4.4 ms), and
-#: a runner sweep is 5.1 to 5.2 times faster than a generic one, so a compile
-#: is repaid 260 to 320 sweeps after the switch (medians of 5 in-process
-#: runs, shared 2-core x86-64 host, Python 3.11.7).  At 256 the generic
-#: sweeps have cost about one compile when the switch comes, so a phase that
-#: ends right after it pays at most about twice its generic cost, and every
-#: long phase gains.  Only a phase's first run in the process runs these
+#: costs as much as 190 to 250 generic two-vector sweeps (1.1 to 3.1 ms).  A
+#: runner sweep is 8.5 to 9.1 times faster than a generic one once `u` has
+#: settled, as it has on these chains long before sweep 256, and 4.7 to 5.1
+#: times while `u` still moves, so a compile is repaid 215 to 270 sweeps
+#: after the switch (250 to 320 while `u` moves; medians of 15 to 21
+#: in-process runs, shared 2-core x86-64 host, Python 3.11.7).  At 256 the
+#: generic sweeps have cost about one compile when the switch comes, so a
+#: phase that ends right after it pays at most about twice its generic
+#: cost, and every long phase gains.  Only a phase's first run in the process runs these
 #: generic sweeps and pays the compile: a repeat finds its runner in
 #: `_RUNNERS` and runs it from sweep 0.
 COMPILE_AFTER_SWEEPS = 256
