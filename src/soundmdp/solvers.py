@@ -308,16 +308,16 @@ def _sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
 #: in-process runs, shared 2-core x86-64 host, Python 3.11.7).  At 256 the
 #: generic sweeps have cost about one compile when the switch comes, so a
 #: phase that ends right after it pays at most about twice its generic
-#: cost, and every long phase gains.  Only a phase's first run in the process runs these
-#: generic sweeps and pays the compile: a repeat finds its runner in
-#: `_RUNNERS` and runs it from sweep 0.
+#: cost, and every long phase gains.  Only a phase's first run in the
+#: process runs these generic sweeps and pays the compile: a repeat finds
+#: its runner in `_RUNNERS` and runs it from sweep 0.
 COMPILE_AFTER_SWEEPS = 256
 
 #: sweeps a seedless phase runner waits after a failed check before it
-#: snapshots `u` again (`_compile_phase`'s settle rule).  A check builds
-#: two tuples of the phase's `u` values, which a runner whose `u` never
-#: settles pays once per 17 sweeps; a runner stops sweeping a settled `u`
-#: at most 17 sweeps after its last change
+#: snapshots `u` again (`_compile_phase`'s settle rule).  A check builds a
+#: tuple of the phase's `u` values, which a runner whose `u` never settles
+#: pays once per 17 sweeps; a runner stops sweeping a settled `u` at most 17
+#: sweeps after its last change
 _SETTLE_CHECK_SWEEPS = 16
 
 #: branches per statement of a choice sum, so that the compiler never sees a
@@ -426,9 +426,8 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
     caller stays with `_sweep`, for a phase of more than _LOCAL_BRANCHES
     branches, for an empty order or one that names a state twice (`_sweep`
     tests such a state between its two updates), and where a state has no
-    choice, a
-    target out of range, or a non-float or non-finite constant: the source
-    holds only `repr` of finite floats and int indices.
+    choice, a target out of range, or a non-float or non-finite constant:
+    the source holds only `repr` of finite floats and int indices.
 
     Common terms.  A term's value depends only on its text and on the one
     variable it reads, so the runner computes it once while that variable

@@ -559,9 +559,9 @@ def last_upper_change(problem, prop, upper, order):
 
 
 def u_sweeps_skipped(run):
-    """Runs `run()` with the compiled runners' lines traced.  Returns the
-    sweep count at the first sweep that skipped the u-sweep, or None, and
-    the number of sweeps that ran it."""
+    """Runs `run()` with the compiled runners' lines traced.  Returns its
+    result, the sweep count at the first sweep that skipped the u-sweep (or
+    None), and the number of sweeps that ran the u-sweep."""
     skipped, ran = [], []
 
     def local(frame, event, arg):
@@ -622,7 +622,7 @@ def endings_agree(problem, order, v, u, caps, eps=2e-6, deadline=None, relative_
 CHECK_CAPS = (1, 2, 3, 16, 17, 18, 19, 33, 34, 35, 36, 37, 40)
 
 
-def test_runner_on_a_upper_vector_settled_from_sweep_0():
+def test_runner_on_an_upper_vector_settled_from_sweep_0():
     # The first check compares after sweep 1 and the runner skips the
     # u-sweep from sweep 2; every cap, and the width test, ends as `_sweep`'s.
     problem, prop, upper, order = chain_phase(10, HALF)
@@ -637,7 +637,7 @@ def test_runner_on_a_upper_vector_settled_from_sweep_0():
     assert result == endings[-1] and (first, ran) == (2, 1)
 
 
-def test_runner_on_a_upper_vector_that_settles_after_sweep_31():
+def test_runner_on_an_upper_vector_that_settles_after_sweep_31():
     # chain-16's `u` last changes in sweep 31: the checks after sweeps 1 and
     # 18 fail, the one after sweep 35 passes.
     problem, prop, upper, order = chain_phase(16, Fraction(2, 3))
@@ -651,7 +651,7 @@ def test_runner_on_a_upper_vector_that_settles_after_sweep_31():
     assert u_sweeps_skipped(runner) == ((5740, -1), 36, 35)
 
 
-def test_runner_on_a_upper_vector_that_never_settles():
+def test_runner_on_an_upper_vector_that_never_settles():
     # Under the forward order chain-10's `u` moves in every sweep of the
     # phase: every check fails and every sweep runs the u-sweep (traced
     # over the first 500).
