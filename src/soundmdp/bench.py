@@ -11,13 +11,8 @@ relative to the suite file.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
-import io
 import math
-import shlex
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import IterationCapExceeded, ParseError, PipelineError, SolveTimeout, SoundMdpError
@@ -34,8 +29,11 @@ def make_solve_arg_parser(prog: str = "solve", suite_mode: bool = False) -> argp
     p = argparse.ArgumentParser(prog=prog, add_help=not suite_mode)
     p.add_argument("model", help="path to an MDPX model file")
     p.add_argument("--prop", required=True, choices=[k.value for k in PropertyKind])
-    p.add_argument("--goal", nargs="+", default=(), metavar="STATE",
-                   help="goal states (labels or ids); defaults to the file's goal declaration")
+    # `extend` copies the list default before adding to it, so repeated flags
+    # accumulate and the parser, built once per process, is left as it was.
+    p.add_argument("--goal", nargs="+", action="extend", default=[], metavar="STATE",
+                   help="goal states (labels or ids), repeatable; defaults to the file's "
+                        "goal declaration")
     p.add_argument("--method", default="ovi", choices=["vi", "ovi", "ii", "oracle"])
     p.add_argument("--epsilon", type=float, default=1e-6,
                    help="required result half-width (ignored by the oracle)")
@@ -65,17 +63,16 @@ def make_solve_arg_parser(prog: str = "solve", suite_mode: bool = False) -> argp
     return p
 
 
-@dataclass
 class RunRequest:
-    model_path: Path
-    prop_kind: str
-    goal_tokens: list[str]
-    epsilon: float
-    width: str
-    options: SolveOptions
-    instance: str
-    ref: float | None = None
-    exclude_trivial: bool = False
+    __slots__ = ("model_path", "prop_kind", "goal_tokens", "epsilon", "width", "options",
+                 "instance", "ref", "exclude_trivial")
+
+    def __init__(self, model_path: Path, prop_kind: str, goal_tokens: list[str], epsilon: float,
+                 width: str, options: SolveOptions, instance: str, ref: float | None = None,
+                 exclude_trivial: bool = False) -> None:
+        self.model_path, self.prop_kind, self.goal_tokens = model_path, prop_kind, goal_tokens
+        self.epsilon, self.width, self.options = epsilon, width, options
+        self.instance, self.ref, self.exclude_trivial = instance, ref, exclude_trivial
 
 
 def request_from_args(args: argparse.Namespace, base_dir: Path,
@@ -189,6 +186,10 @@ def format_value(x: float | None) -> str:
 
 
 def parse_suite(path: Path) -> list[RunRequest]:
+    # csv, io and shlex are imported where `bench` and `compare` use them:
+    # no `soundmdp solve` needs them.
+    import shlex
+
     parser = make_solve_arg_parser("suite-line", suite_mode=True)
     requests: list[RunRequest] = []
     seen: dict[str, int] = {}
@@ -223,8 +224,10 @@ def run_suite(suite_path: Path, output_path: Path, reps: int = 3,
         if type(count) is not int or count < 1:
             raise PipelineError(f"{name} must be a positive integer, not {count!r}")
     requests = parse_suite(suite_path)
-    for req in requests:
-        req.options = dataclasses.replace(req.options, timeout=timeout)
+    for req in requests:  # new options, checked again with the suite's timeout
+        o = req.options
+        req.options = SolveOptions(o.method, o.precomp, o.ec_elim, o.error_mode, o.epsilon_vi,
+                                   o.max_sweeps, o.order, timeout)
     all_reps = [reps] * len(requests)
     if jobs > 1:
         # Imported here: the process pool loads concurrent.futures.process and
@@ -234,6 +237,8 @@ def run_suite(suite_path: Path, output_path: Path, reps: int = 3,
             rows = list(pool.map(_request_row, requests, all_reps))
     else:
         rows = list(map(_request_row, requests, all_reps))
+
+    import csv
 
     with output_path.open("w", newline="") as fh:
         fh.write(f"# soundmdp bench reps={reps} timeout={timeout} jobs={jobs} "
@@ -249,6 +254,9 @@ def run_suite(suite_path: Path, output_path: Path, reps: int = 3,
 
 
 def read_result_csv(path: Path) -> dict[str, dict]:
+    import csv
+    import io
+
     text = "\n".join(ln for ln in _read_text(path).splitlines() if not ln.startswith("#"))
     out: dict[str, dict] = {}
     for row in csv.DictReader(io.StringIO(text)):
@@ -264,13 +272,15 @@ def _ratio(a: float, b: float) -> float:
     return b / a
 
 
-@dataclass
 class Comparison:
-    rows: list[tuple[str, float, float]] = field(default_factory=list)  # instance, time, sweeps
-    time_over_2x: int = 0
-    time_under_half: int = 0
-    sweeps_over_2x: int = 0
-    sweeps_under_half: int = 0
+    __slots__ = ("rows", "time_over_2x", "time_under_half", "sweeps_over_2x", "sweeps_under_half")
+
+    def __init__(self, rows: list[tuple[str, float, float]] | None = None,  # instance, time, sweeps
+                 time_over_2x: int = 0, time_under_half: int = 0, sweeps_over_2x: int = 0,
+                 sweeps_under_half: int = 0) -> None:
+        self.rows = [] if rows is None else rows
+        self.time_over_2x, self.time_under_half = time_over_2x, time_under_half
+        self.sweeps_over_2x, self.sweeps_under_half = sweeps_over_2x, sweeps_under_half
 
 
 def _measures(path: Path) -> dict[str, tuple[float, float]]:

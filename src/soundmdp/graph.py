@@ -7,9 +7,8 @@ it does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ModelError
 from .model import Branch, Mdp, Transition, _check_states
@@ -187,16 +186,14 @@ def s_infinity(model: Mdp, goals: Iterable[int], opt: str) -> StateSet:
     return frozenset(set(model.states) - sure)
 
 
-@dataclass(frozen=True)
 class EndComponent:
     """A maximal end component: its states and, per state, the kept transition
     indices (all of whose branches are zero-reward and stay inside)."""
 
-    states: StateSet
-    kept_transitions: dict[int, tuple[int, ...]]
+    __slots__ = ("states", "kept_transitions")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", frozenset(self.states))
+    def __init__(self, states: Iterable[int], kept_transitions: dict[int, tuple[int, ...]]) -> None:
+        self.states, self.kept_transitions = frozenset(states), kept_transitions
 
 
 def _sccs(nodes: Sequence[int], succ: dict[int, list[int]]) -> list[list[int]]:
@@ -303,8 +300,7 @@ def mec_decomposition(model: Mdp) -> list[EndComponent]:
     return result
 
 
-@dataclass(frozen=True)
-class QuotientMap:
+class QuotientMap(NamedTuple):
     """Result of collapsing end components: the quotient model plus state maps.
 
     representative: original state -> representative original state (idempotent);

@@ -4,9 +4,10 @@ States are dense integers 0..n-1.  Every numeric field is kept twice: as the
 binary64 value used by the iterative solvers, and as an exact rational used by
 the oracle.  Transforms preserve both representations.
 
-`Branch` and `Transition` are named tuples: immutable, compared and hashed by
-their fields, and without a per-instance dict, so a model of many branches is
-cheap to build and hold.  Model data holds no reference cycles; reference
+`Branch`, `Transition`, `Mdp` and `Violation` are named tuples: immutable,
+compared and hashed by their fields, and without a per-instance dict, so a
+model of many branches is cheap to build and hold.  `Property` checks its
+fields when it is built.  Model data holds no reference cycles; reference
 counting frees it, and `collector_paused` lets the layers that build it skip
 the cyclic garbage collector's passes over it.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 import gc
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Union
@@ -94,8 +94,7 @@ def transition(branches: Iterable[Branch], label: str | None = None) -> Transiti
     return Transition(tuple(branches), label)
 
 
-@dataclass(frozen=True)
-class Mdp:
+class Mdp(NamedTuple):
     """A finite MDP: dense states 0..num_states-1, one initial state, per-state transitions."""
 
     num_states: int
@@ -132,16 +131,14 @@ class PropertyKind(str, Enum):
         return "max" if self in (PropertyKind.PMAX, PropertyKind.EMAX) else "min"
 
 
-@dataclass(frozen=True)
 class Property:
     """A reachability or expected-reward query with its required result width."""
 
-    kind: PropertyKind
-    goals: frozenset[int]
-    epsilon: float = 1e-6
-    width: str = "relative"  # "relative" | "absolute"
+    __slots__ = ("kind", "goals", "epsilon", "width")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: PropertyKind, goals: frozenset[int], epsilon: float = 1e-6,
+                 width: str = "relative") -> None:
+        self.kind, self.goals, self.epsilon, self.width = kind, goals, epsilon, width
         if not self.goals:
             raise ModelError("property needs at least one goal state")
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
@@ -155,8 +152,7 @@ def make_property(kind: str | PropertyKind, goals: Iterable[int],
     return Property(PropertyKind(kind), frozenset(goals), epsilon, width)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One structural rule broken by a model, pointing at the offending spot."""
 
     state: int
@@ -223,7 +219,7 @@ def make_goals_absorbing(model: Mdp, goals: Iterable[int]) -> Mdp:
     goal_set = _check_states(model, goals, "goals")
     loop = {g: (transition([branch(Fraction(1), Fraction(0), g)]),) for g in goal_set}
     new = tuple(loop.get(s, ts) for s, ts in enumerate(model.transitions))
-    return replace(model, transitions=new)
+    return model._replace(transitions=new)
 
 
 def strip_rewards(model: Mdp) -> Mdp:
@@ -235,11 +231,11 @@ def strip_rewards(model: Mdp) -> Mdp:
               for t in ts)
         for ts in model.transitions
     )
-    return replace(model, transitions=new)
+    return model._replace(transitions=new)
 
 
 def rebase_initial(model: Mdp, state: int) -> Mdp:
     """Return the same model with a different initial state."""
     if not (0 <= state < model.num_states):
         raise ModelError(f"unknown state id {state} in rebase_initial")
-    return replace(model, initial=state)
+    return model._replace(initial=state)

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, islice, repeat
 from math import fsum
 from operator import itemgetter, lt, sub
@@ -39,26 +38,30 @@ from .model import (PROBABILITY_SUM_TOLERANCE, Branch, Mdp, Number, Transition, 
 FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
 class ModelDocument:
-    """A parsed model together with its label table and optional goal declaration."""
+    """A parsed model together with its label table and optional goal declaration.
 
-    model: Mdp
-    named_states: dict[str, int] = field(default_factory=dict)
-    declared_goals: frozenset[int] | None = None
-    format_version: int = FORMAT_VERSION
+    Documents are equal when their four fields are."""
 
-    @cached_property
-    def _label_by_state(self) -> dict[int, str]:
-        """Inverse of named_states, derived on first use."""
-        out: dict[int, str] = {}
-        for name, sid in self.named_states.items():
-            out.setdefault(sid, name)
-        return out
+    __slots__ = ("model", "named_states", "declared_goals", "format_version", "_labels")
+
+    def __init__(self, model: Mdp, named_states: dict[str, int] | None = None,
+                 declared_goals: frozenset[int] | None = None,
+                 format_version: int = FORMAT_VERSION) -> None:
+        self.model, self.named_states = model, {} if named_states is None else named_states
+        self.declared_goals, self.format_version = declared_goals, format_version
+        self._labels: dict[int, str] | None = None  # inverse of named_states, built on first use
+
+    def __eq__(self, other: object) -> bool:
+        fields = ("model", "named_states", "declared_goals", "format_version")
+        return type(other) is type(self) and all(
+            getattr(self, f) == getattr(other, f) for f in fields)
 
     def label_of(self, state: int) -> str | None:
         """The first label, in insertion order, that names the state."""
-        return self._label_by_state.get(state)
+        if self._labels is None:
+            self._labels = {sid: name for name, sid in reversed(self.named_states.items())}
+        return self._labels.get(state)
 
     def resolve_state(self, token: str) -> int:
         """Map an id or label to a state id."""

@@ -51,7 +51,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
 
 from .errors import PipelineError
 from .graph import (eliminate_end_components, goal_distance_order, mec_decomposition,
@@ -68,20 +67,23 @@ METHODS = ("vi", "ovi", "ii", "oracle")
 ORDERS = ("goal-distance", "forward", "reverse")
 
 
-@dataclass(frozen=True)
 class SolveOptions:
     """How to solve a request; every field is checked when the options are built."""
 
-    method: str = "ovi"
-    precomp: str = "required"  # "required" | "none"
-    ec_elim: str = "auto"      # "auto" | "force" | "off"
-    error_mode: str = "relative"
-    epsilon_vi: float | None = None  # defaults to the property epsilon
-    max_sweeps: int = DEFAULT_SWEEP_CAP
-    order: str = "goal-distance"  # | "forward" | "reverse" | "random[:<seed>]"
-    timeout: float | None = None
+    __slots__ = ("method", "precomp", "ec_elim", "error_mode", "epsilon_vi", "max_sweeps",
+                 "order", "timeout")
 
-    def __post_init__(self) -> None:
+    def __init__(self, method: str = "ovi",
+                 precomp: str = "required",  # "required" | "none"
+                 ec_elim: str = "auto",      # "auto" | "force" | "off"
+                 error_mode: str = "relative",
+                 epsilon_vi: float | None = None,  # defaults to the property epsilon
+                 max_sweeps: int = DEFAULT_SWEEP_CAP,
+                 order: str = "goal-distance",  # | "forward" | "reverse" | "random[:<seed>]"
+                 timeout: float | None = None) -> None:
+        self.method, self.precomp, self.ec_elim = method, precomp, ec_elim
+        self.error_mode, self.epsilon_vi, self.max_sweeps = error_mode, epsilon_vi, max_sweeps
+        self.order, self.timeout = order, timeout
         if self.method not in METHODS:
             raise PipelineError(f"unknown method {self.method!r}")
         if self.precomp not in ("required", "none"):
@@ -100,16 +102,21 @@ class SolveOptions:
         _random_seed(self.order)  # rejects an unknown order
 
 
-@dataclass
 class PipelineResult:
-    outcome: SolveOutcome
-    prop: Property
-    options: SolveOptions
-    precomp_time: float = 0.0
-    transform_time: float = 0.0
-    applied: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    exact_value: object = None  # Fraction or math.inf when method == "oracle"
+    """What `solve` did: the outcome, the request, and the transforms that ran."""
+
+    __slots__ = ("outcome", "prop", "options", "precomp_time", "transform_time", "applied",
+                 "warnings", "exact_value")
+
+    def __init__(self, outcome: SolveOutcome, prop: Property, options: SolveOptions,
+                 precomp_time: float = 0.0, transform_time: float = 0.0,
+                 applied: list[str] | None = None, warnings: list[str] | None = None,
+                 exact_value: object = None) -> None:  # Fraction or math.inf for "oracle"
+        self.outcome, self.prop, self.options = outcome, prop, options
+        self.precomp_time, self.transform_time = precomp_time, transform_time
+        self.applied = [] if applied is None else applied
+        self.warnings = [] if warnings is None else warnings
+        self.exact_value = exact_value
 
 
 def _plan(kind: PropertyKind, options: SolveOptions) -> tuple[bool, bool]:

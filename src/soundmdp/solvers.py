@@ -96,9 +96,7 @@ import math
 import operator
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
@@ -119,27 +117,28 @@ def _compile_kernel(model: Mdp) -> Kernel:
     )
 
 
-@dataclass(frozen=True)
 class BellmanProblem:
     """A fixed-point problem: update states in `unknowns`, hold the rest at their seeds."""
 
-    model: Mdp
-    opt: str  # "max" | "min"
-    unknowns: frozenset[int]
-    seed: tuple[float, ...]
-    probability_mode: bool
-    unique_fixed_point: bool = False
+    __slots__ = ("model", "opt", "unknowns", "seed", "probability_mode", "unique_fixed_point",
+                 "kernel")
 
-    def __post_init__(self) -> None:
+    def __init__(self, model: Mdp, opt: str, unknowns: frozenset[int], seed: tuple[float, ...],
+                 probability_mode: bool, unique_fixed_point: bool = False) -> None:
+        self.model, self.opt, self.unknowns, self.seed = model, opt, unknowns, seed
+        self.probability_mode, self.unique_fixed_point = probability_mode, unique_fixed_point
         if self.opt not in ("max", "min"):
             raise SolverError(f"unknown opt {self.opt!r}")
         if len(self.seed) != self.model.num_states:
             raise SolverError("seed vector length does not match the state count")
 
-    @cached_property
-    def kernel(self) -> Kernel:
-        """Built on first use, so a solve that runs no sweep never pays for it."""
-        return _compile_kernel(self.model)
+    def __getattr__(self, name: str) -> Kernel:
+        # Reached only while a slot is unset: `kernel` is built on first use,
+        # so a solve that runs no sweep never pays for it.
+        if name != "kernel":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.kernel = kernel = _compile_kernel(self.model)
+        return kernel
 
     def sweep(self, order: Sequence[int], relative: bool, v: list[float],
               u: list[float] | None = None) -> tuple[float, bool, bool, int]:
@@ -176,14 +175,13 @@ def reward_problem(model: Mdp, goals: Iterable[int], opt: str, s_inf: Iterable[i
     return BellmanProblem(model, opt, unknowns, seed, False, unique_fixed_point)
 
 
-@dataclass(frozen=True)
 class ErrorCriterion:
     """Stopping rule for an iteration phase: relative skips zero values."""
 
-    mode: str = "relative"  # "relative" | "absolute"
-    epsilon_vi: float = 1e-6
+    __slots__ = ("mode", "epsilon_vi")
 
-    def __post_init__(self) -> None:
+    def __init__(self, mode: str = "relative", epsilon_vi: float = 1e-6) -> None:
+        self.mode, self.epsilon_vi = mode, epsilon_vi
         if self.mode not in ("relative", "absolute"):
             raise SolverError(f"unknown error mode {self.mode!r}")
         # SolveOptions' rule for epsilon-vi: one of 0 or below, or NaN, is never
@@ -192,20 +190,19 @@ class ErrorCriterion:
             raise SolverError(f"epsilon_vi must be a positive finite real, not {self.epsilon_vi!r}")
 
 
-@dataclass
 class SolveOutcome:
-    value: float
-    lower_bound: float | None
-    upper_bound: float | None
-    iterations: int
-    verification_phases: int = 0
-    cancelled_verifications: int = 0
-    wall_time: float = 0.0
-    method: str = ""
-    certified: bool = False
-    status: str = "ok"  # "ok" | "no-certificate"
+    __slots__ = ("value", "lower_bound", "upper_bound", "iterations", "verification_phases",
+                 "cancelled_verifications", "wall_time", "method", "certified", "status")
 
-    def __post_init__(self) -> None:
+    def __init__(self, value: float, lower_bound: float | None, upper_bound: float | None,
+                 iterations: int, verification_phases: int = 0,
+                 cancelled_verifications: int = 0, wall_time: float = 0.0, method: str = "",
+                 certified: bool = False,
+                 status: str = "ok") -> None:  # "ok" | "no-certificate"
+        self.value, self.lower_bound, self.upper_bound = value, lower_bound, upper_bound
+        self.iterations, self.verification_phases = iterations, verification_phases
+        self.cancelled_verifications, self.wall_time = cancelled_verifications, wall_time
+        self.method, self.certified, self.status = method, certified, status
         if self.lower_bound is not None and self.upper_bound is not None:
             if not (self.lower_bound <= self.value <= self.upper_bound):
                 raise SolverError("outcome bounds do not bracket the value")
@@ -1123,7 +1120,10 @@ def rounding_widened(problem: BellmanProblem, outcome: SolveOutcome,
         upper = math.nextafter(math.nextafter(outcome.upper_bound * factor, up)
                                + k * updates * _TINY, up)
     upper = min(upper, start)
-    return replace(outcome, value=0.5 * (outcome.lower_bound + upper), upper_bound=upper)
+    return SolveOutcome(0.5 * (outcome.lower_bound + upper), outcome.lower_bound, upper,
+                        outcome.iterations, outcome.verification_phases,
+                        outcome.cancelled_verifications, outcome.wall_time, outcome.method,
+                        outcome.certified, outcome.status)
 
 
 _NO_BOUND = ("no finite reward upper bound derivable; "

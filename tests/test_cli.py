@@ -468,3 +468,39 @@ def test_cli_import_leaves_the_process_pool_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": src}).stdout
     assert out == "[]\n"
+
+
+def test_repeated_goal_flags_accumulate(me_file, tmp_path, capsys):
+    # `--goal s+ --goal s-` means `--goal s+ s-`, on the command line and on
+    # a suite line; each flag used to replace the goals of the one before.
+    def report(*goal_flags):
+        assert main(["solve", str(me_file), "--prop", "pmax", *goal_flags]) == 0
+        return [line for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("time")]
+
+    both = report("--goal", "s+", "s-")
+    assert "property    pmax to {s+, s-}, epsilon 1e-06 (relative width)" in both
+    assert report("--goal", "s+", "--goal", "s-") == both
+    assert report("--goal", "s-", "--goal", "s+", "--goal", "s-") == both
+    # The parser is shared by every call in the process: its default stays empty.
+    assert _build_parser().parse_args(["solve", "m", "--prop", "pmax"]).goal == []
+
+    suite = tmp_path / "goals.suite"
+    suite.write_text(f"{me_file.name} --prop pmax --goal s+ s- --id both\n"
+                     f"{me_file.name} --prop pmax --goal s+ --goal s- --id repeated\n")
+    rows, ok = run_suite(suite, tmp_path / "goals.csv", reps=1, timeout=None)
+    assert ok and rows[0]["result"] == rows[1]["result"] == "1"
+
+
+def test_cli_import_leaves_dataclasses_inspect_csv_and_shlex_out():
+    # Every `soundmdp solve` pays for what importing soundmdp.cli loads.
+    # dataclasses (with inspect, ast, dis and tokenize) was a third of it;
+    # csv and shlex serve only `bench` and `compare`.  With -S no
+    # site-packages module can load them either.
+    code = ("import sys; sys.path.insert(0, 'src'); import soundmdp.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'csv', 'shlex') "
+            "if m in sys.modules))")
+    root = Path(soundmdp.__file__).resolve().parents[2]
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True, cwd=root).stdout
+    assert out == "[]\n"

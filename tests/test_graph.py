@@ -9,7 +9,7 @@ from soundmdp import (ModelError, eliminate_end_components,
                       generate_random, make_goals_absorbing,
                       make_property, mec_decomposition, oracle_exact, oracle_values,
                       prob0_set, prob1_set, s_infinity, strip_rewards)
-from soundmdp.graph import goal_distance_order, predecessor_index
+from soundmdp.graph import EndComponent, goal_distance_order, predecessor_index
 from soundmdp.model import Mdp, Transition
 
 from conftest import HALF, mdp_of, trap_instance
@@ -603,3 +603,9 @@ def test_eliminate_keeps_floats_rounded_from_exact_fields(seed):
             branches = [b for ts in m.transitions for t in ts for b in t.branches]
             assert [(p.hex(), r.hex(), q, pe, re) for p, r, q, pe, re in branches] == \
                 [(float(pe).hex(), float(re).hex(), q, pe, re) for _, _, q, pe, re in branches]
+
+
+def test_end_component_keeps_its_states_as_a_frozenset():
+    mec = EndComponent([2, 1, 2], {1: (0,), 2: (0,)})
+    assert type(mec.states) is frozenset and mec.states == {1, 2}
+    assert mec.kept_transitions == {1: (0,), 2: (0,)}

@@ -39,6 +39,32 @@ def golden_problem(me0):
 # ---------------------------------------------------------------------------
 # Bellman backups.
 
+def test_records_check_their_fields(me0):
+    with pytest.raises(SolverError, match="unknown opt 'mean'"):
+        solvers.BellmanProblem(me0, "mean", frozenset([0]), (0.0,) * 5, True)
+    with pytest.raises(SolverError, match="seed vector length does not match"):
+        solvers.BellmanProblem(me0, "max", frozenset([0]), (0.0,) * 4, True)
+    with pytest.raises(SolverError, match="unknown error mode 'squared'"):
+        ErrorCriterion("squared", 1e-6)
+    for bad in (0.0, -1e-6, math.nan, math.inf):
+        with pytest.raises(SolverError, match="epsilon_vi must be a positive finite real"):
+            ErrorCriterion("relative", bad)
+    for lower, value, upper in ((0.5, 0.4, 0.6), (0.5, 0.7, 0.6), (0.6, 0.55, 0.5)):
+        with pytest.raises(SolverError, match="outcome bounds do not bracket the value"):
+            solvers.SolveOutcome(value, lower, upper, 1)
+    # A one-sided or empty bracket is not checked.
+    assert solvers.SolveOutcome(0.7, 0.5, None, 1).upper_bound is None
+    assert solvers.SolveOutcome(0.5, None, None, 0).value == 0.5
+
+
+def test_problem_kernel_is_built_on_first_use(me0):
+    problem = golden_problem(me0)
+    kernel = problem.kernel
+    assert problem.kernel is kernel and len(kernel) == me0.num_states
+    with pytest.raises(AttributeError, match="has no attribute 'kernal'"):
+        problem.kernal
+
+
 def test_bellman_first_backup(me0):
     problem = golden_problem(me0)
     v1 = bellman_apply(problem, problem.initial_vector())
@@ -1452,8 +1478,8 @@ def chain_problem(unique=True):
 
 def summary(out):
     """An outcome's fields but its wall time, floats as hex."""
-    return tuple(x.hex() if type(x) is float else x
-                 for k, x in vars(out).items() if k != "wall_time")
+    values = (getattr(out, k) for k in out.__slots__ if k != "wall_time")
+    return tuple(x.hex() if type(x) is float else x for x in values)
 
 
 def spy_policy(monkeypatch, replace=None):
@@ -1888,6 +1914,16 @@ def test_rounding_widened_covers_the_sweeps_rounding():
     assert Fraction(widened.upper_bound) >= 2 * (1 + Fraction(20, 2**53))
     assert widened.lower_bound == 1.5 and widened.value == 0.5 * (1.5 + widened.upper_bound)
     assert solvers.rounding_widened(problem, out, 2.0).upper_bound == 2.0
+
+
+def test_rounding_widened_checks_its_new_outcome():
+    # The widened outcome is built anew, so its bracket check runs again: an
+    # upper start below the outcome's lower end cannot bracket the value.
+    m = mdp_of(0, [[(HALF, 1, 0), (HALF, 1, 1)]], [[(1, 0, 1)]])
+    problem = reward_problem(m, [1], "max", [])
+    out = solvers.SolveOutcome(2.0, 1.5, 2.0, 2, method="ii", certified=True)
+    with pytest.raises(SolverError, match="outcome bounds do not bracket the value"):
+        solvers.rounding_widened(problem, out, 1.0)
 
 
 def test_reward_upper_init_degenerate_probabilities():
