@@ -194,12 +194,12 @@ def parse_suite(path: Path) -> list[RunRequest]:
     requests: list[RunRequest] = []
     seen: dict[str, int] = {}
     for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
         try:
-            args = parser.parse_args(shlex.split(body))
-        except SystemExit:
+            words = shlex.split(raw, comments=True)  # ValueError: an unbalanced quote
+            if not words:
+                continue
+            args = parser.parse_args(words)
+        except (SystemExit, ValueError):
             raise PipelineError(f"{path}:{line_no}: malformed suite line") from None
         try:
             req = request_from_args(args, path.parent)

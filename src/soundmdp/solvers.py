@@ -13,34 +13,38 @@ the slow chains, whose values flow back from the goal against id order,
 that order needs a half to a tenth of the sweeps.
 A sweep comes in two forms.  `gsvi` sweeps a lower vector alone and reads
 the error.  OVI's verification phases and interval iteration sweep a lower
-and an upper vector together, in one pass over each state's branches; OVI
-reads the error, the up/down flags and the first crossing state, interval
-iteration only the crossing state.
+and an upper vector together, in one pass over each state's branches; only
+OVI reads the error, the up/down flags and the first crossing state.
+
+The branch contract, `model.validate`'s branch rules: every state has a
+choice and every choice a branch, every weight is a float in (0, 1], every
+reward a finite float >= 0 (-0.0 included) and every target a state.
+`_compile_kernel` checks it once per problem, before the first sweep; no
+seed (`BellmanProblem`) and no upper start (`interval_iteration`) may be
+negative, -0.0 or NaN.  So the backup is monotone, and interval
+iteration's vectors never cross (the proof is `_compile_kernel`'s).
 
 `_sweep` loops over the kernel's branch tuples and runs every sweep of
 `gsvi` and `ovi`; it is the reference the tests hold compiled code to.
 Unobserved, `gsvi` measures the error only up to epsilon_vi (beyond it the
 sweep cannot end the iteration, so the rest of it updates states without
 measuring their gains).  Interval iteration measures no error, and its
-phase ends at a crossing or a narrow enough interval at the initial state.
+phase ends at a narrow enough interval at the initial state.
 An unobserved interval iteration that runs COMPILE_AFTER_SWEEPS sweeps
 compiles its phase into a runner (`_compile_phase`): straight-line Python
 with the kernel's constants as literals, which performs the same
 operations in the same order without the per-branch loop overhead, inside
 a loop over sweeps that holds the values in local variables up to the
-phase's end.  It leaves out only operations that cannot change a float: a
-multiply by a probability of 1.0, the temporaries of a state without a
-self-loop, a repeat of a branch term `p*(r+x[t])` before t is next written
-(a term whose t the phase never writes is computed once, before the
-loop), and, where every weight is positive and every reward
-positive-signed, the `0.0 +` that starts each choice sum; the last is
-exact only from vectors with no negative or -0.0 entry, which interval
-iteration checks before it calls a runner.  In such a phase the runner
-also stops sweeping the upper vector once a whole sweep has left it as it
-was: u-sums read only `u`, so every later sweep would too, and the runner
-sweeps `v` alone from then on.  The benchmark chains' upper vectors, which
-start at the emax bound, settle within their first 31 sweeps of 793 to
-6 713.  A phase of more than
+phase's end.  It leaves out only operations that cannot change a float
+under the branch contract: a multiply by a probability of 1.0, the
+temporaries of a state without a self-loop, a zero reward, a repeat of a
+branch term `p*(r+x[t])` before t is next written (a term whose t the
+phase never writes is computed once, before the loop), and the `0.0 +`
+that starts each choice sum.  The runner also stops sweeping the upper
+vector once a whole sweep has left it as it was: u-sums read only `u`, so
+every later sweep would too, and the runner sweeps `v` alone from then on.
+The benchmark chains' upper vectors, which start at the emax bound, settle
+within their first 31 sweeps of 793 to 6 713.  A phase of more than
 _LOCAL_BRANCHES branches stays with `_sweep`.  Runners are kept per
 process in a plain dict keyed by the phase itself (`_RUNNERS`, by
 `_phase_key`), emptied when full, so a phase repeated in the process
@@ -111,10 +115,40 @@ Kernel = tuple[tuple[tuple[tuple[float, float, int], ...], ...], ...]
 
 
 def _compile_kernel(model: Mdp) -> Kernel:
-    return tuple(
-        tuple(tuple(b[:3] for b in t.branches) for t in ts)
-        for ts in model.transitions
-    )
+    """The model's branches as (p, r, t) tuples, checked against the branch
+    contract (see the module docstring; weights need not sum to 1 here); a
+    breach raises SolverError naming the state and the transition.
+
+    With positive-signed seeds and upper starts (+0.0, above it or +inf),
+    every value a sweep reads is positive-signed: `r + x` is -0.0 only
+    where both are, `p*y` keeps the sign of y for p > 0, and so do sums
+    and the best of them.  Rounding to nearest is monotone, so each rounded
+    `+`, `*` by p > 0, `max` and `min` keeps operands' order in its result.
+    A two-vector sweep updates each state's `v` and `u` by the same
+    operations on values read at the same point of the sweep, so by
+    induction over its updates `v <= u` everywhere before a sweep gives
+    `v <= u` everywhere after it: interval iteration's vectors, started so,
+    never cross.  OVI's guess is clamped to 1 and can start below a `v`
+    that rounding lifted past 1, so `_sweep` still reports crossings.
+    """
+    n = model.num_states
+    kernel = tuple(tuple(tuple(b[:3] for b in t.branches) for t in ts)
+                   for ts in model.transitions)
+    if len(kernel) != n:
+        raise SolverError(f"transition table covers {len(kernel)} of {n} states")
+    for s, trs in enumerate(kernel):
+        if not trs:
+            raise SolverError(f"state {s} has no transitions")
+        for i, branches in enumerate(trs):
+            if not branches:
+                raise SolverError(f"state {s}, transition {i}: transition has no branches")
+            for p, r, t in branches:
+                if not (type(p) is float and 0.0 < p <= 1.0 and type(r) is float
+                        and 0.0 <= r < math.inf and type(t) is int and 0 <= t < n):
+                    raise SolverError(f"state {s}, transition {i}: branch ({p!r}, {r!r}, {t!r}) "
+                                      "needs a float weight in (0,1], a finite float reward "
+                                      ">= 0 and a target state")
+    return kernel
 
 
 class BellmanProblem:
@@ -131,23 +165,18 @@ class BellmanProblem:
             raise SolverError(f"unknown opt {self.opt!r}")
         if len(self.seed) != self.model.num_states:
             raise SolverError("seed vector length does not match the state count")
+        if -1.0 in map(math.copysign, repeat(1.0), seed) or any(map(math.isnan, seed)):
+            s = next(s for s, x in enumerate(seed)
+                     if not (x >= 0.0 and math.copysign(1.0, x) > 0.0))
+            raise SolverError(f"seed value {seed[s]!r} at state {s} is negative, -0.0 or NaN")
 
     def __getattr__(self, name: str) -> Kernel:
-        # Reached only while a slot is unset: `kernel` is built on first use,
-        # so a solve that runs no sweep never pays for it.
+        # Reached only while a slot is unset: `kernel` is built and checked
+        # on first use, so a solve that runs no sweep never pays for it.
         if name != "kernel":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         self.kernel = kernel = _compile_kernel(self.model)
         return kernel
-
-    def sweep(self, order: Sequence[int], relative: bool, v: list[float],
-              u: list[float] | None = None) -> tuple[float, bool, bool, int]:
-        """One Gauss-Seidel sweep of this problem by `_sweep`, error measured exactly.
-
-        With one vector it updates `v` and returns (error, True, True, -1);
-        with two it updates `v` and `u` and returns (error, up, down, cross).
-        """
-        return _sweep(self.kernel, order, self.opt == "max", relative, v, u)
 
     def initial_vector(self) -> list[float]:
         return list(self.seed)
@@ -240,11 +269,6 @@ def _check_deadline(deadline: float | None) -> None:
         raise SolveTimeout(_LATE_MESSAGE)
 
 
-def _positive_signs(v: list[float], u: list[float]) -> bool:
-    """True when no entry of `v` or `u` is negative or -0.0."""
-    return all(-1.0 not in map(math.copysign, repeat(1.0), vec) for vec in (v, u))
-
-
 def _sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
            v: list[float], u: list[float] | None = None,
            stop: float = math.inf) -> tuple[float, bool, bool, int]:
@@ -310,7 +334,7 @@ def _sweep(kernel: Kernel, order: Sequence[int], maximize: bool, relative: bool,
 #: its runner in `_RUNNERS` and runs it from sweep 0.
 COMPILE_AFTER_SWEEPS = 256
 
-#: sweeps a seedless phase runner waits after a failed check before it
+#: sweeps a phase runner waits after a failed check before it
 #: snapshots `u` again (`_compile_phase`'s settle rule).  A check builds a
 #: tuple of the phase's `u` values, which a runner whose `u` never settles
 #: pays once per 17 sweeps; a runner stops sweeping a settled `u` at most 17
@@ -335,24 +359,22 @@ _LATE_MESSAGE = "numeric phase ran past its deadline"
 
 
 def _best_lines(trs: tuple, vec: str, target: str, maximize: bool,
-                seedless: bool, share: Callable[[str, int], str]) -> list[str]:
+                share: Callable[[str, int], str]) -> list[str]:
     """Statements leaving the state's best choice value over `vec` in `target`.
 
     `vec` is the prefix of the local variables holding one vector's values
     (`v` or `u`).  Each choice's sum is `_sweep`'s `0.0 + p*(r+vec[t]) + ...`
     in branch order, written in statements of at most _STATEMENT_BRANCHES
     terms; `share(term, t)` gives the text each term is written as (see
-    `_compile_phase`).  Three rewrites leave every float as it is:
+    `_compile_phase`).  Three rewrites leave every float as it is, since
+    every value read is positive-signed (see `_compile_kernel`):
 
-    - `p*vec[t]` stands for a reward of +0.0: `+0.0 + x` differs from `x`
-      only for x = -0.0, and then only in a zero product's sign, which a
-      sum started at +0.0 absorbs;
+    - `p*vec[t]` stands for a reward of +0.0 or -0.0: `-0.0 + x` is `x`
+      for every x, and `+0.0 + x` for every x but -0.0;
     - `(r+vec[t])` and `vec[t]` stand for a probability of exactly 1.0,
       since `1.0*y` is `y` for every y;
-    - with `seedless`, a sum starts at its first term instead of at
-      `0.0 +`, since `0.0 + y` is `y` for every y but -0.0;
-      `_compile_phase` sets it only where no term and no value read is
-      ever -0.0, which also covers the first rewrite.
+    - a sum starts at its first term instead of at `0.0 +`, since
+      `0.0 + y` is `y` for every y but -0.0.
 
     A later choice replaces the best only when strictly better, so ties go
     to the first best choice, as in `_state_value`.
@@ -363,19 +385,17 @@ def _best_lines(trs: tuple, vec: str, target: str, maximize: bool,
         name = target if i == 0 else "y"
         terms = []
         for p, r, t in branches:
-            term = f"{vec}{t}" if r == 0.0 and math.copysign(1.0, r) > 0.0 \
-                else f"({r!r}+{vec}{t})"
+            term = f"{vec}{t}" if r == 0.0 else f"({r!r}+{vec}{t})"
             terms.append(share(term if p == 1.0 else f"{p!r}*{term}", t))
-        head = [] if seedless and terms else ["0.0"]
-        for j in range(0, max(len(terms), 1), _STATEMENT_BRANCHES):
-            lines.append(f"{name} = " + "+".join(head + terms[j:j + _STATEMENT_BRANCHES]))
-            head = [name]
+        for j in range(0, len(terms), _STATEMENT_BRANCHES):
+            chunk = "+".join(terms[j:j + _STATEMENT_BRANCHES])
+            lines.append(f"{name} = {name}+{chunk}" if j else f"{name} = {chunk}")
         if i:
             lines.append(f"if y {better} {target}: {target} = y")
     return lines
 
 
-def _state_lines(s: int, trs: tuple, vec: str, maximize: bool, seedless: bool,
+def _state_lines(s: int, trs: tuple, vec: str, maximize: bool,
                  share: Callable[[str, int], str]) -> list[str]:
     """One state's statements of a sweep over `vec` (`v` or `u`), `_sweep`'s
     operations on that vector in its order.  A state without a self-loop
@@ -384,16 +404,9 @@ def _state_lines(s: int, trs: tuple, vec: str, maximize: bool, seedless: bool,
     first (`n` for `v`, `m` for `u`).
     """
     if all(t != s for branches in trs for _, _, t in branches):
-        return _best_lines(trs, vec, f"{vec}{s}", maximize, seedless, share)
+        return _best_lines(trs, vec, f"{vec}{s}", maximize, share)
     temp = "n" if vec == "v" else "m"
-    return [*_best_lines(trs, vec, temp, maximize, seedless, share), f"{vec}{s} = {temp}"]
-
-
-def _compilable(trs: tuple, n: int) -> bool:
-    return bool(trs) and all(
-        type(p) is float and type(r) is float and type(t) is int and 0 <= t < n
-        and math.isfinite(p) and math.isfinite(r)
-        for branches in trs for p, r, t in branches)
+    return [*_best_lines(trs, vec, temp, maximize, share), f"{vec}{s} = {temp}"]
 
 
 def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
@@ -402,88 +415,61 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
     in a loop.
 
     The runner `run(v, u, sweeps, cap, deadline, eps, relative_width)` runs
-    Gauss-Seidel sweeps, counting on from `sweeps`, until one in which `u`
-    fell below `v` or whose width `u - v` at state `s_init` is at most `eps`
-    (`eps` times the lower value if `relative_width`); before each sweep it
-    ends at the cap or past the deadline, as `interval_iteration`'s loop
-    does.  It returns (sweeps, end): end is the crossing state or -1 after
-    the stop test, _CAPPED or _LATE otherwise.
+    Gauss-Seidel sweeps, counting on from `sweeps`, until one whose width
+    `u - v` at state `s_init` is at most `eps` (`eps` times the lower value
+    if `relative_width`); before each sweep it ends at the cap or past the
+    deadline, as `interval_iteration`'s loop does.  It returns (sweeps,
+    end): end is -1 after the width test, _CAPPED or _LATE otherwise.  Its
+    input is interval iteration's: positive-signed vectors with `v <= u`,
+    which never cross (see `_compile_kernel`), so it tests no crossing.
 
     Every state of `order` becomes a few statements with its probabilities,
     rewards and targets as literals.  A runner sweep first updates `u` over
-    the whole order, then `v`, and tests each state for a crossing right
-    after its new `v`.  A u-sum reads only `u` and a v-sum only `v`, so
-    every sum performs `_sweep`'s operations in its order on the values
-    `_sweep` gives it, and each crossing test sees the state's two new
-    values: every float, the sweep count and the first crossing state come
-    out as in `_sweep`.  Every value the runner reads sits in a local
-    variable, loaded before the loop (one `itemgetter` call per vector) and
-    stored back after it (one loop per vector), which keeps the source a
-    tenth shorter than a statement per value would.  Returns None, and the
-    caller stays with `_sweep`, for a phase of more than _LOCAL_BRANCHES
-    branches, for an empty order or one that names a state twice (`_sweep`
-    tests such a state between its two updates), and where a state has no
-    choice, a target out of range, or a non-float or non-finite constant:
-    the source holds only `repr` of finite floats and int indices.
+    the whole order, then `v`.  A u-sum reads only `u` and a v-sum only
+    `v`, so every sum performs `_sweep`'s operations in its order on the
+    values `_sweep` gives it: every float and the sweep count come out as
+    in `_sweep`.  Every value the runner reads sits in a local variable,
+    loaded before the loop (one `itemgetter` call per vector) and stored
+    back after it (one loop per vector), which keeps the source a tenth
+    shorter than a statement per value would.  Returns None, and the caller
+    stays with `_sweep`, for a phase of more than _LOCAL_BRANCHES branches,
+    and for an empty order, one that names a state twice (no solver passes
+    one) or one that holds anything but int states: the source holds only
+    `repr` of floats and int indices.
 
     Common terms.  A term's value depends only on its text and on the one
     variable it reads, so the runner computes it once while that variable
     stays the same: a term into a state outside `order` once, before the
     loop, and a term used again before its target is next written once per
     sweep, into a temporary (`(w<k>:=term)` at its first use, `w<k>` after).
-    A first pass over `order` counts the uses of each term by its text,
-    which holds `repr` of the constants the rewrites keep (-0.0 apart from
-    +0.0), and its target's epoch, the writes to it so far in the sweep;
-    the second pass writes the sweep.
+    A first pass over `order` counts the uses of each term by its text and
+    its target's epoch, the writes to it so far in the sweep; the second
+    pass writes the sweep.
 
     Every call compiles; `interval_iteration` keeps the runner in
     `_RUNNERS` under the phase's `_phase_key`, so a phase repeated in the
     process compiles once.  A runner keeps its values in locals and reads
     only `time`, so solves in several threads may share it.
 
-    The seed rule.  `_sweep` starts every choice sum at `acc = 0.0`, which
-    changes the first term `y` only when `y` is -0.0 (to +0.0).  Where
-    every branch of the phase has a weight above 0.0 and a reward whose
-    sign is positive (+0.0 or above: every parsed, generated, goal-absorbed,
-    reward-stripped and quotient model), the runner's sums start at their
-    first term (`_best_lines`' `seedless`); other phases keep the `0.0 +`.
-    This is exact as long as every value the runner reads has a positive
-    sign, none negative and none -0.0, which `interval_iteration` checks of
-    both vectors before it calls the runner.  Then, by induction over the
-    updates: `r + x` of a positive-signed reward and value is
-    positive-signed (a sum is -0.0 only of two -0.0 terms), so is its
-    product with a positive weight, and so is every partial sum of such
-    terms; the first term is never -0.0, so every sum equals `_sweep`'s bit
-    for bit, and each state stores one of these sums, positive-signed
-    again.  The runner never writes a state outside `order`.
-
-    The settle rule.  A seedless phase's runner stops sweeping `u` once one
-    whole sweep has left every `u` value as it was; from then on a sweep
-    updates `v` alone and keeps every other operation: the crossing tests
-    against the settled `u`, the width test, the cap and the deadline.  This
-    is exact: a u-sum reads only `u` and constants, so a sweep that changes
-    no `u` value repeats itself at every later sweep.  The runner tells by
-    `==`, which is bit equality for these values: they are positive-signed
-    (the seed rule), so no -0.0 meets a +0.0, and a NaN equals nothing, so
-    it never settles.  The check costs a sweep between checks nothing: it
-    sits behind the cap test, `k >= lim` with `lim <= cap`.  A check
-    snapshots `u` and sets `lim` to the next sweep; after that one sweep it
-    compares (the first state's value first, which in a phase whose `u`
-    still moves ends the comparison at once), and on a difference sets
-    `lim` _SETTLE_CHECK_SWEEPS sweeps on (at most to the cap) for the next
+    The settle rule.  The runner stops sweeping `u` once one whole sweep has
+    left every `u` value as it was, and keeps the rest of each sweep.  This
+    is exact: a u-sum reads only `u` and constants, so such a sweep repeats
+    itself at every later sweep.  The runner tells by `==`, bit equality
+    for positive-signed values.  The check sits behind the cap test, `k >=
+    lim` with `lim <= cap`, so a sweep between checks pays nothing.  It
+    snapshots `u` and sets `lim` to the next sweep; after that sweep it
+    compares (the first state's value first, which ends the comparison at
+    once while `u` moves), and on a difference sets `lim`
+    _SETTLE_CHECK_SWEEPS sweeps on (at most to the cap) for the next
     snapshot.  So a runner stops sweeping `u` at most
-    _SETTLE_CHECK_SWEEPS + 1 sweeps after its last change.  Signed phases
-    sweep both vectors in every sweep.
+    _SETTLE_CHECK_SWEEPS + 1 sweeps after its last change.
     """
     n = len(kernel)
-    if not (type(s_init) is int and 0 <= s_init < n) or not all(
-            type(s) is int and 0 <= s < n and _compilable(kernel[s], n) for s in order):
+    if not (type(s_init) is int and 0 <= s_init < n and order
+            and all(type(s) is int and 0 <= s < n for s in order)
+            and len(set(order)) == len(order)
+            and sum(len(b) for s in order for b in kernel[s]) <= _LOCAL_BRANCHES):
         return None
-    if sum(len(b) for s in order for b in kernel[s]) > _LOCAL_BRANCHES \
-            or not order or len(set(order)) < len(order):
-        return None
-    seedless = all(p > 0.0 and math.copysign(1.0, r) > 0.0
-                   for s in order for b in kernel[s] for p, r, _ in b)
     read = sorted({t for s in order for b in kernel[s] for _, _, t in b}
                   | set(order) | {s_init})
     uses: Counter = Counter()
@@ -513,9 +499,7 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
             epoch = dict.fromkeys(order, 0)
             lines = []
             for s in order:
-                lines += _state_lines(s, kernel[s], vec, maximize, seedless, rewrite)
-                if vec == "v":
-                    lines.append(f"if u{s} < v{s} and c < 0: c = {s}")
+                lines += _state_lines(s, kernel[s], vec, maximize, rewrite)
                 epoch[s] += 1
             sweeps.append(lines)
     lower, upper = sweeps
@@ -523,40 +507,38 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
     def pack(vec: str) -> str:
         return "(" + "".join(f"{vec}{s}, " for s in order) + ")"
 
-    top = ["        if k >= cap:",
-           f"            end = {_CAPPED}",
-           "            break"]
-    if seedless:
-        top = ["        if k >= lim:",
-               *("    " + line for line in top),
-               "            if snap is None:",
-               f"                snap = {pack('u')}",
-               "                lim = k + 1",
-               f"            elif snap[0] == u{order[0]} and snap == {pack('u')}:",
-               "                moving = False",
-               "                lim = cap",
-               "            else:",
-               "                snap = None",
-               f"                lim = k + {_SETTLE_CHECK_SWEEPS} "
-               f"if k + {_SETTLE_CHECK_SWEEPS} < cap else cap"]
-        upper = ["if moving:", *("    " + line for line in upper)]
     source = "\n".join([
         "def run(v, u, k, cap, deadline, eps, rel):",
         "    " + ", ".join(f"v{t}" for t in read) + " = load(v)",
         "    " + ", ".join(f"u{t}" for t in read) + " = load(u)",
         *hoisted,
-        *(["    lim = k", "    snap = None", "    moving = True"] if seedless else []),
-        "    c = -1",  # a sweep that sets c ends the loop, so every sweep starts at -1
+        "    lim = k",
+        "    snap = None",
+        "    moving = True",
         "    while True:",
-        *top,
+        "        if k >= lim:",
+        "            if k >= cap:",
+        f"                end = {_CAPPED}",
+        "                break",
+        "            if snap is None:",
+        f"                snap = {pack('u')}",
+        "                lim = k + 1",
+        f"            elif snap[0] == u{order[0]} and snap == {pack('u')}:",
+        "                moving = False",
+        "                lim = cap",
+        "            else:",
+        "                snap = None",
+        f"                lim = k + {_SETTLE_CHECK_SWEEPS} "
+        f"if k + {_SETTLE_CHECK_SWEEPS} < cap else cap",
         "        if deadline is not None and time.perf_counter() > deadline:",
         f"            end = {_LATE}",
         "            break",
         "        k += 1",
-        *("        " + line for line in upper),
+        "        if moving:",
+        *("            " + line for line in upper),
         *("        " + line for line in lower),
-        f"        if c >= 0 or u{s_init} - v{s_init} <= (eps * v{s_init} if rel else eps):",
-        "            end = c",
+        f"        if u{s_init} - v{s_init} <= (eps * v{s_init} if rel else eps):",
+        "            end = -1",
         "            break",
         f"    for t, x in zip(written, {pack('v')}): v[t] = x",
         f"    for t, x in zip(written, {pack('u')}): u[t] = x",
@@ -573,15 +555,12 @@ def _phase_key(kernel: Kernel, order: Sequence[int], maximize: bool,
     direction, the initial state, the order and the kernel rows of the
     order's states, by `marshal` (format 2, which writes no back-references).
 
-    Marshal writes every float by its bits, so -0.0 and +0.0 give different
-    keys where tuples of floats compare and hash them as equal, though
-    `_best_lines` and the seed rule emit different source for them; and it
-    writes only exact ints, floats, bools, tuples and lists, refusing a
-    Fraction or a subclass.  So equal keys hold equal constants of equal
-    types, from which `_compile_phase` generates equal source.  None for a
-    phase marshal refuses, which `_compile_phase` would refuse too, and,
-    without writing a byte, for a phase of more than _LOCAL_BRANCHES
-    states, which in a valid model has more branches than a runner holds.
+    Marshal writes only exact ints, floats, bools, tuples and lists, so
+    equal keys give equal source.  It writes floats by their bits: a -0.0
+    and a +0.0 reward, equal as tuples of floats, get runners of their own.
+    None for a phase marshal refuses (an order of something other than
+    ints, or past the kernel), and, without writing a byte, for a phase of
+    more than _LOCAL_BRANCHES states, more branches than a runner holds.
     """
     if len(order) > _LOCAL_BRANCHES:
         return None
@@ -753,16 +732,12 @@ def _policy_values(problem: BellmanProblem, v: Sequence[float],
     fixed states read from the seeds, and then moves each state to a
     strictly better choice over x, if it has one; the first round that
     moves none ends the iteration.  The values are the seeds with x at the
-    unknowns.  None if a weight of an unknown state is not a positive finite
-    float (a hand-built model can have one), a system is singular or has a
-    non-finite solution, or POLICY_MAX_ROUNDS rounds all move a choice.
+    unknowns.  None if a system is singular or has a non-finite solution,
+    or POLICY_MAX_ROUNDS rounds all move a choice.
     Checks `deadline` before every round.
     """
     kernel = problem.kernel
     unknowns = sorted(problem.unknowns)
-    if not all(type(p) is float and 0.0 < p < math.inf
-               for s in unknowns for branches in kernel[s] for p, _, _ in branches):
-        return None
     maximize = problem.opt == "max"
     seed = problem.seed
     index = {s: i for i, s in enumerate(unknowns)}
@@ -837,9 +812,9 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
     acceptance refute the guess; it counts as one phase, cancelled, and the
     paused iteration phase resumes from the untouched `v`, so every later
     vector is what it would have been without the guess.  No guess is made
-    where `_policy_values` finds none (a weight that is not a positive
-    finite float, a singular system, a non-finite value, or too many
-    rounds).  Observed and unobserved runs take the same path.
+    where `_policy_values` finds none (a singular system, a non-finite
+    value, or too many rounds).  Observed and unobserved runs take the same
+    path.
 
     This is a semi-algorithm: when `max_sweeps`, the budget of all phases
     together, runs out, the outcome is flagged "no-certificate" rather than
@@ -857,6 +832,7 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
     if order is None:
         order = problem.default_order()
 
+    kernel, maximize = problem.kernel, problem.opt == "max"
     v = problem.initial_vector()
     total_sweeps = 0
     phases = 0
@@ -919,7 +895,8 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
                     _check_deadline(deadline)
                     total_sweeps += 1
                     before = list(lower)
-                    _, up, down, cross = problem.sweep(order, relative_error, lower, upper)
+                    _, up, down, cross = _sweep(kernel, order, maximize, relative_error,
+                                                lower, upper)
                     # No upper value moved up: `upper` is inductive, an upper
                     # bound.  No lower value moved down: with a unique fixed
                     # point, `lower` is a lower bound (the rule "adopt-upper"
@@ -956,7 +933,7 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
             _check_deadline(deadline)
             total_sweeps += 1
             verif_sweeps += 1
-            error, up, down, cross = problem.sweep(order, relative_error, v, u)
+            error, up, down, cross = _sweep(kernel, order, maximize, relative_error, v, u)
             if observer is not None:
                 observer("verify", verif_sweeps, error, v, u, up, down, cross)
             # Certify before refuting: a sweep that moves no upper value sets
@@ -1000,23 +977,20 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
 
     `upper_init` must be a proven upper bound on the value at every unknown
     state: the result is certified only under that contract.  A start below
-    the seeds, or a crossing (upper below lower), is reported as an error
-    naming the state; but sweeps are monotone, so an upper_init between the
-    seeds and the true value never crosses and goes undetected, and the
+    the seeds, NaN or -0.0 is reported as an error naming the state.  From
+    any other start the vectors never cross (see `_compile_kernel`), so an
+    upper_init between the seeds and the true value goes undetected, and the
     returned interval then misses the value.
 
-    The phase ends after the first sweep in which the upper vector fell
-    below the lower one, or whose width at the initial state is at most
-    twice the property's epsilon; it measures no error.  Unobserved, it
-    looks its phase up in `_RUNNERS` before the first sweep.  A phase
-    compiled earlier in the process runs its runner from sweep 0; any other
-    runs COMPILE_AFTER_SWEEPS generic sweeps, then compiles its runner
-    (`_compile_phase`), stores it and hands it the remaining sweeps.  It
-    stores by `setdefault`, so threads that compile one phase at once run
-    the runner stored first, and it empties a full `_RUNNERS` first.  A
-    runner runs only where neither vector holds a negative or -0.0 entry
-    (one `copysign` pass over each), and gives the same floats, sweep count
-    and crossing as `_sweep`."""
+    The phase ends after the first sweep whose width at the initial state
+    is at most twice the property's epsilon; it measures no error.
+    Unobserved, it looks its phase up in `_RUNNERS` before the first sweep.
+    A phase compiled earlier in the process runs its runner from sweep 0;
+    any other runs COMPILE_AFTER_SWEEPS generic sweeps, then compiles its
+    runner (`_compile_phase`), stores it and hands it the remaining sweeps,
+    which give the floats and sweep count of `_sweep`.  It stores by
+    `setdefault`, so threads that compile one phase at once run the runner
+    stored first, and it empties a full `_RUNNERS` first."""
     start = time.perf_counter()
     model = problem.model
     s_i = model.initial
@@ -1036,9 +1010,11 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
     u = [upper_init[s] if s in problem.unknowns else problem.seed[s]
          for s in model.states]
     for s in problem.unknowns:
-        # `not >=` also rejects NaN, which would neither cross nor narrow.
-        if not u[s] >= v[s]:
-            raise SolverError(f"initial upper value at state {s} lies below the lower vector")
+        # `not >=` also rejects NaN, which would never narrow; a -0.0 would
+        # break the positive signs the runner relies on.
+        if not u[s] >= v[s] or math.copysign(1.0, u[s]) < 0.0:
+            raise SolverError(f"initial upper value at state {s} lies below the lower "
+                              "vector or is NaN or -0.0")
     tolerance = 2.0 * eps
     kernel, maximize = problem.kernel, problem.opt == "max"
     key = runner = None
@@ -1056,30 +1032,23 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
                     if len(_RUNNERS) >= _RUNNER_CACHE_SIZE:
                         _RUNNERS.clear()
                     runner = _RUNNERS.setdefault(key, runner)
-            if runner is not None and _positive_signs(v, u):
-                sweeps, cross = runner(v, u, sweeps, max_sweeps, deadline, tolerance,
-                                       relative_width)
-                if cross == _CAPPED:
+            if runner is not None:
+                sweeps, end = runner(v, u, sweeps, max_sweeps, deadline, tolerance,
+                                     relative_width)
+                if end == _CAPPED:
                     raise IterationCapExceeded(sweeps)
-                if cross == _LATE:
+                if end == _LATE:
                     raise SolveTimeout(_LATE_MESSAGE)
                 break
-            switch = COMPILE_AFTER_SWEEPS
         if sweeps >= max_sweeps:
             raise IterationCapExceeded(sweeps)
         _check_deadline(deadline)
         sweeps += 1
-        cross = _sweep(kernel, order, maximize, False, v, u, 0.0)[3]  # stop 0.0: no error
-        if cross >= 0:
-            break
+        _sweep(kernel, order, maximize, False, v, u, 0.0)  # stop 0.0: no error
         if observer is not None:
             observer("ii", sweeps, v, u)
         if u[s_i] - v[s_i] <= (tolerance * v[s_i] if relative_width else tolerance):
             break
-    if cross >= 0:
-        raise SolverError(
-            f"interval iteration crossed at state {cross}: the initial upper vector "
-            "was not an overapproximation")
     return SolveOutcome(0.5 * (u[s_i] + v[s_i]), v[s_i], u[s_i], sweeps,
                         wall_time=time.perf_counter() - start, method="ii", certified=True)
 

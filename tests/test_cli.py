@@ -282,6 +282,29 @@ def test_bench_suite_and_exit_codes(me_file, tmp_path, capsys):
     assert rows["ovi"]["status"] == "ok"
 
 
+def test_bench_suite_lines_keep_quoted_hashes(me_file, tmp_path):
+    # A `#` inside quotes belongs to the word; an unquoted one starts a
+    # comment, also in the middle of a word (`pmax#x` is `pmax`, and the
+    # reference after it, which the row would miss, is never read).
+    suite = tmp_path / "quoted.suite"
+    suite.write_text(f'{me_file.name} --prop pmax --goal s+ --method ovi --id "me#1"\n'
+                     f"{me_file.name} --goal s+ --method ovi --id 'me # 2' --prop pmax#x --ref 9\n")
+    rows, ok = run_suite(suite, tmp_path / "quoted.csv", reps=1, timeout=None)
+    assert ok and [r["instance"] for r in rows] == ["me#1", "me # 2"]
+    assert rows[1]["result"] == rows[0]["result"]
+    assert set(read_result_csv(tmp_path / "quoted.csv")) == {"me#1", "me # 2"}
+
+
+@pytest.mark.parametrize("line", ['--prop emax --id "chain#1', "--prop pmax --id 'open"])
+def test_bench_refuses_a_suite_line_with_an_unbalanced_quote(me_file, tmp_path, capsys, line):
+    # This used to end `bench` with a ValueError traceback from shlex.
+    suite = tmp_path / "quote.suite"
+    suite.write_text(f"{me_file.name} --prop pmax --goal s+\n{me_file.name} {line}\n")
+    assert main(["bench", str(suite), "-o", str(tmp_path / "quote.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {suite}:2: malformed suite line\n"
+    assert not (tmp_path / "quote.csv").exists()
+
+
 def test_bench_duplicate_ids_are_distinguished(me_file, tmp_path):
     suite = tmp_path / "dup.suite"
     suite.write_text(

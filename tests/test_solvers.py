@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import math
+import operator
 import random
 import re
 import sys
@@ -181,9 +182,10 @@ def shuffled_order(problem, seed):
 @pytest.mark.parametrize("opt", ["max", "min"])
 @pytest.mark.parametrize("seed", range(8))
 def test_sweep_two_vectors_match_one_vector_sweeps(seed, opt, relative):
-    # `_sweep`'s two-vector form must match two one-vector sweeps, and one
-    # sweep of the compiled runner, wherever interval iteration would call
-    # it (no negative or -0.0 entry), must match `_sweep` bit for bit.
+    # `_sweep`'s two-vector form must match two one-vector sweeps, also
+    # where the vectors cross (as OVI's can), and one sweep of the compiled
+    # runner, wherever interval iteration would call it (no negative or -0.0
+    # entry, `u >= v` everywhere), must match `_sweep` bit for bit.
     problem = random_problem(seed, opt)
     maximize = opt == "max"
     rng = random.Random(seed)
@@ -194,10 +196,10 @@ def test_sweep_two_vectors_match_one_vector_sweeps(seed, opt, relative):
         # The upper start may lie below v somewhere, so crossings occur too.
         u = [x + rng.uniform(-1.0, 3.0) if s in problem.unknowns else x for s, x in enumerate(v)]
         for step in range(4):
-            if step == 2:  # a positive-signed start for the runner, crossings included
+            if step == 2:  # a start interval iteration accepts, and so the runner
                 v = [x + rng.uniform(0.0, 1.0) if s in problem.unknowns else x
                      for s, x in enumerate(v)]
-                u = [abs(x) for x in u]
+                u = [max(abs(x), y) for x, y in zip(u, v)]
             v_alone, u_alone, u_before = list(v), list(u), list(u)
             v_two, u_two = list(v), list(u)
             error, up, down, cross = _sweep(problem.kernel, order, maximize, relative, v, u)
@@ -208,14 +210,14 @@ def test_sweep_two_vectors_match_one_vector_sweeps(seed, opt, relative):
             assert up == all(u[s] >= u_before[s] for s in order)
             assert down == all(u[s] <= u_before[s] for s in order)
             assert cross == next((s for s in order if u[s] < v[s]), -1)
-            if solvers._positive_signs(v_two, u_two):
+            if runner_input(v_two, u_two):
                 runs += 1
+                assert cross == -1
                 # A width of at most -inf is never met.
                 assert ending(lambda: compiled_phase(problem, order, v_two, u_two, eps=-math.inf,
-                                                     max_sweeps=1)) \
-                    == ((1, cross) if cross >= 0 else ("IterationCapExceeded", 1))
+                                                     max_sweeps=1)) == ("IterationCapExceeded", 1)
                 assert hexes(v_two) == hexes(v) and hexes(u_two) == hexes(u)
-    assert runs >= 3
+    assert runs >= 6
 
 
 @pytest.mark.parametrize("relative", [True, False])
@@ -354,50 +356,91 @@ def test_verification_sweeps_never_compile(mode, monkeypatch):
     assert compiled == [] and sources == [] and len(solvers._RUNNERS) == 0
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", [0, 1])
-def test_non_finite_kernel_constants_stay_generic(bad, field, monkeypatch):
-    # BellmanProblem accepts an unvalidated model; its constants never reach
-    # generated source unless they are finite floats.
-    good = (0.5, 1.0, 1)
-    odd = list(good)
-    odd[field] = bad
-    half, one, zero = Fraction(1, 2), Fraction(1), Fraction(0)
-    states = ((Transition((Branch(*odd, half, one), Branch(*good, half, one))),),
-              (Transition((Branch(1.0, 0.0, 1, one, zero),)),))
-    problem = reward_problem(Mdp(2, 0, states), [1], "max", [])
-    order = problem.default_order()
-    assert _compile_phase(problem.kernel, order, True, 0) is None
-    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 10**18)
-    want = ii_ending(problem, [10.0, 0.0], max_sweeps=3)
-    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 0)
-    compiled, _ = spy_runners(monkeypatch)
-    assert ii_ending(problem, [10.0, 0.0], max_sweeps=3) == want
-    assert compiled == [None]
+def hand_built(*states):
+    """A model of raw (p, r, t) branches, each state a list of choices: no
+    field is converted or checked, as `pipeline.solve` and the problems
+    take a hand-built model."""
+    return Mdp(len(states), 0, tuple(
+        tuple(Transition(tuple(Branch(p, r, t, None, None) for p, r, t in choice))
+              for choice in choices)
+        for choices in states))
 
 
-def test_targets_out_of_range_stay_generic(monkeypatch):
-    # A hand-built kernel may name a state by a negative index, which a list
-    # reads from its end; a runner's local variables would not alias it.
-    half, one = Fraction(1, 2), Fraction(1)
-    states = ((Transition((Branch(0.5, 1.0, -1, half, one), Branch(0.5, 1.0, 1, half, one))),),
-              (Transition((Branch(1.0, 0.0, 1, one, Fraction(0)),)),))
-    problem = reward_problem(Mdp(2, 0, states), [1], "max", [])
-    order = problem.default_order()
-    assert _compile_phase(problem.kernel, order, True, 0) is None
-    v, u = problem.initial_vector(), [5.0, 0.0]
-    want = generic_phase(problem, order, False, v, u, eps=2e-3, max_sweeps=99)
-    monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 0)
-    compiled, _ = spy_runners(monkeypatch)
-    assert ii_ending(problem, [5.0, 0.0], max_sweeps=99) \
-        == ((0.5 * (u[0] + v[0])).hex(), v[0].hex(), u[0].hex(), want[0])
-    assert compiled == [None]
+#: branches outside the contract, by the field and the breach; each is put
+#: into state 0's second choice
+OUTSIDE = {"weight-0": (0.0, 0.0, 1), "weight-negative": (-0.5, 0.0, 1),
+           "weight-above-1": (1.5, 0.0, 1), "weight-nan": (math.nan, 0.0, 1),
+           "weight-inf": (math.inf, 0.0, 1), "weight--inf": (-math.inf, 0.0, 1),
+           "weight-int": (1, 0.0, 1), "weight-fraction": (Fraction(1, 2), 0.0, 1),
+           "reward-negative": (0.5, -1.0, 1), "reward-nan": (0.5, math.nan, 1),
+           "reward-inf": (0.5, math.inf, 1), "reward--inf": (0.5, -math.inf, 1),
+           "target-2": (0.5, 0.0, 2), "target--1": (0.5, 0.0, -1)}
+
+
+@pytest.mark.parametrize("odd", OUTSIDE.values(), ids=OUTSIDE.keys())
+def test_kernel_refuses_branches_outside_the_contract(odd, monkeypatch):
+    # A problem's kernel, built on first use, refuses a branch that breaks
+    # the contract, naming its state and transition; a solver that needs
+    # the kernel raises before its first sweep.  A negative index would
+    # read a list from its end, and a runner's local variables would not
+    # alias it; a non-float constant or a non-finite one could not be a
+    # literal of a runner's source.
+    model = hand_built([[(1.0, 0.0, 1)], [(0.5, 1.0, 1), odd]], [[(1.0, 0.0, 1)]])
+    problem = reward_problem(model, [1], "max", [])
+    message = re.escape(f"state 0, transition 1: branch {odd!r} needs a float weight in (0,1]")
+    with pytest.raises(SolverError, match=message):
+        problem.kernel
+    generic = count_generic_sweeps(monkeypatch)
+    for run in (lambda p: gsvi(p, p.initial_vector(), ErrorCriterion()),
+                lambda p: ovi(p, ErrorCriterion(), make_property("emax", [1])),
+                lambda p: interval_iteration(p, make_property("emax", [1]), [10.0, 0.0])):
+        with pytest.raises(SolverError, match=message):
+            run(reward_problem(model, [1], "max", []))
+    assert not generic
+
+
+def test_kernel_refuses_a_state_or_choice_without_branches():
+    # Every state needs a choice and every choice a branch, and the
+    # transition table covers every state.
+    for model, message in (
+            (hand_built([[(1.0, 0.0, 1)]], []), "state 1 has no transitions"),
+            (hand_built([[(1.0, 0.0, 1)], []], [[(1.0, 0.0, 1)]]),
+             "state 0, transition 1: transition has no branches"),
+            (Mdp(3, 0, hand_built([[(1.0, 0.0, 1)]], [[(1.0, 0.0, 1)]]).transitions),
+             "transition table covers 2 of 3 states")):
+        problem = solvers.BellmanProblem(model, "max", frozenset([0]),
+                                         (0.0,) * model.num_states, False)
+        with pytest.raises(SolverError, match=f"^{message}$"):
+            problem.kernel
+
+
+@pytest.mark.parametrize("method", ["vi", "ovi", "ii"])
+def test_solve_refuses_a_model_outside_the_contract(method):
+    # A hand-built pmax model whose state 0 keeps 7/10 of its value and
+    # sends 1/2 to the goal and -1/5 to a trap: its operator is not
+    # monotone, and interval iteration certified [1.66666224..., 1.66666489...]
+    # for a probability.  Every sweeping method refuses it now.
+    model = mdp_of(0, [[(HALF, 0, 1), (Fraction(7, 10), 0, 0), (Fraction(-1, 5), 0, 2)]],
+                   [[(1, 0, 1)]], [[(1, 0, 2)]])
+    with pytest.raises(SolverError, match=r"^state 0, transition 0: branch \(-0\.2, 0\.0, 2\)"):
+        solve(model, make_property("pmax", [1]), SolveOptions(method=method))
+
+
+@pytest.mark.parametrize("bad", [-1.0, -0.0, -1e-320, -math.inf, math.nan])
+def test_problems_refuse_a_negative_zero_negative_or_nan_seed(me0, bad):
+    # A sweep reads only positive-signed values: +0.0, above it, or +inf.
+    seed = [0.0, 1.0, 0.0, math.inf, 0.5]
+    assert solvers.BellmanProblem(me0, "max", frozenset([0]), tuple(seed), False).seed[3] \
+        == math.inf
+    seed[2] = bad
+    with pytest.raises(SolverError, match=f"^seed value {re.escape(repr(bad))} at state 2 is "
+                                          "negative, -0.0 or NaN$"):
+        solvers.BellmanProblem(me0, "max", frozenset([0]), tuple(seed), False)
 
 
 def test_orders_that_repeat_a_state_stay_generic(monkeypatch):
-    # A runner sweeps `u` before `v` and tests each state for a crossing
-    # after its new `v`; `_sweep` tests a state named twice between its two
-    # updates, so such an order, and an empty one, keep `_sweep`.
+    # An order that names a state twice, which no solver passes, and an
+    # empty one keep `_sweep`.
     problem, prop, upper, _ = chain_phase(8, HALF)
     for order in ([3, 2, 1, 0, 4, 5, 6, 7, 2], []):
         assert _compile_phase(problem.kernel, order, True, 0) is None
@@ -473,10 +516,10 @@ LOCALS = pytest.mark.parametrize("local_branches", [solvers._LOCAL_BRANCHES], id
 @pytest.mark.parametrize("seed", range(6))
 def test_compiled_interval_phase_matches_generic_sweeps(seed, opt, relative_width,
                                                         local_branches, monkeypatch):
-    # From an upper start above the lower vector the phase ends at the
-    # width test, from a lower vector lifted partly above the upper one at
-    # the first crossing state; both vectors and the sweep count, or the
-    # cap's count, must agree.
+    # From the seeds and an upper start 3 above them, and from a lower
+    # vector lifted off the seeds and an upper one at most 3 above it, the
+    # phase ends at the width test or the cap; both vectors and the sweep
+    # count, or the cap's count, must agree.
     monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
     problem = random_problem(seed, opt)
     order = shuffled_order(problem, seed)
@@ -486,7 +529,7 @@ def test_compiled_interval_phase_matches_generic_sweeps(seed, opt, relative_widt
     lifted = [x + rng.uniform(0.0, 2.0) if s in problem.unknowns else x
               for s, x in enumerate(start)]
     mixed = [x + rng.uniform(0.0, 3.0) if s in problem.unknowns else x
-             for s, x in enumerate(start)]
+             for s, x in enumerate(lifted)]
     for lower, upper in ((start, above), (lifted, mixed)):
         for eps in (1e-1, 1e-4, 1e-8):
             for cap in (10**5, 3, 1):
@@ -551,23 +594,30 @@ def test_compiled_width_test_reads_an_initial_state_outside_the_order(local_bran
 
 
 # ---------------------------------------------------------------------------
-# The settled upper vector: a seedless runner checks every
+# The settled upper vector: a runner checks every
 # _SETTLE_CHECK_SWEEPS + 1 sweeps, from its first, whether a whole sweep left
 # every `u` value as it was, and from then on skips the u-sweep.  From sweep
 # 0 it snapshots `u` before sweeps 1, 18, 35, ... and compares after each.
 
-def chain_phase(n, p, order="goal-distance"):
-    """The interval-iteration phase the pipeline runs for emax on the slow
-    chain s0..sn: (problem, prop, upper start, order)."""
-    doc = generate_slow_chain(n, p)
+def pipeline_phase(model, prop, order="goal-distance"):
+    """The interval-iteration phase `solve` runs for `prop` on `model`:
+    (problem, prop, upper start, order), the order None where the initial
+    state is decided."""
     calls = []
     real = pipeline.interval_iteration
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pipeline, "interval_iteration",
                       lambda *args, **budget: calls.append(args) or real(*args, **budget))
-        solve(doc.model, make_property("emax", [n], 1e-6), SolveOptions(method="ii", order=order))
+        solve(model, prop, SolveOptions(method="ii", order=order))
     (args,) = calls
     return args
+
+
+def chain_phase(n, p, order="goal-distance"):
+    """The interval-iteration phase the pipeline runs for emax on the slow
+    chain s0..sn: (problem, prop, upper start, order)."""
+    return pipeline_phase(generate_slow_chain(n, p).model, make_property("emax", [n], 1e-6),
+                          order)
 
 
 def last_upper_change(problem, prop, upper, order):
@@ -627,7 +677,7 @@ def fixed_upper(problem, order, u):
 
 def endings_agree(problem, order, v, u, caps, eps=2e-6, deadline=None, relative_width=True):
     """Runs the compiled runner and `_sweep` from (v, u) to each cap; both
-    vectors in hex, the sweep count and the crossing or cap must agree.
+    vectors in hex and the sweep count or cap must agree.
     Returns the endings."""
     endings = []
     for cap in caps:
@@ -713,43 +763,6 @@ def test_runner_on_a_settled_upper_vector_ends_at_the_deadline(tick, monkeypatch
     assert hexes(v) == hexes(v_ref) and hexes(u) == hexes(u_ref)
 
 
-def crossing_model(reward):
-    """s0 keeps 0.9 of its value and takes 0.1 from s1, which the phase
-    never writes; `reward` on the self-loop."""
-    return mdp_of(0, [[(Fraction(9, 10), reward, 0), (Fraction(1, 10), 0, 1)]], [[(1, 0, 1)]])
-
-
-def test_runner_finds_a_crossing_after_the_u_sweeps_stop():
-    # With v1 = 1 and u1 = 0.5, u0 = 0.5 is settled from sweep 0, and v0
-    # rises as 1 - 0.9**k: it passes u0 in sweep 7, five sweeps after the
-    # runner stopped sweeping `u`.
-    problem = reward_problem(crossing_model(0), [1], "max", [])
-    v, u = [0.0, 1.0], [0.5, 0.5]
-    endings = endings_agree(problem, [0], v, u, (1, 2, 6, 7, 10**3), eps=1e-9,
-                            relative_width=False)
-    assert endings == [("IterationCapExceeded", 1), ("IterationCapExceeded", 2),
-                       ("IterationCapExceeded", 6), (7, 0), (7, 0)]
-    runner = lambda: compiled_phase(problem, [0], list(v), list(u), eps=1e-9, max_sweeps=10**3)
-    assert u_sweeps_skipped(runner) == ((7, 0), 2, 1)
-
-
-def test_signed_phase_never_skips_the_u_sweep():
-    # A -0.0 reward makes the phase signed: its runner keeps the `0.0 +` of
-    # every sum and runs the u-sweep in every sweep, though `u` is settled
-    # from sweep 0, with the same crossing as `_sweep`.
-    problem = reward_problem(crossing_model(Fraction(0)), [1], "max", [])
-    kernel = ((((0.9, -0.0, 0), (0.1, 0.0, 1)),), problem.kernel[1])
-    object.__setattr__(problem, "kernel", kernel)
-    v, u = [0.0, 1.0], [0.5, 0.5]
-    assert endings_agree(problem, [0], v, u, (1, 2, 10**3), eps=1e-9, relative_width=False) \
-        == [("IterationCapExceeded", 1), ("IterationCapExceeded", 2), (7, 0)]
-    runner = lambda: compiled_phase(problem, [0], list(v), list(u), eps=1e-9, max_sweeps=10**3)
-    with pytest.MonkeyPatch.context() as patch:
-        sources = spy_sources(patch)
-        runner()
-    assert "0.0+" in sources[0] and "moving" not in sources[0]
-
-
 @pytest.mark.parametrize("n, p", BENCHMARK_CHAINS)
 def test_benchmark_chains_skip_the_u_sweep_within_17_sweeps_of_its_last_change(n, p, monkeypatch):
     # No output shows whether the runner ever skips its u-sweep, so this
@@ -768,26 +781,26 @@ def test_benchmark_chains_skip_the_u_sweep_within_17_sweeps_of_its_last_change(n
 
 
 # ---------------------------------------------------------------------------
-# The runner's lean sums (no `0.0 +` seed, no unit weights, no temporaries)
-# against a loop of `_sweep`, on kernels and inputs that no valid model
-# produces.
+# The runner's lean sums (no `0.0 +` seed, no unit weights, no zero rewards,
+# no temporaries) against a loop of `_sweep`, on hand-built kernels within
+# the contract, from the inputs interval iteration hands a runner.
 
 #: weights, rewards and input values of the hand-built kernels: unit
-#: probabilities, +0.0 and -0.0 rewards, negative weights and inputs, and a
-#: negative subnormal
-WEIGHTS = (1.0, 0.5, 0.25, 0.75, -0.5)
+#: probabilities, +0.0 and -0.0 rewards; inputs with -0.0, negatives and a
+#: negative subnormal, which interval iteration refuses
+WEIGHTS = (1.0, 0.5, 0.25, 0.75)
 REWARDS = (0.0, 0.0, 1.0, 0.5, -0.0)
 VALUES = (0.0, 0.3, 1.0, -0.0, -1e-320, -0.5)
 
 
 def signed_kernel_model(rng, n, signed):
     """n states, the last an absorbing goal; every other state has one to
-    three choices of one to four branches, self-loops among them.  Unless
-    `signed`, every weight is above 0.0 and every reward +0.0 or above."""
+    three choices of one to four branches, self-loops among them.  Every
+    weight lies in (0, 1]; only where `signed` is a reward -0.0."""
     def choice():
         branches = []
         for t in rng.sample(range(n), rng.randint(1, min(4, n))):
-            p = rng.choice(WEIGHTS if signed else WEIGHTS[:4])
+            p = rng.choice(WEIGHTS)
             r = rng.choice(REWARDS if signed else REWARDS[:4])
             branches.append(Branch(p, r, t, Fraction(p), Fraction(r)))
         return Transition(tuple(branches))
@@ -801,20 +814,26 @@ def positive_signs(*vectors):
     return all(math.copysign(1.0, x) > 0.0 for vec in vectors for x in vec)
 
 
+def runner_input(v, u):
+    """Whether interval iteration can hand `v` and `u` to a runner: no
+    value negative, -0.0 or NaN, and `u >= v` at every state."""
+    return positive_signs(v, u) and all(map(operator.ge, u, v))
+
+
 @LOCALS
 @pytest.mark.parametrize("signed", [False, True], ids=["positive", "signed"])
 @pytest.mark.parametrize("seed", range(10))
 def test_runners_match_sweep_on_signed_zeros_and_negatives(seed, signed, local_branches,
                                                             monkeypatch):
-    # Random kernels, phases from positive inputs and from inputs holding
-    # -0.0, negatives and a negative subnormal.  Interval iteration's guard
-    # passes exactly the inputs without a negative sign, and from those the
-    # runner gives hex-equal vectors, the same sweep count or cap and the
-    # same crossing as `_sweep`; from the others a runner without the
-    # `0.0 +` seed could store -0.0 where `_sweep` stores +0.0.
+    # Random kernels, with -0.0 rewards where `signed`; lower vectors drawn
+    # from positive values, -0.0, negatives and a negative subnormal, upper
+    # ones above them or drawn alike.  Interval iteration refuses every
+    # start that is not a runner's input: a lower one as the seeds, an
+    # upper one by its own check.  From the others the runner gives
+    # hex-equal vectors and the same sweep count or cap as `_sweep`.
     monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
     rng = random.Random(seed)
-    runs = 0
+    runs = refused = 0
     for _ in range(6):
         n = rng.randint(2, 8)
         model, opt = signed_kernel_model(rng, n, signed), rng.choice(["max", "min"])
@@ -824,19 +843,26 @@ def test_runners_match_sweep_on_signed_zeros_and_negatives(seed, signed, local_b
         for trial in range(18):
             values = VALUES[:3] if trial % 3 == 0 else VALUES
             v = [rng.choice(values) for _ in range(n)]
-            u = [rng.choice(values) + rng.choice((0.0, 2.0)) for _ in range(n)]
+            u = [x + rng.choice((0.0, 2.0)) if trial % 2 == 0
+                 else rng.choice(values) + rng.choice((0.0, 2.0)) for x in v]
+            u[n - 1] = v[n - 1]  # interval iteration's upper start at the fixed goal
+            if not runner_input(v, u):
+                refused += 1
+                with pytest.raises(SolverError, match="^seed value|^initial upper value"):
+                    started = solvers.BellmanProblem(model, opt, problem.unknowns, tuple(v),
+                                                     False)
+                    interval_iteration(started, make_property("emax", [n - 1]), u, order,
+                                       max_sweeps=1)
+                continue
+            runs += 1
             v_ref, u_ref = list(v), list(u)
             eps, cap = rng.choice((1e-3, 0.5, -math.inf)), rng.randint(1, 6)
             want = ending(lambda: generic_phase(problem, order, False, v_ref, u_ref,
                                                 eps=eps, max_sweeps=cap))
-            assert solvers._positive_signs(v, u) == positive_signs(v, u)
-            if not positive_signs(v, u):
-                continue
-            runs += 1
             assert ending(lambda: compiled_phase(problem, order, v, u, eps=eps,
                                                  max_sweeps=cap)) == want
             assert hexes(v) == hexes(v_ref) and hexes(u) == hexes(u_ref)
-    assert runs >= 12
+    assert runs >= 12 and refused >= 12
 
 
 def shared_term_phase(rng, signed):
@@ -845,16 +871,16 @@ def shared_term_phase(rng, signed):
     in the order), into s2 (third in the order, so that it is written
     between uses of a term; every state's first choice reads it) and into
     the fixed states, plus self-loops; one to three choices per state.
-    Unless `signed`, every weight is above 0.0 and every reward +0.0 or
-    above.  Returns the problem and the order."""
+    Every weight lies in (0, 1]; only where `signed` is a reward -0.0.
+    Returns the problem and the order."""
     n = rng.randint(6, 9)
-    weights, rewards = (WEIGHTS, REWARDS) if signed else (WEIGHTS[:4], REWARDS[:4])
-    pool = [(rng.choice(weights), rng.choice(rewards), t) for t in (1, 1, 2, 2, n - 2, n - 1)]
+    rewards = REWARDS if signed else REWARDS[:4]
+    pool = [(rng.choice(WEIGHTS), rng.choice(rewards), t) for t in (1, 1, 2, 2, n - 2, n - 1)]
 
     def choice(s, first):
         picks = [pool[2]] * first + rng.choices(pool, k=rng.randint(1, 3))
         if rng.random() < 0.3:
-            picks.append((rng.choice(weights), rng.choice(rewards), s))
+            picks.append((rng.choice(WEIGHTS), rng.choice(rewards), s))
         return Transition(tuple(Branch(p, r, t, Fraction(p), Fraction(r)) for p, r, t in picks))
 
     states = [tuple(choice(s, i == 0) for i in range(rng.randint(1, 3))) for s in range(n - 2)]
@@ -872,38 +898,28 @@ def shared_term_phase(rng, signed):
 @pytest.mark.parametrize("seed", range(8))
 def test_shared_terms_match_sweep(seed, signed, local_branches, monkeypatch):
     # Runners that hoist the terms into fixed states and compute each term
-    # shared by several states once per sweep give hex-equal vectors, the
-    # same sweep count or cap and the same crossing as `_sweep`.  Inputs
-    # holding -0.0 or a negative fail interval iteration's guard and take
-    # the generic path; a runner that keeps the `0.0 +` seed matches
-    # `_sweep` even from those.
+    # shared by several states once per sweep give hex-equal vectors and
+    # the same sweep count or cap as `_sweep`, from upper vectors equal to
+    # the lower ones, 2 above them, or above them by a state's own margin.
     monkeypatch.setattr(solvers, "_LOCAL_BRANCHES", local_branches)
     sources = spy_sources(monkeypatch)
     rng = random.Random(seed)
     endings = set()
     for _ in range(6):
         problem, order = shared_term_phase(rng, signed)
-        seedless = all(p > 0.0 and math.copysign(1.0, r) > 0.0
-                       for s in order for b in problem.kernel[s] for p, r, _ in b)
         for trial in range(18):
-            values = VALUES[:3] if trial % 2 == 0 else VALUES
-            v = [rng.choice(values) for _ in problem.model.states]
-            # u above v; u partly below v, positive; u partly below v, signed
-            u = [x + 2.0 if trial % 3 == 0 else abs(x - 0.5) if trial % 3 == 1
-                 else x + rng.choice((0.0, 2.0, -1.0)) for x in v]
+            v = [rng.choice(VALUES[:3]) for _ in problem.model.states]
+            u = [x + (0.0 if trial % 3 == 0 else 2.0 if trial % 3 == 1
+                      else rng.choice((0.0, 0.5, 2.0))) for x in v]
             v_ref, u_ref = list(v), list(u)
             eps, cap = rng.choice((1e-3, 0.5, 4.0, -math.inf)), rng.randint(1, 6)
             want = ending(lambda: generic_phase(problem, order, False, v_ref, u_ref,
                                                 eps=eps, max_sweeps=cap))
-            if not positive_signs(v, u):
-                assert not solvers._positive_signs(v, u)
-                if seedless:
-                    continue
             assert ending(lambda: compiled_phase(problem, order, v, u, eps=eps,
                                                  max_sweeps=cap)) == want
             assert hexes(v) == hexes(v_ref) and hexes(u) == hexes(u_ref)
-            endings.add("cap" if want[0] == "IterationCapExceeded" else min(want[1], 0))
-    assert endings == {"cap", -1, 0}
+            endings.add("cap" if want[0] == "IterationCapExceeded" else want[1])
+    assert endings == {"cap", -1}
     # Every kind of term the rewrites make was written: hoisted before the
     # loop, shared in it, and shared again after its target's write.
     assert any(re.search(r"^    w\d+ = ", source.split("while True:")[0], re.M)
@@ -921,51 +937,44 @@ def runner_source(problem, monkeypatch):
     return "\n".join(sources)
 
 
-@pytest.mark.parametrize("weight", [Fraction(1, 2), Fraction(-1, 2)])
+@pytest.mark.parametrize("weight", [Fraction(1, 2), Fraction(1, 4)])
 def test_runner_sources_drop_seed_unit_weights_and_interval_temporaries(weight, monkeypatch):
     # s0: one choice, no self-loop.  s1: two choices, a self-loop in one.
-    # s2: two choices, no self-loop.  s3 is the goal.  A negative weight
-    # (s2's first branch) keeps the `0.0 +` of every sum of the phase.
+    # s2: two choices, no self-loop, the first with a branch of weight
+    # `weight` into the goal s3.  No sum starts at `0.0 +`, no unit weight
+    # is multiplied, and no state is tested for a crossing.
     model = mdp_of(0, [[(1, 1, 1)]],
                    [[(HALF, 0, 1), (HALF, 2, 2)], [(1, 0, 3)]],
                    [[(weight, 0, 3), (1 - weight, 1, 0)], [(1, 0, 3)]],
                    [[(1, 0, 3)]])
     problem = reward_problem(model, [3], "max", [])
     source = runner_source(problem, monkeypatch)
-    assert "1.0*" not in source
-    if weight < 0:
-        assert "v0 = 0.0+(1.0+v1)" in source
-        return
-    assert "0.0+" not in source
+    assert "1.0*" not in source and "0.0+" not in source
+    assert not re.search(r"if u\d+ < v\d+", source)
     # s0 and s2 assign their own values; s1 reads its own.
     assert "v0 = (1.0+v1)\n" in source and "u0 = (1.0+u1)\n" in source
-    assert "if u0 < v0 and c < 0: c = 0" in source
     assert "n = 0.5*v1+0.5*(2.0+v2)" in source and "m = 0.5*u1+0.5*(2.0+u2)" in source
-    assert "u1 = m\n" in source and "v1 = n\n        if u1 < v1 and c < 0: c = 1" in source
+    assert "u1 = m\n" in source and "v1 = n\n" in source
     # s2's branch into the goal s3, which the phase never writes, is
     # computed once, before the loop.
-    assert "    w0 = 0.5*v3\n    w1 = 0.5*u3\n    lim = k\n" in source
-    assert "v2 = w0+0.5*(1.0+v0)" in source and "if y > v2: v2 = y" in source
-    assert "if u2 < v2 and c < 0: c = 2" in source
+    w, rest = float(weight), float(1 - weight)
+    assert f"    w0 = {w!r}*v3\n    w1 = {w!r}*u3\n    lim = k\n" in source
+    assert f"v2 = w0+{rest!r}*(1.0+v0)" in source and "if y > v2: v2 = y" in source
     # A term read by several states before its target is next written is
     # computed once per sweep: in id order, s1 to s7 of the slow chain read
     # s0's new value, each through 0.5*(1.0+v0).
     chain = runner_source(chain_ii_runs()[1](), monkeypatch)
     assert chain.count("0.5*(1.0+v0)") == 1 and "+(w0:=0.5*(1.0+v0))\n" in chain
     assert all(f"v{s} = 0.5*(1.0+v{s + 1})+w0\n" in chain for s in range(2, 7))
-    # Interval iteration hands positive inputs to the runner and leaves a
-    # -0.0 input to `_sweep`; the outcomes are those of `_sweep` alone.
+    # Interval iteration runs the runner with the outcome of `_sweep` alone.
     monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 0)
     compiled, ran = spy_runners(monkeypatch)
-    for start, runs in ((problem.seed, 1), ((0.0, -0.0, 0.0, 0.0), 0)):
-        started = solvers.BellmanProblem(model, "max", problem.unknowns, start, False)
-        ran.clear()
-        got = ii_ending(started, [50.0, 50.0, 50.0, 0.0])
-        v, u = list(start), [50.0, 50.0, 50.0, 0.0]
-        sweeps, _ = generic_phase(problem, problem.default_order(), False, v, u, eps=2e-3,
-                                  max_sweeps=10**4)
-        assert got == ((0.5 * (u[0] + v[0])).hex(), v[0].hex(), u[0].hex(), sweeps)
-        assert len(ran) == runs
+    got = ii_ending(problem, [50.0, 50.0, 50.0, 0.0])
+    v, u = problem.initial_vector(), [50.0, 50.0, 50.0, 0.0]
+    sweeps, _ = generic_phase(problem, problem.default_order(), False, v, u, eps=2e-3,
+                              max_sweeps=10**4)
+    assert got == ((0.5 * (u[0] + v[0])).hex(), v[0].hex(), u[0].hex(), sweeps)
+    assert ran == [sweeps]
 
 
 def test_compile_memory_stays_bounded():
@@ -1072,10 +1081,11 @@ def test_phases_that_differ_get_distinct_runners(monkeypatch):
 
 def test_signed_zero_rewards_get_distinct_runners(monkeypatch):
     # Two raw kernels that differ only in the sign of one zero reward: equal
-    # as tuples of floats, and with equal hashes, yet `_best_lines` writes
-    # `v2` for +0.0 and `(-0.0+v2)` for -0.0, and -0.0 keeps the `0.0 +`
-    # seed of every sum.  Each gets a runner of its own, compiled from its
-    # own source, and each phase ends as a loop of `_sweep`s does.
+    # as tuples of floats, and with equal hashes, yet with keys of their
+    # own.  The contract takes a -0.0 reward, and a zero reward of either
+    # sign drops out of its term (`-0.0 + x` and, as no value read is -0.0,
+    # `+0.0 + x` are `x`), so both runners come from equal source.  Each
+    # phase ends as a loop of `_sweep`s does, with hex-equal vectors.
     def model(zero):
         half, one, nought = Fraction(1, 2), Fraction(1), Fraction(0)
         return Mdp(3, 0, (
@@ -1087,6 +1097,7 @@ def test_signed_zero_rewards_get_distinct_runners(monkeypatch):
     problems = [reward_problem(m, [2], "max", []) for m in (plus, minus)]
     assert problems[0].kernel == problems[1].kernel
     assert hash(problems[0].kernel) == hash(problems[1].kernel)
+    assert math.copysign(1.0, problems[1].kernel[1][0][0][1]) == -1.0
     order = problems[0].default_order()
     keys = [_phase_key(p.kernel, order, True, 0) for p in problems]
     assert keys[0] != keys[1]
@@ -1096,13 +1107,17 @@ def test_signed_zero_rewards_get_distinct_runners(monkeypatch):
         v, u = problem.initial_vector(), list(upper)
         sweeps, _ = generic_phase(problem, order, False, v, u, eps=2e-3, max_sweeps=10**4)
         wants.append(((0.5 * (u[0] + v[0])).hex(), v[0].hex(), u[0].hex(), sweeps))
+        v_run, u_run = problem.initial_vector(), list(upper)
+        assert compiled_phase(problem, order, v_run, u_run, eps=2e-3, max_sweeps=10**4) \
+            == (sweeps, -1)
+        assert hexes(v_run) == hexes(v) and hexes(u_run) == hexes(u)
     sources = spy_sources(monkeypatch)
     monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 0)
     compiled, ran = spy_runners(monkeypatch)
     for problem, want in zip(problems, wants):
         assert ii_ending(problem, upper) == want
     assert len(compiled) == len(ran) == 2 and compiled[0] is not compiled[1]
-    assert "0.0+" not in sources[0] and "0.5*(-0.0+v2)" in sources[1]
+    assert sources[0] == sources[1] and "0.5*v2" in sources[0]
     assert len(solvers._RUNNERS) == 2
     for problem, want in zip(problems, wants):
         assert ii_ending(problem, upper) == want
@@ -1558,18 +1573,16 @@ def test_policy_guess_needs_at_most_policy_max_unknowns(monkeypatch):
 def test_policy_guess_refuses_a_kernel_with_a_non_positive_weight(weight, monkeypatch):
     # A hand-built model, which `solve` does not validate: the chain's state
     # 3 gets one more branch of weight `weight`, balanced on its restart.
+    # Its kernel refuses it before the first sweep, so no guess is made.
     chain = generate_slow_chain(10, HALF).model
     ts = list(chain.transitions)
     ts[3] = (Transition((branch(HALF, 1, 4), branch(HALF - weight, 1, 0), branch(weight, 1, 5))),)
     model = Mdp(chain.num_states, 0, tuple(ts))
-    solved = []
-    real = solvers._solve_dense
-    monkeypatch.setattr(solvers, "_solve_dense", lambda rows: solved.append(1) or real(rows))
-    prop = make_property("emax", [10])
-    out = solve(model, prop, SolveOptions(method="ovi")).outcome
-    assert not solved
-    monkeypatch.setattr(solvers, "POLICY_MAX_UNKNOWNS", 0)
-    assert summary(out) == summary(solve(model, prop, SolveOptions(method="ovi")).outcome)
+    policy = spy_policy(monkeypatch)
+    generic = count_generic_sweeps(monkeypatch)
+    with pytest.raises(SolverError, match=rf"^state 3, transition 0: branch \({float(weight)!r}, "):
+        solve(model, make_property("emax", [10]), SolveOptions(method="ovi"))
+    assert not policy and not generic
 
 
 @pytest.mark.parametrize("order", ["forward", "goal-distance"])
@@ -1709,26 +1722,16 @@ def test_interval_iteration_detects_upper_below_lower(me0):
         interval_iteration(problem, prop, [-0.1] * qm.quotient.num_states)
 
 
-@pytest.mark.parametrize("order, first", [([0, 1, 2], 0), ([2, 1, 0], 2), ([1, 2, 0], 1)])
-def test_interval_iteration_names_the_first_crossing_state(order, first, monkeypatch):
-    # On a valid model a sweep keeps u >= v (the backup is monotone), so
-    # once the pre-check passes the vectors never cross.  Each state here
-    # solves x = 2 - x through a negative weight, so the backup is not
-    # monotone: the upper start 0.5 lies above the seeds but below the fixed
-    # point 1, and the first sweep drops every upper value below its lower.
-    m = mdp_of(0, *([[(2, 0, 3), (-1, 0, s)]] for s in range(3)), [[(1, 0, 3)]])
-    _, ran = spy_runners(monkeypatch)
-    # At the unreachable threshold `_sweep` runs every sweep; at threshold
-    # 0 the runner, compiled and stored; and then at the unreachable
-    # threshold again the stored runner, from sweep 0.
-    for threshold, runs in ((10**18, []), (0, [1]), (10**18, [1])):
-        monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", threshold)
-        ran.clear()
-        problem = probability_problem(m, goals=[3], opt="max")
-        with pytest.raises(SolverError, match=f"crossed at state {first}:"):
-            interval_iteration(problem, make_property("pmax", [3], 0.05, "absolute"),
-                               [0.5] * 4, order)
-        assert ran == runs
+def test_interval_iteration_rejects_a_negative_zero_upper_start():
+    # -0.0 >= 0.0, so the start passed the check against the seeds, and the
+    # phase's values were no longer all positive-signed.
+    model = mdp_of(0, [[(HALF, 1, 0), (HALF, 1, 1)]], [[(1, 0, 1)]])
+    problem = reward_problem(model, [1], "max", [])
+    prop = make_property("emax", [1])
+    assert interval_iteration(problem, prop, [2.0, -0.0]).certified  # a fixed state's start
+    with pytest.raises(SolverError, match="^initial upper value at state 0 lies below the lower "
+                                          "vector or is NaN or -0.0$"):
+        interval_iteration(problem, prop, [-0.0, 0.0], max_sweeps=10)
 
 
 def test_interval_iteration_rejects_a_nan_upper_start():
@@ -1744,6 +1747,53 @@ def test_interval_iteration_rejects_a_nan_upper_start():
         start[s] = math.nan
         with pytest.raises(SolverError, match=f"initial upper value at state {s} lies below"):
             interval_iteration(problem, make_property("emax", goals), start, max_sweeps=1000)
+
+
+@pytest.mark.parametrize("kind, traps", [
+    (kind, traps) for kind in ("pmax", "pmin", "emax", "emin") for traps in (False, True)
+    if (kind, traps) != ("emax", True)],  # the injected zero-reward cycle makes emax infinite
+    ids=lambda x: x if type(x) is str else "end-components" if x else "plain")
+def test_interval_iteration_vectors_never_cross(kind, traps):
+    # The proof in `_compile_kernel` that let interval iteration drop its
+    # crossing test: from an upper start at or above the seeds, every sweep
+    # leaves u >= v at every state.  Random valid models, with and without
+    # end components, as `solve` hands them to interval iteration
+    # (eliminated where it eliminates), in three orders, from upper starts
+    # that range from the seeds up to the pipeline's own (all-ones, or the
+    # reward bound).  Some lie between the seeds and the value, such as
+    # half and all of a lower bound on it, from which the certified
+    # interval misses the value; the vectors do not cross there either.
+    # Probabilities go to the first of two absorbing goals, so that the
+    # second is a trap and the values vary; rewards go to both.
+    phases = sweeps = 0
+    for seed in range(16):
+        doc = generate_random(seed, 6 + seed, 3, 4, 4, 2, allow_end_components=traps)
+        goals = sorted(doc.declared_goals)[:1 if kind[0] == "p" else None]
+        problem, prop, upper, order = pipeline_phase(doc.model, make_property(kind, goals, 1e-6))
+        if order is None:  # decided without a sweep
+            continue
+        phases += 1
+        seeds, unknowns = problem.seed, problem.unknowns
+        below = problem.initial_vector()
+        gsvi(problem, below, ErrorCriterion("relative", 1e-3))
+        rng = random.Random(seed)
+        starts = [[seeds[s] + f * (upper[s] - seeds[s]) for s in problem.model.states]
+                  for f in (0.0, 0.25, 1.0)]
+        starts += [[f * x for x in below] for f in (0.5, 1.0)]
+        starts.append([rng.uniform(seeds[s], upper[s]) if s in unknowns and upper[s] < math.inf
+                       else upper[s] for s in problem.model.states])
+        for sweep_order in (order, order[::-1], shuffled_order(problem, seed)):
+            for start in starts:
+                def check(event, sweep, v, u):
+                    nonlocal sweeps
+                    sweeps += 1
+                    assert all(map(operator.ge, u, v)), (event, sweep)
+                try:
+                    interval_iteration(problem, prop, start, sweep_order, max_sweeps=300,
+                                       observer=check)
+                except IterationCapExceeded:
+                    pass
+    assert phases >= 3 and sweeps > 1000
 
 
 def test_interval_iteration_cap(me0):
