@@ -18,7 +18,7 @@ from pathlib import Path
 from .errors import IterationCapExceeded, ParseError, PipelineError, SolveTimeout, SoundMdpError
 from .model import Property, PropertyKind, make_property
 from .modelio import ModelDocument, parse_explicit
-from .pipeline import PipelineResult, SolveOptions, solve
+from .pipeline import METHODS, PipelineResult, SolveOptions, solve
 from .solvers import DEFAULT_SWEEP_CAP
 
 CSV_COLUMNS = ("instance", "method", "result", "lower", "upper", "sweeps", "phases",
@@ -34,7 +34,7 @@ def make_solve_arg_parser(prog: str = "solve", suite_mode: bool = False) -> argp
     p.add_argument("--goal", nargs="+", action="extend", default=[], metavar="STATE",
                    help="goal states (labels or ids), repeatable; defaults to the file's "
                         "goal declaration")
-    p.add_argument("--method", default="ovi", choices=["vi", "ovi", "ii", "oracle"])
+    p.add_argument("--method", default="ovi", choices=METHODS)
     p.add_argument("--epsilon", type=float, default=1e-6,
                    help="required result half-width (ignored by the oracle)")
     p.add_argument("--width", default="relative", choices=["relative", "absolute"],

@@ -20,9 +20,9 @@ def predecessor_index(model: Mdp) -> list[list[tuple[int, int]]]:
     """Per target state, the (state, transition index) pairs with a branch into it.
 
     A transition with several branches into one target is listed once per
-    branch; the attractors below visit each pair at most once per round.
-    prob0_set and prob1_set take it as `pred`, so that a caller computing
-    both builds it once.
+    branch; `attractor` visits each pair at most once, `_prob1_max` at most
+    once per round.  prob0_set and prob1_set take it as `pred`, so that a
+    caller computing both builds it once.
     """
     pred: list[list[tuple[int, int]]] = [[] for _ in model.states]
     for s, ts in enumerate(model.transitions):
@@ -33,18 +33,33 @@ def predecessor_index(model: Mdp) -> list[list[tuple[int, int]]]:
     return pred
 
 
-def _backward_reach(pred: list[list[tuple[int, int]]], targets: Iterable[int],
-                    avoid: frozenset[int] = frozenset()) -> set[int]:
-    """States with some path into `targets` that does not pass through `avoid`."""
-    reached = set(targets)
-    stack = list(reached)
-    while stack:
-        t = stack.pop()
-        for s, _ in pred[t]:
-            if s not in reached and s not in avoid:
-                reached.add(s)
-                stack.append(s)
-    return reached
+def attractor(model: Mdp, pred: list[list[tuple[int, int]]], seeds: Iterable[int],
+              avoid: frozenset[int] = frozenset(), *, every_choice: bool) -> list[int]:
+    """The seeds (distinct states, in the order given), then every state
+    outside `avoid` in the order it joins: once every one of its choices
+    (`every_choice`) or any one of them has a branch into a state that
+    joined before it.  `pred` is the model's predecessor_index, walked in
+    its order from each joined state in turn; a state with no choices joins
+    no attractor, as no branch leads from it.
+    """
+    n = model.num_states
+    joined = list(seeds)
+    done = bytearray(n)  # joined, or in `avoid`
+    for s in (*joined, *avoid):
+        done[s] = 1
+    missing = [len(ts) for ts in model.transitions] if every_choice else [1] * n
+    hit = [0] * n  # per state, a bit per choice with a branch in
+    for t in joined:  # the list grows as states join
+        for s, ti in pred[t]:
+            bit = 1 << ti
+            if done[s] or hit[s] & bit:
+                continue
+            hit[s] |= bit
+            missing[s] -= 1
+            if not missing[s]:
+                done[s] = 1
+                joined.append(s)
+    return joined
 
 
 def prob0_set(model: Mdp, goals: Iterable[int], opt: str, *,
@@ -63,32 +78,16 @@ def prob0_set(model: Mdp, goals: Iterable[int], opt: str, *,
     if pred is None:
         pred = predecessor_index(model)
     if opt == "max":
-        return frozenset(set(model.states) - _backward_reach(pred, goal_set))
+        return frozenset(model.states).difference(
+            attractor(model, pred, goal_set, every_choice=False))
     return _prob0_min(model, pred, goal_set)
 
 
 def _prob0_min(model: Mdp, pred: list[list[tuple[int, int]]], goals: frozenset[int]) -> StateSet:
-    # Worklist attractor: a state joins the positive set once each of its
-    # transitions has a branch into it, counted down as members arrive.
-    hit = [[False] * len(ts) for ts in model.transitions]
-    missing = [len(ts) for ts in model.transitions]
-    positive = set(goals)
-    stack = list(goals)
-    for s in model.states:
-        if not missing[s] and s not in positive:  # all() over no transitions
-            positive.add(s)
-            stack.append(s)
-    while stack:
-        t = stack.pop()
-        for s, ti in pred[t]:
-            if s in positive or hit[s][ti]:
-                continue
-            hit[s][ti] = True
-            missing[s] -= 1
-            if not missing[s]:
-                positive.add(s)
-                stack.append(s)
-    return frozenset(set(model.states) - positive)
+    # A state without choices joins too: every one of its (no) choices hits.
+    idle = [s for s, ts in enumerate(model.transitions) if not ts and s not in goals]
+    return frozenset(model.states).difference(
+        attractor(model, pred, [*goals, *idle], every_choice=True))
 
 
 def prob1_set(model: Mdp, goals: Iterable[int], opt: str, *,
@@ -107,8 +106,8 @@ def prob1_set(model: Mdp, goals: Iterable[int], opt: str, *,
     # Pmin = 1 iff no scheduler can, while avoiding the goals, reach a state
     # from which some scheduler avoids the goals forever.
     zero = _prob0_min(model, pred, goal_set)
-    bad = _backward_reach(pred, zero, avoid=goal_set)
-    return frozenset(set(model.states) - bad)
+    return frozenset(model.states).difference(
+        attractor(model, pred, zero, goal_set, every_choice=False))
 
 
 def _prob1_max(model: Mdp, pred: list[list[tuple[int, int]]], goals: frozenset[int]) -> StateSet:

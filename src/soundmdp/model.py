@@ -123,10 +123,6 @@ class PropertyKind(str, Enum):
         return self in (PropertyKind.PMAX, PropertyKind.PMIN)
 
     @property
-    def is_reward(self) -> bool:
-        return not self.is_probability
-
-    @property
     def opt(self) -> str:
         return "max" if self in (PropertyKind.PMAX, PropertyKind.EMAX) else "min"
 

@@ -46,9 +46,10 @@ every later sweep would too, and the runner sweeps `v` alone from then on.
 The benchmark chains' upper vectors, which start at the emax bound, settle
 within their first 31 sweeps of 793 to 6 713.  A phase of more than
 _LOCAL_BRANCHES branches stays with `_sweep`.  Runners are kept per
-process in a plain dict keyed by the phase itself (`_RUNNERS`, by
-`_phase_key`), emptied when full, so a phase repeated in the process
-compiles once and its repeats run the runner from their first sweep.  The
+process in a plain dict (`_RUNNERS`), emptied when full, keyed by the
+phase itself: the direction, the initial state, the order and the order's
+kernel rows, as a tuple.  So a phase repeated in the process compiles
+once, and its repeats run the runner from their first sweep.  The
 benchmark's `sweep` workload compiles 4 runners, `large` none, and a
 one-shot `soundmdp solve` reuses none.
 
@@ -95,7 +96,6 @@ guess send no "verify".
 
 from __future__ import annotations
 
-import marshal
 import math
 import operator
 import time
@@ -105,7 +105,7 @@ from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 from .errors import IterationCapExceeded, SolveTimeout, SolverError
-from .graph import predecessor_index
+from .graph import attractor, predecessor_index
 from .model import Mdp, Property
 
 DEFAULT_SWEEP_CAP = 10_000_000
@@ -433,9 +433,9 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
     back after it (one loop per vector), which keeps the source a tenth
     shorter than a statement per value would.  Returns None, and the caller
     stays with `_sweep`, for a phase of more than _LOCAL_BRANCHES branches,
-    and for an empty order, one that names a state twice (no solver passes
-    one) or one that holds anything but int states: the source holds only
-    `repr` of floats and int indices.
+    and for an empty order or one that holds anything but int states: the
+    source holds only `repr` of floats and int indices.  A state named
+    twice is swept twice, as in `_sweep`.
 
     Common terms.  A term's value depends only on its text and on the one
     variable it reads, so the runner computes it once while that variable
@@ -447,7 +447,7 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
     pass writes the sweep.
 
     Every call compiles; `interval_iteration` keeps the runner in
-    `_RUNNERS` under the phase's `_phase_key`, so a phase repeated in the
+    `_RUNNERS` under the phase's arguments, so a phase repeated in the
     process compiles once.  A runner keeps its values in locals and reads
     only `time`, so solves in several threads may share it.
 
@@ -467,7 +467,6 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
     n = len(kernel)
     if not (type(s_init) is int and 0 <= s_init < n and order
             and all(type(s) is int and 0 <= s < n for s in order)
-            and len(set(order)) == len(order)
             and sum(len(b) for s in order for b in kernel[s]) <= _LOCAL_BRANCHES):
         return None
     read = sorted({t for s in order for b in kernel[s] for _, _, t in b}
@@ -549,37 +548,19 @@ def _compile_phase(kernel: Kernel, order: Sequence[int], maximize: bool,
     return namespace.pop("run")
 
 
-def _phase_key(kernel: Kernel, order: Sequence[int], maximize: bool,
-               s_init: int) -> bytes | None:
-    """What `_compile_phase` generates a runner from, as bytes: the
-    direction, the initial state, the order and the kernel rows of the
-    order's states, by `marshal` (format 2, which writes no back-references).
-
-    Marshal writes only exact ints, floats, bools, tuples and lists, so
-    equal keys give equal source.  It writes floats by their bits: a -0.0
-    and a +0.0 reward, equal as tuples of floats, get runners of their own.
-    None for a phase marshal refuses (an order of something other than
-    ints, or past the kernel), and, without writing a byte, for a phase of
-    more than _LOCAL_BRANCHES states, more branches than a runner holds.
-    """
-    if len(order) > _LOCAL_BRANCHES:
-        return None
-    try:
-        return marshal.dumps((maximize, s_init, tuple(order),
-                              tuple(map(kernel.__getitem__, order))), 2)
-    except (ValueError, TypeError, IndexError):
-        return None
-
-
-#: compiled runners kept per process.  A runner of 230 to 251 branches
-#: retains 35 to 37 KB and its key 7.3 to 7.9 KB; the `sweep` workload's
-#: four chain runners (19 to 79 branches) retain 38 KB with their keys
-#: (tracemalloc, Python 3.11).  So a full cache holds under 1.5 MB.
+#: compiled runners kept per process.  A runner of 235 branches retains 70
+#: KB with its key, half of it the key's kernel rows; the `sweep` workload's
+#: four chain runners (19 to 79 branches) retain 58 KB with their keys
+#: (tracemalloc, Python 3.11).  So a full cache holds about 2.5 MB at most.
 _RUNNER_CACHE_SIZE = 32
 
-#: compiled phase runners by `_phase_key`, emptied when full; every access
+#: compiled phase runners by `_compile_phase`'s arguments, the tuple
+#: (maximize, s_init, order, the order's kernel rows); emptied when full.
+#: The kernel contract admits only float weights and rewards and int
+#: targets, and equal floats differ at most in the sign of a zero, which a
+#: zero reward's term drops: equal keys write equal source.  Every access
 #: is one dict call, atomic under the GIL, so threads share it without a lock
-_RUNNERS: dict[bytes, Callable] = {}
+_RUNNERS: dict[tuple, Callable] = {}
 
 
 #: observer(event, *payload), see the module docstring
@@ -984,7 +965,8 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
 
     The phase ends after the first sweep whose width at the initial state
     is at most twice the property's epsilon; it measures no error.
-    Unobserved, it looks its phase up in `_RUNNERS` before the first sweep.
+    Unobserved, it looks its phase up in `_RUNNERS` before the first sweep,
+    unless its order holds more than _LOCAL_BRANCHES states.
     A phase compiled earlier in the process runs its runner from sweep 0;
     any other runs COMPILE_AFTER_SWEEPS generic sweeps, then compiles its
     runner (`_compile_phase`), stores it and hands it the remaining sweeps,
@@ -1018,8 +1000,8 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
     tolerance = 2.0 * eps
     kernel, maximize = problem.kernel, problem.opt == "max"
     key = runner = None
-    if observer is None:
-        key = _phase_key(kernel, order, maximize, s_i)
+    if observer is None and len(order) <= _LOCAL_BRANCHES:  # else too many branches
+        key = (maximize, s_i, tuple(order), tuple(map(kernel.__getitem__, order)))
         runner = _RUNNERS.get(key)
     # The sweep at which the runner takes over: the first for a cached one.
     switch = 0 if runner is not None else COMPILE_AFTER_SWEEPS
@@ -1104,20 +1086,22 @@ def _emax_reward_bound(model: Mdp, goal_set: frozenset[int], inf_set: frozenset[
     Wunderlich, "Ensuring the Reliability of Your Model Checker: Interval
     Iteration for MDPs" (CAV 2017), rounded outward.
 
-    Goals get d = 1.  A worklist over the predecessor index processes a
-    state once every one of its choices has a branch into an already
-    processed state; its d(s) is the minimum over its choices of the mass
-    into processed states, each target weighted by its own d.  Under every
-    scheduler, a path from s then reaches a goal through earlier processed
-    states only, never returning to s, with probability at least d(s), so s
-    is visited at most 1/d(s) times in expectation, and every value is at
+    Goals get d = 1, and the other states get theirs in the order they
+    join `graph.attractor` from the goals (in id order) outside `inf_set`,
+    once every one of their choices has a branch into a state that joined
+    before them: d(s) is the minimum over its choices of the mass into
+    those states, each target weighted by its own d.  Under every
+    scheduler, a path from s then reaches a goal through states that joined
+    earlier only, never returning to s, with probability at least d(s), so
+    s is visited at most 1/d(s) times in expectation, and every value is at
     most the sum of r(s)/d(s), where r(s) is the state's largest expected
-    one-step reward.  The argument needs weights in (0, 1] and non-negative
-    rewards; other branches are refused.  Every float is one step from its
-    exact field, so d is built from weights one step down and r from
-    weights and rewards one step up; every later operation steps towards 0
-    (d) or +inf (r, r/d and the sum), which keeps the bound above the
-    exact value although it lies within a few ulps of it on the chains.
+    one-step reward.  A state that never joins has no d and no bound.  The
+    argument needs weights in (0, 1] and non-negative rewards; other
+    branches are refused.  Every float is one step from its exact field, so
+    d is built from weights one step down and r from weights and rewards one
+    step up; every later operation steps towards 0 (d) or +inf (r, r/d and
+    the sum), which keeps the bound above the exact value although it lies
+    within a few ulps of it on the chains.
     """
     up, nextafter = math.inf, math.nextafter
     transitions = model.transitions
@@ -1141,36 +1125,23 @@ def _emax_reward_bound(model: Mdp, goal_set: frozenset[int], inf_set: frozenset[
     if not any(reward):
         return 0.0
 
-    d = [0.0] * model.num_states
-    waiting = [0] * model.num_states
-    for s in relevant:
-        waiting[s] = len(transitions[s])
-    hit = [0] * model.num_states  # per state, a bit per choice with a processed target
-    processed = sorted(goal_set)
-    for g in processed:
-        d[g] = 1.0
-    pred = predecessor_index(model)
-    for t in processed:  # the list grows as states are processed
-        for s, ti in pred[t]:
-            bit = 1 << ti
-            if not waiting[s] or hit[s] & bit:
-                continue
-            hit[s] |= bit
-            waiting[s] -= 1
-            if waiting[s]:
-                continue
-            low = 1.0
-            for tr in transitions[s]:
-                acc = 0.0
-                for b in tr.branches:
-                    x = d[b[2]]  # 0.0 unless processed
-                    if x:
-                        acc = nextafter(acc + nextafter(nextafter(b[0], 0.0) * x, 0.0), 0.0)
-                low = min(low, acc)
-            d[s] = low
-            processed.append(s)
-    if len(processed) < len(goal_set) + len(relevant):
+    goals = sorted(goal_set)
+    joined = attractor(model, predecessor_index(model), goals, inf_set, every_choice=True)
+    if len(joined) < len(goals) + len(relevant):
         raise SolverError(_NO_BOUND)
+    d = [0.0] * model.num_states
+    for g in goals:
+        d[g] = 1.0
+    for s in joined[len(goals):]:
+        low = 1.0
+        for tr in transitions[s]:
+            acc = 0.0
+            for b in tr.branches:
+                x = d[b[2]]  # 0.0 unless joined before s
+                if x:
+                    acc = nextafter(acc + nextafter(nextafter(b[0], 0.0) * x, 0.0), 0.0)
+            low = min(low, acc)
+        d[s] = low
     total = 0.0
     for s in relevant:
         if reward[s]:

@@ -82,6 +82,21 @@ def spy_sources(monkeypatch) -> list:
     return sources
 
 
+def spy_lookups(monkeypatch) -> list:
+    """Replaces `solvers._RUNNERS` by an empty dict that records its
+    lookups.  Returns a list that gains each key interval iteration looks a
+    phase up by."""
+    keys: list = []
+
+    class Runners(dict):
+        def get(self, key, default=None):
+            keys.append(key)
+            return super().get(key, default)
+
+    monkeypatch.setattr(solvers, "_RUNNERS", Runners())
+    return keys
+
+
 def count_generic_sweeps(monkeypatch) -> list:
     """Wraps `solvers._sweep`.  Returns a list that gains one entry per
     generic sweep."""

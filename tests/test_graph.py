@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from soundmdp import (ModelError, eliminate_end_components,
-                      generate_random, make_goals_absorbing,
+                      generate_random, generate_slow_chain, make_goals_absorbing,
                       make_property, mec_decomposition, oracle_exact, oracle_values,
-                      prob0_set, prob1_set, s_infinity, strip_rewards)
+                      prob0_set, prob1_set, reward_upper_init, s_infinity, strip_rewards)
 from soundmdp.graph import EndComponent, goal_distance_order, predecessor_index
 from soundmdp.model import Mdp, Transition
 
@@ -145,6 +146,90 @@ def test_attractors_match_full_pass_fixpoints(seed):
             every = range(1, n, 3)
             assert prob0_set(work, every, "min") == _prob0_min_by_passes(work, every)
             assert prob1_set(work, every, "max") == _prob1_max_by_passes(work, every)
+
+
+def _reach_by_passes(model, targets, avoid=frozenset()):
+    """Reference: the states with a branch path into `targets` that passes
+    through no state of `avoid`, by full passes."""
+    reached = set(targets)
+    grew = True
+    while grew:
+        grew = False
+        for s in model.states:
+            if s not in reached and s not in avoid and any(
+                    b.target in reached for t in model.transitions[s] for b in t.branches):
+                reached.add(s)
+                grew = True
+    return reached
+
+
+#: the hex of reward_upper_init(..., "max", s_infinity(...)) at the states
+#: that are neither goals nor infinite, on `_pinned_instance(k)`; None where
+#: every state is one or the other
+EMAX_BOUND_PINS = {
+    0: None, 1: "0x1.58ef200315ce8p+13", 2: "0x1.6000000000009p+2", 3: None,
+    4: "0x1.25d1745d17467p+3", 5: "0x1.7f55cc68c6fcbp+18", 6: None,
+    7: "0x1.0000000000008p-1", 8: "0x1.69999999999a4p+2", 9: "0x1.4f8ac7c03f261p+12",
+    10: None, 11: "0x1.8000000000009p+1", 12: None, 13: None, 14: "0x1.e00000000000fp+2",
+    15: None, 16: None, 17: "0x1.484afcfe9b129p+18", 18: None, 19: None,
+    20: "0x1.2000000000009p+2", 21: "0x1.db43bda5a969ap+8", 22: None,
+    23: "0x1.500000000000cp+3", 24: "0x1.1000000000009p+2", 25: "0x1.ff091f716055ep+13",
+    26: None, 27: None, 28: None, 29: "0x1.1960c132788a4p+17", 30: None, 31: None,
+    32: "0x1.4000000000008p+0", 33: "0x1.ccb3604d16da8p+13", 34: None,
+    35: "0x1.c00000000000cp+1",
+}
+
+#: the same on the benchmark's slow chains (n, p), which have no infinite state
+CHAIN_EMAX_BOUND_PINS = {
+    (10, HALF): "0x1.7f80000000025p+10", (16, Fraction(2, 3)): "0x1.b524d6000004fp+10",
+    (20, Fraction(3, 4)): "0x1.26a0d862312fbp+10", (40, Fraction(9, 10)): "0x1.49e45c8cee1b4p+9",
+}
+
+
+def _pinned_instance(k):
+    """A random model of 20, 60 or 200 states, every other one with an
+    injected end component, and its goals: every declared goal, or, for
+    half of the models, all but the last, which is then a trap."""
+    n = (20, 60, 200)[k % 3]
+    doc = generate_random(k, n, 3, 4, 4, n // 10, allow_end_components=k % 2 == 0)
+    goals = sorted(doc.declared_goals)[:None if k % 4 < 2 else -1]
+    return make_goals_absorbing(doc.model, goals), goals
+
+
+def _check_sets_and_emax_bound(model, goals, pin):
+    """The prob0/prob1/s-infinity sets equal their full-pass references, and
+    the emax bound's hex equals `pin`."""
+    states = set(model.states)
+    zero_min = _prob0_min_by_passes(model, goals)
+    one_min = states - _reach_by_passes(model, zero_min, avoid=frozenset(goals))
+    one_max = _prob1_max_by_passes(model, goals)
+    assert prob0_set(model, goals, "max") == states - _reach_by_passes(model, goals)
+    assert prob0_set(model, goals, "min") == zero_min
+    assert prob1_set(model, goals, "min") == one_min
+    assert prob1_set(model, goals, "max") == one_max
+    s_inf = s_infinity(model, goals, "max")
+    assert s_inf == states - one_min
+    assert s_infinity(model, goals, "min") == states - one_max
+    bounds = reward_upper_init(model, goals, "max", s_inf)
+    assert all(bounds[s] == (math.inf if s in s_inf else 0.0) for s in states
+               if s in s_inf or s in goals)
+    assert {x.hex() for s, x in enumerate(bounds)
+            if s not in s_inf and s not in goals} == ({pin} if pin else set())
+
+
+@pytest.mark.parametrize("k", range(36))
+def test_qualitative_sets_and_emax_bound_stay_pinned(k):
+    # Half of these models have an end component, most have infinite-reward
+    # states, and the bound's hex depends on the order in which the states
+    # join its attractor.
+    model, goals = _pinned_instance(k)
+    _check_sets_and_emax_bound(model, goals, EMAX_BOUND_PINS[k])
+
+
+@pytest.mark.parametrize("n, p", list(CHAIN_EMAX_BOUND_PINS))
+def test_chain_sets_and_emax_bound_stay_pinned(n, p):
+    model = make_goals_absorbing(generate_slow_chain(n, p).model, [n])
+    _check_sets_and_emax_bound(model, [n], CHAIN_EMAX_BOUND_PINS[n, p])
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -24,9 +24,9 @@ from soundmdp.graph import goal_distance_order
 from soundmdp.oracle import SCHEDULER_GUARD, scheduler_count
 from soundmdp import pipeline, solvers
 from soundmdp.model import Branch, Mdp, Transition
-from soundmdp.solvers import _compile_phase, _phase_key, _sweep
-from conftest import (HALF, clear_caches, count_generic_sweeps, mdp_of, record, spy_runners,
-                      spy_sources)
+from soundmdp.solvers import _compile_phase, _sweep
+from conftest import (HALF, clear_caches, count_generic_sweeps, mdp_of, record, spy_lookups,
+                      spy_runners, spy_sources)
 
 #: the slow chains of the benchmark's `sweep` workload
 BENCHMARK_CHAINS = ((10, HALF), (16, Fraction(2, 3)), (20, Fraction(3, 4)), (40, Fraction(9, 10)))
@@ -438,18 +438,25 @@ def test_problems_refuse_a_negative_zero_negative_or_nan_seed(me0, bad):
         solvers.BellmanProblem(me0, "max", frozenset([0]), tuple(seed), False)
 
 
-def test_orders_that_repeat_a_state_stay_generic(monkeypatch):
-    # An order that names a state twice, which no solver passes, and an
-    # empty one keep `_sweep`.
+def test_orders_that_repeat_a_state_compile(monkeypatch):
+    # An order that names a state twice, which no solver passes, compiles:
+    # its runner sweeps that state twice, as `_sweep` does, with hex-equal
+    # vectors after the same sweeps.  An empty order keeps `_sweep`.
     problem, prop, upper, _ = chain_phase(8, HALF)
-    for order in ([3, 2, 1, 0, 4, 5, 6, 7, 2], []):
-        assert _compile_phase(problem.kernel, order, True, 0) is None
+    repeated = [3, 2, 1, 0, 4, 5, 6, 7, 2]
+    v, u = problem.initial_vector(), list(upper)
+    want = generic_phase(problem, repeated, False, v, u, eps=2e-3, max_sweeps=10**4)
+    v_run, u_run = problem.initial_vector(), list(upper)
+    assert compiled_phase(problem, repeated, v_run, u_run, eps=2e-3, max_sweeps=10**4) == want
+    assert want[0] > 300 and hexes(v_run) == hexes(v) and hexes(u_run) == hexes(u)
+    assert _compile_phase(problem.kernel, [], True, 0) is None
+    for order, compiles in ((repeated, True), ([], False)):
         want = ii_ending(problem, upper, order, max_sweeps=300, observer=lambda *event: None)
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 0)
             compiled, _ = spy_runners(patch)
             assert ii_ending(problem, upper, order, max_sweeps=300) == want
-        assert compiled == [None]
+        assert len(compiled) == 1 and (compiled[0] is not None) == compiles
 
 
 def test_compiled_sweep_splits_long_sums_and_many_choices():
@@ -977,7 +984,7 @@ def test_runner_sources_drop_seed_unit_weights_and_interval_temporaries(weight, 
     assert ran == [sweeps]
 
 
-def test_compile_memory_stays_bounded():
+def test_compile_memory_stays_bounded(monkeypatch):
     # A compile holds about 10 KB per branch, so a phase of 235 branches,
     # below the cap of 256, peaks near 2.3 MB (tracemalloc, Python 3.11;
     # 2.8 MB on 3.12).  A phase of 2 000+ branches, which would hold about
@@ -1001,9 +1008,12 @@ def test_compile_memory_stays_bounded():
     assert runner is not None and peak < 4_000_000
     assert _compile_phase(large.kernel, large.default_order(), True, large.model.initial) is None
     # Interval iteration does not even key a phase of more states than a
-    # runner may hold branches.
-    assert len(large.unknowns) > solvers._LOCAL_BRANCHES
-    assert _phase_key(large.kernel, large.default_order(), True, large.model.initial) is None
+    # runner may hold branches; it keys the small one.
+    assert len(large.unknowns) > solvers._LOCAL_BRANCHES and large.model.initial in large.unknowns
+    keys = spy_lookups(monkeypatch)
+    for phase in (large, small):
+        ii_ending(phase, [1e3] * phase.model.num_states, max_sweeps=1)
+    assert len(keys) == 1 and keys[0][2] == tuple(small.default_order())
 
 
 def chain_ii_runs(n=8):
@@ -1059,9 +1069,7 @@ def test_phases_that_differ_get_distinct_runners(monkeypatch):
     phases = [(kernel, order, True, s_i), (tuple(changed), order, True, s_i),
               (kernel, order[::-1], True, s_i), (kernel, order, False, s_i),
               (kernel, order, True, next(x for x in order if x != s_i))]
-    keys = [_phase_key(*phase) for phase in phases]
-    assert None not in keys and len(set(keys)) == 5
-    assert _phase_key(kernel, tuple(order), True, s_i) == keys[0]
+    keys = spy_lookups(monkeypatch)
     monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 0)
     compiled, ran = spy_runners(monkeypatch)
     for k, (phase_kernel, phase_order, maximize, initial) in enumerate(phases):
@@ -1074,18 +1082,19 @@ def test_phases_that_differ_get_distinct_runners(monkeypatch):
         ii_ending(phase_problem, [1e3] * model.num_states, phase_order, max_sweeps=3)
         assert len(compiled) == k + 1 and len(solvers._RUNNERS) == k + 1
     assert None not in compiled and len({id(runner) for runner in compiled}) == 5
-    assert len(ran) == 5
+    assert len(ran) == 5 and len(keys) == len(set(keys)) == 5
     ii_ending(problem, [1e3] * problem.model.num_states, tuple(order), max_sweeps=3)
-    assert len(compiled) == 5 and len(ran) == 6
+    assert len(compiled) == 5 and len(ran) == 6 and keys[5] == keys[0]
 
 
-def test_signed_zero_rewards_get_distinct_runners(monkeypatch):
+def test_signed_zero_rewards_share_a_runner(monkeypatch):
     # Two raw kernels that differ only in the sign of one zero reward: equal
-    # as tuples of floats, and with equal hashes, yet with keys of their
-    # own.  The contract takes a -0.0 reward, and a zero reward of either
+    # as tuples of floats, and with equal hashes, so their phases share a
+    # key.  The contract takes a -0.0 reward, and a zero reward of either
     # sign drops out of its term (`-0.0 + x` and, as no value read is -0.0,
-    # `+0.0 + x` are `x`), so both runners come from equal source.  Each
-    # phase ends as a loop of `_sweep`s does, with hex-equal vectors.
+    # `+0.0 + x` are `x`), so both compile from equal source, and the
+    # second phase runs the first one's runner.  Each phase ends as a loop
+    # of `_sweep`s does, with hex-equal vectors.
     def model(zero):
         half, one, nought = Fraction(1, 2), Fraction(1), Fraction(0)
         return Mdp(3, 0, (
@@ -1099,9 +1108,8 @@ def test_signed_zero_rewards_get_distinct_runners(monkeypatch):
     assert hash(problems[0].kernel) == hash(problems[1].kernel)
     assert math.copysign(1.0, problems[1].kernel[1][0][0][1]) == -1.0
     order = problems[0].default_order()
-    keys = [_phase_key(p.kernel, order, True, 0) for p in problems]
-    assert keys[0] != keys[1]
     upper = [50.0, 50.0, 0.0]
+    sources = spy_sources(monkeypatch)
     wants = []
     for problem in problems:
         v, u = problem.initial_vector(), list(upper)
@@ -1111,17 +1119,17 @@ def test_signed_zero_rewards_get_distinct_runners(monkeypatch):
         assert compiled_phase(problem, order, v_run, u_run, eps=2e-3, max_sweeps=10**4) \
             == (sweeps, -1)
         assert hexes(v_run) == hexes(v) and hexes(u_run) == hexes(u)
-    sources = spy_sources(monkeypatch)
+    assert sources[0] == sources[1] and "0.5*v2" in sources[0]
+    keys = spy_lookups(monkeypatch)
     monkeypatch.setattr(solvers, "COMPILE_AFTER_SWEEPS", 0)
     compiled, ran = spy_runners(monkeypatch)
     for problem, want in zip(problems, wants):
         assert ii_ending(problem, upper) == want
-    assert len(compiled) == len(ran) == 2 and compiled[0] is not compiled[1]
-    assert sources[0] == sources[1] and "0.5*v2" in sources[0]
-    assert len(solvers._RUNNERS) == 2
+    assert len(compiled) == 1 and len(ran) == 2 and len(sources) == 3
+    assert keys[0] == keys[1] and len(solvers._RUNNERS) == 1
     for problem, want in zip(problems, wants):
         assert ii_ending(problem, upper) == want
-    assert len(compiled) == 2 and len(ran) == 4
+    assert len(compiled) == 1 and len(ran) == 4
 
 
 def test_runner_cache_stays_at_its_bound(monkeypatch):
