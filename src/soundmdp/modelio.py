@@ -226,10 +226,10 @@ def parse_explicit(text: str) -> ModelDocument:
     if int(words[1]) != FORMAT_VERSION:
         raise _error(f"unsupported format version {words[1]}", ln, raw, 1)
 
-    # A state reference outside a branch is (token, line, line text, word index).
+    # A state reference outside a branch is (token, line, word index).
     num_states: int | None = None
-    initial_token: tuple[str, int, str, int] | None = None
-    goal_tokens: list[tuple[str, int, str, int]] = []
+    initial_token: tuple[str, int, int] | None = None
+    goal_tokens: list[tuple[str, int, int]] = []
     labels: dict[str, int] = {}
     # Each distinct number token by its role, as a probability and as a reward.
     probability_numbers: dict[str, tuple] = {}
@@ -308,11 +308,11 @@ def parse_explicit(text: str) -> ModelDocument:
                 raise _error("duplicate 'initial' line", ln, raw, 0)
             if len(words) != 2:
                 raise _error("'initial' expects one id or label", ln, raw, 0)
-            initial_token = (words[1], ln, raw, 1)
+            initial_token = (words[1], ln, 1)
         elif keyword == "goal":
             if len(words) < 2:
                 raise _error("'goal' expects at least one id or label", ln, raw, 0)
-            goal_tokens.extend((t, ln, raw, i) for i, t in enumerate(words[1:], start=1))
+            goal_tokens.extend((t, ln, i) for i, t in enumerate(words[1:], start=1))
         else:
             raise _error(f"unknown keyword {keyword!r}", ln, raw, 0)
 
@@ -327,18 +327,17 @@ def parse_explicit(text: str) -> ModelDocument:
     targets = {str(s): s for s in range(num_states)}
     targets.update(labels)
 
-    def resolve(token: str, ln: int, raw: str | None, index: int) -> int:
+    def resolve(token: str, ln: int, index: int) -> int:
         if token in targets:
             return targets[token]
-        if raw is None:
-            raw = text.splitlines()[ln - 1]
         if not _is_int(token):
-            raise _error(f"dangling target: unknown state label {token!r}", ln, raw, index)
-        sid = int(token)
-        if not 0 <= sid < num_states:
-            raise _error(f"state id {sid} out of range", ln, raw, index)
-        targets[token] = sid
-        return sid
+            message = f"dangling target: unknown state label {token!r}"
+        elif not 0 <= int(token) < num_states:
+            message = f"state id {int(token)} out of range"
+        else:
+            sid = targets[token] = int(token)
+            return sid
+        raise _error(message, ln, text.splitlines()[ln - 1], index)
 
     def checked() -> list[int]:
         """Every branch's target id, with every number checked and every
@@ -349,7 +348,7 @@ def parse_explicit(text: str) -> ModelDocument:
                 if len(value) == 1:
                     raise _error(f"number {value[0]!r} outside the binary64 range",
                                  ln, text.splitlines()[ln - 1], index)
-            out.append(resolve(tt, ln, None, 3))
+            out.append(resolve(tt, ln, 3))
         return out
 
     # Records are built with tuple.__new__, which skips the named tuples'

@@ -33,6 +33,11 @@ reads the copy:
      end that interval iteration reports is widened by its sweeps'
      rounding (`rounding_widened`).
 
+`PipelineResult` times three phases: precomp is step 2, transform steps 1,
+3 and 4, and solve step 5, from the problem build (or the oracle call) to
+the final outcome, the upper start, the order and the emax widening
+included.
+
 SolveOptions checks every field when it is built, so a bad option fails
 before any work, whether or not the request would reach a sweep.
 
@@ -103,20 +108,18 @@ class SolveOptions:
 
 
 class PipelineResult:
-    """What `solve` did: the outcome, the request, and the transforms that ran."""
+    """What `solve` did: the outcome, the request, the transforms that ran,
+    and the seconds each phase took (`SolveOutcome` carries no time)."""
 
-    __slots__ = ("outcome", "prop", "options", "precomp_time", "transform_time", "applied",
-                 "warnings", "exact_value")
+    __slots__ = ("outcome", "prop", "options", "precomp_time", "transform_time", "solve_time",
+                 "applied", "warnings", "exact_value")
 
-    def __init__(self, outcome: SolveOutcome, prop: Property, options: SolveOptions,
-                 precomp_time: float = 0.0, transform_time: float = 0.0,
-                 applied: list[str] | None = None, warnings: list[str] | None = None,
-                 exact_value: object = None) -> None:  # Fraction or math.inf for "oracle"
+    def __init__(self, outcome: SolveOutcome, prop: Property, options: SolveOptions) -> None:
         self.outcome, self.prop, self.options = outcome, prop, options
-        self.precomp_time, self.transform_time = precomp_time, transform_time
-        self.applied = [] if applied is None else applied
-        self.warnings = [] if warnings is None else warnings
-        self.exact_value = exact_value
+        self.precomp_time = self.transform_time = self.solve_time = 0.0
+        self.applied: list[str] = []
+        self.warnings: list[str] = []
+        self.exact_value: object = None  # Fraction or math.inf for "oracle"
 
 
 def _plan(kind: PropertyKind, options: SolveOptions) -> tuple[bool, bool]:
@@ -230,14 +233,13 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
                                "the computed fixed point may undershoot the true value")
     result.transform_time += time.perf_counter() - t0
 
+    # Solve: from the problem build, or the oracle call, to the final outcome.
+    t0 = time.perf_counter()
     if options.method == "oracle":
-        start = time.perf_counter()
         result.exact_value = oracle_values(
             work, Property(kind, goals, prop.epsilon, prop.width))[work.initial]
         value = float(result.exact_value)
-        outcome = SolveOutcome(value, value, value, 0,
-                               wall_time=time.perf_counter() - start,
-                               method="oracle", certified=True)
+        outcome = SolveOutcome(value, value, value, 0, method="oracle", certified=True)
     else:
         if kind.is_probability:
             problem = probability_problem(work, goals, opt, fixed_zero=fixed_zero,
@@ -268,6 +270,7 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
             if undecided and kind == PropertyKind.EMAX:
                 # The emax start lies within rounding of the value.
                 outcome = rounding_widened(problem, outcome, upper[work.initial])
+    result.solve_time = time.perf_counter() - t0
 
     if result.warnings:
         outcome.certified = False

@@ -220,18 +220,19 @@ class ErrorCriterion:
 
 
 class SolveOutcome:
+    """What a solver proved at the initial state; it carries no time."""
+
     __slots__ = ("value", "lower_bound", "upper_bound", "iterations", "verification_phases",
-                 "cancelled_verifications", "wall_time", "method", "certified", "status")
+                 "cancelled_verifications", "method", "certified", "status")
 
     def __init__(self, value: float, lower_bound: float | None, upper_bound: float | None,
                  iterations: int, verification_phases: int = 0,
-                 cancelled_verifications: int = 0, wall_time: float = 0.0, method: str = "",
-                 certified: bool = False,
+                 cancelled_verifications: int = 0, method: str = "", certified: bool = False,
                  status: str = "ok") -> None:  # "ok" | "no-certificate"
         self.value, self.lower_bound, self.upper_bound = value, lower_bound, upper_bound
         self.iterations, self.verification_phases = iterations, verification_phases
-        self.cancelled_verifications, self.wall_time = cancelled_verifications, wall_time
-        self.method, self.certified, self.status = method, certified, status
+        self.cancelled_verifications, self.method = cancelled_verifications, method
+        self.certified, self.status = certified, status
         if self.lower_bound is not None and self.upper_bound is not None:
             if not (self.lower_bound <= self.value <= self.upper_bound):
                 raise SolverError("outcome bounds do not bracket the value")
@@ -605,15 +606,13 @@ def plain_vi(problem: BellmanProblem, criterion: ErrorCriterion,
              order: Sequence[int] | None = None, *, max_sweeps: int = DEFAULT_SWEEP_CAP,
              deadline: float | None = None) -> SolveOutcome:
     """Standard (unsound) value iteration: the result is a lower bound only."""
-    start = time.perf_counter()
     values = problem.initial_vector()
     sweeps = 0
     s_i = problem.model.initial
     if s_i in problem.unknowns:
         sweeps = gsvi(problem, values, criterion, order, max_sweeps=max_sweeps, deadline=deadline)
     value = _reported_lower(problem, values[s_i])
-    return SolveOutcome(value, value, None, sweeps,
-                        wall_time=time.perf_counter() - start, method="vi")
+    return SolveOutcome(value, value, None, sweeps, method="vi")
 
 
 def _reported_lower(problem: BellmanProblem, value: float) -> float:
@@ -623,9 +622,8 @@ def _reported_lower(problem: BellmanProblem, value: float) -> float:
     return min(value, 1.0) if problem.probability_mode else value
 
 
-def _exact_outcome(value: float, sweeps: int, method: str, start: float) -> SolveOutcome:
-    return SolveOutcome(value, value, value, sweeps, wall_time=time.perf_counter() - start,
-                        method=method, certified=True)
+def _exact_outcome(value: float, method: str) -> SolveOutcome:
+    return SolveOutcome(value, value, value, 0, method=method, certified=True)
 
 
 #: sweeps after which `ovi`'s first iteration phase pauses for a
@@ -801,11 +799,10 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
     together, runs out, the outcome is flagged "no-certificate" rather than
     pretending soundness.
     """
-    start = time.perf_counter()
     model = problem.model
     s_i = model.initial
     if s_i not in problem.unknowns:
-        return _exact_outcome(problem.seed[s_i], 0, "ovi", start)
+        return _exact_outcome(problem.seed[s_i], "ovi")
 
     relative_error = criterion.mode == "relative"
     relative_width = prop.width == "relative"
@@ -827,13 +824,12 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
 
     def uncertified() -> SolveOutcome:
         lower = _reported_lower(problem, v[s_i])
-        return SolveOutcome(lower, lower, None, total_sweeps, phases, cancelled,
-                            time.perf_counter() - start, "ovi", False, "no-certificate")
+        return SolveOutcome(lower, lower, None, total_sweeps, phases, cancelled, "ovi", False,
+                            "no-certificate")
 
     def certified(lower: list[float], upper: list[float]) -> SolveOutcome:
         return SolveOutcome(0.5 * (upper[s_i] + lower[s_i]), lower[s_i], upper[s_i],
-                            total_sweeps, phases, cancelled, time.perf_counter() - start,
-                            "ovi", True, "ok")
+                            total_sweeps, phases, cancelled, "ovi", True, "ok")
 
     def narrow(lower: list[float], upper: list[float]) -> bool:
         return upper[s_i] - lower[s_i] <= (2.0 * eps * lower[s_i] if relative_width
@@ -973,13 +969,12 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
     which give the floats and sweep count of `_sweep`.  It stores by
     `setdefault`, so threads that compile one phase at once run the runner
     stored first, and it empties a full `_RUNNERS` first."""
-    start = time.perf_counter()
     model = problem.model
     s_i = model.initial
     if len(upper_init) != model.num_states:
         raise SolverError("upper_init length does not match the state count")
     if s_i not in problem.unknowns:
-        return _exact_outcome(problem.seed[s_i], 0, "ii", start)
+        return _exact_outcome(problem.seed[s_i], "ii")
 
     relative_width = prop.width == "relative"
     eps = prop.epsilon
@@ -1031,8 +1026,8 @@ def interval_iteration(problem: BellmanProblem, prop: Property, upper_init: Sequ
             observer("ii", sweeps, v, u)
         if u[s_i] - v[s_i] <= (tolerance * v[s_i] if relative_width else tolerance):
             break
-    return SolveOutcome(0.5 * (u[s_i] + v[s_i]), v[s_i], u[s_i], sweeps,
-                        wall_time=time.perf_counter() - start, method="ii", certified=True)
+    return SolveOutcome(0.5 * (u[s_i] + v[s_i]), v[s_i], u[s_i], sweeps, method="ii",
+                        certified=True)
 
 
 #: the least positive float
@@ -1073,8 +1068,8 @@ def rounding_widened(problem: BellmanProblem, outcome: SolveOutcome,
     upper = min(upper, start)
     return SolveOutcome(0.5 * (outcome.lower_bound + upper), outcome.lower_bound, upper,
                         outcome.iterations, outcome.verification_phases,
-                        outcome.cancelled_verifications, outcome.wall_time, outcome.method,
-                        outcome.certified, outcome.status)
+                        outcome.cancelled_verifications, outcome.method, outcome.certified,
+                        outcome.status)
 
 
 _NO_BOUND = ("no finite reward upper bound derivable; "

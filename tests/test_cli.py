@@ -60,6 +60,37 @@ def test_solve_csv_row(me_file, capsys):
     assert float(row["lower"]) <= 0.6 <= float(row["upper"])
 
 
+def test_solve_csv_quotes_its_row(me_file, tmp_path, capsys):
+    # The default instance id is the file stem, which may hold a comma.
+    path = tmp_path / "a,b.mdpx"
+    path.write_text(me_file.read_text())
+    assert main(["solve", str(path), "--prop", "pmax", "--goal", "s+", "--csv"]) == 0
+    out = capsys.readouterr().out
+    assert "\r" not in out and out.count("\n") == 2
+    (tmp_path / "row.csv").write_text(out)
+    row = read_result_csv(tmp_path / "row.csv")["a,b:pmax"]
+    assert list(row) == list(CSV_COLUMNS)
+    assert (row["method"], row["status"], row["sweeps"]) == ("ovi", "ok", "62")
+
+
+def test_no_certificate_is_written_as_it_is(tmp_path, capsys):
+    # OVI out of sweeps reports `no-certificate`, in the report, in the
+    # `solve --csv` row and in a suite row, and the suite still passes.
+    chain = tmp_path / "slow-chain.mdpx"
+    chain.write_text(write_explicit(generate_slow_chain(10, Fraction(1, 2))))
+    request = [str(chain), "--prop", "emax", "--method", "ovi", "--max-sweeps", "50"]
+    assert main(["solve", *request]) == 0
+    assert "certified   no (no-certificate)\n" in capsys.readouterr().out
+    assert main(["solve", *request, "--csv"]) == 0
+    (tmp_path / "row.csv").write_text(capsys.readouterr().out)
+    assert read_result_csv(tmp_path / "row.csv")["slow-chain:emax"]["status"] == "no-certificate"
+    suite = tmp_path / "capped.suite"
+    suite.write_text(" ".join([chain.name, *request[1:]]) + "\n")
+    assert main(["bench", str(suite), "-o", str(tmp_path / "capped.csv"), "--reps", "1"]) == 0
+    row = read_result_csv(tmp_path / "capped.csv")["slow-chain:emax"]
+    assert (row["status"], row["sweeps"]) == ("no-certificate", "50")
+
+
 def test_solve_with_declared_goals(me_file, capsys):
     # No --goal: the file's goal declaration (s+ and s-) applies.
     code = main(["solve", str(me_file), "--prop", "emin", "--method", "oracle"])

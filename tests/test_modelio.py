@@ -137,6 +137,32 @@ def test_forward_references_resolve():
     assert doc.model.transitions[0][0].branches[0].target == 1
 
 
+def test_zero_padded_targets_split_the_text_once():
+    # Non-canonical integer targets ("0007") miss the build's table and are
+    # resolved one by one; the text is split into lines once, by the line
+    # pass, and looked up again only to locate an error.  Each distinct
+    # target used to split the whole text again.
+    class Counted(str):
+        calls = 0
+
+        def splitlines(self, *args):
+            Counted.calls += 1
+            return super().splitlines(*args)
+
+    n = 40
+
+    def document(ref):
+        lines = ["mdpx 1", f"states {n}", f"initial {ref(0)}"]
+        for s in range(n):
+            lines += [f"state {s}", " transition",
+                      f"  branch 1/2 1 {ref(min(s + 1, n - 1))}", f"  branch 1/2 0 {ref(0)}"]
+        return "\n".join(lines + [f"goal {ref(n - 1)}", ""])
+
+    padded = Counted(document(lambda s: f"{s:04d}"))
+    assert parse_explicit(padded) == parse_explicit(document(str))
+    assert Counted.calls == 1
+
+
 def test_generate_random_deterministic():
     a = generate_random(42, 6, 2, 2, 1, 1)
     b = generate_random(42, 6, 2, 2, 1, 1)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,7 +11,7 @@ from soundmdp import (ErrorCriterion, Mdp, PipelineError, SolveOptions, SolveTim
                       generate_slow_chain, make_goals_absorbing, make_property,
                       mec_decomposition, oracle_exact, ovi, rebase_initial, reward_problem,
                       s_infinity, solve, strip_rewards)
-from soundmdp import solvers
+from soundmdp import pipeline, solvers
 from soundmdp.graph import goal_distance_order
 
 from conftest import (HALF, clear_caches, count_generic_sweeps, spy_runners, trap_beside_chain,
@@ -316,6 +317,46 @@ def test_pipeline_oracle_method(me_doc):
     assert res.exact_value == Fraction(3, 5)
     assert res.outcome.value == 0.6
     assert res.outcome.certified and res.outcome.method == "oracle"
+
+
+def _advancing(clock, fn, seconds):
+    """`fn`, advancing the fake clock `clock` (a one-item list) first."""
+    def call(*args, **kwargs):
+        clock[0] += seconds
+        return fn(*args, **kwargs)
+    return call
+
+
+def test_solve_time_counts_the_upper_start_and_the_order(me_doc, monkeypatch):
+    # A clock that only the wrapped steps advance: interval iteration's
+    # upper start takes 1 s, the goal-distance order 10 s and an oracle
+    # call 100 s.  Each counts in solve_time and in no other phase.
+    clock = [0.0]
+    monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    for name, seconds in (("reward_upper_init", 1.0), ("goal_distance_order", 10.0),
+                          ("oracle_values", 100.0)):
+        monkeypatch.setattr(pipeline, name, _advancing(clock, getattr(pipeline, name), seconds))
+    chain = generate_slow_chain(10, HALF)
+    for model, prop, method, seconds in (
+            (chain.model, make_property("emax", [10]), "ii", 11.0),
+            (chain.model, make_property("emax", [10]), "ovi", 10.0),
+            (me_doc.model, make_property("emin", [1, 2]), "oracle", 100.0)):
+        result = solve(model, prop, SolveOptions(method=method))
+        assert result.outcome.certified and result.outcome.iterations > 0 or method == "oracle"
+        times = (result.precomp_time, result.transform_time, result.solve_time)
+        assert times == (0.0, 0.0, seconds)
+
+
+@pytest.mark.parametrize("method", ["vi", "ovi", "ii", "oracle"])
+def test_an_outcome_holds_no_time(me_doc, method):
+    # An outcome holds only what the solver proved, so two runs of one
+    # request give outcomes equal slot by slot.
+    for kind, goals in (("pmax", [1]), ("emin", [1, 2])):
+        outcomes = [solve(me_doc.model, make_property(kind, goals), SolveOptions(method=method))
+                    .outcome for _ in range(2)]
+        slots = [[getattr(out, k) for k in out.__slots__] for out in outcomes]
+        assert slots[0] == slots[1]
+        assert outcomes[0].iterations > 0 or method == "oracle"
 
 
 def test_pipeline_force_elimination_warns_for_pmin(me_doc):
