@@ -92,7 +92,7 @@ def _read_text(path: Path) -> str:
     """A file's text; a file that cannot be read or does not decode is a
     ParseError naming it."""
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not {exc.encoding} text: {exc.reason} "
                          f"at byte {exc.start}") from None
@@ -202,10 +202,15 @@ def parse_suite(path: Path) -> list[RunRequest]:
             req = request_from_args(args, path.parent)
         except PipelineError as exc:
             raise PipelineError(f"{path}:{line_no}: {exc}") from None
+        # A repeated id takes the first free `~<n>`: the keys of `seen` are
+        # the ids taken, each with the last n tried for it as a base.
         base = req.instance
-        seen[base] = seen.get(base, 0) + 1
-        if seen[base] > 1:
-            req.instance = f"{base}~{seen[base]}"
+        n = seen.get(base, 1)
+        while req.instance in seen:
+            n += 1
+            req.instance = f"{base}~{n}"
+        seen[base] = n
+        seen.setdefault(req.instance, 1)
         requests.append(req)
     return requests
 
@@ -237,7 +242,7 @@ def run_suite(suite_path: Path, output_path: Path, reps: int = 3,
 
     import csv
 
-    with output_path.open("w", newline="") as fh:
+    with output_path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(f"# soundmdp bench reps={reps} timeout={timeout} jobs={jobs} "
                  f"generated={time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
@@ -251,12 +256,16 @@ def run_suite(suite_path: Path, output_path: Path, reps: int = 3,
 
 
 def read_result_csv(path: Path) -> dict[str, dict]:
+    """A result CSV's rows by instance; an instance on two rows is a
+    ParseError naming the file."""
     import csv
     import io
 
     text = "\n".join(ln for ln in _read_text(path).splitlines() if not ln.startswith("#"))
     out: dict[str, dict] = {}
     for row in csv.DictReader(io.StringIO(text)):
+        if row["instance"] in out:
+            raise ParseError(f"{path} repeats instance {row['instance']!r}")
         out[row["instance"]] = row
     return out
 

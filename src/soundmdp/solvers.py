@@ -12,9 +12,9 @@ sorted by their distance from the goals (`graph.goal_distance_order`).  On
 the slow chains, whose values flow back from the goal against id order,
 that order needs a half to a tenth of the sweeps.
 A sweep comes in two forms.  `gsvi` sweeps a lower vector alone and reads
-the error.  OVI's verification phases and interval iteration sweep a lower
-and an upper vector together, in one pass over each state's branches; only
-OVI reads the error, the up/down flags and the first crossing state.
+the error.  OVI's proof loop and interval iteration sweep a lower and an
+upper vector together, in one pass over each state's branches; only OVI
+reads the error, the up/down flags and the first crossing state.
 
 The branch contract, `model.validate`'s branch rules: every state has a
 choice and every choice a branch, every weight is a float in (0, 1], every
@@ -58,8 +58,9 @@ so a plain VI result is only a lower bound with no error guarantee.  The sound
 solvers return certified two-sided bounds: interval iteration squeezes the
 value between a rising lower and a falling upper iterate, and optimistic VI
 guesses an upper vector from the lower one, or both vectors from a policy's
-values, and accepts it only when a joint sweep moves no upper value up
-(inductivity, hence a true upper bound).
+values, and proves either guess in one loop of joint sweeps, which accepts
+it only when a sweep moves no upper value up (inductivity, hence a true
+upper bound).
 
 `gsvi`, `ovi` and `interval_iteration` share one calling convention:
 `(problem, ..., order=None, *, max_sweeps=DEFAULT_SWEEP_CAP, deadline=None,
@@ -758,46 +759,44 @@ def _policy_values(problem: BellmanProblem, v: Sequence[float],
 def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
         order: Sequence[int] | None = None, *, max_sweeps: int = DEFAULT_SWEEP_CAP,
         deadline: float | None = None, observer: Observer | None = None) -> SolveOutcome:
-    """Optimistic value iteration.
+    """Optimistic value iteration: iterate, guess an upper vector, prove it.
 
-    Alternates iteration phases (plain Gauss-Seidel on the lower vector) with
-    verification phases that sweep lower and upper vectors together.  The
-    upper candidate is the lower vector inflated by the required width
-    (clamped to 1 in probability mode).  A verification sweep in which no
-    upper value moved up proves the candidate inductive, so the exact value
-    lies in [v(init), u(init)]; the midpoint is returned once that interval
-    is narrow enough.  That test comes first, so a sweep that moves no upper
-    value at all (B(u) = u) certifies a narrow enough candidate.  Otherwise
-    a sweep in which no upper value moved down, or where the vectors cross,
-    refutes the candidate: the iteration phase resumes with the error
-    requirement halved.  Verification phases running past ten
-    times the preceding iteration phase are cancelled likewise.
+    Iteration phases run plain Gauss-Seidel on the lower vector `v`.  Every
+    guess is proved by one loop, `verify`, which sweeps a lower and an upper
+    vector together.  A sweep in which no upper value moved up and the
+    vectors did not cross makes the upper vector inductive (B(u) <= u), an
+    upper bound, and the midpoint is returned once the interval at the
+    initial state is narrow enough.  That test comes first, so a sweep that
+    moves no upper value at all certifies a narrow enough guess.  A sweep in
+    which no upper value moved down, or where the vectors cross, refutes the
+    guess, and so does reaching the loop's sweep limit.
 
-    A second source of guesses: on a problem with a unique fixed point and
-    at most POLICY_MAX_UNKNOWNS unknowns, a first iteration phase that runs
-    POLICY_AFTER_SWEEPS sweeps pauses there for one policy-evaluation
-    guess.  `_policy_values` runs policy
-    iteration from the greedy policy of `v`, each policy evaluated by dense
-    Gaussian elimination.  Its values x give a lower vector x*(1 - eps/2)
-    and an upper one x*(1 + eps/2) (x -/+ eps/2 for an absolute width, the
-    upper one clamped to 1 in probability mode), which are swept together,
-    apart from `v`.  The guess is accepted after the first joint sweep in
-    which no upper value moved up, no lower value moved down, the vectors
-    did not cross and the interval at the initial state is narrow enough.
-    Then `u` satisfies B(u) <= u, an upper bound, and `l` satisfies
-    B(l) >= l, which proves it a lower bound only where the fixed point is
-    unique, the rule "adopt-upper" relies on too.  A crossing, a sweep in
-    which no upper value moved down, or POLICY_CHECK_SWEEPS sweeps without
-    acceptance refute the guess; it counts as one phase, cancelled, and the
-    paused iteration phase resumes from the untouched `v`, so every later
-    vector is what it would have been without the guess.  No guess is made
-    where `_policy_values` finds none (a singular system, a non-finite
-    value, or too many rounds).  Observed and unobserved runs take the same
-    path.
+    The guesses come from two sources, each a vector widened by `widened`
+    (relative or absolute, an upper vector clamped to 1 in probability mode):
+    - the paper's, after every iteration phase: `v` widened by eps, swept
+      with `v` itself for at most ten times the preceding iteration phase's
+      sweeps plus one.  The next iteration phase halves the error
+      requirement.  With a unique fixed point, a refuted upper vector that
+      never moved down and lies above `v` is a lower bound and becomes `v`
+      ("adopt-upper").
+    - policy evaluation, once: on a problem with a unique fixed point and at
+      most POLICY_MAX_UNKNOWNS unknowns, a first iteration phase that runs
+      POLICY_AFTER_SWEEPS sweeps pauses there.  `_policy_values` runs policy
+      iteration from the greedy policy of `v`, each policy evaluated by dense
+      Gaussian elimination, and its values x widened by -eps/2 and +eps/2
+      are swept together, apart from `v`, for at most POLICY_CHECK_SWEEPS
+      sweeps.  The certifying sweep must also move no lower value down: then
+      B(l) >= l, which proves `l` a lower bound only where the fixed point
+      is unique, as "adopt-upper" assumes too.  A refuted guess counts as
+      one phase, cancelled, and the paused phase resumes from the untouched
+      `v`, so every later vector is what it would have been without it.  No
+      guess is made where `_policy_values` finds none (a singular system, a
+      non-finite value, or too many rounds).
 
-    This is a semi-algorithm: when `max_sweeps`, the budget of all phases
-    together, runs out, the outcome is flagged "no-certificate" rather than
-    pretending soundness.
+    Observed and unobserved runs take the same path.  This is a
+    semi-algorithm: when `max_sweeps`, the budget of all phases together,
+    runs out, the outcome is flagged "no-certificate" rather than pretending
+    soundness.
     """
     model = problem.model
     s_i = model.initial
@@ -827,13 +826,40 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
         return SolveOutcome(lower, lower, None, total_sweeps, phases, cancelled, "ovi", False,
                             "no-certificate")
 
-    def certified(lower: list[float], upper: list[float]) -> SolveOutcome:
-        return SolveOutcome(0.5 * (upper[s_i] + lower[s_i]), lower[s_i], upper[s_i],
-                            total_sweeps, phases, cancelled, "ovi", True, "ok")
+    def widened(x: list[float], w: float) -> list[float]:
+        """`x` with every unknown moved by `w`, a probability moved up clamped to 1."""
+        y = list(x)
+        for s in order:
+            y[s] = x[s] * (1.0 + w) if relative_width else x[s] + w
+            if w > 0.0 and problem.probability_mode and y[s] > 1.0:
+                y[s] = 1.0
+        return y
 
-    def narrow(lower: list[float], upper: list[float]) -> bool:
-        return upper[s_i] - lower[s_i] <= (2.0 * eps * lower[s_i] if relative_width
-                                           else 2.0 * eps)
+    def verify(lower: list[float], upper: list[float], limit: int,
+               guessed_lower: bool) -> SolveOutcome | tuple[str, float | None]:
+        """At most `limit` joint sweeps: the certified outcome, or why none came
+        ("up", "cross", "guard" at the limit, "budget") and the last error."""
+        nonlocal total_sweeps
+        for sweep in range(1, limit + 1):
+            if total_sweeps >= max_sweeps:
+                return "budget", None
+            _check_deadline(deadline)
+            total_sweeps += 1
+            before = list(lower) if guessed_lower else None
+            error, up, down, cross = _sweep(kernel, order, maximize, relative_error,
+                                            lower, upper)
+            if observer is not None and not guessed_lower:
+                observer("verify", sweep, error, lower, upper, up, down, cross)
+            # Certify before refuting: a sweep that moves no upper value sets
+            # both flags, and B(u) = u <= u makes `upper` inductive.
+            if down and cross < 0 and (before is None or all(map(operator.le, before, lower))) \
+                    and upper[s_i] - lower[s_i] <= 2.0 * eps * (lower[s_i] if relative_width
+                                                                else 1.0):
+                return SolveOutcome(0.5 * (upper[s_i] + lower[s_i]), lower[s_i], upper[s_i],
+                                    total_sweeps, phases, cancelled, "ovi", True, "ok")
+            if up or cross >= 0:
+                return "up" if up else "cross", error
+        return "guard", error
 
     while True:
         # Iteration phase.
@@ -857,32 +883,14 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
             paused = cap
             guess = _policy_values(problem, v, deadline)
             if guess is not None:
-                rounds, lower = guess
-                upper = list(lower)
-                for s in order:
-                    x = lower[s]
-                    lower[s] = x * (1.0 - 0.5 * eps) if relative_width else x - 0.5 * eps
-                    upper[s] = x * (1.0 + 0.5 * eps) if relative_width else x + 0.5 * eps
-                    if problem.probability_mode and upper[s] > 1.0:
-                        upper[s] = 1.0
+                rounds, x = guess
+                lower, upper = widened(x, -0.5 * eps), widened(x, 0.5 * eps)
                 phases += 1
                 if observer is not None:
                     observer("policy", rounds, lower, upper)
-                for _ in range(min(POLICY_CHECK_SWEEPS, max_sweeps - total_sweeps)):
-                    _check_deadline(deadline)
-                    total_sweeps += 1
-                    before = list(lower)
-                    _, up, down, cross = _sweep(kernel, order, maximize, relative_error,
-                                                lower, upper)
-                    # No upper value moved up: `upper` is inductive, an upper
-                    # bound.  No lower value moved down: with a unique fixed
-                    # point, `lower` is a lower bound (the rule "adopt-upper"
-                    # relies on too).
-                    if down and cross < 0 and all(map(operator.le, before, lower)) \
-                            and narrow(lower, upper):
-                        return certified(lower, upper)
-                    if up or cross >= 0:
-                        break
+                proof = verify(lower, upper, POLICY_CHECK_SWEEPS, True)
+                if isinstance(proof, SolveOutcome):
+                    return proof
                 cancelled += 1
                 if observer is not None:
                     observer("cancel", "policy")
@@ -891,48 +899,26 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
         iter_sweeps += paused
         paused = 0
 
-        # Guess the upper candidate from the lower values over the unknowns.
-        u = list(v)
-        for s in order:
-            u[s] = v[s] * (1.0 + eps) if relative_width else v[s] + eps
-            if problem.probability_mode and u[s] > 1.0:
-                u[s] = 1.0
+        u = widened(v, eps)
         phases += 1
         if observer is not None:
             observer("guess", u)
-
-        # Verification phase: joint sweeps tracking the upper vector's direction.
-        verif_sweeps = 0
-        while True:
-            if total_sweeps >= max_sweeps:
-                cancelled += 1
-                return uncertified()
-            _check_deadline(deadline)
-            total_sweeps += 1
-            verif_sweeps += 1
-            error, up, down, cross = _sweep(kernel, order, maximize, relative_error, v, u)
+        proof = verify(v, u, VERIFICATION_FACTOR * max(iter_sweeps, 1) + 1, False)
+        if isinstance(proof, SolveOutcome):
+            return proof
+        cancelled += 1
+        reason, error = proof
+        if reason == "budget":
+            return uncertified()
+        if observer is not None:
+            observer("cancel", reason)
+        if problem.unique_fixed_point and reason == "up" and all(map(operator.le, v, u)):
+            # With a unique fixed point, an upper vector that never moved
+            # down is itself a lower bound; adopt it where the refuting sweep
+            # found no crossing, that is where it lies above `v` everywhere.
+            v = u
             if observer is not None:
-                observer("verify", verif_sweeps, error, v, u, up, down, cross)
-            # Certify before refuting: a sweep that moves no upper value sets
-            # both flags, and B(u) = u <= u makes `u` inductive.
-            if down and cross < 0 and narrow(v, u):
-                return certified(v, u)
-            if up or cross >= 0:
-                cancelled += 1
-                if observer is not None:
-                    observer("cancel", "up" if up else "cross")
-                if problem.unique_fixed_point and up and cross < 0:
-                    # With a unique fixed point, an upper vector that never
-                    # moved down is itself a lower bound; adopt it.
-                    v = list(u)
-                    if observer is not None:
-                        observer("adopt-upper")
-                break
-            if verif_sweeps > VERIFICATION_FACTOR * max(iter_sweeps, 1):
-                cancelled += 1
-                if observer is not None:
-                    observer("cancel", "guard")
-                break
+                observer("adopt-upper")
 
         vi_error = error / 2.0
         if observer is not None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 import soundmdp
 from soundmdp import ModelDocument, generate_example_me, generate_random, generate_slow_chain, write_explicit
 from soundmdp.bench import CSV_COLUMNS, read_result_csv, run_suite
+from soundmdp.errors import ParseError
 from soundmdp.cli import _build_parser, main
 
 from conftest import trap_beside_chain
@@ -346,6 +348,29 @@ def test_bench_duplicate_ids_are_distinguished(me_file, tmp_path):
     assert [r["instance"] for r in rows] == ["me:pmax", "me:pmax~2"]
 
 
+def test_bench_repeated_ids_take_the_first_free_suffix(me_file, tmp_path, capsys):
+    # A third `a` line after `a`, `a` and `a~2` used to be named `a~2` too,
+    # and the result file then held two `a~2` rows.
+    suite = tmp_path / "dup.suite"
+    suite.write_text("".join(f"{me_file.name} --prop pmax --goal s+ --id {instance}\n"
+                             for instance in ("a", "a", "a~2", "a")))
+    out_csv = tmp_path / "dup.csv"
+    rows, _ = run_suite(suite, out_csv, reps=1, timeout=None)
+    assert [r["instance"] for r in rows] == ["a", "a~2", "a~2~2", "a~3"]
+    assert list(read_result_csv(out_csv)) == ["a", "a~2", "a~2~2", "a~3"]
+    assert main(["compare", str(out_csv), str(out_csv)]) == 0
+    assert "4 instances" in capsys.readouterr().out
+
+
+def test_read_result_csv_refuses_a_repeated_instance(tmp_path):
+    # It used to keep the last of the two rows, so `compare` silently
+    # compared one instance fewer than the file holds.
+    path = tmp_path / "a.csv"
+    _write_csv(path, [_row("x", 1.0, 10), _row("y", 2.0, 5), _row("x", 3.0, 7)])
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))} repeats instance 'x'$"):
+        read_result_csv(path)
+
+
 def test_bench_timeout_row(tmp_path):
     chain = generate_slow_chain(14, Fraction(1, 2))
     model_path = tmp_path / "chain.mdpx"
@@ -394,6 +419,25 @@ def test_undecodable_model_file_is_an_error(me_file, tmp_path, capsys):
     rows = read_result_csv(out_csv)
     assert rows["bad:pmax"]["status"] == "error"
     assert (rows["me:pmax"]["status"], rows["me:pmax"]["correct"]) == ("ok", "true")
+
+
+def test_every_file_is_read_and_written_as_utf8(tmp_path):
+    # With the warning on and made an error, a file opened in the locale's
+    # encoding ends the command with an EncodingWarning traceback and exit
+    # code 1.  `solve` reads a model, `bench` a suite and models (in its
+    # workers too) and writes the CSV, and `compare` reads CSVs.
+    src = Path(soundmdp.__file__).resolve().parents[1]
+    model = src.parent / "bench_suite" / "models" / "me.mdpx"
+    suite, out_csv = tmp_path / "me.suite", tmp_path / "me.csv"
+    suite.write_text(f"{model} --prop pmax --goal s+\n{model} --prop emin --method ii\n",
+                     encoding="utf-8")
+    for argv in (["solve", str(model), "--prop", "pmax", "--goal", "s+"],
+                 ["bench", str(suite), "-o", str(out_csv), "--reps", "1", "--jobs", "2"],
+                 ["compare", str(out_csv), str(out_csv)]):
+        run = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                              "-W", "error::EncodingWarning", "-m", "soundmdp.cli", *argv],
+                             capture_output=True, text=True, env={"PYTHONPATH": str(src)})
+        assert (run.returncode, run.stderr) == (0, ""), argv
 
 
 def test_bench_parallel_matches_serial(me_file, tmp_path):
@@ -457,8 +501,9 @@ def test_compare_rejects_mismatched_ids(tmp_path, capsys):
     ("compare", b"name,solve_ms,sweeps\nx,1.0,2\n", "{path} has no 'instance' column"),
     ("compare", b"instance,solve_ms,sweeps\nx,fast,2\n",
      "{path}: could not convert string to float: 'fast'"),
+    ("compare", b"instance,solve_ms,sweeps\nx,1.0,2\nx,1.0,3\n", "{path} repeats instance 'x'"),
 ], ids=["bench-missing", "bench-undecodable", "compare-missing", "compare-undecodable",
-        "compare-no-instance-column", "compare-non-numeric-cell"])
+        "compare-no-instance-column", "compare-non-numeric-cell", "compare-repeated-instance"])
 def test_unusable_suite_or_result_file_is_an_error(tmp_path, capsys, command, content, message):
     # These used to end in a traceback; like a bad option, each is one
     # `error:` line naming the file, and exit code 2.

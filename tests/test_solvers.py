@@ -1448,11 +1448,12 @@ def test_ovi_lower_bound_optimisation_adopts_rising_upper():
     assert Fraction(out.lower_bound) <= exact <= Fraction(out.upper_bound)
 
 
-def test_ovi_ten_times_verification_guard():
-    # Two arms converging at very different speeds: seeding the fast arm just
-    # below its exact value makes the guessed upper value drift down there for
-    # hundreds of sweeps while the slow arm's keeps rising, so the phase is
-    # neither accepted nor rejected until the ten-times guard cancels it.
+def two_arm_problem():
+    """emax on two arms converging at very different speeds: seeding the
+    fast arm just below its exact value makes the guessed upper value drift
+    down there for hundreds of sweeps while the slow arm's keeps rising, so
+    the first verification phase is neither accepted nor rejected until the
+    ten-times guard cancels it."""
     m = mdp_of(
         0,
         [[(0.5, 1, 1), (0.5, 1, 2)]],
@@ -1462,30 +1463,83 @@ def test_ovi_ten_times_verification_guard():
     )
     problem = reward_problem(m, [3], "max", [])
     object.__setattr__(problem, "seed", (0.0, 10 - 1e-7, 2.0, 0.0))
+    return m, problem
+
+
+def two_arm_run(max_sweeps):
+    """`ovi` on `two_arm_problem` under `max_sweeps`: (outcome, events)."""
     events: list[tuple] = []
-    out = ovi(problem, ErrorCriterion("absolute", 1e6), make_property("emax", [3], 1e-6),
-              max_sweeps=5000, observer=record(events))
+    out = ovi(two_arm_problem()[1], ErrorCriterion("absolute", 1e6),
+              make_property("emax", [3], 1e-6), max_sweeps=max_sweeps, observer=record(events))
+    return out, events
+
+
+def test_ovi_ten_times_verification_guard():
+    m = two_arm_problem()[0]
+    out, events = two_arm_run(5000)
     cancel_reasons = [ev[1] for ev in events if ev[0] == "cancel"]
     assert "guard" in cancel_reasons
     # Every verification phase stays within ten times its own preceding
-    # iteration phase (plus the sweep on which the guard is checked).
+    # iteration phase (plus the sweep on which the guard is checked), and a
+    # phase the guard cancels ran exactly that many.
     last_iter = 1
     phase_iter: list[int] = []
     phase_verif: list[int] = []
+    guarded: list[bool] = []
     for ev in events:
         if ev[0] == "iter":
             last_iter = ev[1]
         elif ev[0] == "guess":
             phase_iter.append(last_iter)
             phase_verif.append(0)
+            guarded.append(False)
         elif ev[0] == "verify":
             phase_verif[-1] = ev[1]
+        elif ev == ("cancel", "guard"):
+            guarded[-1] = True
     assert any(v > 1 for v in phase_verif)
     for iters, verifs in zip(phase_iter, phase_verif):
         assert verifs <= 10 * max(iters, 1) + 1
+    assert guarded == [True] + [False] * (len(guarded) - 1)
+    assert (phase_iter[0], phase_verif[0]) == (1, 10 * 1 + 1)
     if out.certified:
         exact = oracle_exact(m, make_property("emax", [3]))
         assert Fraction(out.lower_bound) <= exact <= Fraction(out.upper_bound)
+
+
+def outline(events):
+    """An event stream without its "iter" events, "verify" cut to its sweep
+    and every other event that carries a vector or a float to its name."""
+    return [ev[:2] if ev[0] == "verify" else
+            ev[:1] if ev[0] in ("guess", "policy", "epsilon-vi") else ev
+            for ev in events if ev[0] != "iter"]
+
+
+def guessed(verify_sweeps, guard=False):
+    """The outline of a verification phase: its guess, its verify sweeps and
+    its cancellation by the guard."""
+    return [("guess",)] + [("verify", k) for k in range(1, verify_sweeps + 1)] + (
+        [("cancel", "guard"), ("epsilon-vi",)] if guard else [])
+
+
+@pytest.mark.parametrize("max_sweeps, steps", [
+    (11, guessed(10)),                           # inside the first phase
+    (12, guessed(11, True)),                     # on its last sweep: the guard comes first
+    (81, guessed(11, True) + guessed(0)),        # the second iteration phase ends there
+    (82, guessed(11, True) + guessed(1)),        # after the second phase's first sweep
+    (100, guessed(11, True) + guessed(19)),      # after its 19th
+])
+def test_ovi_budget_ending_inside_a_verification_phase(max_sweeps, steps):
+    # The two-arm run verifies sweeps 2-12 (cancelled by the guard after
+    # 10 * 1 + 1) and 82-279.  A budget that ends inside a phase counts the
+    # phase as cancelled but sends no "cancel"; the stream ends where the
+    # sweeps did.
+    out, events = two_arm_run(max_sweeps)
+    assert (out.status, out.certified, out.iterations) == ("no-certificate", False, max_sweeps)
+    phases = steps.count(("guess",))
+    assert (out.verification_phases, out.cancelled_verifications) == (phases, phases)
+    assert outline(events) == steps
+    assert out.upper_bound is None and out.lower_bound == out.value
 
 
 # ---------------------------------------------------------------------------
@@ -1625,6 +1679,45 @@ def test_refuted_policy_guess_leaves_the_iteration_as_it_was(order, monkeypatch)
         assert events == parent[observed][1]
     assert len(calls) == 2
     assert hexes(calls[0]) == hexes(calls[1])
+
+
+def observed_solve(model, prop, options):
+    """`solve` with the pipeline's `ovi` observed: (outcome, events)."""
+    events: list[tuple] = []
+    real = pipeline.ovi
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "ovi", lambda *args, **budget: real(
+            *args, **budget, observer=record(events)))
+        return solve(model, prop, options).outcome, events
+
+
+def test_budget_ending_inside_a_policy_check():
+    # pmin/ovi on this 30-state model in forward order: the guess made at
+    # the pause after 128 sweeps is certified by its 5th joint sweep.  A
+    # budget that ends before that refutes the guess, sends
+    # ("cancel", "policy") and ends with no-certificate; 128 makes no guess.
+    doc = generate_random(25, 30, 3, 4, 4, 1, allow_end_components=True)
+    prop = make_property("pmin", sorted(doc.declared_goals))
+    pause = solvers.POLICY_AFTER_SWEEPS
+    for extra in range(0, 6):
+        out, events = observed_solve(doc.model, prop, SolveOptions(
+            method="ovi", order="forward", max_sweeps=pause + extra))
+        steps = outline(events)
+        assert not any(ev[0] == "verify" for ev in events)
+        if extra == 5:
+            assert (out.status, out.certified, out.iterations) == ("ok", True, pause + 5)
+            assert (out.verification_phases, out.cancelled_verifications) == (1, 0)
+            assert steps == [("policy",)]
+        elif extra:
+            assert (out.status, out.certified, out.iterations) == \
+                ("no-certificate", False, pause + extra)
+            assert (out.verification_phases, out.cancelled_verifications) == (1, 1)
+            assert steps == [("policy",), ("cancel", "policy")]
+        else:
+            assert (out.status, out.iterations, out.verification_phases) == \
+                ("no-certificate", pause, 0)
+            assert steps == []
+        assert [ev[1] for ev in events if ev[0] == "iter"] == list(range(1, pause + 1))
 
 
 def test_policy_guess_certifies_a_500_state_stiff_emax_within_a_timeout():
