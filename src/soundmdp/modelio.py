@@ -27,11 +27,11 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice, repeat
-from math import fsum
+from math import ceil, fsum, gcd, log
 from operator import itemgetter, lt, sub
 from typing import Iterable
 
-from .errors import GeneratorError, ParseError
+from .errors import GeneratorError, ModelError, ParseError
 from .model import (PROBABILITY_SUM_TOLERANCE, Branch, Mdp, Number, Transition, branch,
                     collector_paused, exact, transition, validate)
 
@@ -183,14 +183,11 @@ def parse_explicit(text: str) -> ModelDocument:
     pass checks every statement and resolves each distinct number token,
     once per call and role and at its first line, to its (float, Fraction)
     pair, or to (token,) when it is outside the binary64 range; so a
-    malformed number is reported in document order.  The conversion of a
-    short token without an exponent comes from a per-process memo
-    (`_parse_number`); the per-call dicts still map each token once per
-    role, and errors are raised anew by every call.  It keeps the branches
-    as four flat columns in document order, holding each branch's
-    probability pair, reward pair, target token and line number, and
-    records the index of each transition's first branch and of each
-    state's first transition.
+    malformed number is reported in document order (`_parse_number` tells
+    which conversions a memo keeps).  It keeps the branches as four flat
+    columns in document order, holding each branch's probability pair,
+    reward pair, target token and line number, and records the index of
+    each transition's first branch and of each state's first transition.
 
     The build reads the canonical integer targets ("0", "1", ...) and the
     labels from one table and makes every Branch in one `map` over the
@@ -404,47 +401,52 @@ def _format_number(value: Fraction, as_float: float) -> str:
     if value == Fraction(as_float):
         return f"{as_float:.17g}"
     num, den = value.numerator, value.denominator
-    # Denominators of the form 2^a * 5^b have a finite decimal expansion.
-    d, twos, fives = den, 0, 0
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    while d % 5 == 0:
-        d //= 5
-        fives += 1
+    # Denominators of the form 2^a * 5^b have a finite decimal expansion, of
+    # k = max(a, b) places: each step divides out one 2 and one 5, where present.
+    d, k = den, 0
+    while d % 2 == 0 or d % 5 == 0:
+        d //= gcd(d, 10)
+        k += 1
     if d == 1:
-        k = max(twos, fives)
-        digits = num * 10 ** k // den
-        text = str(digits).rstrip("0")
-        if len(text.lstrip("-")) <= 17:
-            sign = "-" if digits < 0 else ""
-            body = str(abs(digits)).rjust(k + 1, "0")
-            return (sign + body[:-k] + "." + body[-k:]).rstrip("0").rstrip(".") if k else sign + body
+        digits = str(abs(num) * 10 ** k // den)  # its last digit is not 0 when k > 0
+        if len(digits.rstrip("0")) <= 17:
+            body = digits.rjust(k + 1, "0")
+            return ("-" if num < 0 else "") + (body[:-k] + "." + body[-k:] if k else body)
     return f"{num}/{den}"
 
 
 def write_explicit(doc: ModelDocument) -> str:
-    """Serialize a document so that parse_explicit(write_explicit(doc)) is structurally equal."""
+    """Serialize a document so that parse_explicit(write_explicit(doc)) is structurally equal.
+
+    Raises ModelError, naming the state (and transition), for a format version
+    other than 1, a state's second label, a label that is not one word free of
+    `#`, or an integer-like state label (`_is_int`).  Each number is formatted
+    once, keyed by float and exact value, as one float can have two texts (1/3,
+    0.33333333333333331); a Fraction key would hash slowly."""
+    if doc.format_version != FORMAT_VERSION:
+        raise ModelError(f"cannot write format version {doc.format_version!r}")
     model = doc.model
     name_of = {sid: name for name, sid in doc.named_states.items()}
-
-    def ref(sid: int) -> str:
-        return name_of.get(sid, str(sid))
-
-    out = [f"mdpx {doc.format_version}", f"states {model.num_states}", f"initial {ref(model.initial)}"]
+    for name, sid in doc.named_states.items():
+        if name_of[sid] != name or name.split() != [name] or "#" in name or _is_int(name):
+            raise ModelError(f"state {sid}: cannot write label {name!r}")
+    texts: dict[tuple[float, int, int], str] = {}
+    out = [f"mdpx {doc.format_version}", f"states {model.num_states}",
+           f"initial {name_of.get(model.initial, model.initial)}"]
     for s in model.states:
-        head = f"state {s}"
-        if s in name_of:
-            head += f" {name_of[s]}"
-        out.append(head)
-        for t in model.transitions[s]:
-            out.append("  transition" + (f" {t.label}" if t.label else ""))
-            for b in t.branches:
-                out.append("    branch "
-                           f"{_format_number(b.probability_exact, b.probability)} "
-                           f"{_format_number(b.reward_exact, b.reward)} {ref(b.target)}")
+        out.append(f"state {s} {name_of[s]}" if s in name_of else f"state {s}")
+        for i, t in enumerate(model.transitions[s]):
+            if t.label is not None and (t.label.split() != [t.label] or "#" in t.label):
+                raise ModelError(f"state {s}, transition {i}: cannot write label {t.label!r}")
+            out.append("  transition" if t.label is None else f"  transition {t.label}")
+            for p, r, target, p_exact, r_exact in t.branches:
+                key = (p, p_exact.numerator, p_exact.denominator)
+                p_text = texts.get(key) or texts.setdefault(key, _format_number(p_exact, p))
+                key = (r, r_exact.numerator, r_exact.denominator)
+                r_text = texts.get(key) or texts.setdefault(key, _format_number(r_exact, r))
+                out.append(f"    branch {p_text} {r_text} {name_of.get(target, target)}")
     if doc.declared_goals:
-        out.append("goal " + " ".join(ref(g) for g in sorted(doc.declared_goals)))
+        out.append("goal " + " ".join(str(name_of.get(g, g)) for g in sorted(doc.declared_goals)))
     return "\n".join(out) + "\n"
 
 
@@ -484,8 +486,9 @@ def generate_random(seed: int, n_states: int, max_transitions: int, max_branches
     By default the output contains no end components beyond absorbing
     self-loops, even on the reward-stripped model, so random differential
     tests run in the unique-fixed-point regime.  With allow_end_components a
-    zero-reward two-state cycle is injected instead.  The cyclic garbage
-    collector is paused while the model is built.
+    zero-reward two-state cycle is injected instead.  Only `Random(seed).getrandbits`
+    is read, and tests pin the output by digest.  The cyclic garbage collector
+    is paused while the model is built.
     """
     if n_states < 2 or goal_count < 1 or goal_count > n_states - 1:
         raise GeneratorError("inconsistent bounds: need n_states >= 2 and 1 <= goal_count <= n_states-1")
@@ -518,7 +521,8 @@ def _random_draw(rng: random.Random, n_states: int, max_transitions: int, max_br
     then per state and transition the targets, their weights and, if
     `rewarded`, one reward eighth per branch; last, with `allow_ec`, the two
     states of the injected cycle (or None)."""
-    goals = sorted(rng.sample(range(1, n_states), goal_count))
+    bits = rng.getrandbits
+    goals = sorted(_sample(bits, range(1, n_states), goal_count))
     goal_set = set(goals)
     draw: list[_Draw] = []
     for s in range(n_states):
@@ -526,16 +530,46 @@ def _random_draw(rng: random.Random, n_states: int, max_transitions: int, max_br
             draw.append(None)
             continue
         ts = []
-        for _ in range(rng.randint(1, max_transitions)):
-            targets = rng.sample(range(n_states), rng.randint(1, min(max_branches, n_states)))
-            weights = [rng.randint(1, 9) for _ in targets]
-            eighths = [rng.randint(0, 8) for _ in targets] if rewarded else [0] * len(targets)
+        for _ in range(1 + _below(bits, max_transitions)):
+            targets = _sample(bits, range(n_states), 1 + _below(bits, min(max_branches, n_states)))
+            weights = [1 + _below(bits, 9) for _ in targets]
+            eighths = [_below(bits, 9) for _ in targets] if rewarded else [0] * len(targets)
             ts.append((weights, eighths, targets))
         draw.append(ts)
     cycle = None
     if allow_ec and n_states - goal_count >= 2:
-        cycle = tuple(rng.sample([s for s in range(n_states) if s not in goal_set], 2))
+        cycle = tuple(_sample(bits, [s for s in range(n_states) if s not in goal_set], 2))
     return goals, draw, cycle
+
+
+def _below(getrandbits, n: int) -> int:
+    """An int in [0, n), n > 0, drawn as `random.Random._randbelow_with_getrandbits` does."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _sample(getrandbits, population, k: int) -> list:
+    """`random.Random.sample(population, k)` for 0 <= k <= len(population), drawing as it does."""
+    n = len(population)
+    result = []
+    if n <= 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0):
+        pool = list(population)
+        for i in range(k):
+            j = _below(getrandbits, n - i)
+            result.append(pool[j])
+            pool[j] = pool[n - i - 1]
+        return result
+    chosen: set[int] = set()
+    for _ in range(k):
+        j = _below(getrandbits, n)
+        while j in chosen:
+            j = _below(getrandbits, n)
+        chosen.add(j)
+        result.append(population[j])
+    return result
 
 
 def _random_model(goals: list[int], draw: list[_Draw], cycle: tuple[int, int] | None,
@@ -543,7 +577,9 @@ def _random_model(goals: list[int], draw: list[_Draw], cycle: tuple[int, int] | 
     """The exact model of one draw: weights normalised per transition, reward
     eighth k as r_min + (r_max - r_min) * k/8, goals absorbing, and the cycle's
     two states joined by zero-reward moves."""
-    rewards = [r_min + (r_max - r_min) * Fraction(k, 8) for k in range(9)]
+    new = tuple.__new__
+    rewards = [(float(r), r) for r in (r_min + (r_max - r_min) * k / 8 for k in range(9))]
+    shares: dict[tuple[int, int], tuple[float, Fraction]] = {}  # w / total is correctly rounded
     transitions: list[tuple[Transition, ...]] = []
     for s, ts in enumerate(draw):
         if ts is None:
@@ -552,8 +588,12 @@ def _random_model(goals: list[int], draw: list[_Draw], cycle: tuple[int, int] | 
         choices = []
         for weights, eighths, targets in ts:
             total = sum(weights)
-            choices.append(transition([branch(Fraction(w, total), rewards[k], t)
-                                       for w, k, t in zip(weights, eighths, targets)]))
+            branches = []
+            for w, k, t in zip(weights, eighths, targets):
+                p = shares.get((w, total)) or shares.setdefault(
+                    (w, total), (w / total, Fraction(w, total)))
+                branches.append(new(Branch, (p[0], rewards[k][0], t, p[1], rewards[k][1])))
+            choices.append(new(Transition, (tuple(branches), None)))
         transitions.append(tuple(choices))
     if cycle is not None:
         a, b = cycle

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from soundmdp import (GeneratorError, Mdp, ModelDocument, ParseError, branch,
+from soundmdp import (GeneratorError, Mdp, ModelDocument, ModelError, ParseError, branch,
                       generate_example_me, generate_random, generate_slow_chain,
                       make_goals_absorbing, make_property, mec_decomposition, oracle_exact,
                       parse_explicit, strip_rewards, transition, validate, write_explicit)
@@ -103,6 +103,52 @@ def test_float_sourced_numbers_survive_round_trip():
     b = doc.model.transitions[0][0].branches[0]
     assert b.probability == 1 / 3
     assert b.reward == 0.1 + 0.2
+
+
+def test_writer_keys_numbers_by_exact_value():
+    # One float, 1/3 rounded, with two exact values: Fraction(1, 3) and the
+    # float's own.  The writer formats each distinct number once per call, so
+    # its key must hold the exact value; keyed by the float alone, the second
+    # branch would be written with the first one's text.
+    one_third = Fraction(1 / 3)
+    assert float(Fraction(1, 3)) == float(one_third) and Fraction(1, 3) != one_third
+    m = Mdp(1, 0, ((transition([branch(Fraction(1, 2), Fraction(1, 3), 0),
+                                branch(Fraction(1, 2), one_third, 0)]),),))
+    text = write_explicit(ModelDocument(m, {}))
+    assert "branch 0.5 1/3 0\n" in text and "branch 0.5 0.33333333333333331 0\n" in text
+    again = parse_explicit(text)
+    first, second = again.model.transitions[0][0].branches
+    assert first == m.transitions[0][0].branches[0]
+    assert second.reward == 1 / 3 and second.reward_exact == Fraction("0.33333333333333331")
+    assert write_explicit(again) == text
+
+
+def _labelled_pair(named_states=None, label=None, format_version=1) -> ModelDocument:
+    model = Mdp(2, 0, ((transition([branch(1, 0, 1)], label),), (transition([branch(1, 0, 1)]),)))
+    return ModelDocument(model, named_states or {}, None, format_version)
+
+
+# Each of these documents was once written without complaint, to a text that
+# the parser refuses or reads back as another document.
+@pytest.mark.parametrize("doc, message", [
+    (_labelled_pair({"a b": 1}), "state 1: cannot write label 'a b'"),
+    (_labelled_pair({"": 1}), "state 1: cannot write label ''"),
+    (_labelled_pair({"7": 1}), "state 1: cannot write label '7'"),
+    (_labelled_pair({"x#y": 1}), "state 1: cannot write label 'x#y'"),
+    (_labelled_pair({"s1": 1, "t1": 1}), "state 1: cannot write label 's1'"),
+    (_labelled_pair(label=""), "state 0, transition 0: cannot write label ''"),
+    (_labelled_pair(format_version=2), "cannot write format version 2"),
+], ids=["state-label-with-space", "empty-state-label", "integer-state-label",
+        "state-label-with-comment", "two-labels-on-one-state", "empty-transition-label",
+        "format-version-2"])
+def test_writer_refuses_what_the_parser_cannot_read_back(doc, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        write_explicit(doc)
+
+
+def test_writer_keeps_labels_the_parser_reads_back():
+    for doc in (_labelled_pair({"s+": 0, "x-1": 1}, "7"), _labelled_pair({"-": 1}, "a")):
+        assert parse_explicit(write_explicit(doc)) == doc
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -265,6 +311,26 @@ def test_generator_end_component_test_matches_mec_decomposition():
         assert modelio._only_absorbing_components(draw) == want
         verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def test_draw_helpers_match_randint_and_sample():
+    # The generator calls only getrandbits, through _below and _sample; each
+    # must draw what randint and sample draw and leave the same state, in
+    # both of sample's ways: a pool while the population is at most the
+    # set's size (21, and 85 for k = 6), else a set of drawn indices.
+    cases = 0
+    for seed in range(40):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        for n, k in ((1, 1), (5, 3), (21, 4), (22, 4), (4000, 4), (3999, 80), (30, 6),
+                     (85, 6), (86, 6), (38, 12), (60, 20)):
+            population = range(n) if seed % 2 else list(range(100, 100 + n))
+            assert modelio._sample(ours.getrandbits, population, k) == stdlib.sample(population, k)
+            high = stdlib.randint(1, min(4, n))  # the generator's branch-count draw
+            assert 1 + modelio._below(ours.getrandbits, min(4, n)) == high
+            assert modelio._below(ours.getrandbits, n) == stdlib.randint(0, n - 1)
+            cases += 1
+        assert ours.getstate() == stdlib.getstate()
+    assert cases >= 200
 
 
 def test_slow_chain_structure():
