@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from .errors import IterationCapExceeded, ParseError, PipelineError, SolveTimeout, SoundMdpError
-from .model import Property, PropertyKind, make_property
+from .model import Property, PropertyKind, collector_paused, make_property
 from .modelio import ModelDocument, parse_explicit
 from .pipeline import METHODS, PipelineResult, SolveOptions, solve
 from .solvers import DEFAULT_SWEEP_CAP
@@ -115,6 +115,7 @@ def resolve_property(doc: ModelDocument, req: RunRequest) -> Property:
     return make_property(req.prop_kind, goals, req.epsilon, req.width)
 
 
+@collector_paused()  # one pause: no collection walks the model the parse and the solve built
 def run_request(req: RunRequest, reps: int = 1) -> tuple[dict, PipelineResult | None]:
     """Execute one request `reps` times; returns the CSV row and the last result."""
     row = {c: "" for c in CSV_COLUMNS}

@@ -16,6 +16,7 @@ from .bench import (CSV_COLUMNS, compare_results, format_value, load_document,
                     make_solve_arg_parser, render_comparison, request_from_args,
                     resolve_property, run_request, run_suite)
 from .errors import SoundMdpError
+from .model import collector_paused
 
 
 @functools.cache
@@ -41,6 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@collector_paused()  # as `run_request`: the report parses the model again
 def _cmd_solve(args: argparse.Namespace) -> int:
     req = request_from_args(args, Path.cwd(), timeout=args.timeout)
     row, result = run_request(req)

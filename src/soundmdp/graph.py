@@ -80,45 +80,52 @@ def prob0_set(model: Mdp, goals: Iterable[int], opt: str, *,
     if opt == "max":
         return frozenset(model.states).difference(
             attractor(model, pred, goal_set, every_choice=False))
-    return _prob0_min(model, pred, goal_set)
-
-
-def _prob0_min(model: Mdp, pred: list[list[tuple[int, int]]], goals: frozenset[int]) -> StateSet:
     # A state without choices joins too: every one of its (no) choices hits.
-    idle = [s for s, ts in enumerate(model.transitions) if not ts and s not in goals]
+    idle = [s for s, ts in enumerate(model.transitions) if not ts and s not in goal_set]
     return frozenset(model.states).difference(
-        attractor(model, pred, [*goals, *idle], every_choice=True))
+        attractor(model, pred, [*goal_set, *idle], every_choice=True))
 
 
 def prob1_set(model: Mdp, goals: Iterable[int], opt: str, *,
-              pred: list[list[tuple[int, int]]] | None = None) -> StateSet:
+              pred: list[list[tuple[int, int]]] | None = None,
+              zero: StateSet | None = None) -> StateSet:
     """States whose optimal probability of reaching the goals is exactly 1.
 
-    `pred` is the model's predecessor_index, built here when not given.
+    `pred` (the model's predecessor_index) and `zero` (its prob0_set for the
+    same goals and opt) are precomputed inputs, each built here when not given.
     """
     goal_set = _check_states(model, goals, "goals")
     if opt not in ("max", "min"):
         raise ModelError(f"unknown opt {opt!r}")
     if pred is None:
         pred = predecessor_index(model)
+    if zero is None:
+        zero = prob0_set(model, goal_set, opt, pred=pred)
     if opt == "max":
-        return _prob1_max(model, pred, goal_set)
+        return _prob1_max(model, pred, goal_set, zero)
     # Pmin = 1 iff no scheduler can, while avoiding the goals, reach a state
     # from which some scheduler avoids the goals forever.
-    zero = _prob0_min(model, pred, goal_set)
     return frozenset(model.states).difference(
         attractor(model, pred, zero, goal_set, every_choice=False))
 
 
-def _prob1_max(model: Mdp, pred: list[list[tuple[int, int]]], goals: frozenset[int]) -> StateSet:
+def _prob1_max(model: Mdp, pred: list[list[tuple[int, int]]], goals: frozenset[int],
+               zero: StateSet) -> StateSet:
     # Greatest fixpoint of: R := { s | some transition stays inside R and can
     # reach the current inner least fixpoint X built up from the goals }.
-    # Each round grows X from the goals backwards, with a worklist, along the
+    # R starts as the first round's X, the complement of prob0.  Each round
+    # grows X from the goals backwards, with a worklist, along the
     # transitions still inside R; X only shrinks from round to round, so the
     # states it drops mark their predecessors' transitions as leaving R.
+    if not zero:
+        return frozenset(model.states)
+    r = set(model.states).difference(zero)
     inside = [[True] * len(ts) for ts in model.transitions]
-    r = set(model.states)
-    while True:
+    dropped = zero
+    while dropped:
+        for t in dropped:
+            for s, ti in pred[t]:
+                inside[s][ti] = False
         x = set(goals)
         stack = list(x)
         while stack:
@@ -127,12 +134,9 @@ def _prob1_max(model: Mdp, pred: list[list[tuple[int, int]]], goals: frozenset[i
                 if s not in x and inside[s][ti]:
                     x.add(s)
                     stack.append(s)
-        if x == r:
-            return frozenset(r)
-        for t in r - x:
-            for s, ti in pred[t]:
-                inside[s][ti] = False
+        dropped = r - x
         r = x
+    return frozenset(r)
 
 
 def goal_distance_order(model: Mdp, sources: Iterable[int], unknowns: Iterable[int]) -> list[int]:

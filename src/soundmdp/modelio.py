@@ -419,16 +419,18 @@ def write_explicit(doc: ModelDocument) -> str:
     """Serialize a document so that parse_explicit(write_explicit(doc)) is structurally equal.
 
     Raises ModelError, naming the state (and transition), for a format version
-    other than 1, a state's second label, a label that is not one word free of
-    `#`, or an integer-like state label (`_is_int`).  Each number is formatted
-    once, keyed by float and exact value, as one float can have two texts (1/3,
-    0.33333333333333331); a Fraction key would hash slowly."""
+    other than 1, a state's second label, a label that is not a string of one
+    word free of `#`, an integer-like state label (`_is_int`), or a label of
+    no state of the model.  Each number is formatted once, keyed by float and
+    exact value, as one float can have two texts (1/3, 0.33333333333333331); a
+    Fraction key would hash slowly."""
     if doc.format_version != FORMAT_VERSION:
         raise ModelError(f"cannot write format version {doc.format_version!r}")
     model = doc.model
     name_of = {sid: name for name, sid in doc.named_states.items()}
     for name, sid in doc.named_states.items():
-        if name_of[sid] != name or name.split() != [name] or "#" in name or _is_int(name):
+        if (type(name) is not str or name_of[sid] != name or name.split() != [name]
+                or "#" in name or _is_int(name) or sid not in model.states):
             raise ModelError(f"state {sid}: cannot write label {name!r}")
     texts: dict[tuple[float, int, int], str] = {}
     out = [f"mdpx {doc.format_version}", f"states {model.num_states}",
@@ -436,7 +438,8 @@ def write_explicit(doc: ModelDocument) -> str:
     for s in model.states:
         out.append(f"state {s} {name_of[s]}" if s in name_of else f"state {s}")
         for i, t in enumerate(model.transitions[s]):
-            if t.label is not None and (t.label.split() != [t.label] or "#" in t.label):
+            if t.label is not None and (type(t.label) is not str or t.label.split() != [t.label]
+                                        or "#" in t.label):
                 raise ModelError(f"state {s}, transition {i}: cannot write label {t.label!r}")
             out.append("  transition" if t.label is None else f"  transition {t.label}")
             for p, r, target, p_exact, r_exact in t.branches:

@@ -5,9 +5,9 @@ A solve runs in this order, and copies the model only where a later step
 reads the copy:
   1. absorb the goals;
   2. precompute on that model, which still has its rewards (prob0 and prob1
-     read only the structure): prob0 and prob1 for probabilities, from one
-     predecessor index, the infinite-reward states s-infinity for rewards
-     (precomp="required"; "none" computes none of them);
+     read only the structure): prob0 and then prob1, from one predecessor
+     index and prob0's set, for probabilities, the infinite-reward states
+     s-infinity for rewards (precomp="required"; "none" computes none of them);
   3. unless step 2 decided the initial state, or it is a goal, strip the
      rewards for probability queries, since end-component elimination and
      the solvers read them;
@@ -200,7 +200,7 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
             pred = predecessor_index(work)
             fixed_zero = prob0_set(work, goals, opt, pred=pred)
             result.applied.append(f"prob0({len(fixed_zero)} states)")
-            fixed_one = prob1_set(work, goals, opt, pred=pred)
+            fixed_one = prob1_set(work, goals, opt, pred=pred, zero=fixed_zero)
             result.applied.append(f"prob1({len(fixed_one)} states)")
             del pred  # not held through the solve
     else:

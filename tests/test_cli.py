@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 import soundmdp
 from soundmdp import ModelDocument, generate_example_me, generate_random, generate_slow_chain, write_explicit
+from soundmdp import bench
 from soundmdp.bench import CSV_COLUMNS, read_result_csv, run_suite
 from soundmdp.errors import ParseError
 from soundmdp.cli import _build_parser, main
@@ -174,6 +176,38 @@ def test_solve_csv_reports_the_reason_for_an_error(tmp_path, capsys):
     assert err == message
     header, row = out.splitlines()
     assert header == ",".join(CSV_COLUMNS) and row.endswith(",error")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_request_leaves_the_collector_as_it_found_it(me_file, tmp_path, capsys, monkeypatch,
+                                                      enabled):
+    # A request runs under one pause of the cyclic garbage collector, its
+    # report's parse included, and leaves the collector on or off as it was:
+    # after a certified solve, an `error:` exit, a pipeline error that
+    # becomes a status, and an error raised through `_cmd_solve`.
+    random_file = tmp_path / "r500.mdpx"
+    random_file.write_text(write_explicit(generate_random(1, 500, 3, 4, 4, 10)), encoding="utf-8")
+    parsed_with_collector = []
+    real_parse = bench.parse_explicit
+    monkeypatch.setattr(bench, "parse_explicit",
+                        lambda text: parsed_with_collector.append(gc.isenabled()) or real_parse(text))
+    requests = [
+        (["solve", str(me_file), "--prop", "pmax", "--goal", "s+"], 0, "certified   yes (ok)"),
+        (["solve", str(tmp_path / "missing.mdpx"), "--prop", "pmax"], 1, "error: cannot read"),
+        (["solve", str(random_file), "--prop", "emin", "--method", "ii"], 1,
+         "no finite reward upper bound"),
+        (["solve", str(me_file), "--prop", "pmax", "--epsilon", "0"], 2, "epsilon must be"),
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv, code, text in requests:
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+            assert text in "".join(capsys.readouterr())
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert parsed_with_collector == [False] * 3  # the solve's and its report's, then r500's
 
 
 def test_in_process_calls_stay_independent(me_file, capsys):

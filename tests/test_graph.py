@@ -207,6 +207,10 @@ def _check_sets_and_emax_bound(model, goals, pin):
     assert prob0_set(model, goals, "min") == zero_min
     assert prob1_set(model, goals, "min") == one_min
     assert prob1_set(model, goals, "max") == one_max
+    pred = predecessor_index(model)
+    for opt, one in (("min", one_min), ("max", one_max)):  # prob1 from prob0's set
+        assert prob1_set(model, goals, opt, pred=pred,
+                         zero=prob0_set(model, goals, opt, pred=pred)) == one
     s_inf = s_infinity(model, goals, "max")
     assert s_inf == states - one_min
     assert s_infinity(model, goals, "min") == states - one_max
@@ -539,6 +543,12 @@ def test_predecessor_index_is_shared_by_prob0_and_prob1(me0):
     for opt in ("max", "min"):
         assert prob0_set(me0, [1], opt, pred=pred) == prob0_set(me0, [1], opt)
         assert prob1_set(me0, [1], opt, pred=pred) == prob1_set(me0, [1], opt)
+        # The pipeline passes prob0's set as `zero` too: here it is empty
+        # with every state a goal, and not empty with s+ alone.
+        for goals in ([1], range(5)):
+            zero = prob0_set(me0, goals, opt, pred=pred)
+            assert bool(zero) == (goals == [1])
+            assert prob1_set(me0, goals, opt, pred=pred, zero=zero) == prob1_set(me0, goals, opt)
 
 
 def test_goal_distance_order_by_hand():

@@ -146,6 +146,21 @@ def test_writer_refuses_what_the_parser_cannot_read_back(doc, message):
         write_explicit(doc)
 
 
+def test_writer_refuses_a_label_of_no_state():
+    # It was written without the label, and read back with no named states.
+    for sid in (5, 2, -1):
+        with pytest.raises(ModelError, match=re.escape(f"state {sid}: cannot write label 'ghost'")):
+            write_explicit(_labelled_pair({"ghost": sid}))
+
+
+def test_writer_refuses_a_label_that_is_not_a_string():
+    # Each raised AttributeError.
+    with pytest.raises(ModelError, match=re.escape("state 1: cannot write label 5")):
+        write_explicit(_labelled_pair({5: 1}))
+    with pytest.raises(ModelError, match=re.escape("state 0, transition 0: cannot write label 7")):
+        write_explicit(_labelled_pair(label=7))
+
+
 def test_writer_keeps_labels_the_parser_reads_back():
     for doc in (_labelled_pair({"s+": 0, "x-1": 1}, "7"), _labelled_pair({"-": 1}, "a")):
         assert parse_explicit(write_explicit(doc)) == doc

@@ -263,6 +263,56 @@ def test_one_vector_sweep_measures_the_error_up_to_stop(seed, opt, relative):
         assert hexes(v_gsvi) == hexes(v_exact)
 
 
+def state_value_sweep(kernel, order, maximize, relative, v, stop):
+    """Reference: `_sweep`'s one-vector form as a `_state_value` call per state."""
+    error = 0.0
+    for s in order:
+        v_new = solvers._state_value(kernel[s], v, maximize)
+        if error < stop:
+            gain = v_new - v[s]
+            if relative:
+                gain = gain / v_new if v_new > 0 else 0.0
+            if gain > error:
+                error = gain
+        v[s] = v_new
+    return error, True, True, -1
+
+
+@pytest.fixture(scope="module")
+def model_past_local_branches():
+    doc = generate_random(3, 300, 3, 4, 4, 6)
+    goals = sorted(doc.declared_goals)
+    return make_goals_absorbing(doc.model, goals), goals
+
+
+@pytest.mark.parametrize("finite_stop", [True, False])
+@pytest.mark.parametrize("relative", [True, False])
+@pytest.mark.parametrize("opt", ["max", "min"])
+def test_one_vector_sweep_matches_a_state_value_loop(model_past_local_branches, opt,
+                                                     relative, finite_stop):
+    # The one-vector form inlines `_state_value`: over 30 sweeps of a phase
+    # too long to compile, from the seeds, its errors equal the reference's
+    # and its vectors are hex-equal.  A finite stop lies among the exact
+    # errors, so that some sweeps measure every gain and some stop early.
+    model, goals = model_past_local_branches
+    problem = reward_problem(model, goals, opt, s_infinity(model, goals, opt))
+    order = goal_distance_order(model, goals, problem.unknowns)
+    kernel, maximize = problem.kernel, opt == "max"
+    assert sum(len(b) for s in order for b in kernel[s]) > solvers._LOCAL_BRANCHES
+    stop = math.inf
+    if finite_stop:
+        v = problem.initial_vector()
+        errors = sorted(state_value_sweep(kernel, order, maximize, relative, v, stop)[0]
+                        for _ in range(30))
+        stop = errors[15]
+        assert errors[0] < stop
+    v, v_ref = problem.initial_vector(), problem.initial_vector()
+    for _ in range(30):
+        want = state_value_sweep(kernel, order, maximize, relative, v_ref, stop)
+        assert _sweep(kernel, order, maximize, relative, v, stop=stop) == want
+        assert hexes(v) == hexes(v_ref)
+
+
 def test_sweep_past_stop_measures_no_more_gains():
     # s0 gains 1 and s1 gains 2 in the first sweep: once the error has
     # reached stop at s0, the sweep stops measuring, and still updates s1.
