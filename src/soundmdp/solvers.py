@@ -26,9 +26,9 @@ iteration's vectors never cross (the proof is `_compile_kernel`'s).
 
 `_sweep` loops over the kernel's branch tuples and runs every sweep of
 `gsvi` and `ovi`; it is the reference the tests hold compiled code to.
-Its one-vector form, every `gsvi` sweep, has a loop of its own with
-`_state_value`'s body inlined: a call per state cost about a tenth of a
-`large` emin sweep.  `bellman_apply` still calls `_state_value`.
+Its one-vector form, every `gsvi` sweep, has a loop of its own with the
+state's backup inlined: a call per state cost about a tenth of a `large`
+emin sweep.  `bellman_apply` still calls `_choice_value` per choice.
 Unobserved, `gsvi` measures the error only up to epsilon_vi (beyond it the
 sweep cannot end the iteration, so the rest of it updates states without
 measuring their gains).  Interval iteration measures no error, and its
@@ -63,7 +63,9 @@ value between a rising lower and a falling upper iterate, and optimistic VI
 guesses an upper vector from the lower one, or both vectors from a policy's
 values, and proves either guess in one loop of joint sweeps, which accepts
 it only when a sweep moves no upper value up (inductivity, hence a true
-upper bound).
+upper bound).  The policy guess comes at sweep 64 of the first phase where
+the phase's convergence, forecast from two exact errors, would cost more
+than policy rounds (`_guess_pays`), else at sweep 128.
 
 `gsvi`, `ovi` and `interval_iteration` share one calling convention:
 `(problem, ..., order=None, *, max_sweeps=DEFAULT_SWEEP_CAP, deadline=None,
@@ -232,7 +234,7 @@ class SolveOutcome:
     def __init__(self, value: float, lower_bound: float | None, upper_bound: float | None,
                  iterations: int, verification_phases: int = 0,
                  cancelled_verifications: int = 0, method: str = "", certified: bool = False,
-                 status: str = "ok") -> None:  # "ok" | "no-certificate"
+                 status: str = "ok") -> None:  # "ok", "no-certificate", "uncertified"
         self.value, self.lower_bound, self.upper_bound = value, lower_bound, upper_bound
         self.iterations, self.verification_phases = iterations, verification_phases
         self.cancelled_verifications, self.method = cancelled_verifications, method
@@ -246,26 +248,14 @@ class SolveOutcome:
 VERIFICATION_FACTOR = 10
 
 
-def _state_value(trs: tuple, values: Sequence[float], maximize: bool) -> float:
-    best = None
-    for branches in trs:
-        acc = 0.0
-        for p, r, t in branches:
-            acc += p * (r + values[t])
-        if best is None or (acc > best if maximize else acc < best):
-            best = acc
-    return best  # type: ignore[return-value]
-
-
 def bellman_apply(problem: BellmanProblem, values: Sequence[float]) -> list[float]:
     """One synchronous backup: a fresh vector, the input untouched."""
     if len(values) != problem.model.num_states:
         raise SolverError("value vector length does not match the state count")
-    kernel = problem.kernel
-    maximize = problem.opt == "max"
+    kernel, best = problem.kernel, max if problem.opt == "max" else min
     out = list(values)
     for s in problem.unknowns:
-        out[s] = _state_value(kernel[s], values, maximize)
+        out[s] = best(_choice_value(branches, values) for branches in kernel[s])
     return out
 
 
@@ -396,7 +386,7 @@ def _best_lines(trs: tuple, vec: str, target: str, maximize: bool,
       `0.0 + y` is `y` for every y but -0.0.
 
     A later choice replaces the best only when strictly better, so ties go
-    to the first best choice, as in `_state_value`.
+    to the first best choice, as in `_sweep`.
     """
     better = ">" if maximize else "<"
     lines = []
@@ -588,7 +578,8 @@ Observer = Callable[..., None]
 
 def gsvi(problem: BellmanProblem, values: list[float], criterion: ErrorCriterion,
          order: Sequence[int] | None = None, *, max_sweeps: int = DEFAULT_SWEEP_CAP,
-         deadline: float | None = None, observer: Observer | None = None) -> int:
+         deadline: float | None = None, observer: Observer | None = None,
+         errors: dict[int, float | None] | None = None) -> int:
     """Gauss-Seidel value iteration, in place; returns the number of sweeps.
 
     A sweep's error is the largest per-state improvement, relative or
@@ -598,8 +589,9 @@ def gsvi(problem: BellmanProblem, values: list[float], criterion: ErrorCriterion
 
     Without an observer, a sweep stops measuring gains once the error
     reaches epsilon_vi (the sweep cannot end the iteration then).  An
-    observer receives every sweep's exact error; every vector and sweep
-    count is the same either way.
+    observer receives every sweep's exact error, and so does `errors` for
+    each sweep number it holds as a key; every vector and sweep count is
+    the same either way.
     """
     relative = criterion.mode == "relative"
     eps = criterion.epsilon_vi
@@ -613,7 +605,11 @@ def gsvi(problem: BellmanProblem, values: list[float], criterion: ErrorCriterion
             raise IterationCapExceeded(sweeps)
         _check_deadline(deadline)
         sweeps += 1
-        error = _sweep(kernel, order, maximize, relative, values, None, stop)[0]
+        exact = errors is not None and sweeps in errors
+        error = _sweep(kernel, order, maximize, relative, values, None,
+                       math.inf if exact else stop)[0]
+        if exact:
+            errors[sweeps] = error
         if observer is not None:
             observer("iter", sweeps, error, values)
         if error < eps:
@@ -630,7 +626,7 @@ def plain_vi(problem: BellmanProblem, criterion: ErrorCriterion,
     if s_i in problem.unknowns:
         sweeps = gsvi(problem, values, criterion, order, max_sweeps=max_sweeps, deadline=deadline)
     value = _reported_lower(problem, values[s_i])
-    return SolveOutcome(value, value, None, sweeps, method="vi")
+    return SolveOutcome(value, value, None, sweeps, method="vi", status="uncertified")
 
 
 def _reported_lower(problem: BellmanProblem, value: float) -> float:
@@ -644,19 +640,36 @@ def _exact_outcome(value: float, method: str) -> SolveOutcome:
     return SolveOutcome(value, value, value, 0, method=method, certified=True)
 
 
+#: `ovi`'s first iteration phase forecasts its end at this sweep (above 50,
+#: so that a 50-sweep budget makes no guess), from its exact errors there
+#: and POLICY_FORECAST_SPAN (k) sweeps before
+POLICY_FORECAST_SWEEPS, POLICY_FORECAST_SPAN = 64, 16
+
+#: C of `_guess_pays`, which prices a guess at C·n² branch updates.  At sweep
+#: 64 the probes below took 1-11 policy rounds of 1.5-2.8 n² updates each
+#: (82-131 ns per update; shared 2-core x86-64 host, Python 3.11).  Their
+#: forecast costs m·B/n² (k = 16, default order) were:
+#:   stiff-2/3, chain-10/16/20/40 emax          49, 50, 96, 60, 46, 16: pause
+#:   generate_random(0|1, 300, 3, 4, 4, 6) emin  0.5, 0.1: no guess
+#:   their emax, 500 and 600 states              4.4-9.0: pause at 128
+#: A pause at 64 halved the first six's sweeps with the same intervals, and
+#: slowed the seed-1 emin from 13 to 27 ms and the 600-state emax from 0.64
+#: to 0.84 s (11 rounds where 8 did at 128).  12 lies between the groups.
+POLICY_ROUND_COST = 12
+
 #: sweeps after which `ovi`'s first iteration phase pauses for a
-#: policy-evaluation guess, above the 53 sweeps of the longest phase of the
-#: `large` benchmark workload.
+#: policy-evaluation guess if `_guess_pays` declined one at
+#: POLICY_FORECAST_SWEEPS
 POLICY_AFTER_SWEEPS = 128
 
 #: the most unknowns a policy-evaluation guess solves for.  Dense elimination
 #: holds n**2 floats and costs up to n**3/3 multiply-adds per round; skipping
 #: zero entries, a round on `generate_random(seed, n, 3, 4, 4, n // 50)` emax
 #: took 33-55 ms at 400 unknowns, 84-111 ms at 600 and 130-240 ms at 800,
-#: against 30-95 ms for the 128 generic sweeps before the pause (seeds 0-2,
-#: 4-8 rounds each, shared 2-core x86-64 host, Python 3.11).  Above 600 a
-#: round costs more than twice the pause, and a guess that fails costs
-#: seconds.
+#: against 30-95 ms for 128 generic sweeps (seeds 0-2, 4-8 rounds each,
+#: shared 2-core x86-64 host, Python 3.11), which `_guess_pays` declines to
+#: save on these models.  Above 600 a round costs more than twice those
+#: sweeps, and a guess that fails costs seconds.
 POLICY_MAX_UNKNOWNS = 600
 
 #: policy-improvement rounds before a policy-evaluation guess is given up;
@@ -689,6 +702,20 @@ def _improved_choice(trs: tuple, current: int, values: Sequence[float], maximize
         if value > best if maximize else value < best:
             best, current = value, c
     return current
+
+
+def _guess_pays(problem: BellmanProblem, errors: dict[int, float], eps: float) -> bool:
+    """Whether m·B >= C·n²: the m sweeps forecast to bring the error to
+    `eps` cost at least a policy guess (B the unknowns' branches, n their
+    number, C = POLICY_ROUND_COST).  From the exact errors e, e' of two
+    sweeps k apart, λ = (e'/e)**(1/k) and m = ln(e'/eps)/(-ln λ), infinite
+    at λ >= 1."""
+    early, late = errors.values()
+    if late >= early:
+        return True
+    sweeps = POLICY_FORECAST_SPAN * math.log(late / eps) / math.log(early / late)
+    branches = sum(len(b) for s in problem.unknowns for b in problem.kernel[s])
+    return sweeps * branches >= POLICY_ROUND_COST * len(problem.unknowns) ** 2
 
 
 def _solve_dense(rows: list[list[float]]) -> list[float] | None:
@@ -798,8 +825,10 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
       ("adopt-upper").
     - policy evaluation, once: on a problem with a unique fixed point and at
       most POLICY_MAX_UNKNOWNS unknowns, a first iteration phase that runs
-      POLICY_AFTER_SWEEPS sweeps pauses there.  `_policy_values` runs policy
-      iteration from the greedy policy of `v`, each policy evaluated by dense
+      POLICY_FORECAST_SWEEPS sweeps pauses there if `_guess_pays` (its
+      forecast sweeps cost more than policy rounds, read from no clock), else
+      after POLICY_AFTER_SWEEPS.  `_policy_values` runs policy iteration
+      from the greedy policy of `v`, each policy evaluated by dense
       Gaussian elimination, and its values x widened by -eps/2 and +eps/2
       are swept together, apart from `v`, for at most POLICY_CHECK_SWEEPS
       sweeps.  The certifying sweep must also move no lower value down: then
@@ -810,7 +839,8 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
       guess is made where `_policy_values` finds none (a singular system, a
       non-finite value, or too many rounds).
 
-    Observed and unobserved runs take the same path.  This is a
+    Observed and unobserved runs take the same path, and the forecast reads
+    exact errors in both.  This is a
     semi-algorithm: when `max_sweeps`, the budget of all phases together,
     runs out, the outcome is flagged "no-certificate" rather than pretending
     soundness.
@@ -832,10 +862,12 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
     phases = 0
     cancelled = 0
     vi_error = criterion.epsilon_vi
-    # The first iteration phase pauses after POLICY_AFTER_SWEEPS sweeps, if
-    # it runs that long, for one policy-evaluation guess; `paused` counts the
-    # sweeps the current phase ran before its pause.
-    policy = problem.unique_fixed_point and len(problem.unknowns) <= POLICY_MAX_UNKNOWNS
+    # The first iteration phase stops after POLICY_FORECAST_SWEEPS sweeps, if
+    # it runs that long, and pauses there for one policy-evaluation guess if
+    # `_guess_pays`, else after POLICY_AFTER_SWEEPS; `paused` counts the
+    # sweeps the current phase ran before its last stop.
+    pause = POLICY_FORECAST_SWEEPS if problem.unique_fixed_point and \
+        len(problem.unknowns) <= POLICY_MAX_UNKNOWNS else 0
     paused = 0
 
     def uncertified() -> SolveOutcome:
@@ -883,21 +915,27 @@ def ovi(problem: BellmanProblem, criterion: ErrorCriterion, prop: Property,
         budget = max_sweeps - total_sweeps
         if budget <= 0:
             return uncertified()
-        cap = POLICY_AFTER_SWEEPS if policy and budget > POLICY_AFTER_SWEEPS else budget
-        policy = False
+        cap = pause - paused if budget > pause - paused > 0 else budget
+        forecast = pause == POLICY_FORECAST_SWEEPS and cap < budget
+        errors = dict.fromkeys((cap - POLICY_FORECAST_SPAN, cap)) if forecast else None
+        pause = 0
         phase_observer = observer
         if observer is not None and paused:
             def phase_observer(event, sweep, *payload, shift=paused):
                 observer(event, sweep + shift, *payload)
         try:
             iter_sweeps = gsvi(problem, v, ErrorCriterion(criterion.mode, vi_error), order,
-                               max_sweeps=cap, deadline=deadline, observer=phase_observer)
+                               max_sweeps=cap, deadline=deadline, observer=phase_observer,
+                               errors=errors)
         except IterationCapExceeded:
             if cap == budget:
                 total_sweeps = max_sweeps
                 return uncertified()
             total_sweeps += cap
-            paused = cap
+            paused += cap
+            if errors is not None and not _guess_pays(problem, errors, vi_error):
+                pause = POLICY_AFTER_SWEEPS
+                continue  # the phase runs on to the later pause
             guess = _policy_values(problem, v, deadline)
             if guess is not None:
                 rounds, x = guess
@@ -1177,21 +1215,9 @@ def reward_upper_init(model: Mdp, goals: Iterable[int], opt: str,
 
     Either raises SolverError where it finds no finite bound.
     """
-    goal_set = frozenset(goals)
-    inf_set = frozenset(s_inf)
-    if opt == "max":
-        bound = _emax_reward_bound(model, goal_set, inf_set)
-    else:
-        bound = _emin_reward_bound(model, goal_set, inf_set)
-    out = []
-    for s in model.states:
-        if s in inf_set:
-            out.append(math.inf)
-        elif s in goal_set:
-            out.append(0.0)
-        else:
-            out.append(bound)
-    return out
+    goal_set, inf_set = frozenset(goals), frozenset(s_inf)
+    bound = (_emax_reward_bound if opt == "max" else _emin_reward_bound)(model, goal_set, inf_set)
+    return [math.inf if s in inf_set else 0.0 if s in goal_set else bound for s in model.states]
 
 
 def _emin_reward_bound(model: Mdp, goal_set: frozenset[int], inf_set: frozenset[int]) -> float:
@@ -1209,11 +1235,9 @@ def _emin_reward_bound(model: Mdp, goal_set: frozenset[int], inf_set: frozenset[
         return 0.0
     exact_bound = r_max * n / (q_min ** n)
     try:
-        bound = float(exact_bound)
+        bound = float(exact_bound)  # finite, or OverflowError
     except OverflowError:
-        bound = math.inf
-    if not math.isfinite(bound):
-        raise SolverError(_NO_BOUND)
+        raise SolverError(_NO_BOUND) from None
     if Fraction(bound) < exact_bound:
         bound = math.nextafter(bound, math.inf)
     return bound

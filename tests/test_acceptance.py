@@ -237,7 +237,7 @@ def test_criterion_6_unsoundness_demonstration(tmp_path):
         assert len(table) == len(rows) >= 8
         for row in table.values():
             assert {"instance", "method", "sweeps", "solve_ms", "status"} <= set(row)
-            assert row["status"] == "ok"
+            assert row["status"] == ("uncertified" if row["method"] == "vi" else "ok")
         assert table["slow-chain:vi"]["correct"] == "false"
         assert table["slow-chain:ovi"]["correct"] == "true"
         assert table["slow-chain:ii"]["correct"] == "true"

@@ -223,7 +223,8 @@ def test_parse_and_solve_leave_no_cyclic_garbage(kind, method):
     doc = parse_explicit(text)
     result = solve(doc.model, make_property(kind, doc.declared_goals),
                    SolveOptions(method=method))
-    assert result.outcome.status in ("ok", "no-certificate")
+    assert result.outcome.status in (("uncertified",) if method == "vi"
+                                     else ("ok", "no-certificate"))
     del doc, result
     assert gc.collect() == 0
 

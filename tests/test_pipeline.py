@@ -206,7 +206,7 @@ def test_goal_distance_order_cuts_slow_chain_sweeps(method):
     exact = oracle_exact(model, prop)
     if method == "ovi":
         # On a unique-fixed-point problem a policy-evaluation guess certifies
-        # either order after 129 sweeps; without one, OVI's own guesses
+        # either order after 65 sweeps; without one, OVI's own guesses
         # measure the order.
         def chain_ovi(order):
             problem = reward_problem(model, [10], "max", s_infinity(model, [10], "max"))

@@ -264,10 +264,12 @@ def test_one_vector_sweep_measures_the_error_up_to_stop(seed, opt, relative):
 
 
 def state_value_sweep(kernel, order, maximize, relative, v, stop):
-    """Reference: `_sweep`'s one-vector form as a `_state_value` call per state."""
+    """Reference: `_sweep`'s one-vector form as a `_choice_value` call per
+    choice, the best of them taken by `max` or `min` (the first of equals)."""
+    best = max if maximize else min
     error = 0.0
     for s in order:
-        v_new = solvers._state_value(kernel[s], v, maximize)
+        v_new = best(solvers._choice_value(branches, v) for branches in kernel[s])
         if error < stop:
             gain = v_new - v[s]
             if relative:
@@ -290,7 +292,7 @@ def model_past_local_branches():
 @pytest.mark.parametrize("opt", ["max", "min"])
 def test_one_vector_sweep_matches_a_state_value_loop(model_past_local_branches, opt,
                                                      relative, finite_stop):
-    # The one-vector form inlines `_state_value`: over 30 sweeps of a phase
+    # The one-vector form inlines the state's backup: over 30 sweeps of a phase
     # too long to compile, from the seeds, its errors equal the reference's
     # and its vectors are hex-equal.  A finite stop lies among the exact
     # errors, so that some sweeps measure every gain and some stop early.
@@ -1631,12 +1633,12 @@ def test_policy_guess_certifies_the_slow_chain_after_one_joint_sweep(monkeypatch
     assert len(calls) == 1 and len(calls[0]) == model.num_states
     assert out.certified and out.status == "ok"
     assert (out.iterations, out.verification_phases, out.cancelled_verifications) == \
-        (solvers.POLICY_AFTER_SWEEPS + 1, 1, 0)
+        (solvers.POLICY_FORECAST_SWEEPS + 1, 1, 0)
     exact = oracle_exact(model, make_property("emax", [10]))
     assert Fraction(out.lower_bound) <= exact <= Fraction(out.upper_bound)
     assert [ev[0] for ev in events if ev[0] != "iter"] == ["policy"]
     assert [ev[1] for ev in events if ev[0] == "iter"] == \
-        list(range(1, solvers.POLICY_AFTER_SWEEPS + 1))
+        list(range(1, solvers.POLICY_FORECAST_SWEEPS + 1))
     rounds, lower, upper = events[-1][1:]
     assert rounds == 1
     assert lower[10] == upper[10] == 0.0  # the goal holds its seed
@@ -1742,13 +1744,14 @@ def observed_solve(model, prop, options):
 
 
 def test_budget_ending_inside_a_policy_check():
-    # pmin/ovi on this 30-state model in forward order: the guess made at
-    # the pause after 128 sweeps is certified by its 5th joint sweep.  A
-    # budget that ends before that refutes the guess, sends
-    # ("cancel", "policy") and ends with no-certificate; 128 makes no guess.
+    # pmin/ovi on this 30-state model in forward order: at sweep 64 the
+    # forecast (115 more sweeps of 108 branches against 12 * 25**2) pauses
+    # for a guess, which its 5th joint sweep certifies.  A budget that ends
+    # before that refutes the guess, sends ("cancel", "policy") and ends
+    # with no-certificate; a budget of 64 makes no guess.
     doc = generate_random(25, 30, 3, 4, 4, 1, allow_end_components=True)
     prop = make_property("pmin", sorted(doc.declared_goals))
-    pause = solvers.POLICY_AFTER_SWEEPS
+    pause = solvers.POLICY_FORECAST_SWEEPS
     for extra in range(0, 6):
         out, events = observed_solve(doc.model, prop, SolveOptions(
             method="ovi", order="forward", max_sweeps=pause + extra))
@@ -1782,6 +1785,81 @@ def test_policy_guess_certifies_a_500_state_stiff_emax_within_a_timeout():
     if reference is not None:
         ref = reference.reference_value(doc.model, goals, "emax")
         assert out.lower_bound * (1 - 1e-10) <= ref <= out.upper_bound * (1 + 1e-10)
+
+
+#: emax/ovi and emin/ovi requests and where the forecast at sweep 64 puts
+#: their first phase's policy guess: (model, property, pause, sweeps, lower,
+#: upper).  With the fixed pause at 128 every one certified the same
+#: interval, the first six after 129 sweeps.
+FORECAST_CASES = [
+    *[(("random", s, 50, 3, 4, 4, 1), "emax", 64, 65, lower, upper) for s, lower, upper in (
+        (2, "0x1.923e9eb701cb0p+13", "0x1.923eb91283209p+13"),
+        (3, "0x1.1ba9d9b626286p+12", "0x1.1ba9ec4a3435bp+12"))],
+    *[(("chain", n, p), "emax", 64, 65, lower, upper) for (n, p), (lower, upper) in zip(
+        BENCHMARK_CHAINS, (("0x1.7f7ff37540896p+10", "0x1.7f800c8abf76ap+10"),
+                           ("0x1.b524c7b55847ap+10", "0x1.b524e44aa761ap+10"),
+                           ("0x1.26a0cec51efbfp+10", "0x1.26a0e1ff435b2p+10"),
+                           ("0x1.49e451eb0b242p+9", "0x1.49e4672ed1047p+9")))],
+    # The phase would end 27 and 6 sweeps later: no guess.
+    (("random", 0, 300, 3, 4, 4, 6), "emin", None, 162,
+     "0x1.35a96e82df634p+4", "0x1.35a9792b4b2f0p+4"),
+    (("random", 1, 300, 3, 4, 4, 6), "emin", None, 82,
+     "0x1.3b1fd26a6a177p+4", "0x1.3b1fd99739227p+4"),
+    # Policy rounds on 588 unknowns cost more than the forecast sweeps.
+    (("random", 1, 600, 3, 4, 4, 12), "emax", 128, 130,
+     "0x1.85fe065ff51d6p+22", "0x1.85fe1feeef971p+22"),
+]
+
+
+@pytest.mark.parametrize("model, kind, pause, sweeps, lower, upper", FORECAST_CASES,
+                         ids=["stiff-2", "stiff-3", "chain-10", "chain-16", "chain-20", "chain-40",
+                              "random-0-300-emin", "random-1-300-emin", "random-1-600-emax"])
+def test_forecast_chooses_the_policy_pause(model, kind, pause, sweeps, lower, upper,
+                                           monkeypatch):
+    doc = (generate_random(*model[1:]) if model[0] == "random"
+           else generate_slow_chain(*model[1:]))
+    prop = make_property(kind, sorted(doc.declared_goals))
+    policy = spy_policy(monkeypatch)
+    forecasts = []
+    real = solvers._guess_pays
+    monkeypatch.setattr(solvers, "_guess_pays", lambda problem, errors, eps: forecasts.append(
+        dict(errors)) or real(problem, errors, eps))
+    out, events = observed_solve(doc.model, prop, SolveOptions(method="ovi"))
+    unobserved = solve(doc.model, prop, SolveOptions(method="ovi")).outcome
+    assert summary(out) == summary(unobserved)
+    assert (out.certified, out.iterations) == (True, sweeps)
+    assert (out.lower_bound.hex(), out.upper_bound.hex()) == (lower, upper)
+    steps = [ev[0] for ev in events]
+    if pause is None:
+        assert not policy and "policy" not in steps
+    else:
+        assert len(policy) == 2 and steps.index("policy") == pause
+        assert set(steps[:pause]) == {"iter"}
+    # Both runs forecast once, from the exact errors the observer saw.
+    errors = {ev[1]: ev[2] for ev in events if ev[0] == "iter" and ev[1] in (48, 64)}
+    assert forecasts == [errors, errors]
+
+
+def test_forecast_measures_exact_errors_only_where_a_guess_can_follow(monkeypatch):
+    # Unobserved, the first phase of the slow chain measures its exact error
+    # only on sweeps 48 and 64; without a possible guess it measures none.
+    problem = chain_problem()[1]
+    criterion, prop = ErrorCriterion("relative", 1e-6), make_property("emax", [10])
+    exact = []
+    real = solvers._sweep
+
+    def spy(kernel, order, maximize, relative, v, u=None, stop=math.inf):
+        if u is None and stop == math.inf:
+            exact.append(1)
+        return real(kernel, order, maximize, relative, v, u, stop)
+
+    monkeypatch.setattr(solvers, "_sweep", spy)
+    assert ovi(problem, criterion, prop).iterations == solvers.POLICY_FORECAST_SWEEPS + 1
+    assert len(exact) == 2
+    exact.clear()
+    monkeypatch.setattr(solvers, "POLICY_MAX_UNKNOWNS", 0)
+    assert ovi(chain_problem()[1], criterion, prop).certified
+    assert not exact
 
 
 def perfbench_reference():
