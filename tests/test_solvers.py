@@ -1836,7 +1836,8 @@ def test_forecast_chooses_the_policy_pause(model, kind, pause, sweeps, lower, up
         assert len(policy) == 2 and steps.index("policy") == pause
         assert set(steps[:pause]) == {"iter"}
     # Both runs forecast once, from the exact errors the observer saw.
-    errors = {ev[1]: ev[2] for ev in events if ev[0] == "iter" and ev[1] in (48, 64)}
+    first_phase = itertools.takewhile(lambda ev: ev[0] == "iter", events)
+    errors = {ev[1]: ev[2] for ev in first_phase if ev[1] in (48, 64)}
     assert forecasts == [errors, errors]
 
 
