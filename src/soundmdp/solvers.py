@@ -667,9 +667,9 @@ POLICY_AFTER_SWEEPS = 128
 #: zero entries, a round on `generate_random(seed, n, 3, 4, 4, n // 50)` emax
 #: took 33-55 ms at 400 unknowns, 84-111 ms at 600 and 130-240 ms at 800,
 #: against 30-95 ms for 128 generic sweeps (seeds 0-2, 4-8 rounds each,
-#: shared 2-core x86-64 host, Python 3.11), which `_guess_pays` declines to
-#: save on these models.  Above 600 a round costs more than twice those
-#: sweeps, and a guess that fails costs seconds.
+#: shared 2-core x86-64 host, Python 3.11); `_guess_pays` keeps their pause
+#: at 128.  Above 600 a round costs more than twice those sweeps, and a
+#: guess that fails costs seconds.
 POLICY_MAX_UNKNOWNS = 600
 
 #: policy-improvement rounds before a policy-evaluation guess is given up;
