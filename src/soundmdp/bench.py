@@ -183,7 +183,8 @@ def format_value(x: float | None) -> str:
     return f"{x:.17g}"
 
 
-def parse_suite(path: Path) -> list[RunRequest]:
+def parse_suite(path: Path, timeout: float | None = None) -> list[RunRequest]:
+    """The suite's requests in file order, each with this numeric-phase timeout."""
     # csv, io and shlex are imported where `bench` and `compare` use them:
     # no `soundmdp solve` needs them.
     import shlex
@@ -200,7 +201,7 @@ def parse_suite(path: Path) -> list[RunRequest]:
         except (SystemExit, ValueError):
             raise PipelineError(f"{path}:{line_no}: malformed suite line") from None
         try:
-            req = request_from_args(args, path.parent)
+            req = request_from_args(args, path.parent, timeout)
         except PipelineError as exc:
             raise PipelineError(f"{path}:{line_no}: {exc}") from None
         # A repeated id takes the first free `~<n>`: the keys of `seen` are
@@ -226,11 +227,8 @@ def run_suite(suite_path: Path, output_path: Path, reps: int = 3,
     for name, count in (("reps", reps), ("jobs", jobs)):
         if type(count) is not int or count < 1:
             raise PipelineError(f"{name} must be a positive integer, not {count!r}")
-    requests = parse_suite(suite_path)
-    for req in requests:  # new options, checked again with the suite's timeout
-        o = req.options
-        req.options = SolveOptions(o.method, o.precomp, o.ec_elim, o.error_mode, o.epsilon_vi,
-                                   o.max_sweeps, o.order, timeout)
+    SolveOptions(timeout=timeout)  # a bad timeout fails here, not at the first suite line
+    requests = parse_suite(suite_path, timeout)
     all_reps = [reps] * len(requests)
     if jobs > 1:
         # Imported here: the process pool loads concurrent.futures.process and
@@ -279,17 +277,6 @@ def _ratio(a: float, b: float) -> float:
     return b / a
 
 
-class Comparison:
-    __slots__ = ("rows", "time_over_2x", "time_under_half", "sweeps_over_2x", "sweeps_under_half")
-
-    def __init__(self, rows: list[tuple[str, float, float]] | None = None,  # instance, time, sweeps
-                 time_over_2x: int = 0, time_under_half: int = 0, sweeps_over_2x: int = 0,
-                 sweeps_under_half: int = 0) -> None:
-        self.rows = [] if rows is None else rows
-        self.time_over_2x, self.time_under_half = time_over_2x, time_under_half
-        self.sweeps_over_2x, self.sweeps_under_half = sweeps_over_2x, sweeps_under_half
-
-
 def _measures(path: Path) -> dict[str, tuple[float, float]]:
     """Solve time and sweeps by instance from a result CSV; a missing column
     or a cell that is not a number is a ParseError naming the file."""
@@ -302,32 +289,27 @@ def _measures(path: Path) -> dict[str, tuple[float, float]]:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def compare_results(path_a: Path, path_b: Path) -> Comparison:
-    """Per-instance solve-time and sweep ratios of B over A, with the counts of
-    instances beyond the 2x and 0.5x bands."""
+def compare_results(path_a: Path, path_b: Path) -> list[tuple[str, float, float]]:
+    """(instance, solve-time ratio, sweep ratio) rows of B over A, by instance."""
     a, b = _measures(path_a), _measures(path_b)
     if set(a) != set(b):
         only_a = sorted(set(a) - set(b))
         only_b = sorted(set(b) - set(a))
         raise PipelineError(f"instance ids differ: only in A {only_a}, only in B {only_b}")
-    cmp = Comparison()
-    for instance in sorted(a):
-        (ta, sa), (tb, sb) = a[instance], b[instance]
-        t, s = _ratio(ta, tb), _ratio(sa, sb)
-        cmp.rows.append((instance, t, s))
-        cmp.time_over_2x += t > 2.0
-        cmp.time_under_half += t < 0.5
-        cmp.sweeps_over_2x += s > 2.0
-        cmp.sweeps_under_half += s < 0.5
-    return cmp
+    return [(instance, _ratio(a[instance][0], b[instance][0]),
+             _ratio(a[instance][1], b[instance][1])) for instance in sorted(a)]
 
 
-def render_comparison(cmp: Comparison, name_a: str, name_b: str) -> str:
+def render_comparison(rows: list[tuple[str, float, float]], name_a: str, name_b: str) -> str:
+    """The ratio table, with the counts of instances beyond the 2x and 0.5x bands."""
     lines = [f"{'instance':<40} {'time B/A':>10} {'sweeps B/A':>11}"]
-    for instance, t, s in cmp.rows:
+    for instance, t, s in rows:
         lines.append(f"{instance:<40} {t:>10.3f} {s:>11.3f}")
+    times, sweeps = [t for _, t, _ in rows], [s for _, _, s in rows]
     lines.append("")
-    lines.append(f"A = {name_a}, B = {name_b}; {len(cmp.rows)} instances")
-    lines.append(f"time:   B slower >2x on {cmp.time_over_2x}, faster <0.5x on {cmp.time_under_half}")
-    lines.append(f"sweeps: B more >2x on {cmp.sweeps_over_2x}, fewer <0.5x on {cmp.sweeps_under_half}")
+    lines.append(f"A = {name_a}, B = {name_b}; {len(rows)} instances")
+    lines.append(f"time:   B slower >2x on {sum(t > 2.0 for t in times)}, "
+                 f"faster <0.5x on {sum(t < 0.5 for t in times)}")
+    lines.append(f"sweeps: B more >2x on {sum(s > 2.0 for s in sweeps)}, "
+                 f"fewer <0.5x on {sum(s < 0.5 for s in sweeps)}")
     return "\n".join(lines)

@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from .bench import (CSV_COLUMNS, compare_results, format_value, load_document,
-                    make_solve_arg_parser, render_comparison, request_from_args,
-                    resolve_property, run_request, run_suite)
+                    make_solve_arg_parser, render_comparison, request_from_args, run_request,
+                    run_suite)
 from .errors import SoundMdpError
 from .model import collector_paused
 
@@ -59,8 +59,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.csv:
         return 0
     doc = load_document(req.model_path)
-    prop = resolve_property(doc, req)
-    outcome = result.outcome
+    prop, outcome = result.prop, result.outcome
     model = doc.model
     print(f"model       {req.model_path.name}: {model.num_states} states, "
           f"{model.transition_count()} transitions, {model.branch_count()} branches")
@@ -96,8 +95,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    cmp = compare_results(Path(args.csv_a), Path(args.csv_b))
-    print(render_comparison(cmp, args.csv_a, args.csv_b))
+    rows = compare_results(Path(args.csv_a), Path(args.csv_b))
+    print(render_comparison(rows, args.csv_a, args.csv_b))
     return 0
 
 

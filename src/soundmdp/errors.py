@@ -35,9 +35,9 @@ class SolverError(SoundMdpError):
 class IterationCapExceeded(SolverError):
     """The configured sweep limit was reached before convergence."""
 
-    def __init__(self, sweeps: int, message: str = ""):
+    def __init__(self, sweeps: int):
         self.sweeps = sweeps
-        super().__init__(message or f"iteration cap exceeded after {sweeps} sweeps")
+        super().__init__(f"iteration cap exceeded after {sweeps} sweeps")
 
 
 class SolveTimeout(SolverError):

@@ -304,13 +304,10 @@ def mec_decomposition(model: Mdp) -> list[EndComponent]:
 
 
 class QuotientMap(NamedTuple):
-    """Result of collapsing end components: the quotient model plus state maps.
+    """Result of collapsing end components: the quotient model, whose states
+    are the components' representatives in id order, and to_quotient:
+    original state -> state id in the quotient model."""
 
-    representative: original state -> representative original state (idempotent);
-    to_quotient: original state -> state id in the quotient model.
-    """
-
-    representative: tuple[int, ...]
     to_quotient: tuple[int, ...]
     quotient: Mdp
 
@@ -361,8 +358,7 @@ def eliminate_end_components(model: Mdp, mecs: Sequence[EndComponent],
     """
     protect_set = _check_states(model, protect, "protect")
     if _nothing_to_collapse(model, mecs):
-        identity = tuple(model.states)
-        return QuotientMap(identity, identity, model)
+        return QuotientMap(tuple(model.states), model)
     rep_of = list(model.states)
     component_of: dict[int, EndComponent] = {}
     for mec in mecs:
@@ -419,4 +415,4 @@ def eliminate_end_components(model: Mdp, mecs: Sequence[EndComponent],
         transitions.append(tuple(ts))
 
     quotient = Mdp(len(reps), to_quotient[model.initial], tuple(transitions))
-    return QuotientMap(tuple(rep_of), to_quotient, quotient)
+    return QuotientMap(to_quotient, quotient)

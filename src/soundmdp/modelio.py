@@ -41,19 +41,19 @@ FORMAT_VERSION = 1
 class ModelDocument:
     """A parsed model together with its label table and optional goal declaration.
 
-    Documents are equal when their four fields are."""
+    Documents are equal when their three fields are.  The format has one
+    version, `FORMAT_VERSION`: the writer puts it in the header."""
 
-    __slots__ = ("model", "named_states", "declared_goals", "format_version", "_labels")
+    __slots__ = ("model", "named_states", "declared_goals", "_labels")
 
     def __init__(self, model: Mdp, named_states: dict[str, int] | None = None,
-                 declared_goals: frozenset[int] | None = None,
-                 format_version: int = FORMAT_VERSION) -> None:
+                 declared_goals: frozenset[int] | None = None) -> None:
         self.model, self.named_states = model, {} if named_states is None else named_states
-        self.declared_goals, self.format_version = declared_goals, format_version
+        self.declared_goals = declared_goals
         self._labels: dict[int, str] | None = None  # inverse of named_states, built on first use
 
     def __eq__(self, other: object) -> bool:
-        fields = ("model", "named_states", "declared_goals", "format_version")
+        fields = ("model", "named_states", "declared_goals")
         return type(other) is type(self) and all(
             getattr(self, f) == getattr(other, f) for f in fields)
 
@@ -67,19 +67,20 @@ class ModelDocument:
         """Map an id or label to a state id."""
         if token in self.named_states:
             return self.named_states[token]
-        try:
-            sid = int(token)
-        except ValueError:
-            raise ParseError(f"unknown state label {token!r}") from None
+        if not _is_int(token):
+            raise ParseError(f"unknown state label {token!r}")
+        sid = int(token)
         if not (0 <= sid < self.model.num_states):
             raise ParseError(f"state id {sid} out of range")
         return sid
 
 
 def _is_int(token: str) -> bool:
-    # int() needs a sign or a decimal digit first (a word has no leading
-    # space); testing that first spares a label the cost of a ValueError.
-    if not token[:1].isdecimal() and token[:1] not in ("+", "-"):
+    """True for an integer id: ASCII digits with an optional sign.  int()
+    alone also takes "1_0", blanks around the digits and non-ASCII digits
+    ("٣"); it refuses more than 4300 digits, and such a token is no id."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
         return False
     try:
         int(token)
@@ -418,22 +419,27 @@ def _format_number(value: Fraction, as_float: float) -> str:
 def write_explicit(doc: ModelDocument) -> str:
     """Serialize a document so that parse_explicit(write_explicit(doc)) is structurally equal.
 
-    Raises ModelError, naming the state (and transition), for a format version
-    other than 1, a state's second label, a label that is not a string of one
-    word free of `#`, an integer-like state label (`_is_int`), or a label of
-    no state of the model.  Each number is formatted once, keyed by float and
-    exact value, as one float can have two texts (1/3, 0.33333333333333331); a
-    Fraction key would hash slowly."""
-    if doc.format_version != FORMAT_VERSION:
-        raise ModelError(f"cannot write format version {doc.format_version!r}")
+    Raises ModelError, naming the state (and transition), for a state's second
+    label, a label that is not a string of one word free of `#`, an integer-like
+    state label (`_is_int`), a label of no state, an initial state or a goal
+    that is no int id of a state, or an empty goal declaration (read back as
+    none).  Each number is formatted once, keyed by float and exact value, as
+    one float can have two texts (1/3, 0.33333333333333331); a Fraction key
+    would hash slowly."""
     model = doc.model
     name_of = {sid: name for name, sid in doc.named_states.items()}
     for name, sid in doc.named_states.items():
         if (type(name) is not str or name_of[sid] != name or name.split() != [name]
                 or "#" in name or _is_int(name) or sid not in model.states):
             raise ModelError(f"state {sid}: cannot write label {name!r}")
+    goals = doc.declared_goals
+    if goals is not None and not goals:
+        raise ModelError("cannot write an empty goal declaration")
+    for role, sid in [("initial", model.initial), *(("goal", g) for g in goals or ())]:
+        if type(sid) is not int or sid not in model.states:  # "1.0" would read as a label
+            raise ModelError(f"cannot write {role} state {sid!r}: no such state")
     texts: dict[tuple[float, int, int], str] = {}
-    out = [f"mdpx {doc.format_version}", f"states {model.num_states}",
+    out = [f"mdpx {FORMAT_VERSION}", f"states {model.num_states}",
            f"initial {name_of.get(model.initial, model.initial)}"]
     for s in model.states:
         out.append(f"state {s} {name_of[s]}" if s in name_of else f"state {s}")
@@ -448,8 +454,8 @@ def write_explicit(doc: ModelDocument) -> str:
                 key = (r, r_exact.numerator, r_exact.denominator)
                 r_text = texts.get(key) or texts.setdefault(key, _format_number(r_exact, r))
                 out.append(f"    branch {p_text} {r_text} {name_of.get(target, target)}")
-    if doc.declared_goals:
-        out.append("goal " + " ".join(str(name_of.get(g, g)) for g in sorted(doc.declared_goals)))
+    if goals:
+        out.append("goal " + " ".join(str(name_of.get(g, g)) for g in sorted(goals)))
     return "\n".join(out) + "\n"
 
 

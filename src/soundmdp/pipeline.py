@@ -108,14 +108,14 @@ class SolveOptions:
 
 
 class PipelineResult:
-    """What `solve` did: the outcome, the request, the transforms that ran,
+    """What `solve` did: the outcome, the property, the transforms that ran,
     and the seconds each phase took (`SolveOutcome` carries no time)."""
 
-    __slots__ = ("outcome", "prop", "options", "precomp_time", "transform_time", "solve_time",
+    __slots__ = ("outcome", "prop", "precomp_time", "transform_time", "solve_time",
                  "applied", "warnings", "exact_value")
 
-    def __init__(self, outcome: SolveOutcome, prop: Property, options: SolveOptions) -> None:
-        self.outcome, self.prop, self.options = outcome, prop, options
+    def __init__(self, outcome: SolveOutcome, prop: Property) -> None:
+        self.outcome, self.prop = outcome, prop
         self.precomp_time = self.transform_time = self.solve_time = 0.0
         self.applied: list[str] = []
         self.warnings: list[str] = []
@@ -180,7 +180,7 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
     options = options or SolveOptions()
     kind = prop.kind
     eliminate, unique = _plan(kind, options)
-    result = PipelineResult(SolveOutcome(0.0, None, None, 0), prop, options)
+    result = PipelineResult(SolveOutcome(0.0, None, None, 0), prop)
 
     # Absorb the goals.
     t0 = time.perf_counter()

@@ -519,6 +519,41 @@ def test_compare_counts_bands(tmp_path, capsys):
     assert "fewer <0.5x on 1" in out
 
 
+def test_compare_prints_this_table(tmp_path, capsys, monkeypatch):
+    # Ratios exactly at 2 and 0.5 fall in neither band; a zero time or sweep
+    # count in A against a non-zero one in B is an infinite ratio, and two
+    # zeros are equal.
+    monkeypatch.chdir(tmp_path)
+    pairs = {"equal": ((1.0, 10), (1.0, 10)),
+             "zero-time": ((0.0, 5), (3.0, 5)),
+             "zero-both": ((0.0, 0), (0.0, 0)),
+             "over": ((1.0, 10), (2.5, 25)),
+             "at-2x": ((1.0, 10), (2.0, 20)),
+             "under": ((4.0, 10), (1.0, 4)),
+             "at-half": ((2.0, 8), (1.0, 4)),
+             "inside": ((1.0, 10), (1.5, 6)),
+             "b-zero": ((2.0, 3), (0.0, 0))}
+    for name, side in (("a.csv", 0), ("b.csv", 1)):
+        _write_csv(tmp_path / name, [_row(i, *p[side]) for i, p in pairs.items()])
+    assert main(["compare", "a.csv", "b.csv"]) == 0
+    assert capsys.readouterr() == ("""\
+instance                                   time B/A  sweeps B/A
+at-2x                                         2.000       2.000
+at-half                                       0.500       0.500
+b-zero                                        0.000       0.000
+equal                                         1.000       1.000
+inside                                        1.500       0.600
+over                                          2.500       2.500
+under                                         0.250       0.400
+zero-both                                     1.000       1.000
+zero-time                                       inf       1.000
+
+A = a.csv, B = b.csv; 9 instances
+time:   B slower >2x on 2, faster <0.5x on 2
+sweeps: B more >2x on 1, fewer <0.5x on 2
+""", "")
+
+
 def test_compare_rejects_mismatched_ids(tmp_path, capsys):
     path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
     _write_csv(path_a, [_row("x", 1.0, 1)])
@@ -572,6 +607,21 @@ def test_bundled_suite_files_run():
     requests = parse_suite(suite)
     assert len(requests) >= 8
     assert all(req.model_path.exists() for req in requests)
+
+
+def test_every_suite_request_carries_the_suite_timeout():
+    suite = Path(__file__).resolve().parent.parent / "bench_suite" / "demo.suite"
+    requests = bench.parse_suite(suite, 2.5)
+    assert requests and all(req.options.timeout == 2.5 for req in requests)
+    assert all(req.options.timeout is None for req in bench.parse_suite(suite))
+
+
+def test_a_goal_id_is_ascii_digits(tmp_path, capsys):
+    # int() read "1_0" as state 10, the chain's goal.
+    path = tmp_path / "chain.mdpx"
+    path.write_text(write_explicit(generate_slow_chain(10, Fraction(1, 2))))
+    assert main(["solve", str(path), "--prop", "pmax", "--goal", "1_0"]) == 1
+    assert capsys.readouterr().err == "error: unknown state label '1_0'\n"
 
 
 @pytest.mark.parametrize("suite", ["demo", "rewards-ii", "rewards-ovi"])

@@ -490,7 +490,8 @@ def test_eliminate_example_quotient(me_both):
     qm = eliminate_end_components(me_both, mecs, protect=[1, 2])
     q = qm.quotient
     assert q.num_states == 4
-    assert qm.representative[3] == qm.representative[4] == 3
+    # s1 and s2 share one quotient state; the others keep their order.
+    assert qm.to_quotient == (0, 1, 2, 3, 3)
     merged = qm.to_quotient[3]
     # The merged state keeps exactly transition c's two branches.
     (only,) = q.transitions[merged]
@@ -498,6 +499,19 @@ def test_eliminate_example_quotient(me_both):
     assert [(b.probability_exact, b.reward_exact, b.target) for b in only.branches] == \
         [(Fraction(6, 10), Fraction(1), qm.to_quotient[2]),
          (Fraction(4, 10), Fraction(0), qm.to_quotient[1])]
+
+
+def test_a_protected_state_is_its_components_representative():
+    # 0 and 2 form an end component beside the absorbing 1.  The quotient's
+    # states are the representatives in id order, so the component comes
+    # first when 0 represents it, and after 1 when the protected 2 does.
+    m = mdp_of(0, [[(1, 0, 2)], [(1, 0, 1)]], [[(1, 0, 1)]], [[(1, 0, 0)]])
+    mecs = mec_decomposition(m)
+    assert [sorted(mec.states) for mec in mecs] == [[0, 2], [1]]
+    assert eliminate_end_components(m, mecs).to_quotient == (0, 1, 0)
+    qm = eliminate_end_components(m, mecs, protect=[2])
+    assert qm.to_quotient == (1, 0, 1)
+    assert qm.quotient.initial == 1
 
 
 def test_eliminate_empty_list_is_identity(me_both):
@@ -518,7 +532,7 @@ def test_eliminate_returns_the_model_when_nothing_collapses(seed):
         for protect in (goals, ()):
             qm = eliminate_end_components(model, mecs, protect=protect)
             assert qm.quotient is model
-            assert qm.representative == qm.to_quotient == tuple(range(20))
+            assert qm.to_quotient == tuple(range(20))
             assert qm.map_states(goals) == frozenset(goals)
 
 

@@ -123,9 +123,10 @@ def test_writer_keys_numbers_by_exact_value():
     assert write_explicit(again) == text
 
 
-def _labelled_pair(named_states=None, label=None, format_version=1) -> ModelDocument:
-    model = Mdp(2, 0, ((transition([branch(1, 0, 1)], label),), (transition([branch(1, 0, 1)]),)))
-    return ModelDocument(model, named_states or {}, None, format_version)
+def _labelled_pair(named_states=None, label=None, goals=None, initial=0) -> ModelDocument:
+    model = Mdp(2, initial, ((transition([branch(1, 0, 1)], label),),
+                             (transition([branch(1, 0, 1)]),)))
+    return ModelDocument(model, named_states or {}, goals)
 
 
 # Each of these documents was once written without complaint, to a text that
@@ -137,10 +138,17 @@ def _labelled_pair(named_states=None, label=None, format_version=1) -> ModelDocu
     (_labelled_pair({"x#y": 1}), "state 1: cannot write label 'x#y'"),
     (_labelled_pair({"s1": 1, "t1": 1}), "state 1: cannot write label 's1'"),
     (_labelled_pair(label=""), "state 0, transition 0: cannot write label ''"),
-    (_labelled_pair(format_version=2), "cannot write format version 2"),
+    (_labelled_pair(goals=frozenset({5})), "cannot write goal state 5: no such state"),
+    (_labelled_pair(goals=frozenset({1, -1})), "cannot write goal state -1: no such state"),
+    (_labelled_pair(initial=7), "cannot write initial state 7: no such state"),
+    (_labelled_pair(initial=True), "cannot write initial state True: no such state"),
+    (_labelled_pair(goals=frozenset({1.0})), "cannot write goal state 1.0: no such state"),
+    # Written without a goal line, it was read back as no declaration.
+    (_labelled_pair(goals=frozenset()), "cannot write an empty goal declaration"),
 ], ids=["state-label-with-space", "empty-state-label", "integer-state-label",
         "state-label-with-comment", "two-labels-on-one-state", "empty-transition-label",
-        "format-version-2"])
+        "goal-past-the-last-state", "negative-goal", "initial-past-the-last-state",
+        "boolean-initial-state", "float-goal", "empty-goal-declaration"])
 def test_writer_refuses_what_the_parser_cannot_read_back(doc, message):
     with pytest.raises(ModelError, match=re.escape(message)):
         write_explicit(doc)
@@ -391,6 +399,7 @@ _ERROR_CASES = [
     ("", "empty input", 1, 1),
     ("  hello 1\n", "expected 'mdpx 1' header", 1, 3),
     (" mdpx one\n", "malformed header", 1, 2),
+    ("mdpx ١\n", "malformed header", 1, 1),  # int() reads the Arabic-Indic digit as 1
     ("mdpx   7\n", "unsupported format version", 1, 8),
     (_H + "states 1\n" + _LOOP, "duplicate 'states' line", 4, 1),
     ("mdpx 1\n  states 0\n", "'states' expects one positive integer", 2, 3),
@@ -421,6 +430,7 @@ _ERROR_CASES = [
     # The out-of-range target repeats the probability and the reward token.
     (_H + "state 0\n transition\n  branch 1 1 1\n", "state id 1 out of range", 6, 14),
     (_H + "state 0\n\ttransition\n\tbranch 1 0 zap\n", "dangling target", 6, 13),
+    (_H + "state 0\n transition\n  branch 1 0 ٣\n", "dangling target", 6, 14),  # not state 3
     ("mdpx 1\nstates 1\ninitial   9\n" + _LOOP, "state id 9 out of range", 3, 11),
     ("mdpx 1\nstates 1\ninitial nowhere\n" + _LOOP, "dangling target", 3, 9),
     (_H + _LOOP + "goal 0 0 elsewhere\n", "dangling target", 7, 10),
@@ -762,6 +772,25 @@ def test_each_corrupted_token_is_located(line, index, replacement, message):
     assert str(err.value) == message
     where = message[message.rindex("(line "):]
     assert where == f"(line {err.value.line}, column {err.value.column})"
+
+
+def test_integer_ids_are_ascii_digits_with_an_optional_sign():
+    # int() also reads "1_0" as 10, " 7" as 7 and the Arabic-Indic "٣" as 3.
+    loops = "".join(f"state {s}\n transition\n  branch 1 0 {s}\n" for s in range(11))
+    doc = parse_explicit("mdpx 1\nstates 11\ninitial 0\n" + loops)
+    for token in ("1_0", " 7", "7 ", "٣", "+", "", "9" * 5000):
+        with pytest.raises(ParseError, match=re.escape(f"unknown state label {token!r}")):
+            doc.resolve_state(token)
+    assert [doc.resolve_state(t) for t in ("7", "+7", "007", "-0")] == [7, 7, 7, 0]
+    with pytest.raises(ParseError, match=re.escape("state id -1 out of range")):
+        doc.resolve_state("-1")
+    with pytest.raises(ParseError, match=re.escape("'state' expects an integer id (line 4")):
+        parse_explicit(_H + "state " + "0" * 5000 + "\n")
+    # A token that int() reads but the rule refuses is a label, and is written back.
+    labelled = parse_explicit("mdpx 1\nstates 1\ninitial 1_0\nstate 0 1_0\n transition\n"
+                              "  branch 1 0 1_0\ngoal 1_0\n")
+    assert labelled.named_states == {"1_0": 0} and labelled.declared_goals == frozenset([0])
+    assert parse_explicit(write_explicit(labelled)) == labelled
 
 
 def test_non_canonical_integer_targets_resolve():

@@ -34,9 +34,10 @@ def test_pipeline_pmax_golden_run_default_order(me_doc):
     # Goal-distance order visits s0 and s2 (one step from s+) before s1 (two
     # steps): one sweep less, the same phases and the same interval.
     prop = make_property("pmax", [1], 0.05, "absolute")
-    res = solve(me_doc.model, prop, SolveOptions(method="ovi", error_mode="absolute"))
+    options = SolveOptions(method="ovi", error_mode="absolute")
+    assert options.order == "goal-distance"
+    res = solve(me_doc.model, prop, options)
     out = res.outcome
-    assert res.options.order == "goal-distance"
     assert _outcome_hex(res)[0] == [x.hex() for x in (0.4990284800000001, 0.4790284800000001,
                                                       0.5190284800000001)]
     assert (out.iterations, out.verification_phases, out.cancelled_verifications) == (9, 2, 1)
