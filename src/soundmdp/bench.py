@@ -277,11 +277,13 @@ def _ratio(a: float, b: float) -> float:
     return b / a
 
 
-def _measures(path: Path) -> dict[str, tuple[float, float]]:
-    """Solve time and sweeps by instance from a result CSV; a missing column
-    or a cell that is not a number is a ParseError naming the file."""
+def _measures(path: Path) -> dict[str, tuple[float, float] | None]:
+    """Solve time and sweeps by instance from a result CSV, None for a row
+    without them (a timeout, cap or error); a missing column or a cell that
+    is not a number is a ParseError naming the file."""
     try:
-        return {instance: (float(row["solve_ms"] or 0.0), float(row["sweeps"] or 0.0))
+        return {instance: (float(row["solve_ms"]), float(row["sweeps"]))
+                if row["solve_ms"] and row["sweeps"] else None
                 for instance, row in read_result_csv(path).items()}
     except KeyError as exc:
         raise ParseError(f"{path} has no {exc.args[0]!r} column") from None
@@ -289,23 +291,29 @@ def _measures(path: Path) -> dict[str, tuple[float, float]]:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def compare_results(path_a: Path, path_b: Path) -> list[tuple[str, float, float]]:
-    """(instance, solve-time ratio, sweep ratio) rows of B over A, by instance."""
+def compare_results(path_a: Path, path_b: Path) -> list[tuple[str, float | None, float | None]]:
+    """(instance, solve-time ratio, sweep ratio) rows of B over A, by
+    instance; both ratios are None where either side has no run."""
     a, b = _measures(path_a), _measures(path_b)
     if set(a) != set(b):
         only_a = sorted(set(a) - set(b))
         only_b = sorted(set(b) - set(a))
         raise PipelineError(f"instance ids differ: only in A {only_a}, only in B {only_b}")
-    return [(instance, _ratio(a[instance][0], b[instance][0]),
-             _ratio(a[instance][1], b[instance][1])) for instance in sorted(a)]
+    return [(instance, *((None, None) if None in (a[instance], b[instance])
+                         else map(_ratio, a[instance], b[instance])))
+            for instance in sorted(a)]
 
 
-def render_comparison(rows: list[tuple[str, float, float]], name_a: str, name_b: str) -> str:
-    """The ratio table, with the counts of instances beyond the 2x and 0.5x bands."""
+def render_comparison(rows: list[tuple[str, float | None, float | None]], name_a: str,
+                      name_b: str) -> str:
+    """The ratio table, with the counts of instances beyond the 2x and 0.5x
+    bands; an instance without ratios prints `-` and counts in neither."""
     lines = [f"{'instance':<40} {'time B/A':>10} {'sweeps B/A':>11}"]
-    for instance, t, s in rows:
-        lines.append(f"{instance:<40} {t:>10.3f} {s:>11.3f}")
-    times, sweeps = [t for _, t, _ in rows], [s for _, _, s in rows]
+    for instance, *ratios in rows:
+        t, s = ("-", "-") if ratios[0] is None else (f"{x:.3f}" for x in ratios)
+        lines.append(f"{instance:<40} {t:>10} {s:>11}")
+    times = [t for _, t, _ in rows if t is not None]
+    sweeps = [s for _, _, s in rows if s is not None]
     lines.append("")
     lines.append(f"A = {name_a}, B = {name_b}; {len(rows)} instances")
     lines.append(f"time:   B slower >2x on {sum(t > 2.0 for t in times)}, "

@@ -8,7 +8,7 @@ it does not.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence, Sized
 
 from .errors import ModelError
 from .model import Branch, Mdp, Transition, _check_states
@@ -21,8 +21,8 @@ def predecessor_index(model: Mdp) -> list[list[tuple[int, int]]]:
 
     A transition with several branches into one target is listed once per
     branch; `attractor` visits each pair at most once, `_prob1_max` at most
-    once per round.  prob0_set and prob1_set take it as `pred`, so that a
-    caller computing both builds it once.
+    once per round.  The analyses here take it as `pred`, built there when
+    not given; it serves any model with the same targets per transition.
     """
     pred: list[list[tuple[int, int]]] = [[] for _ in model.states]
     for s, ts in enumerate(model.transitions):
@@ -33,21 +33,22 @@ def predecessor_index(model: Mdp) -> list[list[tuple[int, int]]]:
     return pred
 
 
-def attractor(model: Mdp, pred: list[list[tuple[int, int]]], seeds: Iterable[int],
+def attractor(choices: Sequence[Sized], pred: list[list[tuple[int, int]]], seeds: Iterable[int],
               avoid: frozenset[int] = frozenset(), *, every_choice: bool) -> list[int]:
     """The seeds (distinct states, in the order given), then every state
     outside `avoid` in the order it joins: once every one of its choices
     (`every_choice`) or any one of them has a branch into a state that
-    joined before it.  `pred` is the model's predecessor_index, walked in
-    its order from each joined state in turn; a state with no choices joins
-    no attractor, as no branch leads from it.
+    joined before it.  `choices` are each state's choices (a model's
+    `transitions`, or anything sized per state) and `pred` their
+    predecessor_index, walked in its order from each joined state in turn;
+    a state with no choices joins no attractor.
     """
-    n = model.num_states
+    n = len(choices)
     joined = list(seeds)
     done = bytearray(n)  # joined, or in `avoid`
     for s in (*joined, *avoid):
         done[s] = 1
-    missing = [len(ts) for ts in model.transitions] if every_choice else [1] * n
+    missing = [len(ts) for ts in choices] if every_choice else [1] * n
     hit = [0] * n  # per state, a bit per choice with a branch in
     for t in joined:  # the list grows as states join
         for s, ti in pred[t]:
@@ -79,11 +80,11 @@ def prob0_set(model: Mdp, goals: Iterable[int], opt: str, *,
         pred = predecessor_index(model)
     if opt == "max":
         return frozenset(model.states).difference(
-            attractor(model, pred, goal_set, every_choice=False))
+            attractor(model.transitions, pred, goal_set, every_choice=False))
     # A state without choices joins too: every one of its (no) choices hits.
     idle = [s for s, ts in enumerate(model.transitions) if not ts and s not in goal_set]
     return frozenset(model.states).difference(
-        attractor(model, pred, [*goal_set, *idle], every_choice=True))
+        attractor(model.transitions, pred, [*goal_set, *idle], every_choice=True))
 
 
 def prob1_set(model: Mdp, goals: Iterable[int], opt: str, *,
@@ -106,7 +107,7 @@ def prob1_set(model: Mdp, goals: Iterable[int], opt: str, *,
     # Pmin = 1 iff no scheduler can, while avoiding the goals, reach a state
     # from which some scheduler avoids the goals forever.
     return frozenset(model.states).difference(
-        attractor(model, pred, zero, goal_set, every_choice=False))
+        attractor(model.transitions, pred, zero, goal_set, every_choice=False))
 
 
 def _prob1_max(model: Mdp, pred: list[list[tuple[int, int]]], goals: frozenset[int],
@@ -139,20 +140,18 @@ def _prob1_max(model: Mdp, pred: list[list[tuple[int, int]]], goals: frozenset[i
     return frozenset(r)
 
 
-def goal_distance_order(model: Mdp, sources: Iterable[int], unknowns: Iterable[int]) -> list[int]:
+def goal_distance_order(model: Mdp, sources: Iterable[int], unknowns: Iterable[int], *,
+                        pred: list[list[tuple[int, int]]] | None = None) -> list[int]:
     """The unknowns sorted by (d(s), s), where d(s) is the length of the
     shortest branch path from s into `sources`; unknowns with no such path
     come last, by id.
 
-    A backward breadth-first search over a state-level predecessor list,
-    then a bucket pass by id: linear in the branches and states.  The
-    predecessor lists live only inside this call.
+    A backward breadth-first search over `pred`, the predecessor_index of
+    any model with these targets per transition (built here when not
+    given), then a bucket pass by id: linear in the branches and states.
     """
-    pred: list[list[int]] = [[] for _ in model.states]
-    for s, ts in enumerate(model.transitions):
-        for t in ts:
-            for b in t.branches:
-                pred[b[2]].append(s)  # b.target
+    if pred is None:
+        pred = predecessor_index(model)
     distance = [-1] * model.num_states
     layer = list(_check_states(model, sources, "sources"))
     for s in layer:
@@ -162,12 +161,11 @@ def goal_distance_order(model: Mdp, sources: Iterable[int], unknowns: Iterable[i
         depth += 1
         reached = []
         for t in layer:
-            for s in pred[t]:
+            for s, _ in pred[t]:
                 if distance[s] < 0:
                     distance[s] = depth
                     reached.append(s)
         layer = reached
-    del pred
     # Buckets 0 .. depth-1 hold the distances; bucket `depth` the unreached.
     buckets: list[list[int]] = [[] for _ in range(depth + 1)]
     unknown_set = _check_states(model, unknowns, "unknowns")
@@ -177,15 +175,14 @@ def goal_distance_order(model: Mdp, sources: Iterable[int], unknowns: Iterable[i
     return [s for bucket in buckets for s in bucket]
 
 
-def s_infinity(model: Mdp, goals: Iterable[int], opt: str) -> StateSet:
+def s_infinity(model: Mdp, goals: Iterable[int], opt: str, *,
+               pred: list[list[tuple[int, int]]] | None = None) -> StateSet:
     """States whose expected reward is infinite: the pessimal reachability
-    probability (min for opt="max", max for opt="min") is below 1."""
-    if opt == "max":
-        sure = prob1_set(model, goals, "min")
-    elif opt == "min":
-        sure = prob1_set(model, goals, "max")
-    else:
+    probability (min for opt="max", max for opt="min") is below 1.  `pred`
+    is the predecessor_index of any model with these targets per transition."""
+    if opt not in ("max", "min"):
         raise ModelError(f"unknown opt {opt!r}")
+    sure = prob1_set(model, goals, "min" if opt == "max" else "max", pred=pred)
     return frozenset(set(model.states) - sure)
 
 
@@ -247,32 +244,30 @@ def _sccs(nodes: Sequence[int], succ: dict[int, list[int]]) -> list[list[int]]:
     return out
 
 
-def mec_decomposition(model: Mdp) -> list[EndComponent]:
+def mec_decomposition(model: Mdp, *,
+                      pred: list[list[tuple[int, int]]] | None = None) -> list[EndComponent]:
     """Maximal end components, by attractor peeling and SCC refinement.
 
     Only transitions whose branches all carry reward zero can take part; a
     transition stays in a candidate component only while all its branch
-    targets do.  Each round first peels, with a worklist, every state of the
-    candidate left with no such transition (removing a state can strand its
-    predecessors), then splits the rest into SCCs.  A candidate that stays one
-    SCC is a MEC; otherwise each SCC is a new candidate.  Single states
-    qualify only with such a self-loop.
+    targets do.  Each round first peels, with a worklist over `pred`, every
+    state of the candidate left with no such transition (removing a state
+    can strand its predecessors), then splits the rest into SCCs.  A
+    candidate that stays one SCC is a MEC; otherwise each SCC is a new
+    candidate.  Single states qualify only with such a self-loop.  `pred`,
+    built here when not given, is the predecessor_index of any model with
+    these targets per transition.
     """
-    # Target sets of the zero-reward transitions, and who uses each target.
-    zero_targets: list[list[tuple[int, frozenset[int]]]] = []
-    users: list[list[tuple[int, int]]] = [[] for _ in model.states]
-    for s, ts in enumerate(model.transitions):
-        mine = []
-        for ti, t in enumerate(ts):
-            if all(b.reward_exact == 0 for b in t.branches):
-                targets = frozenset(b.target for b in t.branches)
-                mine.append((ti, targets))
-                for target in targets:
-                    users[target].append((s, ti))
-        zero_targets.append(mine)
+    if pred is None:
+        pred = predecessor_index(model)
+    # Target sets of the zero-reward transitions.
+    zero_targets = [[(ti, frozenset(b.target for b in t.branches)) for ti, t in enumerate(ts)
+                     if all(b.reward_exact == 0 for b in t.branches)]
+                    for ts in model.transitions]
 
     result: list[EndComponent] = []
-    todo: list[set[int]] = [set(model.states)]
+    # Only a state with a zero-reward transition can take part.
+    todo = [{s for s, zs in enumerate(zero_targets) if zs}]
     while todo:
         component = todo.pop()
         kept = {s: {ti for ti, targets in zero_targets[s] if targets <= component}
@@ -282,7 +277,7 @@ def mec_decomposition(model: Mdp) -> list[EndComponent]:
             t = stranded.pop()
             component.discard(t)
             del kept[t]
-            for s, ti in users[t]:
+            for s, ti in pred[t]:
                 ks = kept.get(s)
                 if ks and ti in ks:
                     ks.discard(ti)

@@ -32,6 +32,7 @@ from operator import itemgetter, lt, sub
 from typing import Iterable
 
 from .errors import GeneratorError, ModelError, ParseError
+from .graph import attractor
 from .model import (PROBABILITY_SUM_TOLERANCE, Branch, Mdp, Number, Transition, branch,
                     collector_paused, exact, transition, validate)
 
@@ -512,7 +513,7 @@ def generate_random(seed: int, n_states: int, max_transitions: int, max_branches
     for _ in range(1000):
         goals, draw, cycle = _random_draw(rng, n_states, max_transitions, max_branches,
                                           r_max > 0, goal_count, allow_end_components)
-        if allow_end_components or _only_absorbing_components(draw):
+        if allow_end_components or _end_component_free(draw):
             doc = _random_model(goals, draw, cycle, r_max, r_min)
             assert not validate(doc.model)
             return doc
@@ -611,46 +612,22 @@ def _random_model(goals: list[int], draw: list[_Draw], cycle: tuple[int, int] | 
     return _labelled(Mdp(len(draw), 0, tuple(transitions)), goals)
 
 
-def _only_absorbing_components(draw: list[_Draw]) -> bool:
+def _end_component_free(draw: list[_Draw]) -> bool:
     """True when every end component of the drawn structure is a fully
     absorbing single state (all of whose transitions are self-loops).
 
-    Reward-stripped, every transition may take part in an end component, so
-    only the targets matter.  A state whose transitions are all self-loops
-    is such a component; every other component lies among the remaining
-    states.  Those hold an end component exactly when peeling, again and
-    again, each state with no transition whose targets all remain leaves a
-    state: a bottom strongly connected component of what remains is one.
+    Reward-stripped, only the targets matter, and the other states hold one
+    exactly when some stay outside the every-choice attractor of the fully
+    absorbing ones, from where a scheduler keeps away from those forever.
     """
-    targets = [[[s]] if ts is None else [tgts for _, _, tgts in ts]
-               for s, ts in enumerate(draw)]
-    remaining = [not all(t == [s] for t in ts) for s, ts in enumerate(targets)]
-    # The transitions whose targets all remain, with their states' counts of
-    # them, and for each target the transitions that use it.
-    owner: list[int] = []
-    alive = [0] * len(targets)
-    users: list[list[int]] = [[] for _ in targets]
-    for s, ts in enumerate(targets):
-        if remaining[s]:
-            for tgts in ts:
-                if all(remaining[t] for t in tgts):
-                    for t in tgts:
-                        users[t].append(len(owner))
-                    owner.append(s)
-                    alive[s] += 1
-    live = [True] * len(owner)
-    stranded = [s for s, r in enumerate(remaining) if r and not alive[s]]
-    while stranded:
-        t = stranded.pop()
-        remaining[t] = False
-        for k in users[t]:
-            if live[k]:
-                live[k] = False
-                s = owner[k]
-                alive[s] -= 1
-                if not alive[s]:
-                    stranded.append(s)
-    return not any(remaining)
+    choices = [[[s]] if ts is None else [t[2] for t in ts] for s, ts in enumerate(draw)]
+    pred: list[list[tuple[int, int]]] = [[] for _ in draw]
+    for s, ts in enumerate(choices):
+        for ti, targets in enumerate(ts):
+            for t in targets:
+                pred[t].append((s, ti))
+    absorbing = [s for s, ts in enumerate(choices) if all(t == [s] for t in ts)]
+    return len(attractor(choices, pred, absorbing, every_choice=True)) == len(draw)
 
 
 def generate_slow_chain(n: int, p: Number) -> ModelDocument:

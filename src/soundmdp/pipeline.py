@@ -5,9 +5,11 @@ A solve runs in this order, and copies the model only where a later step
 reads the copy:
   1. absorb the goals;
   2. precompute on that model, which still has its rewards (prob0 and prob1
-     read only the structure): prob0 and then prob1, from one predecessor
-     index and prob0's set, for probabilities, the infinite-reward states
-     s-infinity for rewards (precomp="required"; "none" computes none of them);
+     read only the structure): prob0 and then prob1, from prob0's set, for
+     probabilities, the infinite-reward states s-infinity for rewards
+     (precomp="required"; "none" computes none of them).  Every graph step
+     reads this model's predecessor index, built here, which its
+     reward-stripped copy and a quotient that collapsed nothing share;
   3. unless step 2 decided the initial state, or it is a goal, strip the
      rewards for probability queries, since end-component elimination and
      the solvers read them;
@@ -28,10 +30,12 @@ reads the copy:
      unknowns that reach none of them come last.  Values then flow out
      from the goals within one sweep instead of one state per sweep.
      Interval iteration computes the order only once its upper start
-     exists.  "forward" is id order, the solvers' own default.  The emax
-     upper start lies within rounding of the value, so for emax the upper
-     end that interval iteration reports is widened by its sweeps'
-     rounding (`rounding_widened`).
+     exists.  Both read step 2's index, or the one step 4 builds for a
+     quotient that changed a transition's targets; no sweep holds either.
+     "forward" is id order, the solvers' own default.  The emax upper start
+     lies within rounding of the value, so for emax the upper end that
+     interval iteration reports is widened by its sweeps' rounding
+     (`rounding_widened`).
 
 `PipelineResult` times three phases: precomp is step 2, transform steps 1,
 3 and 4, and solve step 5, from the problem build (or the oracle call) to
@@ -62,6 +66,7 @@ from .graph import (eliminate_end_components, goal_distance_order, mec_decomposi
                     predecessor_index, prob0_set, prob1_set, s_infinity)
 from .model import (Mdp, Property, PropertyKind, collector_paused, make_goals_absorbing,
                     strip_rewards)
+from .modelio import _is_int
 from .oracle import oracle_values
 from .solvers import (DEFAULT_SWEEP_CAP, BellmanProblem, ErrorCriterion, SolveOutcome,
                       interval_iteration, ovi, plain_vi, probability_problem, reward_problem,
@@ -149,18 +154,18 @@ def _random_seed(scheme: str) -> int | None:
         return 0
     if scheme.startswith("random:"):
         seed_text = scheme[len("random:"):]
-        try:
-            return int(seed_text)
-        except ValueError:
-            raise PipelineError(f"malformed random order seed {seed_text!r}") from None
+        if not _is_int(seed_text):  # the parser's rule for an integer id
+            raise PipelineError(f"malformed random order seed {seed_text!r}")
+        return int(seed_text)
     raise PipelineError(f"unknown iteration order {scheme!r}")
 
 
-def _iteration_order(problem: BellmanProblem, sources: frozenset[int], scheme: str) -> list[int]:
+def _iteration_order(problem: BellmanProblem, sources: frozenset[int], scheme: str,
+                     pred: list[list[tuple[int, int]]]) -> list[int]:
     """The unknowns in the order a sweep visits them; `sources` are the
-    fixed states the goal-distance order measures from."""
+    fixed states the goal-distance order measures from, over `pred`."""
     if scheme == "goal-distance":
-        return goal_distance_order(problem.model, sources, problem.unknowns)
+        return goal_distance_order(problem.model, sources, problem.unknowns, pred=pred)
     order = sorted(problem.unknowns)
     if scheme == "reverse":
         return order[::-1]
@@ -195,17 +200,16 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
     fixed_zero: frozenset[int] = frozenset()
     fixed_one: frozenset[int] = frozenset()
     s_inf: frozenset[int] = frozenset()
+    pred = predecessor_index(work)  # serves every graph step until the targets change
     if kind.is_probability:
         if options.precomp != "none":
-            pred = predecessor_index(work)
             fixed_zero = prob0_set(work, goals, opt, pred=pred)
             result.applied.append(f"prob0({len(fixed_zero)} states)")
             fixed_one = prob1_set(work, goals, opt, pred=pred, zero=fixed_zero)
             result.applied.append(f"prob1({len(fixed_one)} states)")
-            del pred  # not held through the solve
     else:
         if options.precomp != "none":
-            s_inf = s_infinity(work, goals, opt)
+            s_inf = s_infinity(work, goals, opt, pred=pred)
             result.applied.append(f"s-infinity({len(s_inf)} states)")
         else:
             result.warnings.append("uncertified: infinite-reward states not precomputed")
@@ -220,7 +224,8 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
         work = strip_rewards(work)
         result.applied.append("strip-rewards")
     if eliminate and not decided:
-        qm = eliminate_end_components(work, mec_decomposition(work), protect=goals)
+        qm = eliminate_end_components(work, mec_decomposition(work, pred=pred), protect=goals)
+        pred = pred if qm.quotient is work else predecessor_index(qm.quotient)
         work = qm.quotient
         goals, fixed_zero, fixed_one, s_inf = (
             qm.map_states(states) for states in (goals, fixed_zero, fixed_one, s_inf))
@@ -259,8 +264,9 @@ def solve(model: Mdp, prop: Property, options: SolveOptions | None = None) -> Pi
         upper = problem.seed
         if options.method == "ii" and undecided:
             upper = ([1.0] * work.num_states if kind.is_probability
-                     else reward_upper_init(work, goals, opt, s_inf))
-        order = _iteration_order(problem, sources, options.order) if undecided else None
+                     else reward_upper_init(work, goals, opt, s_inf, pred=pred))
+        order = _iteration_order(problem, sources, options.order, pred) if undecided else None
+        del pred  # not held through the sweeps
         if options.method == "vi":
             outcome = plain_vi(problem, criterion, order, **budget)
         elif options.method == "ovi":

@@ -1117,13 +1117,15 @@ _NO_BOUND = ("no finite reward upper bound derivable; "
              "the probability structure is too degenerate")
 
 
-def _emax_reward_bound(model: Mdp, goal_set: frozenset[int], inf_set: frozenset[int]) -> float:
+def _emax_reward_bound(model: Mdp, goal_set: frozenset[int], inf_set: frozenset[int],
+                       pred: list[list[tuple[int, int]]] | None) -> float:
     """The maximal-reward bound of Baier, Klein, Leuschner, Parker and
     Wunderlich, "Ensuring the Reliability of Your Model Checker: Interval
     Iteration for MDPs" (CAV 2017), rounded outward.
 
     Goals get d = 1, and the other states get theirs in the order they
     join `graph.attractor` from the goals (in id order) outside `inf_set`,
+    over `pred` (the model's predecessor index, built here when not given),
     once every one of their choices has a branch into a state that joined
     before them: d(s) is the minimum over its choices of the mass into
     those states, each target weighted by its own d.  Under every
@@ -1162,7 +1164,9 @@ def _emax_reward_bound(model: Mdp, goal_set: frozenset[int], inf_set: frozenset[
         return 0.0
 
     goals = sorted(goal_set)
-    joined = attractor(model, predecessor_index(model), goals, inf_set, every_choice=True)
+    if pred is None:
+        pred = predecessor_index(model)
+    joined = attractor(transitions, pred, goals, inf_set, every_choice=True)
     if len(joined) < len(goals) + len(relevant):
         raise SolverError(_NO_BOUND)
     d = [0.0] * model.num_states
@@ -1189,8 +1193,8 @@ def _emax_reward_bound(model: Mdp, goal_set: frozenset[int], inf_set: frozenset[
     return total
 
 
-def reward_upper_init(model: Mdp, goals: Iterable[int], opt: str,
-                      s_inf: Iterable[int]) -> list[float]:
+def reward_upper_init(model: Mdp, goals: Iterable[int], opt: str, s_inf: Iterable[int], *,
+                      pred: list[list[tuple[int, int]]] | None = None) -> list[float]:
     """A certain upper bound on expected rewards, for seeding interval
     iteration.  Infinite-reward states get inf, goals 0, and every other
     state one bound for the whole model.
@@ -1213,10 +1217,12 @@ def reward_upper_init(model: Mdp, goals: Iterable[int], opt: str,
     request that the benchmark's tests pin as an error into a certified
     answer, so it waits for that pin to move.
 
-    Either raises SolverError where it finds no finite bound.
+    Either raises SolverError where it finds no finite bound.  `pred`, the
+    model's predecessor_index, serves opt="max", built there when not given.
     """
     goal_set, inf_set = frozenset(goals), frozenset(s_inf)
-    bound = (_emax_reward_bound if opt == "max" else _emin_reward_bound)(model, goal_set, inf_set)
+    bound = (_emax_reward_bound(model, goal_set, inf_set, pred) if opt == "max"
+             else _emin_reward_bound(model, goal_set, inf_set))
     return [math.inf if s in inf_set else 0.0 if s in goal_set else bound for s in model.states]
 
 

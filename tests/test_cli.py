@@ -554,6 +554,36 @@ sweeps: B more >2x on 1, fewer <0.5x on 2
 """, "")
 
 
+def _failed_row(instance: str, status: str) -> dict:
+    """A row as `bench` writes a timeout, cap or error: no value, time or sweeps."""
+    return {**{c: "" for c in CSV_COLUMNS}, "instance": instance, "method": "ovi",
+            "status": status}
+
+
+def test_compare_counts_no_band_for_a_row_without_a_run(tmp_path, capsys, monkeypatch):
+    # A timed-out or failed row has empty solve_ms and sweeps cells, not a
+    # 0-ms, 0-sweep run: on either side, its ratios print `-` and it counts
+    # in neither band, although it stays one of the instances.
+    monkeypatch.chdir(tmp_path)
+    _write_csv(tmp_path / "a.csv", [_row("both-ok", 1.0, 10), _failed_row("a-timeout", "timeout"),
+                                    _row("b-error", 3.0, 3), _failed_row("both-failed", "error")])
+    _write_csv(tmp_path / "b.csv", [_row("both-ok", 3.0, 30), _row("a-timeout", 3.0, 3),
+                                    _failed_row("b-error", "error"),
+                                    _failed_row("both-failed", "timeout")])
+    assert main(["compare", "a.csv", "b.csv"]) == 0
+    assert capsys.readouterr() == ("""\
+instance                                   time B/A  sweeps B/A
+a-timeout                                         -           -
+b-error                                           -           -
+both-failed                                       -           -
+both-ok                                       3.000       3.000
+
+A = a.csv, B = b.csv; 4 instances
+time:   B slower >2x on 1, faster <0.5x on 0
+sweeps: B more >2x on 1, fewer <0.5x on 0
+""", "")
+
+
 def test_compare_rejects_mismatched_ids(tmp_path, capsys):
     path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
     _write_csv(path_a, [_row("x", 1.0, 1)])

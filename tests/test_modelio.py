@@ -319,7 +319,8 @@ def test_generate_random_models_are_pinned(args, kwargs, digest):
 
 
 def test_generator_end_component_test_matches_mec_decomposition():
-    # The generator tests a draw's bare targets before it builds any model;
+    # The generator tests a draw's bare targets, by the every-choice
+    # attractor of its fully absorbing states, before it builds any model;
     # on every draw, the rejected ones too, the verdict must be that of the
     # MEC decomposition of the built, reward-stripped model.
     rng = random.Random(3)
@@ -331,7 +332,7 @@ def test_generator_end_component_test_matches_mec_decomposition():
         mecs = mec_decomposition(strip_rewards(model))
         want = all(len(mec.states) == 1 and len(mec.kept_transitions[min(mec.states)])
                    == len(model.transitions[min(mec.states)]) for mec in mecs)
-        assert modelio._only_absorbing_components(draw) == want
+        assert modelio._end_component_free(draw) == want
         verdicts.add(want)
     assert verdicts == {True, False}
 

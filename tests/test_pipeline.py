@@ -11,8 +11,8 @@ from soundmdp import (ErrorCriterion, Mdp, PipelineError, SolveOptions, SolveTim
                       generate_slow_chain, make_goals_absorbing, make_property,
                       mec_decomposition, oracle_exact, ovi, rebase_initial, reward_problem,
                       s_infinity, solve, strip_rewards)
-from soundmdp import pipeline, solvers
-from soundmdp.graph import goal_distance_order
+from soundmdp import graph, pipeline, solvers
+from soundmdp.graph import goal_distance_order, predecessor_index
 
 from conftest import (HALF, clear_caches, count_generic_sweeps, spy_runners, trap_beside_chain,
                       trap_instance)
@@ -151,9 +151,9 @@ def test_pipeline_probability_bounds_never_exceed_one(options):
 def test_pipeline_decided_initial_state_skips_end_components(me_doc, monkeypatch):
     calls = []
 
-    def counting(model):
+    def counting(model, **kwargs):
         calls.append(model.num_states)
-        return mec_decomposition(model)
+        return mec_decomposition(model, **kwargs)
 
     monkeypatch.setattr("soundmdp.pipeline.mec_decomposition", counting)
     doc = generate_random(0, 8, 3, 3, 4, 2, allow_end_components=True)
@@ -231,10 +231,10 @@ def test_goal_distance_order_cuts_slow_chain_sweeps(method):
 
 
 def test_decided_request_computes_no_order(me_doc, monkeypatch):
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("an order was computed for a solve that runs no sweep")
 
-    def no_bound(*args):
+    def no_bound(*args, **kwargs):
         raise SolverError("no bound")
 
     monkeypatch.setattr("soundmdp.pipeline.goal_distance_order", refuse)
@@ -300,6 +300,9 @@ def test_goal_distance_order_reproduces(me_doc):
     ("order", "bogus", "unknown iteration order"),
     ("order", "randomly", "unknown iteration order"),
     ("order", "random:x", "malformed random order seed"),
+    ("order", "random:1_0", "malformed random order seed '1_0'"),
+    ("order", "random:\u0663", "malformed random order seed '\u0663'"),  # ARABIC-INDIC DIGIT THREE
+    ("order", "random: 7", "malformed random order seed ' 7'"),
 ])
 def test_solve_options_reject_bad_fields(field, value, message):
     with pytest.raises(PipelineError, match=message):
@@ -478,6 +481,55 @@ def _spy(monkeypatch, name, fn):
 
     monkeypatch.setattr(f"soundmdp.pipeline.{name}", wrapper)
     return results
+
+
+def test_solve_builds_one_predecessor_index_per_model(monkeypatch):
+    # One index serves prob0/prob1 or s-infinity, the MEC decomposition, the
+    # emax upper start and the goal-distance order; only an elimination that
+    # collapses a component makes a model with other targets, and a second
+    # index for it.
+    builds = []
+
+    def counting(model):
+        builds.append(model.num_states)
+        return predecessor_index(model)
+
+    for module in (graph, pipeline, solvers):
+        monkeypatch.setattr(module, "predecessor_index", counting)
+    ec_free = generate_random(1, 12, 3, 3, 4, 2)
+    with_ec = generate_random(30, 40, 3, 4, 4, 4, allow_end_components=True)
+    trap, trap_goals = trap_instance(1, 30)
+    for model, goals, kind, method, states in (
+            (trap, trap_goals, "pmax", "ovi", [30]),
+            (ec_free.model, ec_free.declared_goals, "emin", "ovi", [12]),  # identity quotient
+            (ec_free.model, ec_free.declared_goals, "emax", "ii", [12]),
+            (trap, trap_goals, "pmax", "ii", [30, 29]),
+            (with_ec.model, with_ec.declared_goals, "emin", "ovi", [40, 39]),
+            (with_ec.model, with_ec.declared_goals, "emin", "ii", [40, 39])):
+        builds.clear()
+        res = solve(model, make_property(kind, goals), SolveOptions(method=method))
+        assert res.outcome.certified and res.outcome.iterations > 0
+        assert builds == states, (kind, method)
+
+
+def test_a_reused_index_orders_like_a_fresh_one(me_doc, monkeypatch):
+    # Under ovi the pmax sweeps run on the reward-stripped copy, and the
+    # goal-distance order reads the index of the goal-absorbed model; after
+    # a collapse (ii, emin) it reads the quotient's own.  A fresh index of
+    # the solved model gives the same order either way.
+    orders = []
+
+    def both(model, sources, unknowns, *, pred):
+        orders.append((goal_distance_order(model, sources, unknowns, pred=pred),
+                       goal_distance_order(model, sources, unknowns)))
+        return orders[-1][0]
+
+    monkeypatch.setattr(pipeline, "goal_distance_order", both)
+    for kind, goals, method in (("pmax", [1], "ovi"), ("pmax", [2], "ovi"),
+                                ("pmax", [1], "ii"), ("emin", [1, 2], "ovi")):
+        res = solve(me_doc.model, make_property(kind, goals), SolveOptions(method=method))
+        assert res.outcome.certified
+    assert orders == [([0, 4, 3],) * 2, ([0, 4, 3],) * 2, ([0, 3],) * 2, ([0, 3],) * 2]
 
 
 @pytest.mark.parametrize("method", ["vi", "ovi", "ii"])
